@@ -85,12 +85,6 @@ func (c Config) Validate() error {
 // Sets reports the number of sets implied by the geometry.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
-type line struct {
-	tag     uint64 // line address (addr >> lineShift); valid only if state != Invalid
-	state   State
-	lastUse uint64
-}
-
 // Stats counts cache events. All counters are cumulative since the last
 // Reset.
 type Stats struct {
@@ -113,15 +107,40 @@ func (s Stats) HitRate() float64 {
 	return 1 - float64(s.ReadMisses+s.WriteMisses)/float64(total)
 }
 
+// noTag is the tag of every Invalid way. A line address can equal it only
+// in a cache of 1-byte lines, so a tag match on noTag is confirmed against
+// lastUse before it counts.
+const noTag = ^uint64(0)
+
+// hintSize is the number of way-predictor entries, indexed by the low bits
+// of the line address.
+const hintSize = 64
+
 // Cache is one cache instance.
+//
+// Ways are stored struct-of-arrays, set-major: way w of set s is index
+// s*assoc+w of tags, states and lastUse. An Invalid way has tag noTag and
+// lastUse 0, and a valid way has lastUse > 0 (the clock ticks before every
+// use), so a lookup compares one word per way and the Fill victim is the
+// first minimum of lastUse: the first Invalid way, else the LRU way.
 type Cache struct {
 	cfg       Config
 	lineShift uint
 	setMask   uint64
 	assoc     int
-	lines     []line // sets*assoc, set-major
-	clock     uint64
-	stats     Stats
+	tags      []uint64
+	states    []State
+	lastUse   []uint64
+	// hint predicts the way holding a line. A prediction counts only after
+	// its tag checks, and a valid tag is held by at most one way, so a
+	// wrong or stale hint costs a scan, never a different outcome.
+	hint [hintSize]int32
+	// missed is the line Access last reported missing. Only Fill installs
+	// lines, so the next Fill of it may skip its own lookup; every Fill
+	// clears it.
+	missed uint64
+	clock  uint64
+	stats  Stats
 }
 
 // New builds a cache. It panics on invalid configuration.
@@ -130,13 +149,18 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:   uint64(sets - 1),
 		assoc:     cfg.Assoc,
-		lines:     make([]line, sets*cfg.Assoc),
+		tags:      make([]uint64, sets*cfg.Assoc),
+		states:    make([]State, sets*cfg.Assoc),
+		lastUse:   make([]uint64, sets*cfg.Assoc),
+		missed:    noTag,
 	}
+	c.InvalidateAll()
+	return c
 }
 
 // Config returns the cache's configuration.
@@ -148,18 +172,48 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr maps a byte address to its line address (tag granularity).
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
-func (c *Cache) set(lineAddr uint64) []line {
-	base := int(lineAddr&c.setMask) * c.assoc
-	return c.lines[base : base+c.assoc]
+// setBase is the index of way 0 of lineAddr's set.
+func (c *Cache) setBase(lineAddr uint64) int { return int(lineAddr&c.setMask) * c.assoc }
+
+// holds reports whether way i holds the valid line la.
+func (c *Cache) holds(i int, la uint64) bool {
+	return c.tags[i] == la && (la != noTag || c.lastUse[i] != 0)
 }
 
-func find(set []line, tag uint64) *line {
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == tag {
-			return &set[i]
+// predict returns the way to try first for la: the only way of a
+// direct-mapped cache, else the way-predictor entry.
+func (c *Cache) predict(la uint64) int {
+	if c.assoc == 1 {
+		return int(la & c.setMask)
+	}
+	return int(c.hint[la%hintSize])
+}
+
+// find returns the index of the way holding the valid line la, or -1.
+func (c *Cache) find(la uint64) int {
+	if i := c.predict(la); c.holds(i, la) {
+		return i
+	}
+	return c.scan(la)
+}
+
+// scan searches la's set way by way, retraining the predictor on a hit.
+func (c *Cache) scan(la uint64) int {
+	base := c.setBase(la)
+	for w, t := range c.tags[base : base+c.assoc] {
+		if t == la && (la != noTag || c.lastUse[base+w] != 0) {
+			c.hint[la%hintSize] = int32(base + w)
+			return base + w
 		}
 	}
-	return nil
+	return -1
+}
+
+// invalidate empties way i.
+func (c *Cache) invalidate(i int) {
+	c.tags[i] = noTag
+	c.states[i] = Invalid
+	c.lastUse[i] = 0
 }
 
 // Outcome classifies an access against the local cache.
@@ -195,31 +249,35 @@ func (o Outcome) String() string {
 // state transitions (E→M on write hit, LRU update, counters).
 func (c *Cache) Access(addr uint64, write bool) Outcome {
 	la := c.LineAddr(addr)
-	set := c.set(la)
 	c.clock++
 	if write {
 		c.stats.Writes++
 	} else {
 		c.stats.Reads++
 	}
-	ln := find(set, la)
-	if ln == nil {
+	// find, spelled out so the predicted-way hit costs no call.
+	i := c.predict(la)
+	if !c.holds(i, la) {
+		i = c.scan(la)
+	}
+	if i < 0 {
 		if write {
 			c.stats.WriteMisses++
 		} else {
 			c.stats.ReadMisses++
 		}
+		c.missed = la
 		return Miss
 	}
-	ln.lastUse = c.clock
+	c.lastUse[i] = c.clock
 	if !write {
 		return Hit
 	}
-	switch ln.state {
+	switch c.states[i] {
 	case Modified:
 		return Hit
 	case Exclusive:
-		ln.state = Modified // silent upgrade, no bus traffic
+		c.states[i] = Modified // silent upgrade, no bus traffic
 		return Hit
 	default: // Shared
 		c.stats.Upgrades++
@@ -233,11 +291,11 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 // which the node models (atomic bus phases) never allow.
 func (c *Cache) CompleteUpgrade(addr uint64) {
 	la := c.LineAddr(addr)
-	ln := find(c.set(la), la)
-	if ln == nil {
+	i := c.find(la)
+	if i < 0 {
 		panic(fmt.Sprintf("cache %s: CompleteUpgrade on absent line %#x", c.cfg.Name, la))
 	}
-	ln.state = Modified
+	c.states[i] = Modified
 }
 
 // Victim describes an eviction produced by Fill.
@@ -256,45 +314,47 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 		panic(fmt.Sprintf("cache %s: Fill with Invalid state", c.cfg.Name))
 	}
 	la := c.LineAddr(addr)
-	set := c.set(la)
 	c.clock++
-	if ln := find(set, la); ln != nil {
-		// Refill of a present line (e.g. upgrade-with-data); just update.
-		ln.state = st
-		ln.lastUse = c.clock
-		return Victim{}
-	}
-	// Prefer an invalid way; otherwise evict LRU.
-	victim := &set[0]
-	for i := range set {
-		if set[i].state == Invalid {
-			victim = &set[i]
-			break
+	// A line Access just reported missing needs no lookup; missed holds
+	// noTag when there is none.
+	absent := la == c.missed && la != noTag
+	c.missed = noTag
+	if !absent {
+		if i := c.find(la); i >= 0 {
+			// Refill of a present line (e.g. upgrade-with-data); just update.
+			c.states[i] = st
+			c.lastUse[i] = c.clock
+			return Victim{}
 		}
-		if set[i].lastUse < victim.lastUse {
-			victim = &set[i]
+	}
+	// The first minimum of lastUse: the first invalid way, else the LRU.
+	base := c.setBase(la)
+	i, oldest := base, c.lastUse[base]
+	for w, u := range c.lastUse[base+1 : base+c.assoc] {
+		if u < oldest {
+			i, oldest = base+1+w, u
 		}
 	}
 	out := Victim{}
-	if victim.state != Invalid {
-		out = Victim{LineAddr: victim.tag, Dirty: victim.state == Modified, Valid: true}
+	if oldest != 0 {
+		out = Victim{LineAddr: c.tags[i], Dirty: c.states[i] == Modified, Valid: true}
 		c.stats.Evictions++
 		if out.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	victim.tag = la
-	victim.state = st
-	victim.lastUse = c.clock
+	c.tags[i] = la
+	c.states[i] = st
+	c.lastUse[i] = c.clock
+	c.hint[la%hintSize] = int32(i)
 	return out
 }
 
 // Lookup reports the state of the line containing addr without touching
 // LRU or counters. Used by snoop logic and tests.
 func (c *Cache) Lookup(addr uint64) State {
-	la := c.LineAddr(addr)
-	if ln := find(c.set(la), la); ln != nil {
-		return ln.state
+	if i := c.find(c.LineAddr(addr)); i >= 0 {
+		return c.states[i]
 	}
 	return Invalid
 }
@@ -311,21 +371,20 @@ type SnoopResult struct {
 // MPC620 bus protocol supports directly). For a write snoop
 // (exclusive=true) any copy is invalidated.
 func (c *Cache) Snoop(addr uint64, exclusive bool) SnoopResult {
-	la := c.LineAddr(addr)
-	ln := find(c.set(la), la)
-	if ln == nil {
+	i := c.find(c.LineAddr(addr))
+	if i < 0 {
 		return SnoopResult{}
 	}
-	res := SnoopResult{Had: true, Supplied: ln.state == Modified}
+	res := SnoopResult{Had: true, Supplied: c.states[i] == Modified}
 	if exclusive {
-		ln.state = Invalid
+		c.invalidate(i)
 		c.stats.SnoopInvals++
 		c.stats.InvalidationsReceived++
 	} else {
 		if res.Supplied {
 			c.stats.SuppliedCacheToCache++
 		}
-		ln.state = Shared
+		c.states[i] = Shared
 		c.stats.SnoopReads++
 	}
 	return res
@@ -335,8 +394,8 @@ func (c *Cache) Snoop(addr uint64, exclusive bool) SnoopResult {
 // model a cold start). Dirty data is discarded; callers that care about
 // writeback traffic should drain via Fill pressure instead.
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
+	for i := range c.tags {
+		c.invalidate(i)
 	}
 }
 
@@ -346,8 +405,8 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Occupancy reports how many lines are currently valid.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
+	for _, u := range c.lastUse {
+		if u != 0 {
 			n++
 		}
 	}

@@ -1,0 +1,341 @@
+package cache
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
+
+// refCache is the straightforward array-of-structs cache: one record per
+// way, a linear scan per lookup and a separate victim search. It is the
+// oracle the struct-of-arrays Cache, its way predictor and its miss memo
+// are checked against.
+type refCache struct {
+	lineShift uint
+	setMask   uint64
+	assoc     int
+	lines     []refLine
+	clock     uint64
+	stats     Stats
+}
+
+type refLine struct {
+	tag     uint64
+	state   State
+	lastUse uint64
+}
+
+func newRef(cfg Config) *refCache {
+	sets := cfg.Sets()
+	return &refCache{
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:   uint64(sets - 1),
+		assoc:     cfg.Assoc,
+		lines:     make([]refLine, sets*cfg.Assoc),
+	}
+}
+
+func (c *refCache) set(la uint64) []refLine {
+	base := int(la&c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc]
+}
+
+func refFind(set []refLine, tag uint64) *refLine {
+	for i := range set {
+		if set[i].state != Invalid && set[i].tag == tag {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (c *refCache) Access(addr uint64, write bool) Outcome {
+	la := addr >> c.lineShift
+	set := c.set(la)
+	c.clock++
+	if write {
+		c.stats.Writes++
+	} else {
+		c.stats.Reads++
+	}
+	ln := refFind(set, la)
+	if ln == nil {
+		if write {
+			c.stats.WriteMisses++
+		} else {
+			c.stats.ReadMisses++
+		}
+		return Miss
+	}
+	ln.lastUse = c.clock
+	if !write {
+		return Hit
+	}
+	switch ln.state {
+	case Modified:
+		return Hit
+	case Exclusive:
+		ln.state = Modified
+		return Hit
+	default:
+		c.stats.Upgrades++
+		return HitNeedsUpgrade
+	}
+}
+
+func (c *refCache) CompleteUpgrade(addr uint64) {
+	la := addr >> c.lineShift
+	ln := refFind(c.set(la), la)
+	if ln == nil {
+		panic("ref: CompleteUpgrade on absent line")
+	}
+	ln.state = Modified
+}
+
+func (c *refCache) Fill(addr uint64, st State) Victim {
+	la := addr >> c.lineShift
+	set := c.set(la)
+	c.clock++
+	if ln := refFind(set, la); ln != nil {
+		ln.state = st
+		ln.lastUse = c.clock
+		return Victim{}
+	}
+	victim := &set[0]
+	for i := range set {
+		if set[i].state == Invalid {
+			victim = &set[i]
+			break
+		}
+		if set[i].lastUse < victim.lastUse {
+			victim = &set[i]
+		}
+	}
+	out := Victim{}
+	if victim.state != Invalid {
+		out = Victim{LineAddr: victim.tag, Dirty: victim.state == Modified, Valid: true}
+		c.stats.Evictions++
+		if out.Dirty {
+			c.stats.Writebacks++
+		}
+	}
+	victim.tag = la
+	victim.state = st
+	victim.lastUse = c.clock
+	return out
+}
+
+func (c *refCache) Lookup(addr uint64) State {
+	la := addr >> c.lineShift
+	if ln := refFind(c.set(la), la); ln != nil {
+		return ln.state
+	}
+	return Invalid
+}
+
+func (c *refCache) Snoop(addr uint64, exclusive bool) SnoopResult {
+	la := addr >> c.lineShift
+	ln := refFind(c.set(la), la)
+	if ln == nil {
+		return SnoopResult{}
+	}
+	res := SnoopResult{Had: true, Supplied: ln.state == Modified}
+	if exclusive {
+		ln.state = Invalid
+		c.stats.SnoopInvals++
+		c.stats.InvalidationsReceived++
+	} else {
+		if res.Supplied {
+			c.stats.SuppliedCacheToCache++
+		}
+		ln.state = Shared
+		c.stats.SnoopReads++
+	}
+	return res
+}
+
+func (c *refCache) InvalidateAll() {
+	for i := range c.lines {
+		c.lines[i] = refLine{}
+	}
+}
+
+func (c *refCache) Occupancy() int {
+	n := 0
+	for i := range c.lines {
+		if c.lines[i].state != Invalid {
+			n++
+		}
+	}
+	return n
+}
+
+// oracleGeometries are the shapes the node models use, plus a 1-byte-line
+// cache whose top address collides with the Invalid-way tag.
+var oracleGeometries = []struct {
+	cfg Config
+	// top places the address pool just below 2^64 instead of at 0.
+	top bool
+}{
+	{cfg: Config{Name: "direct", SizeBytes: 16 * 64, LineBytes: 64, Assoc: 1}},
+	{cfg: Config{Name: "L1-8way", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8}},
+	{cfg: Config{Name: "PII-DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 4}},
+	{cfg: Config{Name: "SUN-DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 64}},
+	{cfg: Config{Name: "byte-lines", SizeBytes: 8, LineBytes: 1, Assoc: 2}, top: true},
+}
+
+// oracle drives one seeded operation sequence through a Cache and the
+// reference, failing on the first divergent return value, Stats or
+// Occupancy.
+type oracle struct {
+	t      *testing.T
+	rng    *rand.Rand
+	c      *Cache
+	ref    *refCache
+	lines  uint64 // line addresses are drawn from [0, lines)
+	top    bool
+	last   uint64
+	step   int
+	trace  []string
+	prefix string
+}
+
+func (o *oracle) addr() uint64 {
+	var la uint64
+	if o.rng.Intn(3) == 0 {
+		la = (o.last + uint64(o.rng.Intn(5))) % o.lines // nearby: hits
+	} else {
+		la = uint64(o.rng.Int63n(int64(o.lines)))
+	}
+	o.last = la
+	a := la<<o.c.lineShift | uint64(o.rng.Intn(o.c.cfg.LineBytes))
+	if o.top {
+		return ^uint64(0) - a
+	}
+	return a
+}
+
+func (o *oracle) state() State { return State(o.rng.Intn(3)) + Shared }
+
+// check records the operation and compares the two caches after it.
+func (o *oracle) check(op string, got, want any) {
+	o.t.Helper()
+	o.step++
+	o.trace = append(o.trace, op)
+	if len(o.trace) > 8 {
+		o.trace = o.trace[1:]
+	}
+	fail := func(what string, g, w any) {
+		o.t.Helper()
+		o.t.Fatalf("%s step %d: %s: got %v, want %v\nlast ops: %v", o.prefix, o.step, what, g, w, o.trace)
+	}
+	if got != want {
+		fail(op, got, want)
+	}
+	if g, w := o.c.Stats(), o.ref.stats; g != w {
+		fail("Stats after "+op, g, w)
+	}
+	if g, w := o.c.Occupancy(), o.ref.Occupancy(); g != w {
+		fail("Occupancy after "+op, g, w)
+	}
+}
+
+func (o *oracle) access(a uint64, write bool) Outcome {
+	o.t.Helper()
+	got, want := o.c.Access(a, write), o.ref.Access(a, write)
+	o.check(fmt.Sprintf("Access(%#x,%v)", a, write), got, want)
+	if got == HitNeedsUpgrade && o.rng.Intn(4) != 0 {
+		o.c.CompleteUpgrade(a)
+		o.ref.CompleteUpgrade(a)
+		o.check(fmt.Sprintf("CompleteUpgrade(%#x)", a), nil, nil)
+	}
+	return got
+}
+
+func (o *oracle) fill(a uint64, st State) {
+	o.t.Helper()
+	o.check(fmt.Sprintf("Fill(%#x,%v)", a, st), o.c.Fill(a, st), o.ref.Fill(a, st))
+}
+
+func (o *oracle) snoop(a uint64, exclusive bool) {
+	o.t.Helper()
+	o.check(fmt.Sprintf("Snoop(%#x,%v)", a, exclusive), o.c.Snoop(a, exclusive), o.ref.Snoop(a, exclusive))
+}
+
+func (o *oracle) run(ops int) {
+	o.t.Helper()
+	for o.step < ops {
+		a := o.addr()
+		switch k := o.rng.Intn(100); {
+		case k < 30:
+			o.access(a, o.rng.Intn(3) == 0)
+		case k < 50:
+			// The node's miss path: Access misses, then Fill installs it.
+			if o.access(a, o.rng.Intn(3) == 0) == Miss {
+				o.fill(a, o.state())
+			}
+		case k < 62:
+			// A miss, an intervening snoop or fill, then the Fill the
+			// miss memo may shortcut.
+			if o.access(a, false) == Miss {
+				b := o.addr()
+				switch o.rng.Intn(4) {
+				case 0:
+					o.snoop(b, o.rng.Intn(2) == 0)
+				case 1:
+					o.snoop(a, o.rng.Intn(2) == 0)
+				case 2:
+					o.fill(b, o.state())
+				default:
+					o.fill(b, o.state())
+					o.fill(a, o.state())
+				}
+				o.fill(a, o.state())
+			}
+		case k < 75:
+			o.fill(a, o.state())
+		case k < 83:
+			o.snoop(a, false)
+		case k < 91:
+			o.snoop(a, true)
+		case k < 98:
+			o.check(fmt.Sprintf("Lookup(%#x)", a), o.c.Lookup(a), o.ref.Lookup(a))
+		case k < 99:
+			o.c.InvalidateAll()
+			o.ref.InvalidateAll()
+			o.check("InvalidateAll", nil, nil)
+		default:
+			o.c.ResetStats()
+			o.ref.stats = Stats{}
+			o.check("ResetStats", nil, nil)
+		}
+	}
+}
+
+// TestCacheMatchesReference checks the struct-of-arrays cache against the
+// array-of-structs reference over seeded random operation sequences on
+// every geometry the node models use.
+func TestCacheMatchesReference(t *testing.T) {
+	seeds, ops := 40, 3000
+	if testing.Short() {
+		seeds = 8
+	}
+	for _, g := range oracleGeometries {
+		t.Run(g.cfg.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				c := New(g.cfg)
+				o := &oracle{
+					t:      t,
+					rng:    rand.New(rand.NewSource(seed)),
+					c:      c,
+					ref:    newRef(g.cfg),
+					lines:  2 * uint64(g.cfg.SizeBytes/g.cfg.LineBytes),
+					top:    g.top,
+					prefix: fmt.Sprintf("seed %d", seed),
+				}
+				o.run(ops)
+			}
+		})
+	}
+}

@@ -268,3 +268,40 @@ func TestReadHitPreservesStateProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkCacheAccess measures the per-access cost of the geometries the
+// node models lean on: a direct-mapped hit (the PowerMANNA L2), an 8-way
+// hit from a sequential 8-byte walk (the PowerMANNA L1 under a MatMult
+// row) and a 64-way fully associative miss plus Fill (the SUN DTLB
+// walking a 128-page cycle).
+func BenchmarkCacheAccess(b *testing.B) {
+	b.Run("direct-hit", func(b *testing.B) {
+		c := New(Config{Name: "L2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 1})
+		for i := uint64(0); i < 1024; i++ {
+			c.Fill(i*64, Exclusive)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%1024)*64, false)
+		}
+	})
+	b.Run("8way-hit", func(b *testing.B) {
+		c := New(Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8})
+		for i := uint64(0); i < 512; i++ {
+			c.Fill(i*64, Exclusive)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%4096)*8, false)
+		}
+	})
+	b.Run("64way-miss-fill", func(b *testing.B) {
+		c := New(Config{Name: "DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 64})
+		for i := 0; i < b.N; i++ {
+			a := uint64(i%128) * 4096
+			if c.Access(a, false) == Miss {
+				c.Fill(a, Exclusive)
+			}
+		}
+	})
+}

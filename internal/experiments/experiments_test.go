@@ -87,7 +87,7 @@ func seriesByName(f *stats.Figure, name string) *stats.Series {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	r := Fig6a(quick)
+	r := quickRun("fig6a")
 	if r.Figure == nil || len(r.Figure.Series) != 4 {
 		t.Fatalf("fig6a series = %d, want 4 machines", len(r.Figure.Series))
 	}
@@ -98,7 +98,7 @@ func TestFig6Shapes(t *testing.T) {
 		}
 	}
 	// INT: the SUN trails both PowerMANNA and the 180 MHz PC.
-	ri := Fig6b(quick)
+	ri := quickRun("fig6b")
 	sun := seriesByName(ri.Figure, "SUN-Ultra1")
 	pm := seriesByName(ri.Figure, "PowerMANNA")
 	pc := seriesByName(ri.Figure, "PC-PII-180")
@@ -114,8 +114,8 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	a := Fig7a(quick)
-	b := Fig7b(quick)
+	a := quickRun("fig7a")
+	b := quickRun("fig7b")
 	pmA := seriesByName(a.Figure, "PowerMANNA")
 	pmB := seriesByName(b.Figure, "PowerMANNA")
 	if pmA == nil || pmB == nil {
@@ -142,7 +142,7 @@ func TestFig8Speedups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	for _, r := range []Result{Fig8a(quick), Fig8b(quick)} {
+	for _, r := range []Result{quickRun("fig8a"), quickRun("fig8b")} {
 		pm := seriesByName(r.Figure, "PowerMANNA")
 		if pm == nil {
 			t.Fatal("missing PowerMANNA series")
@@ -181,7 +181,7 @@ func TestNodeScalability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	r := NodeScalability(quick)
+	r := quickRun("nodescale")
 	sp := seriesByName(r.Figure, "speedup")
 	if sp == nil || len(sp.Points) != 6 {
 		t.Fatal("missing speedup series")

@@ -94,7 +94,8 @@ func Run(nd *node.Node, dt DataType, maxIntervals int) Result {
 		evalCost = cpu.NewCostModel(core, evalTemplateInt())
 	}
 
-	st := newHintState()
+	// Each split nets one interval, so the heap never outgrows this.
+	st := newHintState(maxIntervals + 1)
 	res := Result{Machine: nd.Config().Name, Type: dt}
 	var touched []int32
 	lat := [2]int64{0, 1}

@@ -103,13 +103,15 @@ type hintState struct {
 	ilower, iupper int64
 }
 
-func newHintState() *hintState {
+// newHintState starts a run with the single root interval; the heap is
+// allocated for capacity intervals so split never regrows it.
+func newHintState(capacity int) *hintState {
 	root := interval{left: 0, width: 1, fLeft: f(0), fRight: f(1)}
 	root.err = (root.fLeft - root.fRight) * root.width
 	root.ileft, root.iwidth = 0, fixedOne
 	root.ifLeft, root.ifRight = fFixed(0), fFixed(fixedOne)
 	root.ierr = mulFixed(root.ifLeft-root.ifRight, root.iwidth)
-	s := &hintState{heap: []interval{root}}
+	s := &hintState{heap: append(make([]interval, 0, capacity), root)}
 	// Bounds from the single interval: lower = f(right)*w, upper = f(left)*w.
 	s.lower = root.fRight * root.width
 	s.upper = root.fLeft * root.width

@@ -56,7 +56,7 @@ func TestMulFixed(t *testing.T) {
 }
 
 func TestBoundsConvergeOnTrueIntegral(t *testing.T) {
-	st := newHintState()
+	st := newHintState(1)
 	var touched []int32
 	for i := 0; i < 4000; i++ {
 		touched = st.split(touched[:0])
@@ -76,7 +76,7 @@ func TestBoundsConvergeOnTrueIntegral(t *testing.T) {
 }
 
 func TestQualityIncreasesMonotonically(t *testing.T) {
-	st := newHintState()
+	st := newHintState(1)
 	var touched []int32
 	prev := st.quality()
 	for i := 0; i < 1000; i++ {
@@ -91,7 +91,7 @@ func TestQualityIncreasesMonotonically(t *testing.T) {
 
 // Heap invariant: the root always carries the maximum removable error.
 func TestHeapInvariant(t *testing.T) {
-	st := newHintState()
+	st := newHintState(1)
 	var touched []int32
 	for i := 0; i < 500; i++ {
 		touched = st.split(touched[:0])
@@ -157,5 +157,20 @@ func TestResultString(t *testing.T) {
 	r := Run(nd, Double, 1000)
 	if r.String() == "" {
 		t.Error("empty String")
+	}
+}
+
+// Run's heap capacity covers its whole loop: the interval array never
+// moves, so it is allocated once.
+func TestRunLoopKeepsPreallocatedHeap(t *testing.T) {
+	const maxIntervals = 1000
+	st := newHintState(maxIntervals + 1)
+	first := &st.heap[0]
+	var touched []int32
+	for len(st.heap) < maxIntervals {
+		touched = st.split(touched[:0])
+		if &st.heap[0] != first {
+			t.Fatalf("heap reallocated at %d intervals", len(st.heap))
+		}
 	}
 }

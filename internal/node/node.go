@@ -138,11 +138,15 @@ func New(cfg Config) *Node {
 		tlbcfg := cfg.TLB
 		tlbcfg.Name = fmt.Sprintf("%s/cpu%d/DTLB", cfg.Name, i)
 		n.procs = append(n.procs, &Proc{
-			node: n,
-			id:   i,
-			l1:   cache.New(l1cfg),
-			l2:   cache.New(l2cfg),
-			tlb:  cache.New(tlbcfg),
+			node:       n,
+			id:         i,
+			l1:         cache.New(l1cfg),
+			l2:         cache.New(l2cfg),
+			tlb:        cache.New(tlbcfg),
+			clock:      cfg.Core.Clock,
+			l1Hit:      int64(cfg.L1D.HitCycles),
+			l2Hit:      int64(cfg.L2.HitCycles),
+			walkCycles: int64(cfg.TLBWalkCycles),
 		})
 	}
 	return n
@@ -193,6 +197,10 @@ type Proc struct {
 	l2   *cache.Cache
 	tlb  *cache.Cache
 	now  sim.Time
+	// Copies of the node configuration read on every access.
+	clock        sim.Clock
+	l1Hit, l2Hit int64
+	walkCycles   int64
 	// storeRing holds completion times of in-flight stores that needed a
 	// fabric transaction; a full ring backpressures the next such store.
 	storeRing [storeBufferDepth]sim.Time
@@ -210,7 +218,7 @@ func (p *Proc) SetNow(t sim.Time) { p.now = t }
 
 // AdvanceCycles moves local time forward by a fractional core-cycle count.
 func (p *Proc) AdvanceCycles(c float64) {
-	p.now += p.node.cfg.Core.Clock.CyclesF(c)
+	p.now += p.clock.CyclesF(c)
 }
 
 // Advance moves local time forward by d.
@@ -225,7 +233,7 @@ func (p *Proc) L1() *cache.Cache { return p.l1 }
 // L1HitCycles is the baseline store/load hit latency; kernels subtract it
 // from a store's returned latency to find the store-buffer stall they
 // must charge beyond their loop template's store slot.
-func (p *Proc) L1HitCycles() int64 { return int64(p.node.cfg.L1D.HitCycles) }
+func (p *Proc) L1HitCycles() int64 { return p.l1Hit }
 
 // L2 returns the private second-level cache (for stats and tests).
 func (p *Proc) L2() *cache.Cache { return p.l2 }
@@ -241,7 +249,7 @@ func (p *Proc) translate(addr uint64) int64 {
 		return 0
 	}
 	p.tlb.Fill(addr, cache.Exclusive)
-	return int64(p.node.cfg.TLBWalkCycles)
+	return p.walkCycles
 }
 
 // snoop applies a bus transaction for lineByteAddr to this processor's
@@ -276,9 +284,8 @@ func (p *Proc) snoopPeers(lineByteAddr uint64, exclusive bool) (had, supplied bo
 // work (upgrades, fills, invalidations, writebacks) still happens and is
 // charged to the shared resources.
 func (p *Proc) Access(addr uint64, write bool) int64 {
-	cfg := &p.node.cfg
 	walk := p.translate(addr)
-	l1Hit := int64(cfg.L1D.HitCycles) + walk
+	l1Hit := p.l1Hit + walk
 	switch p.l1.Access(addr, write) {
 	case cache.Hit:
 		return l1Hit
@@ -298,18 +305,17 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 	switch l2Outcome {
 	case cache.Hit:
 		p.fillL1(addr, write)
-		return int64(cfg.L2.HitCycles) + walk
+		return p.l2Hit + walk
 	case cache.HitNeedsUpgrade:
 		done := p.node.fabric.Upgrade(p.now)
 		p.snoopPeers(addr, true)
 		p.l2.CompleteUpgrade(addr)
 		p.fillL1(addr, write)
-		return int64(cfg.L2.HitCycles) + walk + p.pushStore(done)
+		return p.l2Hit + walk + p.pushStore(done)
 	}
 
 	// L2 miss: a coherent fabric transaction.
-	lineBytes := uint64(cfg.L2.LineBytes)
-	lineAddr := addr / lineBytes
+	lineAddr := addr / uint64(p.node.cfg.L2.LineBytes)
 	grant := p.node.fabric.GrantAddress(p.now)
 	had, supplied := p.snoopPeers(addr, write)
 	src := bus.FromMemory
@@ -330,8 +336,7 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 	if write {
 		return l1Hit + p.pushStore(done) // store-buffered unless the ring is full
 	}
-	lat := int64(cfg.L2.HitCycles) + walk + cfg.Core.Clock.ToCycles(done-p.now)
-	return lat
+	return p.l2Hit + walk + p.clock.ToCycles(done-p.now)
 }
 
 // pushStore records a fabric-bound store's completion in the store
@@ -340,7 +345,7 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 func (p *Proc) pushStore(done sim.Time) int64 {
 	var stall int64
 	if oldest := p.storeRing[p.storePos]; oldest > p.now {
-		stall = p.node.cfg.Core.Clock.ToCycles(oldest - p.now)
+		stall = p.clock.ToCycles(oldest - p.now)
 	}
 	p.storeRing[p.storePos] = done
 	p.storePos = (p.storePos + 1) % storeBufferDepth
