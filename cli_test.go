@@ -3,18 +3,54 @@ package powermanna_test
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// cliBin holds the CLI binaries the root tests build, once per test
+// binary run (the tests are serial); TestMain removes it.
+var cliBin struct {
+	dir   string
+	built map[string]string
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cliBin.dir != "" {
+		os.RemoveAll(cliBin.dir)
+	}
+	os.Exit(code)
+}
+
+// buildCLI builds ./cmd/<name> (once per run) and returns its path.
+func buildCLI(t *testing.T, name string) string {
+	t.Helper()
+	if exe, ok := cliBin.built[name]; ok {
+		return exe
+	}
+	if cliBin.dir == "" {
+		dir, err := os.MkdirTemp("", "powermanna-cli-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cliBin.dir, cliBin.built = dir, map[string]string{}
+	}
+	exe := filepath.Join(cliBin.dir, name)
+	if out, err := exec.Command("go", "build", "-o", exe, "./cmd/"+name).CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", name, err, out)
+	}
+	cliBin.built[name] = exe
+	return exe
+}
+
 // TestCLIShardsRequireParEngine pins the --shards contract of the three
 // sharding CLIs: a positive shard count without --engine par is a usage
 // error (exit 2), never silently ignored, while the same count under
 // --engine par still runs.
 func TestCLIShardsRequireParEngine(t *testing.T) {
-	bin := t.TempDir()
 	cases := []struct {
 		cmd      string
 		args     []string
@@ -31,16 +67,8 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmtraffic", []string{"--engine", "seq", "--shards", "2"}, 2, "pmtraffic: --shards 2 requires --engine par"},
 		{"pmtraffic", []string{"--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
 	}
-	built := map[string]string{}
 	for _, c := range cases {
-		exe, ok := built[c.cmd]
-		if !ok {
-			exe = filepath.Join(bin, c.cmd)
-			if out, err := exec.Command("go", "build", "-o", exe, "./cmd/"+c.cmd).CombinedOutput(); err != nil {
-				t.Fatalf("build %s: %v\n%s", c.cmd, err, out)
-			}
-			built[c.cmd] = exe
-		}
+		exe := buildCLI(t, c.cmd)
 		var stderr bytes.Buffer
 		run := exec.Command(exe, c.args...)
 		run.Stderr = &stderr

@@ -104,6 +104,11 @@ type PRank struct {
 	yield  chan struct{}
 	done   bool
 	err    error
+	// del and got receive the in-flight send's verdict through onVerdict,
+	// bound once as verdictFn: a rank has at most one send in flight.
+	del       netsim.Delivery
+	got       bool
+	verdictFn func(netsim.Delivery)
 	// recvWait is the rank's shard-local view of MetricRecvWait;
 	// rankWait the rank's own labelled histogram in the same shard
 	// registry (both folded into the user's registry after the run).
@@ -132,11 +137,13 @@ func NewPWorldWith(t *topo.Topology, shards int, cfg netsim.FailoverConfig) (*PW
 		bytes:  make([]int64, t.Nodes()),
 	}
 	for i := 0; i < t.Nodes(); i++ {
-		w.ranks = append(w.ranks, &PRank{
+		r := &PRank{
 			w: w, rank: i,
 			resume: make(chan bool),
 			yield:  make(chan struct{}),
-		})
+		}
+		r.verdictFn = r.onVerdict
+		w.ranks = append(w.ranks, r)
 	}
 	pn.OnDeliver(func(src, dst int, payload any, first, last sim.Time) {
 		pt := payload.(ptag)
@@ -293,25 +300,17 @@ func (r *PRank) Send(dst, tag int, payload []byte) error {
 	start += w.params.PIOWriteLine
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
-	var del netsim.Delivery
-	got := false
-	err := w.pn.SendAsync(r.rank, dst, len(payload), ptag{tag: tag, data: cp}, start,
-		func(d netsim.Delivery) {
-			del, got = d, true
-			if r.state == prSendWait {
-				r.state = prRun
-				r.wake()
-			}
-		})
-	if err != nil {
+	r.got = false
+	if err := w.pn.SendAsync(r.rank, dst, len(payload), ptag{tag: tag, data: cp}, start, r.verdictFn); err != nil {
 		return err
 	}
-	if !got {
-		// The verdict is pending in the network; the callback above
-		// runs on this shard and resumes us.
+	if !r.got {
+		// The verdict is pending in the network; onVerdict runs on this
+		// shard and resumes us.
 		r.state = prSendWait
 		r.park()
 	}
+	del := r.del
 	if del.Failed {
 		return fmt.Errorf("mpl: message %d->%d lost on both planes", r.rank, dst)
 	}
@@ -332,6 +331,16 @@ func (r *PRank) Send(dst, tag int, payload []byte) error {
 	return nil
 }
 
+// onVerdict receives the in-flight send's outcome on the rank's shard,
+// waking the rank if Send parked for it.
+func (r *PRank) onVerdict(d netsim.Delivery) {
+	r.del, r.got = d, true
+	if r.state == prSendWait {
+		r.state = prRun
+		r.wake()
+	}
+}
+
 // Recv blocks the rank until a message from src with the tag has fully
 // arrived, drains it from the receive FIFO and returns the payload.
 // Matching is FIFO within (src, tag), over the deterministic delivery
@@ -343,7 +352,12 @@ func (r *PRank) Recv(src, tag int) ([]byte, error) {
 			if m.src != src || m.tag != tag {
 				continue
 			}
-			r.queue = append(r.queue[:i:i], r.queue[i+1:]...)
+			// Remove in place: the queue's array is the rank's own, so
+			// the hook's next append reuses it instead of reallocating.
+			last := len(r.queue) - 1
+			copy(r.queue[i:], r.queue[i+1:])
+			r.queue[last] = pmessage{}
+			r.queue = r.queue[:last]
 			t := r.clock + w.cycles(w.params.PollCycles)
 			var wait sim.Time
 			if m.arrival > t {

@@ -43,9 +43,11 @@ type Network struct {
 	xbars   []*xbar.Crossbar
 	linkCfg link.Config
 	trans   link.Transceiver
-	// wires are directed, keyed by the upstream end: for hop i the wire
-	// is the one leaving the previous device toward this crossbar.
-	wires map[wireKey]*link.Wire
+	// wires are directed, indexed by the upstream end at
+	// dev*xbar.Ports+port (topo's port-table stride): for hop i the wire
+	// is the one leaving the previous device toward this crossbar. Nil
+	// until first used; NewPartitioned creates every wired slot up front.
+	wires []*link.Wire
 	nis   []*ni.NI
 	sent  int64
 	// planes accumulates per-plane degraded-mode counters for the
@@ -72,13 +74,6 @@ type Network struct {
 	osSending bool
 }
 
-type wireKey struct {
-	dev, port int
-	// dir disambiguates the two directions of a bidirectional link:
-	// 0 = out of (dev,port), 1 = into it.
-	dir int
-}
-
 // New assembles a network over a topology with default PowerMANNA link
 // and transceiver parameters.
 func New(t *topo.Topology) *Network {
@@ -86,7 +81,7 @@ func New(t *topo.Topology) *Network {
 		topo:    t,
 		linkCfg: link.Default("wire"),
 		trans:   link.DefaultTransceiver(),
-		wires:   make(map[wireKey]*link.Wire),
+		wires:   make([]*link.Wire, (t.Nodes()+t.Crossbars())*xbar.Ports),
 	}
 	for i := 0; i < t.Crossbars(); i++ {
 		n.xbars = append(n.xbars, xbar.New(t.CrossbarName(i)))
@@ -109,17 +104,29 @@ func (n *Network) NI(i int) *ni.NI { return n.nis[i] }
 // MessagesSent reports how many transits have been computed.
 func (n *Network) MessagesSent() int64 { return n.sent }
 
-func (n *Network) wire(dev, port, dir int) *link.Wire {
-	k := wireKey{dev, port, dir}
-	w, ok := n.wires[k]
-	if !ok {
+// wire returns the directed wire leaving (dev, port), creating it on
+// first use.
+//
+//pmlint:hotpath
+func (n *Network) wire(dev, port int) *link.Wire {
+	slot := dev*xbar.Ports + port
+	w := n.wires[slot]
+	if w == nil {
 		w = link.NewWire(n.linkCfg)
 		if n.rec.Enabled() {
-			w.Trace(n.rec, trace.WireTrack(k.dev, k.port, k.dir))
+			w.Trace(n.rec, trace.WireTrack(dev, port, 0))
 		}
-		n.wires[k] = w
+		n.wires[slot] = w
 	}
 	return w
+}
+
+// checkWire rejects a fault-injection wire address outside the wire
+// table, which would otherwise alias another device's slot.
+func (n *Network) checkWire(dev, port int) {
+	if dev < 0 || dev*xbar.Ports >= len(n.wires) || port < 0 || port >= xbar.Ports {
+		panic(fmt.Sprintf("netsim: no wire slot at device %d port %d", dev, port))
+	}
 }
 
 // SetRecorder attaches a trace recorder to the network: every crossbar
@@ -131,8 +138,10 @@ func (n *Network) SetRecorder(r *trace.Recorder) {
 	for i, x := range n.xbars {
 		x.Trace(r, i)
 	}
-	for k, w := range n.wires {
-		w.Trace(r, trace.WireTrack(k.dev, k.port, k.dir))
+	for slot, w := range n.wires {
+		if w != nil {
+			w.Trace(r, trace.WireTrack(slot/xbar.Ports, slot%xbar.Ports, 0))
+		}
 	}
 }
 
@@ -183,14 +192,16 @@ func (e *DownError) Error() string {
 // are nodes (port = network plane), then crossbars (port = output
 // channel).
 func (n *Network) CutWire(dev, port int, t sim.Time) {
-	n.wire(dev, port, 0).CutAt(t)
+	n.checkWire(dev, port)
+	n.wire(dev, port).CutAt(t)
 }
 
 // CorruptWire schedules a corruption window on the directed wire leaving
 // (dev, port): messages crossing it during [from, until) arrive garbled
 // and fail the destination NI's CRC check.
 func (n *Network) CorruptWire(dev, port int, from, until sim.Time) {
-	n.wire(dev, port, 0).CorruptBetween(from, until)
+	n.checkWire(dev, port)
+	n.wire(dev, port).CorruptBetween(from, until)
 }
 
 // Send computes the transit of a payload of the given size along path,
@@ -247,7 +258,7 @@ func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeo
 	fromDev, fromPort := path.Src, path.Network
 	remaining := wireBytes
 	for _, hop := range path.Hops {
-		w := n.wire(fromDev, fromPort, 0)
+		w := n.wire(fromDev, fromPort)
 		wStart := sim.Max(head, w.FreeAt())
 		if w.DeadAt(wStart) {
 			n.teardownPartial(wireClaims, hopClaims, at, failHold)
@@ -279,7 +290,7 @@ func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeo
 		fromDev, fromPort = n.topo.Nodes()+hop.Xbar, hop.Out
 		remaining-- // the crossbar consumed one route byte
 	}
-	lastWire := n.wire(fromDev, fromPort, 0)
+	lastWire := n.wire(fromDev, fromPort)
 	lwStart := sim.Max(head, lastWire.FreeAt())
 	if lastWire.DeadAt(lwStart) {
 		n.teardownPartial(wireClaims, hopClaims, at, failHold)
@@ -404,7 +415,9 @@ func (n *Network) Reset() {
 		x.Reset()
 	}
 	for _, w := range n.wires {
-		w.Reset()
+		if w != nil {
+			w.Reset()
+		}
 	}
 	for _, d := range n.nis {
 		d.Reset()

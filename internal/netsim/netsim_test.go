@@ -136,3 +136,21 @@ func TestReset(t *testing.T) {
 		t.Error("timelines not reset")
 	}
 }
+
+// TestFaultWireOutOfRangePanics pins the wire-table bounds of fault
+// injection: a port beyond the crossbar width or a device beyond the
+// topology must panic instead of faulting another device's wire.
+func TestFaultWireOutOfRangePanics(t *testing.T) {
+	n := New(topo.Cluster8())
+	devs := n.Topology().Nodes() + n.Topology().Crossbars()
+	for _, c := range []struct{ dev, port int }{{0, xbar.Ports}, {0, -1}, {devs, 0}, {-1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CutWire(%d, %d) did not panic", c.dev, c.port)
+				}
+			}()
+			n.CutWire(c.dev, c.port, 0)
+		}()
+	}
+}

@@ -21,9 +21,12 @@ import (
 )
 
 // psend is one in-flight reliable send's protocol driver. It lives on
-// the source node's shard; only finalize verdicts (plain data through
-// psim mailboxes) reach it from other shards.
+// the source node's shard, taken from and recycled to that shard's free
+// list; only finalize verdicts (plain data through psim mailboxes)
+// reach it from other shards.
 type psend struct {
+	leg          pleg       // the source walk attempt; leg.p == this
+	rl           *remoteLeg // the split attempt awaiting its verdict
 	pn           *PartNetwork
 	ps           *partShard
 	tp           *Transport
@@ -50,7 +53,9 @@ type psend struct {
 	curEntry     sim.Time
 	curAttemptAt sim.Time
 	curWireBytes int
-	// Source-half claims of a split attempt, held open until the verdict.
+	// Source-half claims of the current attempt — held open until the
+	// verdict on a split attempt — and their open-hold keys. The buffers
+	// survive recycling.
 	openKeys []resKey
 	srcWires []partWireClaim
 	srcHops  []partHopClaim
@@ -92,19 +97,32 @@ func (pn *PartNetwork) sendAsync(tenant, src, dst, payloadBytes int, payload any
 		at = t
 	}
 	pn.msgSeq[src]++
-	p := &psend{
-		pn: pn, ps: ps, tp: pn.tps[src],
-		src: src, dst: dst,
-		payloadBytes: payloadBytes, payload: payload,
-		cfg:    pn.tps[src].cfg,
-		msgID:  uint64(src)<<32 | uint64(pn.msgSeq[src]),
-		tenant: tenant,
-		onDone: onDone,
-		phase:  1,
-	}
+	p := ps.freeSends.get()
+	p.pn, p.ps, p.tp = pn, ps, pn.tps[src]
+	p.src, p.dst = src, dst
+	p.payloadBytes, p.payload = payloadBytes, payload
+	p.cfg = p.tp.cfg
+	p.msgID = uint64(src)<<32 | uint64(pn.msgSeq[src])
+	p.tenant, p.onDone = tenant, onDone
+	p.phase = 1
+	p.leg = pleg{msgID: p.msgID, p: p}
+	skipped := p.st.skipped
 	p.st = newSendState(at, p.cfg)
+	p.st.skipped = skipped
 	p.step()
 	return nil
+}
+
+// done hands the outcome to the sender and recycles the psend: nothing
+// may touch p once done returns.
+func (p *psend) done(d Delivery) {
+	onDone, ps := p.onDone, p.ps
+	onDone(d)
+	*p = psend{
+		srcWires: p.srcWires[:0], srcHops: p.srcHops[:0], openKeys: p.openKeys[:0],
+		st: sendState{skipped: p.st.skipped[:0]},
+	}
+	ps.freeSends.put(p)
 }
 
 // step advances the protocol cursor to the next attempt (or the final
@@ -190,7 +208,7 @@ func (p *psend) step() {
 				Decomp: Decomp{Detect: p.st.detect, Retry: p.st.retry},
 			}
 			p.ps.met.observeSend(d)
-			p.onDone(d)
+			p.done(d)
 			return
 		}
 	}
@@ -232,7 +250,7 @@ func (p *psend) launch(plane int) bool {
 	p.curSplit = p.pn.grain.Boundary(path)
 	p.curEntry, p.curAttemptAt = entry, attemptAt
 	p.curWireBytes = wireBytesFor(path, p.payloadBytes)
-	p.ps.buffer(&pleg{msgID: p.msgID, p: p})
+	p.ps.buffer(&p.leg)
 	return true
 }
 
@@ -240,7 +258,8 @@ func (p *psend) launch(plane int) bool {
 // its canonical drain fires.
 func (ps *partShard) processSrc(l *pleg) {
 	p := l.p
-	res := ps.walk(l, p.curPath, p.curSplit, false, p.curEntry, p.curWireBytes, p.cfg.SetupTimeout)
+	res := ps.walk(l, p.curPath, p.curSplit, false, p.curEntry, p.curWireBytes, p.cfg.SetupTimeout, p.srcWires, p.srcHops)
+	p.srcWires, p.srcHops = res.wires, res.hops
 	switch res.outcome {
 	case walkParked:
 		return
@@ -296,22 +315,23 @@ func (p *psend) srcFailed(res walkRes) {
 // beyond the engine's lookahead by construction).
 func (p *psend) srcSplit(res walkRes) {
 	ps := p.ps
-	p.srcWires, p.srcHops = res.wires, res.hops
-	p.openKeys = ps.holdOpen(p.msgID, &res)
-	ps.inflight[p.msgID] = p
-	rl := &remoteLeg{
+	ps.holdOpen(p)
+	rl := ps.freeLegs.get()
+	*rl = remoteLeg{
 		msgID: p.msgID, src: p.src, dst: p.dst, plane: p.curPlane,
 		path: p.curPath, split: p.curSplit,
 		head: res.head, entry: p.curEntry,
 		wireBytes: p.curWireBytes, payloadBytes: p.payloadBytes,
 		setupTimeout: p.cfg.SetupTimeout, ackTimeout: p.cfg.AckTimeout,
 		nackLatency: p.cfg.NackLatency,
-		srcChecks:   wireChecksOf(res.wires),
+		srcChecks:   append(rl.srcChecks[:0], res.wires...),
 		payload:     p.payload,
+		p:           p,
 	}
+	p.rl = rl
 	dstShard := p.pn.part.NodeShard(p.dst)
 	if dstShard == ps.id {
-		ps.sh.At(res.head, func() { ps.acceptRemote(rl) })
+		ps.sh.AtPost(res.head, ps, rl)
 		return
 	}
 	p.pn.eng.PostPayload(ps.id, dstShard, res.head, p.pn.shards[dstShard], rl)
@@ -322,7 +342,7 @@ func (p *psend) srcSplit(res walkRes) {
 // retry — the legacy path's semantics, under canonical-drain ordering.
 func (p *psend) srcComplete(res walkRes) {
 	ps := p.ps
-	bad := corrupted(wireChecksOf(res.wires), res.last)
+	bad := corrupted(res.wires, res.last)
 	ps.claimWires(res.wires, res.last)
 	ps.claimHops(res.hops, res.last, p.curPlane)
 	p.recordMsgSpans(p.curEntry, res.head, res.last, bad)
@@ -347,11 +367,7 @@ func (p *psend) srcComplete(res walkRes) {
 	}
 	lif.RecordFrame()
 	pc.Delivered++
-	if fn := p.pn.deliver; fn != nil {
-		src, dst, payload := p.src, p.dst, p.payload
-		first, last := res.first, res.last
-		ps.sh.At(res.last, func() { fn(src, dst, payload, first, last) })
-	}
+	ps.scheduleArrival(p.src, p.dst, p.payload, res.first, res.last)
 	p.deliverOutcome(Transit{
 		SetupDone: res.head, FirstByte: res.first, LastByte: res.last,
 		WireBytes: p.curWireBytes,
@@ -451,7 +467,7 @@ func (p *psend) deliverOutcome(tr Transit, done sim.Time) {
 		p.ps.met.tenantLat[p.tenant].ObserveTime(d.Latency())
 		observeDecomp(&p.ps.met.tenantWait[p.tenant], d.Decomp)
 	}
-	p.onDone(d)
+	p.done(d)
 }
 
 // recordMsgSpans records the per-message spans the legacy send path

@@ -9,6 +9,7 @@ import (
 
 	"powermanna/internal/fault"
 	"powermanna/internal/psim"
+	"powermanna/internal/sim"
 	"powermanna/internal/topo"
 )
 
@@ -55,4 +56,28 @@ func benchAppCampaign(b *testing.B, engine psim.Kind) {
 func BenchmarkHeatCampaign(b *testing.B) {
 	b.Run("seq", func(b *testing.B) { benchAppCampaign(b, psim.Seq) })
 	b.Run("par", func(b *testing.B) { benchAppCampaign(b, psim.Par) })
+}
+
+// BenchmarkShardStep is one At plus one Step on a shard holding 4096
+// pending events: the per-event cost of the shard heap, for comparison
+// with internal/sim's scheduler (the ledger's sim.step_ns).
+func BenchmarkShardStep(b *testing.B) {
+	sh := psim.NewEngine(1, 0).Shard(0)
+	fn := func() {}
+	x := uint64(1)
+	next := func() sim.Time {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return sim.Time(x % 1_000_000)
+	}
+	for i := 0; i < 4096; i++ {
+		sh.At(next(), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh.At(sh.Now()+next(), fn)
+		sh.Step()
+	}
 }

@@ -32,7 +32,7 @@ package psim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"powermanna/internal/link"
@@ -80,66 +80,116 @@ func DefaultLookahead() sim.Time {
 	return xbar.RouteSetup + link.BytePeriod
 }
 
-// event is a scheduled callback; same total order as internal/sim:
-// (at, seq), seq breaking every time tie in scheduling order.
-type event struct {
-	at  sim.Time
-	seq uint64
-	fn  func()
+// callback is what a scheduled event runs. A payload event (AtPost,
+// PostPayload) runs h.OnPost(shard, arg); a plain event (At, Post) has
+// a nil h and carries its func() in arg — a func value is
+// pointer-shaped, so storing it in an interface does not allocate.
+type callback struct {
+	h   Handler
+	arg any
+}
+
+// fire runs the callback on shard s.
+func (c callback) fire(s *Shard) {
+	if c.h != nil {
+		c.h.OnPost(s, c.arg)
+		return
+	}
+	c.arg.(func())()
+}
+
+// eventKey is an event's heap entry, in the same total order as
+// internal/sim: (at, seq), seq breaking every time tie in scheduling
+// order. slot locates the event's callback in eventHeap.calls.
+type eventKey struct {
+	at   sim.Time
+	seq  uint64
+	slot int32
 }
 
 // eventHeap is the hand-rolled binary min-heap over (at, seq), the
-// same layout as internal/sim's: no interface boxing per schedule.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// same ordering as internal/sim's: no interface boxing per schedule.
+// The heap orders small pointer-free keys; the callbacks stay put in a
+// slot table recycled through a free list, so a sift moves 24 bytes per
+// level whatever an event carries. Sifts move a hole instead of
+// swapping, one key copy per level.
+type eventHeap struct {
+	keys  []eventKey
+	calls []callback
+	free  []int32
 }
 
-// push appends e and restores the heap invariant.
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
+// len reports the number of queued events.
+func (h *eventHeap) len() int { return len(h.keys) }
+
+// minAt reports the earliest queued time; the heap must be non-empty.
+func (h *eventHeap) minAt() sim.Time { return h.keys[0].at }
+
+// before is the heap order: (at, seq) ascending.
+func before(a, b *eventKey) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// push queues the callback c at (at, seq) and restores the heap
+// invariant.
+func (h *eventHeap) push(at sim.Time, seq uint64, c callback) {
+	var slot int32
+	if k := len(h.free); k > 0 {
+		slot = h.free[k-1]
+		h.free = h.free[:k-1]
+		h.calls[slot] = c
+	} else {
+		slot = int32(len(h.calls))
+		h.calls = append(h.calls, c)
+	}
+	key := eventKey{at: at, seq: seq, slot: slot}
+	h.keys = append(h.keys, key)
+	q := h.keys
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !before(&key, &q[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = key
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
-	q := *h
+// pop removes the minimum event, returning its time and callback.
+func (h *eventHeap) pop() (sim.Time, callback) {
+	q := h.keys
 	n := len(q) - 1
 	top := q[0]
-	q[0] = q[n]
-	q[n] = event{} // release the callback so the GC can collect it
-	*h = q[:n]
-	q = q[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
+	last := q[n]
+	h.keys = q[:n]
+	if n > 0 {
+		q = q[:n]
+		i := 0
+		for {
+			least := 2*i + 1
+			if least >= n {
+				break
+			}
+			if right := least + 1; right < n && before(&q[right], &q[least]) {
+				least = right
+			}
+			if !before(&q[least], &last) {
+				break
+			}
+			q[i] = q[least]
+			i = least
 		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
+		q[i] = last
 	}
-	return top
+	c := h.calls[top.slot]
+	h.calls[top.slot] = callback{} // release the callback so the GC can collect it
+	h.free = append(h.free, top.slot)
+	return top.at, c
 }
 
 // Shard is one partition of the event space: a private heap, clock,
@@ -167,7 +217,7 @@ func (s *Shard) Now() sim.Time { return s.now }
 func (s *Shard) Steps() uint64 { return s.nsteps }
 
 // Pending reports the number of events still queued on this shard.
-func (s *Shard) Pending() int { return len(s.queue) }
+func (s *Shard) Pending() int { return s.queue.len() }
 
 // At schedules fn on this shard at absolute simulated time t.
 // Scheduling in the past is a model bug and panics.
@@ -178,7 +228,20 @@ func (s *Shard) At(t sim.Time, fn func()) {
 		panic(fmt.Sprintf("psim: shard %d scheduling at %v before now %v", s.id, t, s.now)) //pmlint:allow hotpath cold panic guard for a model bug, never taken per event
 	}
 	s.seq++
-	s.queue.push(event{at: t, seq: s.seq, fn: fn})
+	s.queue.push(t, s.seq, callback{arg: fn})
+}
+
+// AtPost schedules payload for the handler h on this shard at absolute
+// simulated time t: the shard-local form of Engine.PostPayload, taking
+// the same sequence number At would, so event order is unchanged. A
+// model that schedules one bound handler with pooled payloads instead
+// of a fresh closure per event allocates nothing per event.
+func (s *Shard) AtPost(t sim.Time, h Handler, payload any) {
+	if t < s.now {
+		panic(fmt.Sprintf("psim: shard %d scheduling at %v before now %v", s.id, t, s.now))
+	}
+	s.seq++
+	s.queue.push(t, s.seq, callback{h: h, arg: payload})
 }
 
 // After schedules fn to run d after the shard's current time.
@@ -191,13 +254,13 @@ func (s *Shard) After(d sim.Time, fn func()) { s.At(s.now+d, fn) }
 //
 //pmlint:hotpath
 func (s *Shard) Step() bool {
-	if len(s.queue) == 0 {
+	if s.queue.len() == 0 {
 		return false
 	}
-	e := s.queue.pop()
-	s.now = e.at
+	at, c := s.queue.pop()
+	s.now = at
 	s.nsteps++
-	e.fn()
+	c.fire(s)
 	return true
 }
 
@@ -213,7 +276,7 @@ func (s *Shard) Run() {
 // RunUntil dispatches all shard events at or before t, then advances
 // the shard clock to exactly t.
 func (s *Shard) RunUntil(t sim.Time) {
-	for len(s.queue) > 0 && s.queue[0].at <= t {
+	for s.queue.len() > 0 && s.queue.minAt() <= t {
 		s.Step()
 	}
 	if t > s.now {
@@ -240,11 +303,11 @@ func (s *Shard) RunWhile(cond func() bool) bool {
 //
 //pmlint:root
 func (s *Shard) runWindow(end sim.Time) {
-	for len(s.queue) > 0 && s.queue[0].at < end {
-		e := s.queue.pop()
-		s.now = e.at
+	for s.queue.len() > 0 && s.queue.minAt() < end {
+		at, c := s.queue.pop()
+		s.now = at
 		s.nsteps++
-		e.fn()
+		c.fire(s)
 	}
 }
 
@@ -252,15 +315,13 @@ func (s *Shard) runWindow(end sim.Time) {
 // here: every shard is a drop-in sequential scheduler.
 var _ sim.Engine = (*Shard)(nil)
 
-// post is one cross-shard event waiting in a mailbox: either a plain
-// callback (fn) or a data payload bound for a destination-owned
-// Handler. Mailbox order within a (src, dst) pair extends the
-// (time, seq) tie-break across shards.
+// post is one cross-shard event waiting in a mailbox: its time, source
+// shard and callback. Mailbox order within a (src, dst) pair extends
+// the (time, seq) tie-break across shards.
 type post struct {
-	at      sim.Time
-	fn      func()
-	h       Handler
-	payload any
+	at  sim.Time
+	src int
+	callback
 }
 
 // Handler consumes cross-shard payloads on the destination shard: the
@@ -301,6 +362,8 @@ type Engine struct {
 	// during the current round; only src's worker appends to it, so
 	// rounds need no locks — the barrier is the synchronization.
 	mail [][]post
+	// merged is deliver's reused merge buffer.
+	merged []post
 }
 
 // NewEngine builds an engine with n shards. A lookahead > 0 sets the
@@ -363,7 +426,7 @@ func (e *Engine) Post(src, dst int, t sim.Time, fn func()) {
 		panic(fmt.Sprintf("psim: shard %d posting to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, e.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
 	}
 	box := &e.mail[src*len(e.shards)+dst]
-	*box = append(*box, post{at: t, fn: fn})
+	*box = append(*box, post{at: t, src: src, callback: callback{arg: fn}})
 }
 
 // PostPayload schedules payload for delivery to the destination-owned
@@ -377,7 +440,7 @@ func (e *Engine) PostPayload(src, dst int, t sim.Time, h Handler, payload any) {
 		panic(fmt.Sprintf("psim: shard %d posting payload to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, e.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
 	}
 	box := &e.mail[src*len(e.shards)+dst]
-	*box = append(*box, post{at: t, h: h, payload: payload})
+	*box = append(*box, post{at: t, src: src, callback: callback{h: h, arg: payload}})
 }
 
 // nextEventTime reports the earliest pending event across shards.
@@ -385,11 +448,11 @@ func (e *Engine) nextEventTime() (sim.Time, bool) {
 	var min sim.Time
 	found := false
 	for _, s := range e.shards {
-		if len(s.queue) == 0 {
+		if s.queue.len() == 0 {
 			continue
 		}
-		if !found || s.queue[0].at < min {
-			min = s.queue[0].at
+		if !found || s.queue.minAt() < min {
+			min = s.queue.minAt()
 		}
 		found = true
 	}
@@ -432,7 +495,7 @@ func (e *Engine) round(end sim.Time) {
 	}
 	var wg sync.WaitGroup
 	for _, s := range e.shards {
-		if len(s.queue) == 0 || s.queue[0].at >= end {
+		if s.queue.len() == 0 || s.queue.minAt() >= end {
 			continue
 		}
 		wg.Add(1)
@@ -449,27 +512,20 @@ func (e *Engine) round(end sim.Time) {
 // shard, post order). Destination sequence numbers are assigned in
 // that merged order, so the (at, seq) heap order downstream — and with
 // it every simulated outcome — is a pure function of the model, never
-// of goroutine timing.
+// of goroutine timing. Posts enter the heap as they are — payload posts
+// as payload events — through one reused merge buffer, so a round
+// allocates nothing once the buffers have grown.
 func (e *Engine) deliver() {
 	n := len(e.shards)
-	type delivery struct {
-		at  sim.Time
-		src int
-		fn  func()
-	}
 	for dst := 0; dst < n; dst++ {
-		var merged []delivery
-		s := e.shards[dst]
+		merged := e.merged[:0]
 		for src := 0; src < n; src++ {
 			box := &e.mail[src*n+dst]
-			for _, p := range *box {
-				fn := p.fn
-				if fn == nil {
-					h, payload := p.h, p.payload
-					fn = func() { h.OnPost(s, payload) }
-				}
-				merged = append(merged, delivery{at: p.at, src: src, fn: fn})
+			if len(*box) == 0 {
+				continue
 			}
+			merged = append(merged, *box...)
+			clear(*box) // drop the callbacks so the GC can collect them
 			*box = (*box)[:0]
 		}
 		if len(merged) == 0 {
@@ -477,15 +533,21 @@ func (e *Engine) deliver() {
 		}
 		// Stable sort: posts from one source stay in posting order, the
 		// third key of the tie-break.
-		sort.SliceStable(merged, func(i, j int) bool {
-			if merged[i].at != merged[j].at {
-				return merged[i].at < merged[j].at
+		slices.SortStableFunc(merged, func(a, b post) int {
+			if a.at != b.at {
+				if a.at < b.at {
+					return -1
+				}
+				return 1
 			}
-			return merged[i].src < merged[j].src
+			return a.src - b.src
 		})
+		s := e.shards[dst]
 		for _, p := range merged {
 			s.seq++
-			s.queue.push(event{at: p.at, seq: s.seq, fn: p.fn})
+			s.queue.push(p.at, s.seq, p.callback)
 		}
+		clear(merged)
+		e.merged = merged[:0]
 	}
 }

@@ -203,3 +203,75 @@ func TestParseKind(t *testing.T) {
 		t.Errorf("Kind strings = %q/%q", Seq.String(), Par.String())
 	}
 }
+
+// tagHandler records the payloads it receives, in dispatch order.
+type tagHandler struct{ got *[]string }
+
+func (h tagHandler) OnPost(_ *Shard, payload any) { *h.got = append(*h.got, *payload.(*string)) }
+
+// TestPayloadEventsKeepOrder pins that payload events take the same
+// sequence numbers as closures: AtPost interleaves with At in call
+// order, and PostPayload with Post in posting order per source.
+func TestPayloadEventsKeepOrder(t *testing.T) {
+	eng := NewEngine(3, sim.Microsecond)
+	var got []string
+	h := tagHandler{&got}
+	tags := []string{"a0", "p1", "a2", "p3", "s1.c", "s1.p", "s2.p", "s2.c"}
+	at := 2 * sim.Microsecond
+	sh := eng.Shard(0)
+	sh.At(0, func() {
+		sh.At(at, func() { got = append(got, tags[0]) })
+		sh.AtPost(at, h, &tags[1])
+		sh.At(at, func() { got = append(got, tags[2]) })
+		sh.AtPost(at, h, &tags[3])
+	})
+	eng.Shard(1).At(0, func() {
+		eng.Post(1, 0, 3*sim.Microsecond, func() { got = append(got, tags[4]) })
+		eng.PostPayload(1, 0, 3*sim.Microsecond, h, &tags[5])
+	})
+	eng.Shard(2).At(0, func() {
+		eng.PostPayload(2, 0, 3*sim.Microsecond, h, &tags[6])
+		eng.Post(2, 0, 3*sim.Microsecond, func() { got = append(got, tags[7]) })
+	})
+	eng.Run()
+	if fmt.Sprint(got) != fmt.Sprint(tags) {
+		t.Fatalf("dispatch order %v, want %v", got, tags)
+	}
+}
+
+// countHandler sums the payloads it receives.
+type countHandler struct{ n int }
+
+func (h *countHandler) OnPost(_ *Shard, payload any) { h.n += *payload.(*int) }
+
+// TestPostDeliverAllocatesNothing pins the mailbox path to zero heap
+// allocations per event once its buffers have grown: closure posts,
+// payload posts, the barrier merge and local payload events.
+func TestPostDeliverAllocatesNothing(t *testing.T) {
+	eng := NewEngine(2, DefaultLookahead())
+	eng.SetSerial(true) // parallel rounds spawn workers; the merge is the same
+	src, dst := eng.Shard(0), eng.Shard(1)
+	h := &countHandler{}
+	one := 1
+	bump := func() { h.n++ }
+	fire := func() {
+		at := src.Now() + eng.Lookahead()
+		eng.PostPayload(0, 1, at, h, &one)
+		eng.Post(0, 1, at, bump)
+		eng.PostPayload(0, 1, at+1, h, &one)
+		src.AtPost(src.Now()+1, h, &one)
+	}
+	step := func() {
+		src.At(dst.Now()+sim.Microsecond, fire)
+		eng.Run()
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("%v allocations per post round, want 0", allocs)
+	}
+	if want := 4 * (10 + 101); h.n != want {
+		t.Errorf("handler saw %d events, want %d", h.n, want)
+	}
+}
