@@ -5,10 +5,10 @@
 # formatting, vet, build, race-enabled tests, the determinism-contract
 # lint (cmd/pmlint), a build of every cmd/* binary, pmfault smoke
 # campaigns pinned against golden degradation tables, pmtrace smoke
-# exports pinned against golden timelines, and the parallel-engine
-# equivalence gate (every pinned campaign rerun with --engine par must
-# match the same goldens byte for byte). A clean exit means the tree is
-# safe to ship.
+# exports pinned against golden timelines, and the partitioned-engine
+# equivalence gates. The --engine par reruns of the pinned campaigns run
+# under go test (TestParallelEngineGoldens in golden_test.go). A clean
+# exit means the tree is safe to ship.
 set -eu
 
 cd "$(dirname "$0")"
@@ -90,30 +90,6 @@ fi
 if ! cmp -s testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out"; then
     echo "pmfault heat --metrics output diverged from testdata/pmfault_heat-linkcut_metrics_seed1.golden:" >&2
     diff testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-
-echo "== parallel-engine golden equivalence =="
-# The psim contract: --engine par must reproduce every golden byte for
-# byte. Rerun the pinned campaigns (tables, metrics, timelines) on the
-# sharded engine against the same goldens the sequential runs matched.
-for campaign in link-cut heat-linkcut central-cut; do
-    "$bindir/pmfault" --campaign "$campaign" --seed 1 --engine par > "$bindir/pmfault.out"
-    if ! cmp -s "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out"; then
-        echo "pmfault --engine par diverged from testdata/pmfault_${campaign}_seed1.golden:" >&2
-        diff "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out" >&2 || true
-        exit 1
-    fi
-done
-"$bindir/pmfault" --campaign heat-linkcut --seed 1 --metrics --engine par > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --engine par metrics diverged from testdata/pmfault_heat-linkcut_metrics_seed1.golden:" >&2
-    diff testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-"$bindir/pmtrace" --campaign link-cut --seed 1 --messages 60 --engine par > "$bindir/pmtrace.out"
-if ! cmp -s testdata/pmtrace_link-cut_seed1.golden "$bindir/pmtrace.out"; then
-    echo "pmtrace --engine par timeline diverged from testdata/pmtrace_link-cut_seed1.golden" >&2
     exit 1
 fi
 

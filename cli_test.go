@@ -49,7 +49,8 @@ func buildCLI(t *testing.T, name string) string {
 // TestCLIShardsRequireParEngine pins the --shards contract of the three
 // sharding CLIs: a positive shard count without --engine par is a usage
 // error (exit 2), never silently ignored, while the same count under
-// --engine par still runs.
+// --engine par still runs; a negative count is rejected (exit 1) by the
+// library under either engine.
 func TestCLIShardsRequireParEngine(t *testing.T) {
 	cases := []struct {
 		cmd      string
@@ -66,6 +67,9 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmtraffic", []string{"--shards", "4"}, 2, "pmtraffic: --shards 4 requires --engine par"},
 		{"pmtraffic", []string{"--engine", "seq", "--shards", "2"}, 2, "pmtraffic: --shards 2 requires --engine par"},
 		{"pmtraffic", []string{"--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
+		{"pmfault", []string{"--engine", "par", "--shards", "-1", "--messages", "10"}, 1, "fault: shard count -1 is negative"},
+		{"pmstat", []string{"--engine", "par", "--shards", "-2", "--horizon-us", "5"}, 1, "traffic: shard count -2 is negative"},
+		{"pmtraffic", []string{"--shards", "-1", "--horizon-us", "5"}, 1, "traffic: shard count -1 is negative"},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)

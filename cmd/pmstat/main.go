@@ -48,7 +48,7 @@ func main() {
 		horizonUS    = flag.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
 		windowUS     = flag.Int64("window-us", 0, "telemetry window width in microseconds (0 = horizon/32, rounded up to 1us)")
 		engineFlag   = flag.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
-		shardsFlag   = flag.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
+		shardsFlag   = flag.Int("shards", 0, "psim shard count under --engine par (0 = 1; must align with the topology's leaf groups)")
 		formatFlag   = flag.String("format", "table", "output format: table or csv")
 		listOnly     = flag.Bool("list", false, "list mix names and exit")
 	)

@@ -39,7 +39,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for every arrival process")
 		horizonUS   = flag.Int64("horizon-us", int64(traffic.DefaultHorizon/sim.Microsecond), "offered-load window in microseconds")
 		engineFlag  = flag.String("engine", "seq", "event engine: seq (one shard) or par (sharded; byte-identical output)")
-		shardsFlag  = flag.Int("shards", 0, "psim shard count under --engine par (must align with the topology's leaf groups)")
+		shardsFlag  = flag.Int("shards", 0, "psim shard count under --engine par (0 = 1; must align with the topology's leaf groups)")
 		metricsFlag = flag.Bool("metrics", false, "append the run's full metrics dump")
 		listOnly    = flag.Bool("list", false, "list mix names and exit")
 	)

@@ -10,6 +10,33 @@ import (
 	"testing"
 )
 
+// goldenRun is one CLI invocation whose stdout must equal a golden.
+type goldenRun struct {
+	cmd    string
+	args   []string
+	golden string
+}
+
+// checkGolden runs the CLI with args and compares stdout byte for byte
+// with testdata/<golden>; regen are the arguments that regenerate it.
+func checkGolden(t *testing.T, c goldenRun, regen []string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Command(buildCLI(t, c.cmd), c.args...).Output()
+	if err != nil {
+		t.Errorf("%s %s: %v", c.cmd, strings.Join(c.args, " "), err)
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s %s diverged from testdata/%s at %s\nif the change is intended, regenerate with: go run ./cmd/%s %s > testdata/%s",
+			c.cmd, strings.Join(c.args, " "), c.golden, firstDiff(got, want),
+			c.cmd, strings.Join(regen, " "), c.golden)
+	}
+}
+
 // TestDatapathGoldens runs the golden CLI runs that exercise the
 // split-phase datapath — System256 traffic under faults, the pmtraffic
 // metrics dump, the windowed pmstat telemetry and the partitioned heat
@@ -18,38 +45,40 @@ import (
 // shards.
 func TestDatapathGoldens(t *testing.T) {
 	cases := []struct {
-		cmd    string
-		args   []string
-		golden string
-		par    bool
+		goldenRun
+		par bool
 	}{
-		{"pmfault", []string{"--traffic", "--topo", "system256", "--seed", "1"}, "pmfault_traffic_system256_seed1.golden", true},
-		{"pmtraffic", []string{"--mix", "default", "--seed", "1", "--metrics"}, "pmtraffic_default_metrics_seed1.golden", false},
-		{"pmstat", []string{"--campaign", "link-cut", "--faults", "8", "--topo", "system256", "--seed", "1"}, "pmstat_default_system256_seed1.golden", true},
-		{"pmfault", []string{"--campaign", "heat-linkcut", "--topo", "system256", "--seed", "1"}, "pmfault_heat-linkcut_system256_seed1.golden", true},
+		{goldenRun{"pmfault", []string{"--traffic", "--topo", "system256", "--seed", "1"}, "pmfault_traffic_system256_seed1.golden"}, true},
+		{goldenRun{"pmtraffic", []string{"--mix", "default", "--seed", "1", "--metrics"}, "pmtraffic_default_metrics_seed1.golden"}, false},
+		{goldenRun{"pmstat", []string{"--campaign", "link-cut", "--faults", "8", "--topo", "system256", "--seed", "1"}, "pmstat_default_system256_seed1.golden"}, true},
+		{goldenRun{"pmfault", []string{"--campaign", "heat-linkcut", "--topo", "system256", "--seed", "1"}, "pmfault_heat-linkcut_system256_seed1.golden"}, true},
 	}
 	for _, c := range cases {
-		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		exe := buildCLI(t, c.cmd)
-		runs := [][]string{c.args}
+		checkGolden(t, c.goldenRun, c.args)
 		if c.par {
-			runs = append(runs, append(append([]string(nil), c.args...), "--engine", "par", "--shards", "4"))
+			par := c.goldenRun
+			par.args = append(append([]string(nil), c.args...), "--engine", "par", "--shards", "4")
+			checkGolden(t, par, c.args)
 		}
-		for _, args := range runs {
-			got, err := exec.Command(exe, args...).Output()
-			if err != nil {
-				t.Errorf("%s %s: %v", c.cmd, strings.Join(args, " "), err)
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s %s diverged from testdata/%s at %s\nif the change is intended, regenerate with: go run ./cmd/%s %s > testdata/%s",
-					c.cmd, strings.Join(args, " "), c.golden, firstDiff(got, want),
-					c.cmd, strings.Join(c.args, " "), c.golden)
-			}
-		}
+	}
+}
+
+// TestParallelEngineGoldens reruns the pinned campaigns — degradation
+// tables, the application metrics dump and a Chrome trace timeline — on
+// the lookahead-0 row engine (--engine par, one psim shard per rate
+// row) against the goldens the sequential runs produce.
+func TestParallelEngineGoldens(t *testing.T) {
+	runs := []goldenRun{
+		{"pmfault", []string{"--campaign", "link-cut", "--seed", "1"}, "pmfault_link-cut_seed1.golden"},
+		{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1"}, "pmfault_heat-linkcut_seed1.golden"},
+		{"pmfault", []string{"--campaign", "central-cut", "--seed", "1"}, "pmfault_central-cut_seed1.golden"},
+		{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1", "--metrics"}, "pmfault_heat-linkcut_metrics_seed1.golden"},
+		{"pmtrace", []string{"--campaign", "link-cut", "--seed", "1", "--messages", "60"}, "pmtrace_link-cut_seed1.golden"},
+	}
+	for _, c := range runs {
+		regen := c.args
+		c.args = append(append([]string(nil), c.args...), "--engine", "par")
+		checkGolden(t, c, regen)
 	}
 }
 

@@ -366,7 +366,10 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 // Deterministic either way: same spec and options, byte-identical
 // AppResult.
 func RunApp(c AppCampaign, opt Options) (*AppResult, error) {
-	opt = opt.resolved()
+	opt, err := opt.resolved()
+	if err != nil {
+		return nil, err
+	}
 	if len(c.Rates) == 0 || c.Rates[0] != 0 {
 		return nil, fmt.Errorf("fault: app campaign %q must lead with a 0 rate (it sizes the fault window)", c.Name)
 	}

@@ -153,13 +153,18 @@ type Options struct {
 	// Shards partitions application workloads that run over the
 	// node-partitioned datapath (mpl.PWorld campaigns): under Engine ==
 	// psim.Par each row's world spreads its nodes across this many psim
-	// shards. Zero means 1. The partitioned determinism contract keeps
+	// shards. Zero means 1; a negative count is an error. The
+	// partitioned determinism contract keeps
 	// the result byte-identical at every aligned shard count, so Shards
 	// changes wall-clock, never output.
 	Shards int
 }
 
-func (o Options) resolved() Options {
+// resolved fills the defaults and rejects a negative shard count.
+func (o Options) resolved() (Options, error) {
+	if o.Shards < 0 {
+		return o, fmt.Errorf("fault: shard count %d is negative", o.Shards)
+	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
@@ -178,7 +183,7 @@ func (o Options) resolved() Options {
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	return o
+	return o, nil
 }
 
 // Row is one line of the degradation table: the outcome of one traffic
@@ -411,7 +416,10 @@ func Run(c Campaign, opt Options) (*Result, error) {
 	if opt.Topology == nil && c.DefaultTopology != nil {
 		opt.Topology = c.DefaultTopology()
 	}
-	opt = opt.resolved()
+	opt, err := opt.resolved()
+	if err != nil {
+		return nil, err
+	}
 	if len(c.Rates) == 0 || len(c.Kinds) == 0 {
 		return nil, fmt.Errorf("fault: campaign %q has no rates or kinds", c.Name)
 	}

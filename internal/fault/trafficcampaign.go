@@ -58,7 +58,10 @@ type TrafficResult struct {
 // == psim.Par — and the output is byte-identical across engines and
 // aligned shard counts. A zero horizon means traffic.DefaultHorizon.
 func RunTraffic(mix traffic.Mix, horizon sim.Time, opt Options) (*TrafficResult, error) {
-	opt = opt.resolved()
+	opt, err := opt.resolved()
+	if err != nil {
+		return nil, err
+	}
 	if horizon <= 0 {
 		horizon = traffic.DefaultHorizon
 	}

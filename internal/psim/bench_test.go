@@ -81,3 +81,51 @@ func BenchmarkShardStep(b *testing.B) {
 		sh.Step()
 	}
 }
+
+// tickEngine builds a DefaultLookahead engine in which each of the
+// first active shards dispatches one event per window for rounds
+// windows. With more than one active shard every tick also posts a
+// cross-shard event to the next active shard, so each round hands off
+// and merges. The model allocates nothing once built.
+func tickEngine(shards, active, rounds int) *psim.Engine {
+	la := psim.DefaultLookahead()
+	eng := psim.NewEngine(shards, la)
+	noop := func() {}
+	for i := 0; i < active; i++ {
+		sh := eng.Shard(i)
+		dst := (i + 1) % active
+		n := 0
+		var tick func()
+		tick = func() {
+			n++
+			if n >= rounds {
+				return
+			}
+			if dst != i {
+				eng.Post(i, dst, sh.Now()+la, noop)
+			}
+			sh.At(sh.Now()+la, tick)
+		}
+		sh.At(0, tick)
+	}
+	return eng
+}
+
+// BenchmarkParallelRound is the cost of one barrier round of a parallel
+// 2-shard Run — window pick, dispatch, barrier and mailbox merge — with
+// one event per active shard, so the round's synchronisation dominates.
+// both-active hands shard 1 to the crew worker every round; one-active
+// has nothing to hand off and runs inline on the caller.
+func BenchmarkParallelRound(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		active int
+	}{{"both-active", 2}, {"one-active", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := tickEngine(2, bc.active, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			eng.Run()
+		})
+	}
+}

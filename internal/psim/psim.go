@@ -1,13 +1,19 @@
 // Package psim is the parallel discrete-event engine: the event space
 // is split into shards, each with its own heap, clock and sequence
-// counter, driven by worker goroutines and synchronized through
-// conservative lookahead windows (null-message-free barrier rounds).
-// Cross-shard events travel through per-pair mailboxes and are merged
-// at each barrier with a deterministic (time, source shard, post
-// order) tie-break, so a sharded run dispatches exactly the events a
-// sequential run would — trace, metrics and stdout stay byte-identical
-// to internal/sim's single queue. CI pins that equivalence by running
-// the pmfault/pmtrace goldens through both engines.
+// counter, and synchronized through conservative lookahead windows
+// (null-message-free barrier rounds). Cross-shard events travel through
+// per-pair mailboxes and are merged at each barrier with a
+// deterministic (time, source shard, post order) tie-break, so a
+// sharded run dispatches exactly the events a sequential run would —
+// trace, metrics and stdout stay byte-identical to internal/sim's
+// single queue. The root package's golden tests pin that equivalence by
+// running the pmfault/pmtrace goldens through both engines.
+//
+// A parallel Run keeps a crew of persistent workers for its whole
+// duration: worker i owns shard i, the calling goroutine runs shard 0,
+// and every round hands off through a reusable spin-then-park barrier
+// instead of starting goroutines. Rounds with at most one active shard
+// run inline on the caller. The crew is joined before Run returns.
 //
 // The conservative contract: during a barrier round every shard may
 // freely execute events before the round's window end, because no
@@ -32,8 +38,11 @@ package psim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"powermanna/internal/link"
 	"powermanna/internal/sim"
@@ -352,7 +361,7 @@ type Engine struct {
 	// identical to the parallel dispatch, so serial and parallel runs of
 	// a shard-confined model produce byte-identical histories; serial is
 	// also safe to drive from inside another engine's event (nested
-	// engines), where spawning workers would not be.
+	// engines), because it never starts a crew.
 	serial bool
 	// horizon is the current round's window end (sim.MaxTime when the
 	// window is unbounded); Post enforces the conservative contract
@@ -364,6 +373,11 @@ type Engine struct {
 	mail [][]post
 	// merged is deliver's reused merge buffer.
 	merged []post
+	// rounds counts windows; solo counts those with at most one active
+	// shard. Both are pure functions of the model.
+	rounds, solo uint64
+	// crew is the current parallel Run's worker crew, nil outside one.
+	crew *crew
 }
 
 // NewEngine builds an engine with n shards. A lookahead > 0 sets the
@@ -387,12 +401,12 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 	return e
 }
 
-// SetSerial switches the engine between parallel dispatch (one worker
-// goroutine per shard per round, the default) and serial dispatch
-// (every shard's window run on the calling goroutine, shard order).
-// Both produce the same history; serial is the sequential execution of
-// a partitioned model and the only safe mode inside another engine's
-// event.
+// SetSerial switches the engine between parallel dispatch (the
+// default: a crew of persistent workers, one per shard, for each Run)
+// and serial dispatch (every shard's window run on the calling
+// goroutine, shard order). Both produce the same history; serial is the
+// sequential execution of a partitioned model and the only safe mode
+// inside another engine's event.
 func (e *Engine) SetSerial(on bool) { e.serial = on }
 
 // Lookahead reports the engine's conservative window width.
@@ -412,6 +426,13 @@ func (e *Engine) Steps() uint64 {
 	}
 	return n
 }
+
+// Rounds reports how many barrier rounds (windows) Run has driven.
+func (e *Engine) Rounds() uint64 { return e.rounds }
+
+// SoloRounds reports how many of those rounds had at most one shard
+// with an event in the window: rounds with nothing to hand off.
+func (e *Engine) SoloRounds() uint64 { return e.solo }
 
 // Post schedules fn on shard dst at absolute time t, from model code
 // running on shard src during a round. The conservative contract: t
@@ -460,11 +481,16 @@ func (e *Engine) nextEventTime() (sim.Time, bool) {
 }
 
 // Run drives barrier rounds until every heap and mailbox is empty.
-// Each round dispatches shards concurrently — one worker goroutine per
-// shard with work — and merges the mailboxes single-threaded at the
-// barrier, so the only cross-goroutine data flow is fork at the round
-// start and join at the barrier.
+// Each round dispatches the shards with work concurrently and merges
+// the mailboxes single-threaded at the barrier, so the only
+// cross-goroutine data flow is the hand-off at the round start and the
+// countdown at the barrier. The first round with two or more active
+// shards starts the crew; Run stops and joins it on return, a panic
+// unwinding through Run included, so no worker outlives it. Serial and
+// single-shard engines, and hosts with GOMAXPROCS 1, never start one.
 func (e *Engine) Run() {
+	defer e.stopCrew()
+	fanout := !e.serial && len(e.shards) > 1 && runtime.GOMAXPROCS(0) > 1
 	for {
 		next, ok := e.nextEventTime()
 		if !ok {
@@ -475,36 +501,236 @@ func (e *Engine) Run() {
 			end = next + e.lookahead
 		}
 		e.horizon = end
-		e.round(end)
+		e.round(end, fanout)
 		e.horizon = sim.MaxTime
 		e.deliver()
 	}
 }
 
-// round runs one window: every shard with an event below end dispatches
-// it on its own worker goroutine, and the round ends when all workers
-// reach the barrier. A single-shard engine runs on the calling
-// goroutine — no goroutines, so the sequential configuration of a
-// parallel tool run stays literally sequential.
-func (e *Engine) round(end sim.Time) {
-	if len(e.shards) == 1 || e.serial {
+// active reports whether shard s has an event in the window ending at
+// end.
+func active(s *Shard, end sim.Time) bool { return s.queue.len() > 0 && s.queue.minAt() < end }
+
+// round runs one window. A round with at most one active shard — or
+// any round without fanout — runs every shard's window on the calling
+// goroutine in shard order. Otherwise each active shard i > 0 is handed
+// to its crew worker, the caller runs shard 0 itself, and the round
+// ends when the last worker counts down. Which goroutine runs a shard
+// never changes what it dispatches, so the history is the same either
+// way.
+func (e *Engine) round(end sim.Time, fanout bool) {
+	e.rounds++
+	n := 0
+	for _, s := range e.shards {
+		if active(s, end) {
+			n++
+		}
+	}
+	if n <= 1 {
+		e.solo++
+	}
+	if n <= 1 || !fanout {
 		for _, s := range e.shards {
 			s.runWindow(end)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	for _, s := range e.shards {
-		if s.queue.len() == 0 || s.queue.minAt() >= end {
+	c := e.crew
+	if c == nil {
+		c = e.startCrew()
+	}
+	c.end = end
+	c.gen++
+	if active(e.shards[0], end) {
+		n--
+	}
+	c.pending.Store(int32(n))
+	for i, s := range e.shards[1:] {
+		if active(s, end) {
+			c.workers[i].hand(c.gen)
+		}
+	}
+	e.shards[0].runWindow(end)
+	c.await()
+}
+
+// spinBudget bounds every busy-wait of the barrier: a worker waiting
+// for its next round and the caller waiting for the round's end each
+// poll for at most this long before parking. It spans the gap between
+// the back-to-back rounds of a busy run without holding a processor
+// through a long idle stretch. A fixed poll count does not: polls are
+// so cheap that any count small enough to bound the wait parks between
+// rounds of the same burst.
+const spinBudget = 50 * time.Microsecond
+
+// spinYield is how many polls a spinning waiter makes between
+// runtime.Gosched calls, so a waiter never starves a goroutine the
+// round is waiting for when shards outnumber processors.
+const spinYield = 64
+
+// hostNow reads the host's monotonic clock. It only times the barrier's
+// spin budget and never reaches a simulated result.
+func hostNow() time.Time {
+	return time.Now() //pmlint:allow determinism spin-budget timing only; no simulated result depends on it
+}
+
+// spinner is one bounded busy-wait. Its clock starts at the first
+// yield, so a wait that ends within spinYield polls never reads it.
+type spinner struct {
+	polls int
+	start time.Time
+}
+
+// spin reports whether the waiter may poll again; false once the spin
+// budget is spent, when the waiter must park.
+func (sp *spinner) spin() bool {
+	sp.polls++
+	if sp.polls%spinYield != 0 {
+		return true
+	}
+	if sp.polls == spinYield {
+		sp.start = hostNow()
+	} else if hostNow().Sub(sp.start) >= spinBudget {
+		return false
+	}
+	runtime.Gosched()
+	return true
+}
+
+// kick posts a wake-up token on a 1-slot channel without blocking. A
+// token already waiting is enough: every parked waiter re-checks its
+// condition after waking, so a stale token costs one spurious wake.
+func kick(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// worker is one crew member's hand-off state.
+type worker struct {
+	// start is the generation of the last round handed to this worker;
+	// storing it publishes the round's window end and the stop flag.
+	start atomic.Uint64
+	// parked is set while the worker sleeps on wake.
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
+// hand starts round gen on the worker. Dekker order with await: store
+// the generation, then load parked — either the worker sees the new
+// generation before it sleeps, or this sees it parked and wakes it.
+func (w *worker) hand(gen uint64) {
+	w.start.Store(gen)
+	if w.parked.Load() {
+		kick(w.wake)
+	}
+}
+
+// await blocks until the worker is handed a round other than seen and
+// returns its generation: a bounded spin, then a park.
+func (w *worker) await(seen uint64) uint64 {
+	var sp spinner
+	for {
+		if g := w.start.Load(); g != seen {
+			return g
+		}
+		if sp.spin() {
 			continue
 		}
-		wg.Add(1)
-		go func(s *Shard) {
-			defer wg.Done()
-			s.runWindow(end)
-		}(s)
+		w.parked.Store(true)
+		if w.start.Load() == seen {
+			<-w.wake
+		}
+		w.parked.Store(false)
 	}
-	wg.Wait()
+}
+
+// crew is a parallel Run's set of persistent shard workers. Worker i
+// drives shard i for the whole Run (workers[i-1]; the caller runs
+// shard 0). end and stop are written by the caller before it hands a
+// round out and read by a worker only after it sees the hand-off; the
+// caller writes them again only after the round's countdown reaches
+// zero, so the barrier orders every access.
+type crew struct {
+	workers []worker
+	gen     uint64
+	end     sim.Time
+	stop    bool
+	// pending counts the workers still running the current round.
+	pending atomic.Int32
+	// parked is set while the caller sleeps on wake.
+	parked atomic.Bool
+	wake   chan struct{}
+	done   sync.WaitGroup
+}
+
+// startCrew starts one worker per shard beyond shard 0.
+func (e *Engine) startCrew() *crew {
+	c := &crew{workers: make([]worker, len(e.shards)-1), wake: make(chan struct{}, 1)}
+	c.done.Add(len(c.workers))
+	for i := range c.workers {
+		c.workers[i].wake = make(chan struct{}, 1)
+		go c.work(e.shards[i+1], &c.workers[i])
+	}
+	e.crew = c
+	return c
+}
+
+// work is a crew worker's loop: wait for a round, run the shard's
+// window, count down, until the caller stops the crew. It is the
+// parallel engine's second event-handler root beside runWindow: every
+// callback a worker dispatches runs in event-handler context.
+//
+//pmlint:root
+func (c *crew) work(s *Shard, w *worker) {
+	defer c.done.Done()
+	var seen uint64
+	for {
+		seen = w.await(seen)
+		if c.stop {
+			return
+		}
+		s.runWindow(c.end)
+		if c.pending.Add(-1) == 0 && c.parked.Load() {
+			kick(c.wake)
+		}
+	}
+}
+
+// await blocks the caller until every worker of the current round has
+// counted down: a bounded spin, then a park, in the same Dekker order
+// as worker.await against work's countdown.
+func (c *crew) await() {
+	var sp spinner
+	for c.pending.Load() != 0 {
+		if sp.spin() {
+			continue
+		}
+		c.parked.Store(true)
+		if c.pending.Load() != 0 {
+			<-c.wake
+		}
+		c.parked.Store(false)
+	}
+}
+
+// stopCrew ends the crew, if one is running, and joins its workers. A
+// panic on the caller can leave a round in flight, so it first waits
+// for the round's countdown, then hands every worker the stop round.
+func (e *Engine) stopCrew() {
+	c := e.crew
+	if c == nil {
+		return
+	}
+	e.crew = nil
+	c.await()
+	c.stop = true
+	c.gen++
+	for i := range c.workers {
+		c.workers[i].hand(c.gen)
+	}
+	c.done.Wait()
 }
 
 // deliver merges the round's mailboxes into the destination heaps with

@@ -22,6 +22,7 @@ import (
 	"powermanna/internal/sim"
 	"powermanna/internal/topo"
 	"powermanna/internal/trace"
+	"powermanna/internal/traffic"
 )
 
 // seeds are the equivalence sweep: enough variety to move fault
@@ -217,7 +218,7 @@ func partArtifacts(t *testing.T, shards int, seed int64, body func(w *mpl.PWorld
 // equivalence contract: one application, partitioned across psim shards
 // through the cross-shard mailboxes, must produce byte-identical
 // summaries and metrics dumps at every aligned shard count. This is the
-// property the ci.sh --engine par --shards 4 golden gate rests on,
+// property the --engine par --shards 4 golden gates rest on,
 // swept here across three workload shapes and three seeds.
 func TestPartitionedWorkloadEquivalence(t *testing.T) {
 	pingpong := func(w *mpl.PWorld, seed int64) error {
@@ -289,5 +290,51 @@ func TestPartitionedWorkloadEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRoundCountsPinned pins the engine's round counters on heat-spmd's
+// quick configuration (System256, 24 cells per rank, 30 steps) and a
+// short System256 traffic run, both at 2 shards: the counters are pure
+// functions of the model, equal under serial and parallel dispatch.
+func TestRoundCountsPinned(t *testing.T) {
+	heatRounds := func(serial bool) *psim.Engine {
+		w, err := mpl.NewPWorld(topo.System256(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.PartNetwork().SetSerial(serial)
+		if _, err := heat.RunPart(w, heat.DefaultConfig(24*256, 30)); err != nil {
+			t.Fatal(err)
+		}
+		return w.PartNetwork().Engine()
+	}
+	trafficRounds := func(serial bool) *psim.Engine {
+		eng, err := traffic.New(traffic.DefaultMix(), traffic.Options{
+			Seed: 1, Topology: topo.System256(), Horizon: 100 * sim.Microsecond, Engine: psim.Par, Shards: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.PartNetwork().SetSerial(serial)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return eng.PartNetwork().Engine()
+	}
+	for _, tc := range []struct {
+		name         string
+		run          func(serial bool) *psim.Engine
+		rounds, solo uint64
+	}{
+		{"heat-spmd", heatRounds, 1061, 211},
+		{"traffic", trafficRounds, 340, 130},
+	} {
+		for _, serial := range []bool{true, false} {
+			eng := tc.run(serial)
+			if eng.Rounds() != tc.rounds || eng.SoloRounds() != tc.solo {
+				t.Errorf("%s serial=%v: %d rounds, %d solo; want %d, %d", tc.name, serial, eng.Rounds(), eng.SoloRounds(), tc.rounds, tc.solo)
+			}
+		}
 	}
 }

@@ -38,12 +38,13 @@ func TestShardMatchesSchedulerOrder(t *testing.T) {
 	}
 }
 
-// ringLog runs a token-passing ring — each node a shard, each hop a
-// cross-shard post at hopLat — and returns the per-node logs merged in
-// (time, node) order. The same model on one shard (everything local)
-// is the sequential reference.
-func ringLog(shards, nodes, laps int, hopLat, lookahead sim.Time) []string {
-	eng := NewEngine(shards, lookahead)
+// ringLog runs a token-passing ring on eng — nodes spread round-robin
+// over its shards, each hop between shards a cross-shard post at
+// hopLat — and returns the per-node logs merged in (time, node) order.
+// The same model on one shard (everything local) is the sequential
+// reference.
+func ringLog(eng *Engine, nodes, laps int, hopLat sim.Time) []string {
+	shards := eng.Shards()
 	logs := make([][]string, nodes)
 	var hop func(node, count int) func()
 	hop = func(node, count int) func() {
@@ -79,12 +80,12 @@ func ringLog(shards, nodes, laps int, hopLat, lookahead sim.Time) []string {
 func TestRingCrossShardEquivalence(t *testing.T) {
 	const nodes, laps = 6, 5
 	hop := DefaultLookahead()
-	want := ringLog(1, nodes, laps, hop, 0)
+	want := ringLog(NewEngine(1, 0), nodes, laps, hop)
 	if len(want) != nodes*laps {
 		t.Fatalf("reference ring dispatched %d hops, want %d", len(want), nodes*laps)
 	}
 	for _, shards := range []int{2, 3, 6} {
-		got := ringLog(shards, nodes, laps, hop, hop)
+		got := ringLog(NewEngine(shards, hop), nodes, laps, hop)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%d shards: log %v, want %v", shards, got, want)
 		}
@@ -249,7 +250,10 @@ func (h *countHandler) OnPost(_ *Shard, payload any) { h.n += *payload.(*int) }
 // payload posts, the barrier merge and local payload events.
 func TestPostDeliverAllocatesNothing(t *testing.T) {
 	eng := NewEngine(2, DefaultLookahead())
-	eng.SetSerial(true) // parallel rounds spawn workers; the merge is the same
+	// Serial: a parallel Run allocates its crew once per Run, and this
+	// test runs one round per Run. TestParallelRoundsAllocateNothing pins
+	// the parallel rounds; the merge is the same.
+	eng.SetSerial(true)
 	src, dst := eng.Shard(0), eng.Shard(1)
 	h := &countHandler{}
 	one := 1

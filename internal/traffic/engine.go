@@ -45,7 +45,8 @@ type Options struct {
 	// Engine selects sequential (one shard) or parallel (Shards-wide)
 	// execution; the output is byte-identical either way.
 	Engine psim.Kind
-	// Shards is the shard count under the parallel engine; <= 1 means 2.
+	// Shards is the shard count under the parallel engine. Zero means 1;
+	// a negative count is an error.
 	Shards int
 	// Metrics optionally supplies the registry the run folds into; nil
 	// means a private registry (the Result carries it either way).
@@ -94,12 +95,12 @@ func New(mix Mix, opt Options) (*Engine, error) {
 	if opt.Horizon <= 0 {
 		opt.Horizon = DefaultHorizon
 	}
+	if opt.Shards < 0 {
+		return nil, fmt.Errorf("traffic: shard count %d is negative", opt.Shards)
+	}
 	shards := 1
-	if opt.Engine == psim.Par {
+	if opt.Engine == psim.Par && opt.Shards > 0 {
 		shards = opt.Shards
-		if shards <= 1 {
-			shards = 2
-		}
 	}
 	opt.Shards = shards
 	pn, err := netsim.NewPartitioned(opt.Topology, shards, netsim.DefaultFailover())
