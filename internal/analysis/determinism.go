@@ -19,6 +19,7 @@ var simCorePackages = map[string]bool{
 	"internal/xbar":     true,
 	"internal/netsim":   true,
 	"internal/dispatch": true,
+	"internal/mpl":      true,
 }
 
 // randAllowed are the math/rand package-level functions that construct
@@ -39,7 +40,7 @@ var randAllowed = map[string]bool{
 // maps whose loop body has order-dependent effects (writes to variables
 // declared outside the loop, or fmt/stats output) without a later sort of
 // the accumulated data, and — inside the single-threaded sim core — any
-// goroutine launch or channel operation.
+// goroutine launch, channel operation or runtime.Goexit.
 type Determinism struct{}
 
 // Name implements Analyzer.
@@ -87,6 +88,10 @@ func (Determinism) Check(pkg *Package) []Diagnostic {
 					// idiom; only package-level funcs touch the global source.
 					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {
 						report(n.Pos(), "global math/rand source via rand.%s: thread an explicit *rand.Rand seeded from config", obj.Name())
+					}
+				case "runtime":
+					if core && obj.Name() == "Goexit" {
+						report(n.Pos(), "runtime.Goexit in sim core package %s: the simulation core is single-threaded by contract", pkg.Rel)
 					}
 				}
 			case *ast.GoStmt:

@@ -2,6 +2,8 @@
 // determinism analyzer's concurrency rules.
 package sim
 
+import "runtime"
+
 func spawn(done chan int) {
 	go func() { done <- 1 }() // want `goroutine launched in sim core` `channel send in sim core`
 }
@@ -22,6 +24,10 @@ func pick(a, b chan int) int {
 
 func build() chan int {
 	return make(chan int, 8) // want `channel created in sim core`
+}
+
+func quit() {
+	runtime.Goexit() // want `runtime.Goexit in sim core`
 }
 
 func sequential() int {

@@ -73,7 +73,7 @@ type AppCampaign struct {
 	Workload func(w *mpl.World) (sim.Time, error)
 	// PartWorkload runs the application over the node-partitioned
 	// datapath (mpl.PWorld) instead of the legacy virtual-time world:
-	// rank goroutines, split-phase sends through psim mailboxes, and —
+	// rank coroutines, split-phase sends through psim mailboxes, and —
 	// under Options.Shards > 1 with the parallel engine — real
 	// single-workload parallelism. Output is byte-identical at every
 	// aligned shard count. Partitioned rows carry no background OS

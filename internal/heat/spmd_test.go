@@ -2,6 +2,7 @@ package heat
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"powermanna/internal/mpl"
@@ -67,6 +68,45 @@ func TestPartDeterministicAcrossShards(t *testing.T) {
 	}
 	if got := run(4, true); got.Makespan != ref.Makespan {
 		t.Errorf("serial dispatch: makespan %v, want %v", got.Makespan, ref.Makespan)
+	}
+}
+
+// TestPartCrossWorkerResume runs the quick System256 solve under
+// parallel dispatch at GOMAXPROCS 1 and 2, where each rank coroutine is
+// resumed by whichever goroutine runs its shard's round. Every run must
+// equal the 1-shard serial run: field, makespan, messages and engine
+// rounds.
+func TestPartCrossWorkerResume(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	top := topo.System256()
+	cfg := DefaultConfig(24*top.Nodes(), 30)
+	run := func(shards int, serial bool) (Result, uint64) {
+		w, err := mpl.NewPWorld(top, shards)
+		if err != nil {
+			t.Fatalf("NewPWorld(%d): %v", shards, err)
+		}
+		w.PartNetwork().SetSerial(serial)
+		res, err := RunPart(w, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d serial=%v: %v", shards, serial, err)
+		}
+		return res, w.PartNetwork().Engine().Rounds()
+	}
+	ref, refRounds := run(1, true)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4} {
+			got, rounds := run(shards, false)
+			for i := range ref.Field {
+				if got.Field[i] != ref.Field[i] {
+					t.Fatalf("GOMAXPROCS %d shards=%d: cell %d = %g, want %g", procs, shards, i, got.Field[i], ref.Field[i])
+				}
+			}
+			if got.Makespan != ref.Makespan || got.Messages != ref.Messages || rounds != refRounds {
+				t.Errorf("GOMAXPROCS %d shards=%d: makespan %v msgs %d rounds %d, want %v %d %d",
+					procs, shards, got.Makespan, got.Messages, rounds, ref.Makespan, ref.Messages, refRounds)
+			}
+		}
 	}
 }
 

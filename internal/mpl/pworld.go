@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // PWorld: the message-passing layer over the node-partitioned datapath.
 //
 // The legacy World is a virtual-time machine: one goroutine owns every
@@ -6,21 +8,29 @@
 // express a genuinely concurrent workload, because rank program order
 // is the global order. PWorld keeps the same calibrated software
 // overheads (comm.PMParams: PIO lines, poll cycles, setup cycles) but
-// runs each rank as its own goroutine over a netsim.PartNetwork: sends
+// runs each rank as its own coroutine over a netsim.PartNetwork: sends
 // go through the split-phase failover protocol (netsim.SendAsync),
 // receives block on real arrival events, and rank execution is driven
 // by the psim shard that owns the rank's node.
 //
 // Scheduling discipline — rank code runs only nested inside a shard
-// event. Each rank goroutine and its shard hand control back and forth
-// over a pair of unbuffered channels: the shard wakes the rank
-// (resume), the rank runs until it must wait for the network, then
-// yields. The shard goroutine is blocked in the yield receive for the
-// whole time the rank runs, so rank code has exclusive, race-free
-// access to everything its shard owns, and every rank step is anchored
-// to a deterministic event. A rank that is still parked when the
+// event. Each rank body is an iter.Pull coroutine: the shard resumes it
+// (next) from inside an event, the rank runs until it must wait for
+// the network, then yields straight back to that event. The switch is
+// a direct coroutine transfer on the shard's own goroutine, with no
+// scheduler or channel in between, so rank code has exclusive access
+// to everything its shard owns and every rank step is anchored to a
+// deterministic event. Successive resumes may come from different
+// goroutines (the engine's caller in solo rounds, a crew worker
+// otherwise) but never overlap; iter.Pull's race annotations order
+// them for the race detector. A rank that is still parked when the
 // engine drains is deadlocked (a receive nothing will match); Run
-// aborts it via runtime.Goexit and reports which ranks were stuck.
+// stops its coroutine, which unwinds the rank body, and reports which
+// ranks were stuck. A panic in a rank body propagates through next to
+// Run's caller.
+//
+// The build constraint raises this file's language version to go1.23,
+// the first with iter.Pull, while the module's go line stays at go1.22.
 //
 // Model differences from the legacy World, both inherent to losing the
 // global sequential order: a rank's virtual clock may lag its shard's
@@ -33,7 +43,7 @@ package mpl
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 
 	"powermanna/internal/comm"
 	"powermanna/internal/link"
@@ -75,7 +85,7 @@ type pmessage struct {
 }
 
 // PWorld is one SPMD program run over a partitioned network: one rank
-// per node, each a goroutine scheduled by its node's shard.
+// per node, each a coroutine resumed by its node's shard.
 type PWorld struct {
 	pn     *netsim.PartNetwork
 	params comm.PMParams
@@ -88,7 +98,7 @@ type PWorld struct {
 }
 
 // PRank is one rank's handle: the argument of the SPMD function. All
-// methods must be called from that function (the rank's goroutine).
+// methods must be called from that function (the rank's coroutine).
 type PRank struct {
 	w    *PWorld
 	rank int
@@ -97,13 +107,14 @@ type PRank struct {
 	clock sim.Time
 	queue []pmessage
 	state prState
-	// resume and yield are the control-handoff pair: the shard side
-	// sends resume (false = abort) and blocks on yield until the rank
-	// parks or finishes.
-	resume chan bool
-	yield  chan struct{}
-	done   bool
-	err    error
+	// next, yield and stop are the rank coroutine's handles: the shard
+	// side resumes the rank with next, the rank parks with yield, and
+	// stop aborts a parked rank.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	done  bool
+	err   error
 	// del and got receive the in-flight send's verdict through onVerdict,
 	// bound once as verdictFn: a rank has at most one send in flight.
 	del       netsim.Delivery
@@ -137,11 +148,7 @@ func NewPWorldWith(t *topo.Topology, shards int, cfg netsim.FailoverConfig) (*PW
 		bytes:  make([]int64, t.Nodes()),
 	}
 	for i := 0; i < t.Nodes(); i++ {
-		r := &PRank{
-			w: w, rank: i,
-			resume: make(chan bool),
-			yield:  make(chan struct{}),
-		}
+		r := &PRank{w: w, rank: i}
 		r.verdictFn = r.onVerdict
 		w.ranks = append(w.ranks, r)
 	}
@@ -212,37 +219,42 @@ func (w *PWorld) Stats() (messages, payloadBytes int64) {
 
 func (w *PWorld) cycles(n int64) sim.Time { return w.params.CPUClock.Cycles(n) }
 
-// Run executes fn once per rank, each on its own goroutine, and drives
+// Run executes fn once per rank, each as its own coroutine, and drives
 // them through the partitioned network until every rank returns or the
 // engine drains with ranks still parked (a communication deadlock —
-// reported as an error naming the stuck ranks). Run may be called
-// once per world.
+// reported as an error naming the stuck ranks). A panic in a rank body
+// reaches Run's caller. No rank coroutine outlives Run. Run may be
+// called once per world.
 func (w *PWorld) Run(fn func(r *PRank) error) error {
 	if w.ran {
 		return fmt.Errorf("mpl: PWorld.Run called twice")
 	}
 	w.ran = true
 	for _, r := range w.ranks {
-		r := r
-		go func() {
-			// The final yield pairs with whichever resume ran the rank
-			// last — Goexit from an aborted park runs it too.
-			defer func() { r.yield <- struct{}{} }()
-			if ok := <-r.resume; !ok {
-				return
-			}
+		r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
+			defer func() {
+				if p := recover(); p != nil && p != (abortRank{}) {
+					panic(p)
+				}
+			}()
+			r.yield = yield
 			r.err = fn(r)
 			r.done = true
-		}()
+		})
 		w.pn.Shard(w.pn.ShardOf(r.rank)).At(0, func() { r.wake() })
 	}
+	// Stopping every rank, on return or on a panic unwinding through
+	// Run, aborts the parked ones and ends every coroutine.
+	defer func() {
+		for _, r := range w.ranks {
+			r.stop()
+		}
+	}()
 	w.pn.Run()
 	var stuck []int
 	for _, r := range w.ranks {
 		if !r.done {
 			stuck = append(stuck, r.rank)
-			r.resume <- false
-			<-r.yield
 		}
 	}
 	if len(stuck) > 0 {
@@ -256,21 +268,20 @@ func (w *PWorld) Run(fn func(r *PRank) error) error {
 	return nil
 }
 
-// wake hands control to the rank goroutine and blocks until it parks
-// again or finishes. Must run inside an event on the rank's shard.
-func (r *PRank) wake() {
-	r.resume <- true
-	<-r.yield
-}
+// abortRank is the panic value that unwinds a rank body whose
+// coroutine was stopped while parked; the coroutine recovers it.
+type abortRank struct{}
 
-// park hands control back to the shard side and blocks until a hook
-// wakes the rank. A false resume aborts the rank (engine drained with
-// the rank still waiting); Goexit runs the goroutine's deferred final
-// yield.
+// wake resumes the rank coroutine until it parks again or finishes.
+// Must run inside an event on the rank's shard.
+func (r *PRank) wake() { r.next() }
+
+// park suspends the rank coroutine until a hook wakes it. A stopped
+// coroutine (engine drained with the rank still waiting) unwinds the
+// rank body.
 func (r *PRank) park() {
-	r.yield <- struct{}{}
-	if ok := <-r.resume; !ok {
-		runtime.Goexit()
+	if !r.yield(struct{}{}) {
+		panic(abortRank{})
 	}
 }
 

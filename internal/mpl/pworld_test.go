@@ -2,6 +2,8 @@ package mpl
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,8 +62,9 @@ func TestPWorldPingPong(t *testing.T) {
 
 // TestPWorldDeadlockReported pins the abort path: a rank that receives
 // a message nobody sends must surface as a deadlock error naming it,
-// not hang or panic.
+// not hang or panic, and its stopped coroutine must not outlive Run.
 func TestPWorldDeadlockReported(t *testing.T) {
+	base := runtime.NumGoroutine()
 	w, err := NewPWorld(topo.Cluster8(), 1)
 	if err != nil {
 		t.Fatalf("NewPWorld: %v", err)
@@ -75,6 +78,9 @@ func TestPWorldDeadlockReported(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "[3]") {
 		t.Fatalf("deadlock error = %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the aborted Run, want the baseline %d", n, base)
 	}
 }
 
@@ -236,5 +242,157 @@ func BenchmarkAllreduceSystem256(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		shards := shards
 		b.Run(fmt.Sprintf("engine=par/shards=%d", shards), func(b *testing.B) { run(b, shards, false) })
+	}
+}
+
+// allreduceRun is one AllReduce loop on System256: the per-rank,
+// per-round sums, makespan, message count and engine round count.
+type allreduceRun struct {
+	sums     []float64
+	makespan sim.Time
+	msgs     int64
+	rounds   uint64
+}
+
+func allreduceTrial(t *testing.T, shards int, serial bool) allreduceRun {
+	t.Helper()
+	w, err := NewPWorld(topo.System256(), shards)
+	if err != nil {
+		t.Fatalf("NewPWorld(%d): %v", shards, err)
+	}
+	w.PartNetwork().SetSerial(serial)
+	const rounds = 6
+	sums := make([]float64, w.Ranks()*rounds)
+	err = w.Run(func(r *PRank) error {
+		for round := 0; round < rounds; round++ {
+			got, err := r.AllReduce([]float64{float64((r.Rank() + 1) * (round + 1))}, round)
+			if err != nil {
+				return err
+			}
+			sums[r.Rank()*rounds+round] = got[0]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("shards=%d serial=%v: %v", shards, serial, err)
+	}
+	msgs, _ := w.Stats()
+	return allreduceRun{sums, w.MaxTime(), msgs, w.PartNetwork().Engine().Rounds()}
+}
+
+// TestPWorldCrossWorkerResume runs the AllReduce loop under parallel
+// dispatch at GOMAXPROCS 1 and 2, where a rank coroutine is resumed by
+// whichever goroutine runs its shard's round — the engine's caller in
+// solo rounds, a crew worker otherwise. Every run must equal the
+// 1-shard serial run: sums, makespan, messages and engine rounds.
+func TestPWorldCrossWorkerResume(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ref := allreduceTrial(t, 1, true)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4} {
+			got := allreduceTrial(t, shards, false)
+			if !slices.Equal(got.sums, ref.sums) {
+				t.Errorf("GOMAXPROCS %d shards=%d: sums diverged from the 1-shard serial run", procs, shards)
+			}
+			if got.makespan != ref.makespan || got.msgs != ref.msgs || got.rounds != ref.rounds {
+				t.Errorf("GOMAXPROCS %d shards=%d: makespan %v msgs %d rounds %d, want %v %d %d",
+					procs, shards, got.makespan, got.msgs, got.rounds, ref.makespan, ref.msgs, ref.rounds)
+			}
+		}
+	}
+}
+
+// TestPWorldRankPanicSurfaces pins the coroutine lifecycle: a normal
+// Run leaves no goroutine behind, and a rank panic reaches Run's caller
+// with its value while every parked rank is stopped, so a panicking
+// Run leaves none behind either.
+func TestPWorldRankPanicSurfaces(t *testing.T) {
+	base := runtime.NumGoroutine()
+	newWorld := func() *PWorld {
+		w, err := NewPWorld(topo.System256(), 1)
+		if err != nil {
+			t.Fatalf("NewPWorld: %v", err)
+		}
+		w.PartNetwork().SetSerial(true)
+		return w
+	}
+	if err := newWorld().Run(func(r *PRank) error { return r.Barrier(0) }); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Run, want the baseline %d", n, base)
+	}
+
+	w := newWorld()
+	func() {
+		defer func() {
+			if p := recover(); p != "rank 5 failed" {
+				t.Errorf("recovered %v, want the rank 5 panic", p)
+			}
+		}()
+		_ = w.Run(func(r *PRank) error {
+			switch r.Rank() {
+			case 4:
+				return r.Send(5, 0, []byte{1})
+			case 5:
+				if _, err := r.Recv(4, 0); err != nil {
+					return err
+				}
+				panic("rank 5 failed")
+			}
+			// Every other rank is parked on a receive when rank 5 panics.
+			_, err := r.Recv(4, 1)
+			return err
+		})
+		t.Errorf("Run returned after a rank panic")
+	}()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after a panicking Run, want the baseline %d", n, base)
+	}
+}
+
+// BenchmarkPWorldPingPong times one 8-byte send/recv round trip between
+// System256 nodes 0 and 127 under parallel dispatch: the rank
+// coroutine switches and the split-phase send path, as in the
+// benchmark ledger's mpl.sendrecv row (2 shards).
+func BenchmarkPWorldPingPong(b *testing.B) {
+	const src, dst = 0, 127
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			w, err := NewPWorld(topo.System256(), shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			msg := make([]byte, 8)
+			n := b.N
+			b.ResetTimer()
+			err = w.Run(func(r *PRank) error {
+				switch r.Rank() {
+				case src:
+					for i := 0; i < n; i++ {
+						if err := r.Send(dst, i, msg); err != nil {
+							return err
+						}
+						if _, err := r.Recv(dst, i); err != nil {
+							return err
+						}
+					}
+				case dst:
+					for i := 0; i < n; i++ {
+						if _, err := r.Recv(src, i); err != nil {
+							return err
+						}
+						if err := r.Send(src, i, msg); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
