@@ -3,12 +3,13 @@
 #
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet, build, race-enabled tests, the determinism-contract
-# lint (cmd/pmlint), a build of every cmd/* binary, pmfault smoke
-# campaigns pinned against golden degradation tables, pmtrace smoke
+# lint (cmd/pmlint), a build of every cmd/* binary, a System256 pmfault
+# campaign pinned against its golden degradation table, pmtrace smoke
 # exports pinned against golden timelines, and the partitioned-engine
-# equivalence gates. The --engine par reruns of the pinned campaigns run
-# under go test (TestParallelEngineGoldens in golden_test.go). A clean
-# exit means the tree is safe to ship.
+# equivalence gates. The pinned synthetic and application campaigns and
+# their --metrics dumps run under go test, on both engines
+# (TestCampaignGoldens and TestParallelEngineGoldens in golden_test.go).
+# A clean exit means the tree is safe to ship.
 set -eu
 
 cd "$(dirname "$0")"
@@ -59,37 +60,13 @@ for d in cmd/*/; do
 done
 
 echo "== pmfault smoke campaigns =="
-# Fixed seeds; stdout must match the checked-in goldens byte for byte
-# (the campaign half of the determinism contract). One synthetic
-# campaign, one application campaign over the transport layer.
-for campaign in link-cut heat-linkcut central-cut; do
-    "$bindir/pmfault" --campaign "$campaign" --seed 1 > "$bindir/pmfault.out"
-    if ! cmp -s "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out"; then
-        echo "pmfault smoke output diverged from testdata/pmfault_${campaign}_seed1.golden:" >&2
-        diff "testdata/pmfault_${campaign}_seed1.golden" "$bindir/pmfault.out" >&2 || true
-        exit 1
-    fi
-done
-# An application campaign at System256 scale, and the --metrics dump
-# (counters and histograms must be as reproducible as the tables).
+# A fixed seed; stdout must match the checked-in golden byte for byte
+# (the campaign half of the determinism contract): an application
+# campaign at System256 scale.
 "$bindir/pmfault" --campaign heat-linkcut --topo system256 --seed 1 > "$bindir/pmfault.out"
 if ! cmp -s testdata/pmfault_heat-linkcut_system256_seed1.golden "$bindir/pmfault.out"; then
     echo "pmfault System256 output diverged from testdata/pmfault_heat-linkcut_system256_seed1.golden:" >&2
     diff testdata/pmfault_heat-linkcut_system256_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-"$bindir/pmfault" --campaign link-cut --seed 1 --metrics > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_link-cut_metrics_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault --metrics output diverged from testdata/pmfault_link-cut_metrics_seed1.golden:" >&2
-    diff testdata/pmfault_link-cut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
-    exit 1
-fi
-# The app-campaign metrics dump completes the machine profile with the
-# receive-wait view (mpl.recv.wait).
-"$bindir/pmfault" --campaign heat-linkcut --seed 1 --metrics > "$bindir/pmfault.out"
-if ! cmp -s testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out"; then
-    echo "pmfault heat --metrics output diverged from testdata/pmfault_heat-linkcut_metrics_seed1.golden:" >&2
-    diff testdata/pmfault_heat-linkcut_metrics_seed1.golden "$bindir/pmfault.out" >&2 || true
     exit 1
 fi
 

@@ -95,3 +95,45 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestPmbenchRejectsUnknownExperiments pins pmbench's -exp validation:
+// every ID, empty entries included, is checked before any experiment
+// runs, so a bad list exits 2 with the usage text and the valid IDs and
+// prints nothing to stdout.
+func TestPmbenchRejectsUnknownExperiments(t *testing.T) {
+	exe := buildCLI(t, "pmbench")
+	cases := []struct {
+		exp, bad string
+	}{
+		{"table1,fig99", `"fig99"`},
+		{"fig99,table1", `"fig99"`},
+		{"table1,,table1", `""`},
+		{"table1,", `""`},
+		{"", `""`},
+		{"all,table1", `"all"`},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		run := exec.Command(exe, "-exp", c.exp)
+		run.Stdout, run.Stderr = &stdout, &stderr
+		err := run.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("pmbench -exp %q: %v, want exit 2\n%s", c.exp, err, stderr.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("pmbench -exp %q printed to stdout:\n%s", c.exp, stdout.String())
+		}
+		for _, want := range []string{"unknown experiment " + c.bad, "table1", "Usage of"} {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("pmbench -exp %q: stderr lacks %q:\n%s", c.exp, want, stderr.String())
+			}
+		}
+	}
+	// A valid list with spaces still runs.
+	out, err := exec.Command(exe, "-exp", "table1, table1").Output()
+	if err != nil || strings.Count(string(out), "### table1 ") != 2 {
+		t.Errorf("pmbench -exp \"table1, table1\": %v\n%s", err, out)
+	}
+}

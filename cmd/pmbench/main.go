@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,13 +45,24 @@ func main() {
 		os.Exit(1)
 	}
 	opt := powermanna.ExperimentOptions{Quick: !*full, Engine: eng}
-	ids := powermanna.ExperimentIDs()
+	all := powermanna.ExperimentIDs()
+	ids := all
 	if *expFlag != "all" {
+		// Every ID is checked before any experiment runs, so a bad list
+		// is a usage error with nothing on stdout.
 		ids = strings.Split(*expFlag, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+			if !slices.Contains(all, ids[i]) {
+				fmt.Fprintf(os.Stderr, "pmbench: unknown experiment %q in -exp %q (valid: %s)\n",
+					ids[i], *expFlag, strings.Join(all, ","))
+				flag.Usage()
+				os.Exit(2)
+			}
+		}
 	}
 
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		// Wall-clock harness timing goes to stderr only: stdout is the
 		// results channel and must be a pure function of the model, so two
 		// runs with the same flags are byte-identical (the determinism

@@ -63,18 +63,33 @@ func TestDatapathGoldens(t *testing.T) {
 	}
 }
 
+// TestCampaignGoldens runs the pinned fault campaigns on the sequential
+// engine — the synthetic link-cut and central-cut degradation tables, the
+// heat-linkcut application campaign and the --metrics dumps of both
+// (counters and histograms must be as reproducible as the tables) — and
+// compares stdout byte for byte with testdata/.
+func TestCampaignGoldens(t *testing.T) {
+	for _, c := range campaignGoldens {
+		checkGolden(t, c, c.args)
+	}
+}
+
+// campaignGoldens are the pmfault campaign runs pinned against goldens.
+var campaignGoldens = []goldenRun{
+	{"pmfault", []string{"--campaign", "link-cut", "--seed", "1"}, "pmfault_link-cut_seed1.golden"},
+	{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1"}, "pmfault_heat-linkcut_seed1.golden"},
+	{"pmfault", []string{"--campaign", "central-cut", "--seed", "1"}, "pmfault_central-cut_seed1.golden"},
+	{"pmfault", []string{"--campaign", "link-cut", "--seed", "1", "--metrics"}, "pmfault_link-cut_metrics_seed1.golden"},
+	{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1", "--metrics"}, "pmfault_heat-linkcut_metrics_seed1.golden"},
+}
+
 // TestParallelEngineGoldens reruns the pinned campaigns — degradation
-// tables, the application metrics dump and a Chrome trace timeline — on
+// tables, both metrics dumps and a Chrome trace timeline — on
 // the lookahead-0 row engine (--engine par, one psim shard per rate
 // row) against the goldens the sequential runs produce.
 func TestParallelEngineGoldens(t *testing.T) {
-	runs := []goldenRun{
-		{"pmfault", []string{"--campaign", "link-cut", "--seed", "1"}, "pmfault_link-cut_seed1.golden"},
-		{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1"}, "pmfault_heat-linkcut_seed1.golden"},
-		{"pmfault", []string{"--campaign", "central-cut", "--seed", "1"}, "pmfault_central-cut_seed1.golden"},
-		{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1", "--metrics"}, "pmfault_heat-linkcut_metrics_seed1.golden"},
-		{"pmtrace", []string{"--campaign", "link-cut", "--seed", "1", "--messages", "60"}, "pmtrace_link-cut_seed1.golden"},
-	}
+	runs := append([]goldenRun(nil), campaignGoldens...)
+	runs = append(runs, goldenRun{"pmtrace", []string{"--campaign", "link-cut", "--seed", "1", "--messages", "60"}, "pmtrace_link-cut_seed1.golden"})
 	for _, c := range runs {
 		regen := c.args
 		c.args = append(append([]string(nil), c.args...), "--engine", "par")

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -156,17 +157,34 @@ func parseWant(comment string) ([]string, bool) {
 	return patterns, len(patterns) > 0
 }
 
+// The whole module, loaded and type-checked once per test binary: each
+// load re-checks the standard library from source and costs seconds. Run
+// and AuditPackages only read the packages, so the tests may share them.
+var (
+	moduleOnce sync.Once
+	modulePkgs []*Package
+	moduleErr  error
+)
+
+// sharedModule returns the shared load of this repository, skipping in
+// short mode.
+func sharedModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checking the whole module is not short")
+	}
+	moduleOnce.Do(func() { modulePkgs, moduleErr = LoadModule(".") })
+	if moduleErr != nil {
+		t.Fatalf("loading module: %v", moduleErr)
+	}
+	return modulePkgs
+}
+
 // TestRepositoryIsClean runs the full suite over this repository itself:
 // any new violation of the determinism contract fails tier-1 tests, not
 // just the optional pmlint run.
 func TestRepositoryIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checking the whole module is not short")
-	}
-	pkgs, err := LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
+	pkgs := sharedModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; module walk looks broken", len(pkgs))
 	}

@@ -13,14 +13,7 @@ import (
 //
 // and the diff reviewed in the same commit.
 func TestReportMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checking the whole module is not short")
-	}
-	pkgs, err := LoadModule(".")
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
-	}
-	got := RenderReport(AuditPackages(pkgs))
+	got := RenderReport(AuditPackages(sharedModule(t)))
 	want, err := os.ReadFile("testdata/pmlint_report.golden")
 	if err != nil {
 		t.Fatalf("reading golden: %v", err)
@@ -31,20 +24,16 @@ func TestReportMatchesGolden(t *testing.T) {
 }
 
 // TestReportDeterministic renders the audit twice from independent loads
-// and requires byte-identical output: the report is pinned in CI, so any
-// map-order or position nondeterminism would make the golden flaky.
+// — the shared one, already audited and analyzed by the other tests, and
+// a fresh one — and requires byte-identical output: the report is pinned,
+// so any map-order or position nondeterminism would make the golden flaky.
 func TestReportDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checking the whole module is not short")
+	a := RenderReport(AuditPackages(sharedModule(t)))
+	pkgs, err := LoadModule(".")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
 	}
-	render := func() string {
-		pkgs, err := LoadModule(".")
-		if err != nil {
-			t.Fatalf("loading module: %v", err)
-		}
-		return RenderReport(AuditPackages(pkgs))
-	}
-	a, b := render(), render()
+	b := RenderReport(AuditPackages(pkgs))
 	if a != b {
 		t.Errorf("two renders differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}

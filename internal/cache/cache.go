@@ -113,8 +113,10 @@ func (s Stats) HitRate() float64 {
 const noTag = ^uint64(0)
 
 // hintSize is the number of way-predictor entries, indexed by the low bits
-// of the line address.
-const hintSize = 64
+// of the line address. It is wider than the PowerMANNA L1's 64 sets, so
+// streams sharing a set keep separate entries, and than the 79 pages the
+// naive N=201 MatMult column sweep touches on the SUN's 64-way DTLB.
+const hintSize = 1024
 
 // Cache is one cache instance.
 //
@@ -135,12 +137,16 @@ type Cache struct {
 	// its tag checks, and a valid tag is held by at most one way, so a
 	// wrong or stale hint costs a scan, never a different outcome.
 	hint [hintSize]int32
-	// missed is the line Access last reported missing. Only Fill installs
-	// lines, so the next Fill of it may skip its own lookup; every Fill
-	// clears it.
-	missed uint64
-	clock  uint64
-	stats  Stats
+	// missed is the line Access last reported missing, at clock missedAt,
+	// and victim the way its scan found Fill would evict. Only Fill
+	// installs lines, so the next Fill of it may skip its own lookup; if
+	// the clock has not ticked since, no lastUse has moved and victim
+	// still holds. Every Fill and every invalidate clears missed.
+	missed   uint64
+	missedAt uint64
+	victim   int
+	clock    uint64
+	stats    Stats
 }
 
 // New builds a cache. It panics on invalid configuration.
@@ -194,26 +200,39 @@ func (c *Cache) find(la uint64) int {
 	if i := c.predict(la); c.holds(i, la) {
 		return i
 	}
-	return c.scan(la)
+	i, _ := c.scan(la)
+	return i
 }
 
-// scan searches la's set way by way, retraining the predictor on a hit.
-func (c *Cache) scan(la uint64) int {
+// scan searches la's set way by way. It returns the way holding la,
+// retraining the predictor, or -1 and the way Fill would evict: the first
+// minimum of lastUse, which is the first Invalid way, else the LRU way.
+func (c *Cache) scan(la uint64) (way, victim int) {
 	base := c.setBase(la)
-	for w, t := range c.tags[base : base+c.assoc] {
-		if t == la && (la != noTag || c.lastUse[base+w] != 0) {
+	tags := c.tags[base : base+c.assoc]
+	uses := c.lastUse[base : base+c.assoc]
+	uses = uses[:len(tags)] // the same length as tags: no bounds checks below
+	v, oldest := 0, uses[0]
+	for w, t := range tags {
+		u := uses[w]
+		if t == la && (la != noTag || u != 0) {
 			c.hint[la%hintSize] = int32(base + w)
-			return base + w
+			return base + w, -1
+		}
+		if u < oldest {
+			v, oldest = w, u
 		}
 	}
-	return -1
+	return -1, base + v
 }
 
-// invalidate empties way i.
+// invalidate empties way i. A freed way may be an earlier first minimum
+// of lastUse than the memoized victim, so it clears the miss memo.
 func (c *Cache) invalidate(i int) {
 	c.tags[i] = noTag
 	c.states[i] = Invalid
 	c.lastUse[i] = 0
+	c.missed = noTag
 }
 
 // Outcome classifies an access against the local cache.
@@ -250,24 +269,30 @@ func (o Outcome) String() string {
 func (c *Cache) Access(addr uint64, write bool) Outcome {
 	la := c.LineAddr(addr)
 	c.clock++
+	i := c.predict(la)
+	// The common case, a read hit on the predicted way, returns at once.
+	// An Invalid way is tagged noTag, so the guard keeps it from matching.
+	if !write && c.tags[i] == la && la != noTag {
+		c.lastUse[i] = c.clock
+		c.stats.Reads++
+		return Hit
+	}
 	if write {
 		c.stats.Writes++
 	} else {
 		c.stats.Reads++
 	}
-	// find, spelled out so the predicted-way hit costs no call.
-	i := c.predict(la)
 	if !c.holds(i, la) {
-		i = c.scan(la)
-	}
-	if i < 0 {
-		if write {
-			c.stats.WriteMisses++
-		} else {
-			c.stats.ReadMisses++
+		var victim int
+		if i, victim = c.scan(la); i < 0 {
+			if write {
+				c.stats.WriteMisses++
+			} else {
+				c.stats.ReadMisses++
+			}
+			c.missed, c.missedAt, c.victim = la, c.clock, victim
+			return Miss
 		}
-		c.missed = la
-		return Miss
 	}
 	c.lastUse[i] = c.clock
 	if !write {
@@ -314,29 +339,27 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 		panic(fmt.Sprintf("cache %s: Fill with Invalid state", c.cfg.Name))
 	}
 	la := c.LineAddr(addr)
-	c.clock++
-	// A line Access just reported missing needs no lookup; missed holds
-	// noTag when there is none.
-	absent := la == c.missed && la != noTag
+	// A line Access reported missing at this clock tick needs no lookup,
+	// and the victim its scan found still holds. missed holds noTag when
+	// there is none.
+	i := c.victim
+	memo := la == c.missed && la != noTag && c.clock == c.missedAt
 	c.missed = noTag
-	if !absent {
-		if i := c.find(la); i >= 0 {
+	c.clock++
+	if !memo {
+		w := c.predict(la)
+		if !c.holds(w, la) {
+			w, i = c.scan(la)
+		}
+		if w >= 0 {
 			// Refill of a present line (e.g. upgrade-with-data); just update.
-			c.states[i] = st
-			c.lastUse[i] = c.clock
+			c.states[w] = st
+			c.lastUse[w] = c.clock
 			return Victim{}
 		}
 	}
-	// The first minimum of lastUse: the first invalid way, else the LRU.
-	base := c.setBase(la)
-	i, oldest := base, c.lastUse[base]
-	for w, u := range c.lastUse[base+1 : base+c.assoc] {
-		if u < oldest {
-			i, oldest = base+1+w, u
-		}
-	}
 	out := Victim{}
-	if oldest != 0 {
+	if c.lastUse[i] != 0 {
 		out = Victim{LineAddr: c.tags[i], Dirty: c.states[i] == Modified, Valid: true}
 		c.stats.Evictions++
 		if out.Dirty {

@@ -177,10 +177,19 @@ var oracleGeometries = []struct {
 	cfg Config
 	// top places the address pool just below 2^64 instead of at 0.
 	top bool
+	// stride, if nonzero, spaces the pool's line addresses stride lines
+	// apart and shrinks the pool to match, so a cache with many sets sees
+	// set conflicts and way-predictor entries shared across sets.
+	stride uint64
+	// seeds, if nonzero, caps the seed count: every Occupancy comparison
+	// costs a pass over all of a large cache's ways.
+	seeds int
 }{
 	{cfg: Config{Name: "direct", SizeBytes: 16 * 64, LineBytes: 64, Assoc: 1}},
 	{cfg: Config{Name: "L1-8way", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8}},
+	{cfg: Config{Name: "PM-DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 2}},
 	{cfg: Config{Name: "PII-DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 4}},
+	{cfg: Config{Name: "PII-L2", SizeBytes: 512 << 10, LineBytes: 32, Assoc: 4}, stride: 256, seeds: 4},
 	{cfg: Config{Name: "SUN-DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 64}},
 	{cfg: Config{Name: "byte-lines", SizeBytes: 8, LineBytes: 1, Assoc: 2}, top: true},
 }
@@ -193,7 +202,8 @@ type oracle struct {
 	rng    *rand.Rand
 	c      *Cache
 	ref    *refCache
-	lines  uint64 // line addresses are drawn from [0, lines)
+	lines  uint64 // line addresses are drawn from [0, lines), times stride
+	stride uint64
 	top    bool
 	last   uint64
 	step   int
@@ -209,7 +219,7 @@ func (o *oracle) addr() uint64 {
 		la = uint64(o.rng.Int63n(int64(o.lines)))
 	}
 	o.last = la
-	a := la<<o.c.lineShift | uint64(o.rng.Intn(o.c.cfg.LineBytes))
+	a := la*o.stride<<o.c.lineShift | uint64(o.rng.Intn(o.c.cfg.LineBytes))
 	if o.top {
 		return ^uint64(0) - a
 	}
@@ -323,14 +333,19 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 	for _, g := range oracleGeometries {
 		t.Run(g.cfg.Name, func(t *testing.T) {
-			for seed := int64(1); seed <= int64(seeds); seed++ {
+			stride, n := max(g.stride, 1), seeds
+			if g.seeds > 0 {
+				n = min(n, g.seeds)
+			}
+			for seed := int64(1); seed <= int64(n); seed++ {
 				c := New(g.cfg)
 				o := &oracle{
 					t:      t,
 					rng:    rand.New(rand.NewSource(seed)),
 					c:      c,
 					ref:    newRef(g.cfg),
-					lines:  2 * uint64(g.cfg.SizeBytes/g.cfg.LineBytes),
+					lines:  2 * uint64(g.cfg.SizeBytes/g.cfg.LineBytes) / stride,
+					stride: stride,
 					top:    g.top,
 					prefix: fmt.Sprintf("seed %d", seed),
 				}

@@ -217,6 +217,49 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
+// A read hit between a miss and its Fill moves the LRU way of the set, so
+// the victim the miss's scan found is stale and Fill must look again.
+func TestFillAfterInterveningHitTakesCurrentLRU(t *testing.T) {
+	c := New(smallConfig()) // set 0 holds lines 0, 512 and 1024 in turn
+	c.Fill(0, Exclusive)
+	c.Fill(512, Exclusive) // line 0 is LRU
+	if out := c.Access(1024, false); out != Miss {
+		t.Fatalf("Access(1024) = %v, want miss", out)
+	}
+	if out := c.Access(0, false); out != Hit { // line 512 is now LRU
+		t.Fatalf("Access(0) = %v, want hit", out)
+	}
+	if v := c.Fill(1024, Exclusive); !v.Valid || v.LineAddr != 512/64 {
+		t.Fatalf("victim = %+v, want line %d", v, 512/64)
+	}
+	if c.Lookup(0) == Invalid {
+		t.Error("recently used line 0 was evicted")
+	}
+}
+
+// A snoop invalidation between a miss and its Fill frees a way of the set;
+// the Fill must take it rather than evict the LRU line.
+func TestFillAfterSnoopInvalidateTakesFreedWay(t *testing.T) {
+	c := New(smallConfig())
+	c.Fill(0, Exclusive)
+	c.Fill(512, Exclusive) // line 0 is LRU
+	if out := c.Access(1024, false); out != Miss {
+		t.Fatalf("Access(1024) = %v, want miss", out)
+	}
+	if res := c.Snoop(512, true); !res.Had {
+		t.Fatal("snoop missed line 512")
+	}
+	if v := c.Fill(1024, Exclusive); v.Valid {
+		t.Fatalf("victim = %+v, want the freed way", v)
+	}
+	if c.Lookup(0) == Invalid {
+		t.Error("LRU line 0 was evicted despite a free way")
+	}
+	if got := c.Occupancy(); got != 2 {
+		t.Errorf("Occupancy = %d, want 2", got)
+	}
+}
+
 // Property: capacity invariant — occupancy never exceeds the number of
 // lines, and a fill always makes its own line present.
 func TestFillInvariantProperty(t *testing.T) {
@@ -273,7 +316,7 @@ func TestReadHitPreservesStateProperty(t *testing.T) {
 // node models lean on: a direct-mapped hit (the PowerMANNA L2), an 8-way
 // hit from a sequential 8-byte walk (the PowerMANNA L1 under a MatMult
 // row) and a 64-way fully associative miss plus Fill (the SUN DTLB
-// walking a 128-page cycle).
+// walking an 80-page and a 128-page cycle).
 func BenchmarkCacheAccess(b *testing.B) {
 	b.Run("direct-hit", func(b *testing.B) {
 		c := New(Config{Name: "L2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 1})
@@ -293,6 +336,17 @@ func BenchmarkCacheAccess(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Access(uint64(i%4096)*8, false)
+		}
+	})
+	b.Run("64way-cyclic-80", func(b *testing.B) {
+		// The naive MatMult column sweep: a cyclic walk over more pages than
+		// the SUN DTLB holds, so LRU misses on every access.
+		c := New(Config{Name: "DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 64})
+		for i := 0; i < b.N; i++ {
+			a := uint64(i%80) * 4096
+			if c.Access(a, false) == Miss {
+				c.Fill(a, Exclusive)
+			}
 		}
 	})
 	b.Run("64way-miss-fill", func(b *testing.B) {

@@ -41,8 +41,8 @@ func TestCampaignDeterminism(t *testing.T) {
 }
 
 // TestGoldenTable pins the default link-cut campaign against the same
-// golden file ci.sh compares cmd/pmfault stdout to — cmd/pmfault prints
-// exactly Result.Render(), so drift is caught by `go test` alone.
+// golden file TestCampaignGoldens compares cmd/pmfault stdout to —
+// cmd/pmfault prints exactly Result.Render(), so drift is caught here too.
 func TestGoldenTable(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "pmfault_link-cut_seed1.golden")
 	want, err := os.ReadFile(golden)
@@ -206,7 +206,7 @@ func TestAppCampaignDegradation(t *testing.T) {
 }
 
 // TestAppCampaignGolden pins heat-linkcut at seed 1 against the golden
-// ci.sh compares cmd/pmfault stdout to.
+// TestCampaignGoldens compares cmd/pmfault stdout to.
 func TestAppCampaignGolden(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "pmfault_heat-linkcut_seed1.golden")
 	want, err := os.ReadFile(golden)

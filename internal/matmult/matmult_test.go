@@ -120,3 +120,21 @@ func TestResultString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// BenchmarkMatMult measures one 1-CPU run of each variant at N=101 on the
+// PowerMANNA, the SUN and the 180 MHz PC: the node model's whole cost per
+// MatMult point of Figures 7 and 8 (DTLB, L1 and L2 per access, plus the
+// memoized pipeline cost).
+func BenchmarkMatMult(b *testing.B) {
+	const n = 101
+	for _, cfg := range []node.Config{machine.PowerMANNA(), machine.SunUltra(), machine.PentiumII(180)} {
+		nd := node.New(cfg)
+		for _, v := range []Version{Naive, Transposed} {
+			b.Run(cfg.Name+"/"+v.String(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Run(nd, n, v, 1)
+				}
+			})
+		}
+	}
+}

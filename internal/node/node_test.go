@@ -195,6 +195,36 @@ func TestInclusiveBackInvalidation(t *testing.T) {
 	}
 }
 
+// An L2 fill that back-invalidates a line in the missing line's L1 set
+// frees an L1 way after the L1 miss was classified; the L1 fill must take
+// that way rather than evict the L1's LRU line.
+func TestL1FillTakesBackInvalidatedWay(t *testing.T) {
+	n := New(testConfig(1, SwitchedFabric))
+	p := n.Proc(0)
+	// L1: 4 sets, lines 256 bytes apart share one. L2: 16 sets, lines
+	// 1024 bytes apart share one. v, w and x share L1 set 0 and L2 set 0;
+	// a shares L1 set 0 only.
+	const v, w, a, x = 0x0000, 0x0400, 0x0100, 0x1000
+	p.Access(v, false)
+	p.Access(w, false)
+	p.Access(v, false) // L1 hit: w is the L1 LRU, v stays the L2 LRU
+	p.Access(a, false) // evicts w from the L1
+	p.Access(v, false) // L1 hit: a is the L1 LRU
+	p.Access(x, false) // the L2 fill evicts v, which leaves the L1 too
+	if st := p.L1().Lookup(v); st != cache.Invalid {
+		t.Fatalf("L1 kept back-invalidated line: %v", st)
+	}
+	if p.L1().Lookup(x) == cache.Invalid {
+		t.Fatal("L1 did not install the missing line")
+	}
+	if p.L1().Lookup(a) == cache.Invalid {
+		t.Error("L1 fill evicted its LRU line instead of taking the freed way")
+	}
+	if got := p.L1().Stats().Evictions; got != 1 {
+		t.Errorf("L1 evictions = %d, want 1 (w only)", got)
+	}
+}
+
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	n := New(testConfig(1, SwitchedFabric))
 	p := n.Proc(0)
