@@ -70,10 +70,21 @@ func (c Config) Validate() error {
 // initial sets the starting profile: a hot spike in the middle third.
 func initial(cells int) []float64 {
 	f := make([]float64, cells)
-	for i := cells / 3; i < 2*cells/3; i++ {
-		f[i] = 100
-	}
+	initialBlock(f, cells, 0)
 	return f
+}
+
+// initialBlock writes cells [lo, lo+len(dst)) of the cells-wide starting
+// profile into dst, so a rank fills its own block without building the
+// whole field.
+func initialBlock(dst []float64, cells, lo int) {
+	for i := range dst {
+		if g := lo + i; g >= cells/3 && g < 2*cells/3 {
+			dst[i] = 100
+		} else {
+			dst[i] = 0
+		}
+	}
 }
 
 // step advances one explicit Euler step on a slice with fixed-zero
@@ -127,14 +138,13 @@ func Run(w *mpl.World, cfg Config) (Result, error) {
 		lo[r] = r * cfg.Cells / p
 		hi[r] = (r + 1) * cfg.Cells / p
 	}
-	global := initial(cfg.Cells)
 	cur := make([][]float64, p)
 	next := make([][]float64, p)
 	for r := 0; r < p; r++ {
 		n := hi[r] - lo[r]
 		cur[r] = make([]float64, n+2)
 		next[r] = make([]float64, n+2)
-		copy(cur[r][1:], global[lo[r]:hi[r]])
+		initialBlock(cur[r][1:n+1], cfg.Cells, lo[r])
 	}
 
 	encode := func(v float64) []byte {

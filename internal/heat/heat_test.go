@@ -175,3 +175,24 @@ func TestEnergyDecays(t *testing.T) {
 		prev = e
 	}
 }
+
+// TestInitialBlockMatchesField checks that a rank's block of the starting
+// profile equals the same cells of the whole field, for block edges on
+// and off the spike's boundaries.
+func TestInitialBlockMatchesField(t *testing.T) {
+	const cells = 100
+	field := initial(cells)
+	for _, b := range [][2]int{{0, 10}, {30, 40}, {33, 34}, {60, 70}, {66, 67}, {90, 100}, {0, cells}} {
+		lo, hi := b[0], b[1]
+		got := make([]float64, hi-lo)
+		for i := range got {
+			got[i] = -1 // every cell must be written
+		}
+		initialBlock(got, cells, lo)
+		for i, v := range got {
+			if v != field[lo+i] {
+				t.Errorf("block [%d, %d): cell %d = %v, field has %v", lo, hi, lo+i, v, field[lo+i])
+			}
+		}
+	}
+}

@@ -41,10 +41,9 @@ func RunPart(w *mpl.PWorld, cfg Config) (Result, error) {
 		rank := r.Rank()
 		lo, hi := rank*cfg.Cells/p, (rank+1)*cfg.Cells/p
 		n := hi - lo
-		global := initial(cfg.Cells)
 		cur := make([]float64, n+2)
 		next := make([]float64, n+2)
-		copy(cur[1:], global[lo:hi])
+		initialBlock(cur[1:n+1], cfg.Cells, lo)
 
 		for s := 0; s < cfg.Steps; s++ {
 			tagL, tagR := 2*s, 2*s+1

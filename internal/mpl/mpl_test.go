@@ -306,7 +306,7 @@ func TestSendTracingOffAddsNoAllocs(t *testing.T) {
 		t.Fatal("fresh world has a recorder attached; tracing must default to off")
 	}
 	payload := make([]byte, 256)
-	// Warm the per-rank route caches over the full (src, dst) cycle so
+	// Warm the topology's route table over the full (src, dst) cycle so
 	// the measured runs see only the steady-state path.
 	for i := 0; i < w.Ranks(); i++ {
 		src := i % w.Ranks()

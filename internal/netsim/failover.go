@@ -153,7 +153,8 @@ type PlaneCounters struct {
 	FailedOver int64
 	// SkippedDown counts sends that skipped this plane on a plane-down
 	// cache hit, paying only the cached status check instead of the full
-	// detection window (Transport only; SendReliable is cacheless).
+	// detection window (Transport only; SendReliable has no plane-down
+	// cache).
 	SkippedDown int64
 	// OSMessages counts background OS-stream messages injected on this
 	// plane (osstream.go; only plane B carries the stream).
@@ -264,19 +265,18 @@ func (d Delivery) Latency() sim.Time { return d.Done - d.Sent }
 // error: degraded operation is a modelled outcome, and the campaign
 // tables count it).
 //
-// SendReliable is the cacheless entry point: every call pays the full
-// detection window on a dead plane, and no route cache amortises the
-// lookup. Long-lived senders should hold a Transport (transport.go)
-// instead — it runs the identical protocol with the plane-down and route
-// caches on top.
+// SendReliable is the stateless entry point: every call pays the full
+// detection window on a dead plane. Long-lived senders should hold a
+// Transport (transport.go) instead — it runs the identical protocol with
+// the plane-down cache on top. Both read routes from the topology's
+// shared route table.
 func (n *Network) SendReliable(at sim.Time, src, dst, payloadBytes int, cfg FailoverConfig) (Delivery, error) {
 	if src < 0 || src >= n.topo.Nodes() {
 		return Delivery{}, fmt.Errorf("netsim: node out of range (%d, %d)", src, dst)
 	}
-	// An ephemeral transport shares the protocol body; its nil route
-	// cache falls through to direct topology lookups, and the zeroed
+	// An ephemeral transport shares the protocol body; the zeroed
 	// ReprobeInterval disables the plane-down cache.
-	eph := Transport{net: n, src: src}
+	eph := Transport{net: n, src: src, routes: n.topo.RoutesFrom(src)}
 	cfg.ReprobeInterval = 0
 	return eph.sendWith(at, dst, payloadBytes, cfg)
 }

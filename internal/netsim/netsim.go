@@ -75,8 +75,10 @@ type Network struct {
 }
 
 // New assembles a network over a topology with default PowerMANNA link
-// and transceiver parameters.
+// and transceiver parameters. It seals the topology (topo.Seal), so the
+// shared route table is allocated at set-up and the wiring is frozen.
 func New(t *topo.Topology) *Network {
+	t.Seal()
 	n := &Network{
 		topo:    t,
 		linkCfg: link.Default("wire"),

@@ -6,9 +6,10 @@
 // campaign, and every layer repeated the route lookup per message. A
 // Transport is a per-source handle over the network that owns:
 //
-//   - route lookup, with a per-(dst, plane) route cache (routes are a
-//     pure function of the immutable topology, so the cache survives
-//     Reset);
+//   - route lookup through its source's row of the topology's shared
+//     route table (routes are a pure function of the immutable wiring,
+//     so every network, transport and shard over one topology computes
+//     each route once, and Reset leaves them alone);
 //   - plane selection under the driver-level failover protocol of
 //     failover.go;
 //   - a per-plane "plane down" cache: after a failed attempt the driver
@@ -36,20 +37,6 @@ import (
 	"powermanna/internal/trace"
 )
 
-// routeEntry caches one (dst, plane) route lookup outcome.
-type routeEntry struct {
-	// state is routeUnknown until the first lookup, then routeOK or
-	// routeNone.
-	state [2]uint8
-	path  [2]topo.Path
-}
-
-const (
-	routeUnknown uint8 = iota
-	routeOK
-	routeNone
-)
-
 // planeDown is the per-plane entry of the driver's plane-down cache.
 type planeDown struct {
 	// down marks the plane as known-dead from the sender's viewpoint.
@@ -63,15 +50,13 @@ type planeDown struct {
 // path internal/comm, internal/mpl and internal/earth go through. Create
 // one per source node with Network.Transport. A Transport is bound to
 // its network's lifetime; Network.Reset clears its fault state (plane-
-// down cache) but keeps the route cache, which depends only on the
-// immutable topology.
+// down cache). Its routes live in the topology and outlive it.
 type Transport struct {
 	net *Network
 	src int
 	cfg FailoverConfig
-	// routes is the per-destination route cache (nil on the ephemeral
-	// transports behind Network.SendReliable).
-	routes []routeEntry
+	// routes is the source's row of the topology's route table.
+	routes topo.RouteRow
 	// down is the plane-down cache, one entry per link interface of the
 	// node (one per network plane of the duplicated system).
 	down [ni.LinksPerNode]planeDown
@@ -94,7 +79,7 @@ func (n *Network) Transport(src int, cfg FailoverConfig) (*Transport, error) {
 		net:    n,
 		src:    src,
 		cfg:    cfg,
-		routes: make([]routeEntry, n.topo.Nodes()),
+		routes: n.topo.RoutesFrom(src),
 	}
 	n.transports = append(n.transports, t)
 	return t, nil
@@ -140,28 +125,13 @@ func (t *Transport) PlaneDown(plane int) (down bool, reprobeAt sim.Time) {
 	return t.down[plane].down, t.down[plane].reprobeAt
 }
 
-// Route returns the cached route from the transport's source to dst on
-// the given plane, computing and caching it on first use.
+// Route returns the route from the transport's source to dst on the
+// given plane, from the topology's shared route table (see topo.Route:
+// the path's slices are shared and read-only).
 //
 //pmlint:hotpath
 func (t *Transport) Route(dst, plane int) (topo.Path, error) {
-	if t.routes == nil || dst < 0 || dst >= len(t.routes) {
-		return t.net.topo.Route(t.src, dst, plane)
-	}
-	e := &t.routes[dst]
-	if e.state[plane] == routeUnknown {
-		p, err := t.net.topo.Route(t.src, dst, plane)
-		if err != nil {
-			e.state[plane] = routeNone
-		} else {
-			e.state[plane] = routeOK
-			e.path[plane] = p
-		}
-	}
-	if e.state[plane] == routeNone {
-		return topo.Path{}, fmt.Errorf("netsim: no plane-%s route %d->%d", planeName(plane), t.src, dst) //pmlint:allow hotpath cold unwired-plane path, cached after the first lookup
-	}
-	return e.path[plane], nil
+	return t.routes.Route(dst, plane)
 }
 
 // Send posts payloadBytes to dst under the failover protocol with the
@@ -175,8 +145,8 @@ func (t *Transport) Send(at sim.Time, dst, payloadBytes int) (Delivery, error) {
 	return t.sendWith(at, dst, payloadBytes, t.cfg)
 }
 
-// resetFaultState clears the plane-down cache (Network.Reset); the route
-// cache depends only on the immutable topology and survives.
+// resetFaultState clears the plane-down cache (Network.Reset); routes
+// depend only on the immutable topology and are not the transport's.
 func (t *Transport) resetFaultState() {
 	t.down = [ni.LinksPerNode]planeDown{}
 }
@@ -208,9 +178,10 @@ func (t *Transport) sendWith(at sim.Time, dst, payloadBytes int, cfg FailoverCon
 }
 
 // sendProtocol is the shared failover protocol: the body of both
-// Transport.Send and the cacheless Network.SendReliable. All protocol
-// costs — stall deferral, ack timeout, NACK return, backoff, plane-down
-// status checks — land in the returned Delivery's times.
+// Transport.Send and Network.SendReliable (which has no plane-down
+// cache). All protocol costs — stall deferral, ack timeout, NACK return,
+// backoff, plane-down status checks — land in the returned Delivery's
+// times.
 //
 // The plane-down cache never loses a message on its own: a send is
 // reported failed only after a real attempt on every wired plane, so if

@@ -9,9 +9,9 @@ import (
 	"powermanna/internal/topo"
 )
 
-// TestTransportRouteCache verifies the per-(dst, plane) route cache
-// returns the same path the topology computes, on both planes, and keeps
-// returning it on repeated lookups.
+// TestTransportRouteCache verifies the transport's row of the shared
+// route table returns the same path the topology computes, on both
+// planes, and keeps returning it on repeated lookups.
 func TestTransportRouteCache(t *testing.T) {
 	n := New(topo.Cluster8())
 	tp := n.MustTransport(2, DefaultFailover())
@@ -33,7 +33,8 @@ func TestTransportRouteCache(t *testing.T) {
 }
 
 // TestTransportRouteHitAllocatesNothing pins the warm half of the route
-// cache: once a (dst, plane) entry is filled, a lookup is a slice read.
+// table: once a (dst, plane) slot is filled, a lookup is one index and
+// one atomic load.
 func TestTransportRouteHitAllocatesNothing(t *testing.T) {
 	n := New(topo.System256())
 	tp := n.MustTransport(0, DefaultFailover())
@@ -301,5 +302,54 @@ func TestResetRestoresByteIdenticalRun(t *testing.T) {
 	second := run()
 	if first != second {
 		t.Errorf("re-run after Reset not byte-identical\nfirst:\n%s\nsecond:\n%s", first, second)
+	}
+}
+
+var (
+	sinkNet  *Network
+	sinkPath topo.Path
+)
+
+// BenchmarkNewNetwork builds a System256 network and its 128 per-node
+// transports over one topology, as every fault-campaign row does.
+func BenchmarkNewNetwork(b *testing.B) {
+	top := topo.System256()
+	cfg := DefaultFailover()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := New(top)
+		for src := 0; src < top.Nodes(); src++ {
+			n.MustTransport(src, cfg)
+		}
+		sinkNet = n
+	}
+}
+
+// BenchmarkTransportRouteHit cycles one System256 transport over every
+// destination on both planes after a warm-up pass: each iteration is a
+// route hit.
+func BenchmarkTransportRouteHit(b *testing.B) {
+	n := New(topo.System256())
+	tp := n.MustTransport(5, DefaultFailover())
+	nodes := n.Topology().Nodes()
+	for i := 0; i < 2*nodes; i++ {
+		if _, err := tp.Route(i/2, i%2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	dst, plane := 0, 0
+	for i := 0; i < b.N; i++ {
+		p, err := tp.Route(dst, plane)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkPath = p
+		if plane ^= 1; plane == 0 {
+			if dst++; dst == nodes {
+				dst = 0
+			}
+		}
 	}
 }

@@ -23,11 +23,15 @@
 // Arbitrary hierarchies can be assembled with the same primitives; routes
 // are found by breadth-first search over the port graph, which is valid
 // because the PowerMANNA crossbar routes any input to any output (unlike
-// the CM-5's level-restricted 8×8 crossbar).
+// the CM-5's level-restricted 8×8 crossbar). A route depends only on the
+// wiring, so each (src, dst, network) is searched once per Topology and
+// shared by every network, transport and shard built over it.
 package topo
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"powermanna/internal/xbar"
 )
@@ -38,6 +42,9 @@ const (
 	NetworkA = 0
 	NetworkB = 1
 )
+
+// networks is the number of duplicated networks a route can leave on.
+const networks = 2
 
 // edge is one end of a bidirectional physical link, stored at the port
 // it leaves from; the zero edge is an unwired port.
@@ -57,6 +64,12 @@ type Topology struct {
 	// is links[dev*xbar.Ports+p]. Nodes use the first two slots of their
 	// stride (link ports 0 and 1).
 	links []edge
+	// routes is the shared route table: the outcome of Route(src, dst,
+	// network) is published once at routes[(src*nodes+dst)*networks+
+	// network]. Seal allocates it; a non-nil table means the wiring is
+	// frozen.
+	routes []atomic.Pointer[route]
+	seal   sync.Once
 }
 
 // New starts an empty topology with the given number of nodes.
@@ -77,8 +90,9 @@ func (t *Topology) Crossbars() int { return len(t.xbarName) }
 func (t *Topology) CrossbarName(i int) string { return t.xbarName[i] }
 
 // AddCrossbar appends a crossbar and returns its device index (node count
-// + crossbar ordinal).
+// + crossbar ordinal). It panics once the topology is sealed.
 func (t *Topology) AddCrossbar(name string) int {
+	t.mustBeOpen("AddCrossbar")
 	t.xbarName = append(t.xbarName, name)
 	t.links = append(t.links, make([]edge, xbar.Ports)...)
 	return t.nodes + len(t.xbarName) - 1
@@ -96,8 +110,10 @@ func (t *Topology) isNode(dev int) bool { return dev < t.nodes }
 
 // Connect wires (devA, portA) to (devB, portB) as one bidirectional link.
 // async marks an inter-cabinet link through transceivers. It returns an
-// error if either port is already wired or out of range.
+// error if either port is already wired or out of range, and panics once
+// the topology is sealed.
 func (t *Topology) Connect(devA, portA, devB, portB int, async bool) error {
+	t.mustBeOpen("Connect")
 	for _, dp := range [2][2]int{{devA, portA}, {devB, portB}} {
 		if err := t.checkPort(dp[0], dp[1]); err != nil {
 			return err
@@ -109,6 +125,24 @@ func (t *Topology) Connect(devA, portA, devB, portB int, async bool) error {
 	t.links[devA*xbar.Ports+portA] = edge{peerDev: devB, peerPort: portB, async: async, wired: true}
 	t.links[devB*xbar.Ports+portB] = edge{peerDev: devA, peerPort: portA, async: async, wired: true}
 	return nil
+}
+
+// Seal freezes the wiring and allocates the shared route table (8 bytes
+// per (src, dst, network) slot: 262 KB for System256). Routes are filled
+// on first lookup and never recomputed, so rewiring afterwards would leave
+// them stale: Connect and AddCrossbar panic on a sealed topology. The
+// first Route seals implicitly; netsim.New seals up front so a simulation
+// pays for the table at set-up. Seal is idempotent and safe for
+// concurrent use.
+func (t *Topology) Seal() {
+	t.seal.Do(func() { t.routes = make([]atomic.Pointer[route], t.nodes*t.nodes*networks) })
+}
+
+// mustBeOpen panics if the topology is sealed.
+func (t *Topology) mustBeOpen(op string) {
+	if t.routes != nil {
+		panic(fmt.Sprintf("topo %s: %s after routing (the topology is sealed)", t.name, op))
+	}
 }
 
 func (t *Topology) checkPort(dev, p int) error {
@@ -152,6 +186,12 @@ type Path struct {
 // crossbars of the Figure 5b system share permutation traffic instead of
 // funnelling through one — the load distribution the duplicated
 // hierarchy is built for.
+//
+// Each (src, dst, network) outcome, an unwired-plane or no-route error
+// included, is searched once and cached in the topology's shared route
+// table (see Seal); out-of-range arguments are rejected without caching.
+// The returned Hops and RouteBytes are shared by every caller and must be
+// treated as read-only. Route is safe for concurrent use.
 func (t *Topology) Route(src, dst, network int) (Path, error) {
 	if src < 0 || src >= t.nodes || dst < 0 || dst >= t.nodes {
 		return Path{}, fmt.Errorf("topo %s: node out of range (%d, %d)", t.name, src, dst)
@@ -159,23 +199,101 @@ func (t *Topology) Route(src, dst, network int) (Path, error) {
 	if network != NetworkA && network != NetworkB {
 		return Path{}, fmt.Errorf("topo %s: network %d invalid", t.name, network)
 	}
+	t.Seal()
+	slot := &t.routes[(src*t.nodes+dst)*networks+network]
+	r := slot.Load()
+	if r == nil {
+		// Concurrent first lookups each search; the compare-and-swap keeps
+		// the first result and the others adopt it, dropping their
+		// identical copies, so no lock is needed.
+		r = t.search(src, dst, network)
+		if !slot.CompareAndSwap(nil, r) {
+			r = slot.Load()
+		}
+	}
+	return r.path, r.err
+}
+
+// RouteRow is one source node's row of the shared route table: a handle
+// for senders that look up many routes from the same node, whose warm
+// lookup is one index and one atomic load.
+type RouteRow struct {
+	t     *Topology
+	src   int
+	slots []atomic.Pointer[route]
+}
+
+// RoutesFrom returns node src's row of the route table, sealing the
+// topology. An out-of-range src yields a row whose lookups all return
+// Route's range error.
+func (t *Topology) RoutesFrom(src int) RouteRow {
+	t.Seal()
+	r := RouteRow{t: t, src: src}
+	if src >= 0 && src < t.nodes {
+		r.slots = t.routes[src*t.nodes*networks : (src+1)*t.nodes*networks]
+	}
+	return r
+}
+
+// Route is Topology.Route from the row's source node.
+//
+//pmlint:hotpath
+func (r *RouteRow) Route(dst, network int) (Path, error) {
+	if uint(dst) < uint(len(r.slots)/networks) && uint(network) < networks {
+		if e := r.slots[dst*networks+network].Load(); e != nil {
+			return e.path, e.err
+		}
+	}
+	return r.t.Route(r.src, dst, network)
+}
+
+// inlineHops is the longest route whose Hops and RouteBytes live inside
+// its table entry, so a cold fill is one allocation (System256 routes
+// cross at most three crossbars). Longer mesh routes allocate both.
+const inlineHops = 4
+
+// searchScratch bounds the stack-held BFS scratch (two int32 per device);
+// larger topologies search with a heap scratch.
+const searchScratch = 512
+
+// route is one route-table entry: a lookup outcome and the storage its
+// path's slices alias.
+type route struct {
+	path  Path
+	err   error
+	hops  [inlineHops]Hop
+	bytes [inlineHops]byte
+}
+
+// search runs the uncached breadth-first route search for validated
+// arguments. A failed search leaves the entry's path zero.
+func (t *Topology) search(src, dst, network int) *route {
+	r := &route{}
 	if src == dst {
-		return Path{Src: src, Dst: dst, Network: network}, nil
+		r.path = Path{Src: src, Dst: dst, Network: network}
+		return r
 	}
 	first := t.link(src, network)
 	if !first.wired {
-		return Path{}, fmt.Errorf("topo %s: node %d link %d not wired", t.name, src, network)
+		r.err = fmt.Errorf("topo %s: node %d link %d not wired", t.name, src, network)
+		return r
 	}
 
 	// BFS over devices, starting from the device at the end of src's link.
-	// One per-call slice holds all search state — never shared on the
-	// Topology, because psim shards route concurrently. pred[dev] is 0 for
-	// an unvisited device, -1 for a root (src and the first device), else
-	// 1 + the port-table slot dev was discovered through; queue holds the
-	// crossbars awaiting expansion (each device is enqueued at most once,
-	// so it never outgrows its half).
+	// One slice holds all search state, on the stack for topologies of up
+	// to searchScratch/2 devices. pred[dev] is 0 for an unvisited device,
+	// -1 for a root (src and the first device), else 1 + the port-table
+	// slot dev was discovered through; queue holds the crossbars awaiting
+	// expansion (each device is enqueued at most once, so it never
+	// outgrows its half).
 	devs := len(t.links) / xbar.Ports
-	scratch := make([]int32, 2*devs)
+	var buf [searchScratch]int32
+	scratch := buf[:0]
+	if 2*devs <= len(buf) {
+		scratch = buf[:2*devs]
+	} else {
+		scratch = make([]int32, 2*devs)
+	}
 	pred, queue := scratch[:devs], scratch[devs:devs]
 	pred[src], pred[first.peerDev] = -1, -1
 	found := first.peerDev == dst
@@ -208,7 +326,8 @@ search:
 		}
 	}
 	if !found {
-		return Path{}, fmt.Errorf("topo %s: no route %d -> %d on network %d", t.name, src, dst, network)
+		r.err = fmt.Errorf("topo %s: no route %d -> %d on network %d", t.name, src, dst, network)
+		return r
 	}
 
 	// Count the crossbars on the way back from dst, then fill the hops in
@@ -218,15 +337,19 @@ search:
 	for dev := dst; dev != first.peerDev; dev = int(pred[dev]-1) / xbar.Ports {
 		n++
 	}
-	path := Path{Src: src, Dst: dst, Network: network}
+	r.path = Path{Src: src, Dst: dst, Network: network}
+	path := &r.path
 	if first.async {
 		path.AsyncLinks++
 	}
-	if n == 0 {
-		return path, nil
+	switch {
+	case n == 0:
+		return r
+	case n <= inlineHops:
+		path.Hops, path.RouteBytes = r.hops[:n:n], r.bytes[:n:n]
+	default:
+		path.Hops, path.RouteBytes = make([]Hop, n), make([]byte, n)
 	}
-	path.Hops = make([]Hop, n)
-	path.RouteBytes = make([]byte, n)
 	dev := dst
 	for i := n - 1; i >= 0; i-- {
 		slot := int(pred[dev] - 1)
@@ -243,7 +366,7 @@ search:
 		}
 	}
 	path.Hops[0].In, path.Hops[0].AsyncIn = first.peerPort, first.async
-	return path, nil
+	return r
 }
 
 // portOrder returns a deterministic pseudo-random permutation of the
