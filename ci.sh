@@ -4,11 +4,12 @@
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet, build, race-enabled tests, the determinism-contract
 # lint (cmd/pmlint), a build of every cmd/* binary, a System256 pmfault
-# campaign pinned against its golden degradation table, pmtrace smoke
-# exports pinned against golden timelines, and the partitioned-engine
-# equivalence gates. The pinned synthetic and application campaigns and
-# their --metrics dumps run under go test, on both engines
-# (TestCampaignGoldens and TestParallelEngineGoldens in golden_test.go).
+# campaign pinned against its golden degradation table, and the
+# partitioned-engine equivalence gates. The pinned synthetic and
+# application campaigns and their --metrics dumps run under go test, on
+# both engines (TestCampaignGoldens and TestParallelEngineGoldens in
+# golden_test.go), as do the pmtrace exports and analytics
+# (TestTraceGoldens).
 # A clean exit means the tree is safe to ship.
 set -eu
 
@@ -126,44 +127,6 @@ fi
 if ! cmp -s testdata/pmstat_default_system256_seed1.golden "$bindir/pmstat.out"; then
     echo "pmstat --engine par --shards 4 diverged from testdata/pmstat_default_system256_seed1.golden:" >&2
     diff testdata/pmstat_default_system256_seed1.golden "$bindir/pmstat.out" >&2 || true
-    exit 1
-fi
-
-echo "== pmtrace smoke exports =="
-# A comm workload and a fault campaign, traced with a fixed seed; the
-# Chrome trace_event exports must match the goldens byte for byte (the
-# timeline half of the determinism contract).
-"$bindir/pmtrace" --run pingpong --seed 1 > "$bindir/pmtrace.out"
-if ! cmp -s "testdata/pmtrace_pingpong_seed1.golden" "$bindir/pmtrace.out"; then
-    echo "pmtrace pingpong output diverged from testdata/pmtrace_pingpong_seed1.golden" >&2
-    exit 1
-fi
-"$bindir/pmtrace" --campaign link-cut --seed 1 --messages 60 > "$bindir/pmtrace.out"
-if ! cmp -s "testdata/pmtrace_link-cut_seed1.golden" "$bindir/pmtrace.out"; then
-    echo "pmtrace link-cut output diverged from testdata/pmtrace_link-cut_seed1.golden" >&2
-    exit 1
-fi
-
-echo "== pmtrace analytics =="
-# The analysis formats share the determinism contract with the exports:
-# a utilization series and a two-seed diff, pinned byte for byte.
-"$bindir/pmtrace" --run pingpong --format utilization --seed 1 > "$bindir/pmtrace.out"
-if ! cmp -s testdata/pmtrace_pingpong_utilization_seed1.golden "$bindir/pmtrace.out"; then
-    echo "pmtrace utilization output diverged from testdata/pmtrace_pingpong_utilization_seed1.golden" >&2
-    diff testdata/pmtrace_pingpong_utilization_seed1.golden "$bindir/pmtrace.out" >&2 || true
-    exit 1
-fi
-"$bindir/pmtrace" --run pingpong --format diff --seed 1 --seed2 2 > "$bindir/pmtrace.out"
-if ! cmp -s testdata/pmtrace_pingpong_diff_seed1_seed2.golden "$bindir/pmtrace.out"; then
-    echo "pmtrace diff output diverged from testdata/pmtrace_pingpong_diff_seed1_seed2.golden" >&2
-    diff testdata/pmtrace_pingpong_diff_seed1_seed2.golden "$bindir/pmtrace.out" >&2 || true
-    exit 1
-fi
-# A same-seed diff must report a clean alignment.
-"$bindir/pmtrace" --run pingpong --format diff --seed 1 --seed2 1 > "$bindir/pmtrace.out"
-if ! grep -q "timelines identical" "$bindir/pmtrace.out"; then
-    echo "pmtrace same-seed diff reported divergence:" >&2
-    cat "$bindir/pmtrace.out" >&2
     exit 1
 fi
 

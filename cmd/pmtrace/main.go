@@ -7,11 +7,12 @@
 //
 // Workloads (--run):
 //
-//	pingpong   seeded message ping-pong over the MPL on the duplicated
-//	           interconnect, with the bursty OS stream contending on
-//	           plane B
+//	pingpong   seeded message ping-pong between random rank pairs over
+//	           the MPL on the split-phase datapath of the duplicated
+//	           interconnect (no OS stream; see fib for OS contention)
 //	fib        the EARTH split-phase fib benchmark (fibers, SU service,
-//	           tokens over both planes)
+//	           tokens over both planes), with the bursty OS stream
+//	           contending on plane B
 //	dispatch   the MPC620 split-transaction bus dispatcher under a
 //	           seeded two-master load
 //
@@ -166,39 +167,52 @@ func runWorkload(rec *trace.Recorder, name string, seed int64, t *topo.Topology,
 }
 
 // runPingPong bounces seeded messages between random rank pairs over
-// the duplicated interconnect while the bursty OS stream contends on
-// plane B, so the trace shows wormhole spans interleaving with OS
-// traffic on shared wires.
+// the split-phase datapath of the duplicated interconnect. The pair
+// schedule is drawn up front; each rank then plays its part of every
+// round in order, so rounds between disjoint pairs overlap on the
+// wires.
 func runPingPong(rec *trace.Recorder, seed int64, t *topo.Topology, rounds int) error {
 	if rounds <= 0 {
 		rounds = 12
 	}
-	w := mpl.NewWorldWith(t, netsim.DefaultFailover())
-	w.Network().SetRecorder(rec)
-	w.Network().AttachOSStream(netsim.BurstyOSStream(seed))
+	w, err := mpl.NewPWorld(t, 1)
+	if err != nil {
+		return err
+	}
+	w.SetRecorder(rec)
 	rng := rand.New(rand.NewSource(seed))
-	payload := make([]byte, 256)
-	for i := 0; i < rounds; i++ {
+	pairs := make([][2]int, rounds)
+	for i := range pairs {
 		a := rng.Intn(w.Ranks())
 		b := rng.Intn(w.Ranks() - 1)
 		if b >= a {
 			b++
 		}
-		if err := w.Send(a, b, i, payload); err != nil {
-			return err
-		}
-		if _, err := w.Recv(b, a, i); err != nil {
-			return err
-		}
-		if err := w.Send(b, a, i, payload); err != nil {
-			return err
-		}
-		if _, err := w.Recv(a, b, i); err != nil {
-			return err
-		}
-		w.Compute(a, 2*sim.Microsecond)
+		pairs[i] = [2]int{a, b}
 	}
-	return nil
+	payload := make([]byte, 256)
+	return w.Run(func(r *mpl.PRank) error {
+		for i, p := range pairs {
+			switch r.Rank() {
+			case p[0]:
+				if err := r.Send(p[1], i, payload); err != nil {
+					return err
+				}
+				if _, err := r.Recv(p[1], i); err != nil {
+					return err
+				}
+				r.Compute(2 * sim.Microsecond)
+			case p[1]:
+				if _, err := r.Recv(p[0], i); err != nil {
+					return err
+				}
+				if err := r.Send(p[0], i, payload); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // runFib records the EARTH fib benchmark: EU fiber spans, SU service

@@ -18,14 +18,20 @@ func main() {
 		powermanna.System256,
 	} {
 		t := build()
-		w := powermanna.NewWorld(t)
+		w, err := powermanna.NewWorld(t, 1)
+		if err != nil {
+			panic(err)
+		}
 		p := w.Ranks()
 
-		contrib := make([][]float64, p)
-		for r := 0; r < p; r++ {
-			contrib[r] = []float64{float64(r + 1), 1}
-		}
-		sum, err := w.AllReduce(contrib, 1)
+		var sum []float64
+		err = w.Run(func(r *powermanna.Rank) error {
+			got, err := r.AllReduce([]float64{float64(r.Rank() + 1), 1}, 1)
+			if r.Rank() == 0 {
+				sum = got
+			}
+			return err
+		})
 		if err != nil {
 			panic(err)
 		}

@@ -28,7 +28,10 @@ func main() {
 		powermanna.Cluster8,
 		powermanna.System256,
 	} {
-		w := powermanna.NewWorld(build())
+		w, err := powermanna.NewWorld(build(), 1)
+		if err != nil {
+			panic(err)
+		}
 		res, err := powermanna.RunHeat(w, cfg)
 		if err != nil {
 			panic(err)

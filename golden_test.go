@@ -83,6 +83,20 @@ var campaignGoldens = []goldenRun{
 	{"pmfault", []string{"--campaign", "heat-linkcut", "--seed", "1", "--metrics"}, "pmfault_heat-linkcut_metrics_seed1.golden"},
 }
 
+// TestTraceGoldens pins pmtrace's exports and analytics byte for byte:
+// the pingpong Chrome trace, its utilization series and its two-seed
+// diff, and the sequential link-cut campaign timeline.
+func TestTraceGoldens(t *testing.T) {
+	for _, c := range []goldenRun{
+		{"pmtrace", []string{"--run", "pingpong", "--seed", "1"}, "pmtrace_pingpong_seed1.golden"},
+		{"pmtrace", []string{"--run", "pingpong", "--format", "utilization", "--seed", "1"}, "pmtrace_pingpong_utilization_seed1.golden"},
+		{"pmtrace", []string{"--run", "pingpong", "--format", "diff", "--seed", "1", "--seed2", "2"}, "pmtrace_pingpong_diff_seed1_seed2.golden"},
+		{"pmtrace", []string{"--campaign", "link-cut", "--seed", "1", "--messages", "60"}, "pmtrace_link-cut_seed1.golden"},
+	} {
+		checkGolden(t, c, c.args)
+	}
+}
+
 // TestParallelEngineGoldens reruns the pinned campaigns — degradation
 // tables, both metrics dumps and a Chrome trace timeline — on
 // the lookahead-0 row engine (--engine par, one psim shard per rate

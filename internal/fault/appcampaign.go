@@ -9,12 +9,12 @@
 // workloads run SPMD-style over the node-partitioned datapath
 // (mpl.PWorld), whose split-phase sends cross psim shards through
 // mailboxes; severed plane-A wires push traffic onto plane B. EARTH
-// workloads keep the legacy single-heap path and additionally contend
-// with the background operating-system stream (netsim's OS stream, per
-// Section 4's software separation; partitioned rows carry none — see
-// AppCampaign.PartWorkload). The table reports makespan inflation
-// instead of per-message latency, because for an application that is
-// the number that matters.
+// workloads run on the single-heap synchronous path and additionally
+// contend with the background operating-system stream (netsim's OS
+// stream, per Section 4's software separation; partitioned rows carry
+// none — see AppCampaign.PartWorkload). The table reports makespan
+// inflation instead of per-message latency, because for an application
+// that is the number that matters.
 //
 // App campaigns inject only LinkCut faults, applied to the network up
 // front: a cut wire's state is parameterized by time (dead from At
@@ -67,24 +67,20 @@ type AppCampaign struct {
 	// Rates is the fault-count sweep; the leading 0 row sizes the fault
 	// window and the inflation baseline.
 	Rates []int
-	// Workload runs the application over a fresh world and returns its
-	// makespan. It must also verify the computation's result — a fault
-	// campaign that silently returns wrong numbers proves nothing.
-	Workload func(w *mpl.World) (sim.Time, error)
-	// PartWorkload runs the application over the node-partitioned
-	// datapath (mpl.PWorld) instead of the legacy virtual-time world:
-	// rank coroutines, split-phase sends through psim mailboxes, and —
-	// under Options.Shards > 1 with the parallel engine — real
-	// single-workload parallelism. Output is byte-identical at every
-	// aligned shard count. Partitioned rows carry no background OS
-	// stream (the lazy injector needs the global send order the
-	// partitioned path dissolves), so their os-msgs column reads 0.
+	// PartWorkload runs a message-passing application over a fresh
+	// mpl.PWorld and returns its makespan: rank coroutines, split-phase
+	// sends through psim mailboxes, and — under Options.Shards > 1 with
+	// the parallel engine — real single-workload parallelism. Output is
+	// byte-identical at every aligned shard count. It must also verify
+	// the computation's result — a fault campaign that silently returns
+	// wrong numbers proves nothing. These rows carry no background OS
+	// stream (the lazy injector needs a global send order the
+	// partitioned path does not have), so their os-msgs column reads 0.
 	PartWorkload func(w *mpl.PWorld) (sim.Time, error)
-	// EarthWorkload runs an EARTH-runtime program instead of a
-	// message-passing one; exactly one of Workload, PartWorkload and
-	// EarthWorkload is set. Like Workload it must verify its result, and
-	// it must surface a lost token as an error (System.Err), never a
-	// panic.
+	// EarthWorkload runs an EARTH-runtime program instead, contending
+	// with the plane-B OS stream; exactly one of PartWorkload and
+	// EarthWorkload is set. It must verify its result too, and surface
+	// a lost token as an error (System.Err), never a panic.
 	EarthWorkload func(s *earth.System) (sim.Time, error)
 }
 
@@ -236,35 +232,35 @@ type appOutcome struct {
 // runs the workload and closes the accounting. EARTH workloads take
 // the row's engine as their own event queue (earth.NewWithEngine), so
 // under the parallel sweep the runtime's events live on the row's
-// shard heap; message-passing workloads advance rank clocks directly
-// and use the engine only as the row's execution slot. Partitioned
-// workloads own a nested psim engine (the PWorld's shards), so their
-// rows must run on a plain scheduler — RunApp keeps them off the
-// parallel-row path and lets the PWorld supply the parallelism.
+// shard heap. Message-passing workloads own a nested psim engine (the
+// PWorld's shards) and use the row's engine only as its execution
+// slot, so their rows must run on a plain scheduler — RunApp keeps
+// them off the parallel-row path and lets the PWorld supply the
+// parallelism.
 func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline sim.Time, eng sim.Engine, out *appOutcome) {
 	eng.At(0, func() {
 		var runW func() (sim.Time, error)
 		var net *netsim.Network
 		var setMetrics func(*metrics.Registry)
 		var setRecorder func()
-		plane := func(p int) netsim.PlaneCounters { return net.Plane(p) }
-		counters := func(p int) stats.CounterSet { return net.PlaneCounterSet(p) }
-		osStream := true
-		switch {
-		case c.EarthWorkload != nil:
+		var plane func(p int) netsim.PlaneCounters
+		var counters func(p int) stats.CounterSet
+		if c.EarthWorkload != nil {
 			s := earth.NewWithEngine(opt.Topology, earth.DefaultParams(), netsim.DefaultFailover(), eng)
 			net = s.Network()
+			net.AttachOSStream(netsim.DefaultOSStream())
 			runW = func() (sim.Time, error) { return c.EarthWorkload(s) }
 			// EARTH workloads attach through the runtime so the earth.*
 			// instruments come along with the network's.
 			setMetrics = func(m *metrics.Registry) { s.SetMetrics(m) }
 			setRecorder = func() { net.SetRecorder(opt.Trace) }
-		case c.PartWorkload != nil:
+			plane, counters = net.Plane, net.PlaneCounterSet
+		} else {
 			shards := 1
 			if opt.Engine == psim.Par {
 				shards = opt.Shards
 			}
-			pw, err := mpl.NewPWorldWith(opt.Topology, shards, netsim.DefaultFailover())
+			pw, err := mpl.NewPWorld(opt.Topology, shards)
 			if err != nil {
 				out.err = fmt.Errorf("fault: app campaign %q at rate %d: %w", c.Name, rate, err)
 				return
@@ -278,22 +274,7 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 			runW = func() (sim.Time, error) { return c.PartWorkload(pw) }
 			setMetrics = func(m *metrics.Registry) { pw.SetMetrics(m) }
 			setRecorder = func() { pw.SetRecorder(opt.Trace) }
-			plane = func(p int) netsim.PlaneCounters { return pn.Plane(p) }
-			counters = func(p int) stats.CounterSet { return pn.PlaneCounterSet(p) }
-			// No background OS stream: the lazy injector needs the global
-			// send order, which the partitioned split-phase path dissolves.
-			osStream = false
-		default:
-			w := mpl.NewWorldWith(opt.Topology, netsim.DefaultFailover())
-			net = w.Network()
-			runW = func() (sim.Time, error) { return c.Workload(w) }
-			// Message-passing workloads attach through the world so the
-			// mpl.* receive-wait view comes along with the network's.
-			setMetrics = func(m *metrics.Registry) { w.SetMetrics(m) }
-			setRecorder = func() { net.SetRecorder(opt.Trace) }
-		}
-		if osStream {
-			net.AttachOSStream(netsim.DefaultOSStream())
+			plane, counters = pn.Plane, pn.PlaneCounterSet
 		}
 		if observed {
 			if opt.Trace != nil {
@@ -373,6 +354,9 @@ func RunApp(c AppCampaign, opt Options) (*AppResult, error) {
 	if len(c.Rates) == 0 || c.Rates[0] != 0 {
 		return nil, fmt.Errorf("fault: app campaign %q must lead with a 0 rate (it sizes the fault window)", c.Name)
 	}
+	if (c.PartWorkload == nil) == (c.EarthWorkload == nil) {
+		return nil, fmt.Errorf("fault: app campaign %q must set exactly one of PartWorkload and EarthWorkload", c.Name)
+	}
 	res := &AppResult{Campaign: c, Options: opt}
 	outs := make([]appOutcome, len(c.Rates))
 
@@ -385,7 +369,7 @@ func RunApp(c AppCampaign, opt Options) (*AppResult, error) {
 	baseline := outs[0].row.Makespan
 
 	rest := c.Rates[1:]
-	if opt.Engine == psim.Par && len(rest) > 0 && c.PartWorkload == nil {
+	if opt.Engine == psim.Par && len(rest) > 0 && c.EarthWorkload != nil {
 		eng := psim.NewEngine(len(rest), 0)
 		for i, rate := range rest {
 			runAppRate(c, opt, rate, i == len(rest)-1, baseline, eng.Shard(i), &outs[i+1])

@@ -223,12 +223,20 @@ func TestAppCampaignGolden(t *testing.T) {
 	}
 }
 
-// TestAppCampaignValidation pins the rate-0-first requirement and name
-// resolution.
+// TestAppCampaignValidation pins the rate-0-first requirement, the
+// one-workload-kind requirement and name resolution.
 func TestAppCampaignValidation(t *testing.T) {
 	bad := AppCampaign{Name: "bad", Rates: []int{1}, PartWorkload: allreduceWorkload}
 	if _, err := RunApp(bad, Options{Seed: 1}); err == nil {
 		t.Error("campaign without a leading 0 rate accepted")
+	}
+	for _, kinds := range []AppCampaign{
+		{Name: "none", Rates: []int{0}},
+		{Name: "both", Rates: []int{0}, PartWorkload: allreduceWorkload, EarthWorkload: fibWorkload},
+	} {
+		if _, err := RunApp(kinds, Options{Seed: 1}); err == nil || !strings.Contains(err.Error(), "exactly one") {
+			t.Errorf("campaign %q: workload-kind error = %v", kinds.Name, err)
+		}
 	}
 	if _, ok := AppCampaignByName("no-such-campaign"); ok {
 		t.Error("unknown app campaign resolved")

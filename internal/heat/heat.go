@@ -120,31 +120,21 @@ type Result struct {
 	CellsEach int
 }
 
-// Run solves the equation across all ranks of a message-passing world,
-// one contiguous block per rank, exchanging one-cell halos every step.
-func Run(w *mpl.World, cfg Config) (Result, error) {
+// RunPart solves the equation across all ranks of a message-passing
+// world, one SPMD function per rank: each rank holds one contiguous
+// block plus two halo cells, exchanges one-cell halos with its
+// neighbours every step, charges ComputeCyclesPerCell per updated cell
+// to its clock, and joins a residual AllReduce every ReduceEvery steps.
+// The field is bit-identical to RunSerial at every rank and shard
+// count; the makespan composes the cell-update cost with the network's
+// message timing.
+func RunPart(w *mpl.PWorld, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	p := w.Ranks()
 	if cfg.Cells < 3*p {
 		return Result{}, fmt.Errorf("heat: %d cells across %d ranks leaves blocks under 3 cells", cfg.Cells, p)
-	}
-
-	// Block decomposition; each rank holds [lo, hi) plus two halo cells.
-	lo := make([]int, p)
-	hi := make([]int, p)
-	for r := 0; r < p; r++ {
-		lo[r] = r * cfg.Cells / p
-		hi[r] = (r + 1) * cfg.Cells / p
-	}
-	cur := make([][]float64, p)
-	next := make([][]float64, p)
-	for r := 0; r < p; r++ {
-		n := hi[r] - lo[r]
-		cur[r] = make([]float64, n+2)
-		next[r] = make([]float64, n+2)
-		initialBlock(cur[r][1:n+1], cfg.Cells, lo[r])
 	}
 
 	encode := func(v float64) []byte {
@@ -156,80 +146,73 @@ func Run(w *mpl.World, cfg Config) (Result, error) {
 		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
 
-	for s := 0; s < cfg.Steps; s++ {
-		// Halo exchange: post all sends, then receive. Tags encode the
-		// step and direction so rounds never cross-match.
-		tagL, tagR := 2*s, 2*s+1
-		for r := 0; r < p; r++ {
-			n := hi[r] - lo[r]
-			if r > 0 {
-				if err := w.Send(r, r-1, tagR, encode(cur[r][1])); err != nil {
-					return Result{}, err
-				}
-			}
-			if r < p-1 {
-				if err := w.Send(r, r+1, tagL, encode(cur[r][n])); err != nil {
-					return Result{}, err
-				}
-			}
-		}
-		for r := 0; r < p; r++ {
-			n := hi[r] - lo[r]
-			if r > 0 {
-				b, err := w.Recv(r, r-1, tagL)
-				if err != nil {
-					return Result{}, err
-				}
-				cur[r][0] = decode(b)
-			} else {
-				cur[r][0] = 0 // physical boundary
-			}
-			if r < p-1 {
-				b, err := w.Recv(r, r+1, tagR)
-				if err != nil {
-					return Result{}, err
-				}
-				cur[r][n+1] = decode(b)
-			} else {
-				cur[r][n+1] = 0
-			}
-		}
+	// Each rank writes only its own block; the slice is read after the
+	// engine has drained.
+	out := make([]float64, cfg.Cells)
+	err := w.Run(func(r *mpl.PRank) error {
+		rank := r.Rank()
+		lo, hi := rank*cfg.Cells/p, (rank+1)*cfg.Cells/p
+		n := hi - lo
+		cur := make([]float64, n+2)
+		next := make([]float64, n+2)
+		initialBlock(cur[1:n+1], cfg.Cells, lo)
 
-		// Local update, charged to each rank's clock; the physical
-		// boundaries stay pinned at zero exactly as in the serial code.
-		for r := 0; r < p; r++ {
-			n := hi[r] - lo[r]
-			step(next[r], cur[r], cfg.Alpha)
-			if r == 0 {
-				next[r][1] = 0
+		for s := 0; s < cfg.Steps; s++ {
+			tagL, tagR := 2*s, 2*s+1
+			if rank > 0 {
+				if err := r.Send(rank-1, tagR, encode(cur[1])); err != nil {
+					return err
+				}
 			}
-			if r == p-1 {
-				next[r][n] = 0
+			if rank < p-1 {
+				if err := r.Send(rank+1, tagL, encode(cur[n])); err != nil {
+					return err
+				}
 			}
-			w.Compute(r, sim.ClockMHz(180).Cycles(cfg.ComputeCyclesPerCell*int64(n)))
-			cur[r], next[r] = next[r], cur[r]
-		}
+			if rank > 0 {
+				b, err := r.Recv(rank-1, tagL)
+				if err != nil {
+					return err
+				}
+				cur[0] = decode(b)
+			} else {
+				cur[0] = 0 // physical boundary
+			}
+			if rank < p-1 {
+				b, err := r.Recv(rank+1, tagR)
+				if err != nil {
+					return err
+				}
+				cur[n+1] = decode(b)
+			} else {
+				cur[n+1] = 0
+			}
 
-		// Periodic residual reduction (the convergence check).
-		if cfg.ReduceEvery > 0 && (s+1)%cfg.ReduceEvery == 0 && p > 1 {
-			contrib := make([][]float64, p)
-			for r := 0; r < p; r++ {
+			step(next, cur, cfg.Alpha)
+			if rank == 0 {
+				next[1] = 0
+			}
+			if rank == p-1 {
+				next[n] = 0
+			}
+			r.Compute(sim.ClockMHz(180).Cycles(cfg.ComputeCyclesPerCell * int64(n)))
+			cur, next = next, cur
+
+			if cfg.ReduceEvery > 0 && (s+1)%cfg.ReduceEvery == 0 && p > 1 {
 				var sum float64
-				for _, v := range cur[r][1 : hi[r]-lo[r]+1] {
+				for _, v := range cur[1 : n+1] {
 					sum += v * v
 				}
-				contrib[r] = []float64{sum}
-			}
-			if _, err := w.AllReduce(contrib, 1000+s); err != nil {
-				return Result{}, err
+				if _, err := r.AllReduce([]float64{sum}, 1000+s); err != nil {
+					return err
+				}
 			}
 		}
-	}
-
-	// Assemble the global field.
-	out := make([]float64, cfg.Cells)
-	for r := 0; r < p; r++ {
-		copy(out[lo[r]:hi[r]], cur[r][1:hi[r]-lo[r]+1])
+		copy(out[lo:hi], cur[1:n+1])
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	out[0], out[cfg.Cells-1] = 0, 0
 	msgs, bytes := w.Stats()

@@ -1,7 +1,9 @@
 package heat
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"powermanna/internal/mpl"
@@ -52,22 +54,34 @@ func TestSerialConservesAndDiffuses(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerialExactly(t *testing.T) {
-	cfg := DefaultConfig(333, 120) // odd size: uneven blocks
-	want, err := RunSerial(cfg)
+// runPart solves cfg on a fresh 1-shard world over top.
+func runPart(t *testing.T, top *topo.Topology, cfg Config) Result {
+	t.Helper()
+	w, err := mpl.NewPWorld(top, 1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("NewPWorld(%s): %v", top.Name(), err)
 	}
-	for _, build := range []func() *topo.Topology{topo.Cluster8, topo.System256} {
-		w := mpl.NewWorld(build())
-		if build().Nodes() == 128 && cfg.Cells < 3*128 {
-			cfg.Cells = 512
-			want, _ = RunSerial(cfg)
-		}
-		res, err := Run(w, cfg)
+	res, err := RunPart(w, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", top.Name(), err)
+	}
+	return res
+}
+
+// TestParallelMatchesSerialExactly checks bit-identical fields for an
+// odd domain split into uneven blocks on Cluster8 and for the 128-rank
+// machine.
+func TestParallelMatchesSerialExactly(t *testing.T) {
+	for _, c := range []struct {
+		top   *topo.Topology
+		cells int
+	}{{topo.Cluster8(), 333}, {topo.System256(), 512}} {
+		cfg := DefaultConfig(c.cells, 120)
+		want, err := RunSerial(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := runPart(t, c.top, cfg)
 		for i := range want {
 			if res.Field[i] != want[i] {
 				t.Fatalf("%d ranks: cell %d = %g, want %g (must be bit-identical)",
@@ -80,16 +94,8 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 func TestStrongScaling(t *testing.T) {
 	cfg := DefaultConfig(32768, 60)
 	cfg.ReduceEvery = 0
-	w1 := mpl.NewWorld(topo.New("single", 1))
-	r1, err := Run(w1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w8 := mpl.NewWorld(topo.Cluster8())
-	r8, err := Run(w8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := runPart(t, topo.New("single", 1), cfg)
+	r8 := runPart(t, topo.Cluster8(), cfg)
 	speedup := float64(r1.Makespan) / float64(r8.Makespan)
 	if speedup < 3 {
 		t.Errorf("8-rank speedup = %.2f, want > 3 (compute-bound domain)", speedup)
@@ -108,16 +114,8 @@ func TestScalingRollsOverWhenCommBound(t *testing.T) {
 	// compute, so 128 ranks must NOT be ~16x faster than 8.
 	cfg := DefaultConfig(512, 40)
 	cfg.ReduceEvery = 0
-	w8 := mpl.NewWorld(topo.Cluster8())
-	r8, err := Run(w8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w128 := mpl.NewWorld(topo.System256())
-	r128, err := Run(w128, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r8 := runPart(t, topo.Cluster8(), cfg)
+	r128 := runPart(t, topo.System256(), cfg)
 	gain := float64(r8.Makespan) / float64(r128.Makespan)
 	if gain > 4 {
 		t.Errorf("128 vs 8 ranks gained %.2fx on a comm-bound domain, expected rollover", gain)
@@ -125,14 +123,17 @@ func TestScalingRollsOverWhenCommBound(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	w := mpl.NewWorld(topo.Cluster8())
+	w, err := mpl.NewPWorld(topo.Cluster8(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := DefaultConfig(10, 5) // 10 cells over 8 ranks: blocks too small
-	if _, err := Run(w, bad); err == nil {
+	if _, err := RunPart(w, bad); err == nil {
 		t.Error("undersized domain accepted")
 	}
 	broken := DefaultConfig(100, 5)
 	broken.Alpha = 0.9
-	if _, err := Run(w, broken); err == nil {
+	if _, err := RunPart(w, broken); err == nil {
 		t.Error("unstable alpha accepted")
 	}
 	if _, err := RunSerial(broken); err == nil {
@@ -141,14 +142,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestDeterministicMakespan(t *testing.T) {
-	run := func() sim.Time {
-		w := mpl.NewWorld(topo.Cluster8())
-		r, err := Run(w, DefaultConfig(1024, 30))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Makespan
-	}
+	run := func() sim.Time { return runPart(t, topo.Cluster8(), DefaultConfig(1024, 30)).Makespan }
 	if a, b := run(), run(); a != b {
 		t.Errorf("non-deterministic: %v vs %v", a, b)
 	}
@@ -194,5 +188,133 @@ func TestInitialBlockMatchesField(t *testing.T) {
 				t.Errorf("block [%d, %d): cell %d = %v, field has %v", lo, hi, lo+i, v, field[lo+i])
 			}
 		}
+	}
+}
+
+// TestPartMatchesSerialExactly pins the SPMD solver's arithmetic: the
+// field computed over the partitioned world is bit-identical to the
+// serial reference, at every aligned shard count.
+func TestPartMatchesSerialExactly(t *testing.T) {
+	top := topo.System256()
+	cfg := DefaultConfig(24*top.Nodes(), 60)
+	want, err := RunSerial(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		w, err := mpl.NewPWorld(top, shards)
+		if err != nil {
+			t.Fatalf("NewPWorld(%d): %v", shards, err)
+		}
+		res, err := RunPart(w, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		for i := range want {
+			if res.Field[i] != want[i] {
+				t.Fatalf("shards=%d: cell %d = %g, want %g", shards, i, res.Field[i], want[i])
+			}
+		}
+		if res.Makespan <= 0 || res.Messages == 0 {
+			t.Fatalf("shards=%d: trivial result %+v", shards, res)
+		}
+	}
+}
+
+// TestPartDeterministicAcrossShards pins the timing side: identical
+// makespan and traffic at every aligned shard count, serial or
+// parallel dispatch.
+func TestPartDeterministicAcrossShards(t *testing.T) {
+	top := topo.System256()
+	cfg := DefaultConfig(8*top.Nodes(), 12)
+	cfg.ReduceEvery = 6
+	run := func(shards int, serial bool) Result {
+		w, err := mpl.NewPWorld(top, shards)
+		if err != nil {
+			t.Fatalf("NewPWorld(%d): %v", shards, err)
+		}
+		w.PartNetwork().SetSerial(serial)
+		res, err := RunPart(w, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d serial=%v: %v", shards, serial, err)
+		}
+		return res
+	}
+	ref := run(1, false)
+	for _, shards := range []int{2, 8, 16} {
+		got := run(shards, false)
+		if got.Makespan != ref.Makespan || got.Messages != ref.Messages || got.MsgBytes != ref.MsgBytes {
+			t.Errorf("shards=%d: makespan %v msgs %d bytes %d, want %v %d %d",
+				shards, got.Makespan, got.Messages, got.MsgBytes, ref.Makespan, ref.Messages, ref.MsgBytes)
+		}
+	}
+	if got := run(4, true); got.Makespan != ref.Makespan {
+		t.Errorf("serial dispatch: makespan %v, want %v", got.Makespan, ref.Makespan)
+	}
+}
+
+// TestPartCrossWorkerResume runs the quick System256 solve under
+// parallel dispatch at GOMAXPROCS 1 and 2, where each rank coroutine is
+// resumed by whichever goroutine runs its shard's round. Every run must
+// equal the 1-shard serial run: field, makespan, messages and engine
+// rounds.
+func TestPartCrossWorkerResume(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	top := topo.System256()
+	cfg := DefaultConfig(24*top.Nodes(), 30)
+	run := func(shards int, serial bool) (Result, uint64) {
+		w, err := mpl.NewPWorld(top, shards)
+		if err != nil {
+			t.Fatalf("NewPWorld(%d): %v", shards, err)
+		}
+		w.PartNetwork().SetSerial(serial)
+		res, err := RunPart(w, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d serial=%v: %v", shards, serial, err)
+		}
+		return res, w.PartNetwork().Engine().Rounds()
+	}
+	ref, refRounds := run(1, true)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 2, 4} {
+			got, rounds := run(shards, false)
+			for i := range ref.Field {
+				if got.Field[i] != ref.Field[i] {
+					t.Fatalf("GOMAXPROCS %d shards=%d: cell %d = %g, want %g", procs, shards, i, got.Field[i], ref.Field[i])
+				}
+			}
+			if got.Makespan != ref.Makespan || got.Messages != ref.Messages || rounds != refRounds {
+				t.Errorf("GOMAXPROCS %d shards=%d: makespan %v msgs %d rounds %d, want %v %d %d",
+					procs, shards, got.Makespan, got.Messages, rounds, ref.Makespan, ref.Messages, refRounds)
+			}
+		}
+	}
+}
+
+// BenchmarkHeatSystem256 sweeps the partitioned heat solver across
+// shard counts on the full machine: engine=seq is the single-heap
+// serial-dispatch baseline, engine=par fans the shard heaps across
+// worker goroutines. Wall-clock at shards=4 under -cpu 4 is the
+// headline: the same byte-identical event program, walked in parallel.
+func BenchmarkHeatSystem256(b *testing.B) {
+	top := topo.System256()
+	cfg := DefaultConfig(24*top.Nodes(), 30)
+	run := func(b *testing.B, shards int, serial bool) {
+		for i := 0; i < b.N; i++ {
+			w, err := mpl.NewPWorld(top, shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w.PartNetwork().SetSerial(serial)
+			if _, err := RunPart(w, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("engine=seq/shards=1", func(b *testing.B) { run(b, 1, true) })
+	for _, shards := range []int{1, 2, 4, 8} {
+		shards := shards
+		b.Run(fmt.Sprintf("engine=par/shards=%d", shards), func(b *testing.B) { run(b, shards, false) })
 	}
 }

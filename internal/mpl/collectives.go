@@ -6,10 +6,15 @@ import (
 	"math"
 )
 
-// Collectives over binomial trees. Rounds are driven in deterministic
-// order; each rank's clock advances only through its own sends, receives
-// and reduction arithmetic, so the collective's critical path — O(log P)
-// message latencies — emerges from the point-to-point model.
+// Collectives over binomial trees, in SPMD form: each rank derives its
+// own role per tree level from its index. At level k a rank whose
+// lowest set bit is k is a child (it exchanges with rank - 2^k), and a
+// rank with all bits at or below k clear is a parent of rank + 2^k
+// when that rank exists. Gather levels ascend, broadcast levels
+// descend, so a rank always holds data before it forwards. Each rank's
+// clock advances only through its own sends, receives and reduction
+// arithmetic, so the collective's critical path — O(log P) message
+// latencies — emerges from the point-to-point model.
 
 // reduceOpCyclesPerElement is the per-element cost of combining two
 // float64 values during a reduction (load, add, store on the MPC620).
@@ -39,61 +44,6 @@ func decodeVec(b []byte) []float64 {
 	return v
 }
 
-// Barrier synchronizes all ranks: a binomial gather to rank 0 followed by
-// a binomial broadcast of the release. On return every rank's clock is at
-// least the barrier's completion point.
-func (w *World) Barrier(round int) error {
-	p := w.Ranks()
-	// Gather phase: rank r waits for children r+2^k, then signals parent.
-	for k := 0; 1<<k < p; k++ {
-		for r := 0; r < p; r++ {
-			if r&((1<<(k+1))-1) != 0 {
-				continue
-			}
-			child := r + 1<<k
-			if child >= p {
-				continue
-			}
-			if err := w.Send(child, r, tagBarrier+2*round, nil); err != nil {
-				return err
-			}
-			if _, err := w.Recv(r, child, tagBarrier+2*round); err != nil {
-				return err
-			}
-		}
-	}
-	// Release phase: broadcast from 0 down the same tree.
-	return w.bcastSignal(0, tagBarrier+2*round+1, nil)
-}
-
-// bcastSignal sends payload down a binomial tree rooted at root.
-func (w *World) bcastSignal(root, tag int, payload []byte) error {
-	p := w.Ranks()
-	if root != 0 {
-		return fmt.Errorf("mpl: collectives require root 0 (got %d)", root)
-	}
-	for k := bits(p) - 1; k >= 0; k-- {
-		for r := 0; r < p; r++ {
-			if r&((1<<(k+1))-1) != 0 {
-				continue
-			}
-			child := r + 1<<k
-			if child >= p {
-				continue
-			}
-			if err := w.Send(r, child, tag, payload); err != nil {
-				return err
-			}
-			got, err := w.Recv(child, r, tag)
-			if err != nil {
-				return err
-			}
-			_ = got
-		}
-	}
-	return nil
-}
-
 // bits reports how many tree levels cover p ranks.
 func bits(p int) int {
 	n := 0
@@ -103,102 +53,120 @@ func bits(p int) int {
 	return n
 }
 
-// Bcast distributes vec from rank 0 to all ranks and returns each rank's
-// received copy (index by rank; rank 0 holds the original).
-func (w *World) Bcast(vec []float64, tag int) ([][]float64, error) {
-	p := w.Ranks()
-	out := make([][]float64, p)
-	out[0] = vec
-	payload := encodeVec(vec)
+// Barrier synchronizes all ranks: a binomial gather to rank 0 followed
+// by a binomial broadcast of the release. round keeps successive
+// barriers' tags apart.
+func (r *PRank) Barrier(round int) error {
+	p, rank := r.Ranks(), r.rank
+	tag := tagBarrier + 2*round
+	for k := 0; 1<<k < p; k++ {
+		span := 1 << (k + 1)
+		switch {
+		case rank%span == 1<<k:
+			if err := r.Send(rank-1<<k, tag, nil); err != nil {
+				return err
+			}
+		case rank%span == 0 && rank+1<<k < p:
+			if _, err := r.Recv(rank+1<<k, tag); err != nil {
+				return err
+			}
+		}
+	}
+	rel := tagBarrier + 2*round + 1
 	for k := bits(p) - 1; k >= 0; k-- {
-		for r := 0; r < p; r++ {
-			if r&((1<<(k+1))-1) != 0 || out[r] == nil {
-				continue
+		span := 1 << (k + 1)
+		switch {
+		case rank%span == 1<<k:
+			if _, err := r.Recv(rank-1<<k, rel); err != nil {
+				return err
 			}
-			child := r + 1<<k
-			if child >= p {
-				continue
+		case rank%span == 0 && rank+1<<k < p:
+			if err := r.Send(rank+1<<k, rel, nil); err != nil {
+				return err
 			}
-			if err := w.Send(r, child, tagBcast+tag, payload); err != nil {
-				return nil, err
-			}
-			b, err := w.Recv(child, r, tagBcast+tag)
+		}
+	}
+	return nil
+}
+
+// Bcast distributes vec from rank 0 to all ranks and returns this
+// rank's copy (rank 0 returns vec itself). Non-root ranks may pass
+// nil.
+func (r *PRank) Bcast(vec []float64, tag int) ([]float64, error) {
+	p, rank := r.Ranks(), r.rank
+	data := vec
+	has := rank == 0
+	for k := bits(p) - 1; k >= 0; k-- {
+		span := 1 << (k + 1)
+		switch {
+		case rank%span == 1<<k:
+			b, err := r.Recv(rank-1<<k, tagBcast+tag)
 			if err != nil {
 				return nil, err
 			}
-			out[child] = decodeVec(b)
-		}
-	}
-	return out, nil
-}
-
-// AllReduce sums each rank's contribution element-wise and leaves the
-// result on every rank: binomial reduction to rank 0, then broadcast.
-// It returns the reduced vector.
-func (w *World) AllReduce(contrib [][]float64, tag int) ([]float64, error) {
-	p := w.Ranks()
-	if len(contrib) != p {
-		return nil, fmt.Errorf("mpl: %d contributions for %d ranks", len(contrib), p)
-	}
-	n := len(contrib[0])
-	acc := make([][]float64, p)
-	for r := range acc {
-		if len(contrib[r]) != n {
-			return nil, fmt.Errorf("mpl: rank %d vector length %d != %d", r, len(contrib[r]), n)
-		}
-		acc[r] = append([]float64(nil), contrib[r]...)
-	}
-	// Reduce up the tree.
-	for k := 0; 1<<k < p; k++ {
-		for r := 0; r < p; r++ {
-			if r&((1<<(k+1))-1) != 0 {
-				continue
-			}
-			child := r + 1<<k
-			if child >= p {
-				continue
-			}
-			if err := w.Send(child, r, tagReduce+tag+k, encodeVec(acc[child])); err != nil {
+			data = decodeVec(b)
+			has = true
+		case rank%span == 0 && rank+1<<k < p && has:
+			if err := r.Send(rank+1<<k, tagBcast+tag, encodeVec(data)); err != nil {
 				return nil, err
 			}
-			b, err := w.Recv(r, child, tagReduce+tag+k)
+		}
+	}
+	return data, nil
+}
+
+// AllReduce sums each rank's vector element-wise and returns the
+// global sum on every rank: binomial reduction to rank 0, one tag per
+// level and reduceOpCyclesPerElement per combined element, then
+// broadcast.
+func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
+	p, rank := r.Ranks(), r.rank
+	n := len(vec)
+	acc := append([]float64(nil), vec...)
+	for k := 0; 1<<k < p; k++ {
+		span := 1 << (k + 1)
+		switch {
+		case rank%span == 1<<k:
+			if err := r.Send(rank-1<<k, tagReduce+tag+k, encodeVec(acc)); err != nil {
+				return nil, err
+			}
+		case rank%span == 0 && rank+1<<k < p:
+			b, err := r.Recv(rank+1<<k, tagReduce+tag+k)
 			if err != nil {
 				return nil, err
 			}
 			v := decodeVec(b)
-			for i := range acc[r] {
-				acc[r][i] += v[i]
+			if len(v) != n {
+				return nil, fmt.Errorf("mpl: rank %d reduce level %d got %d elements, want %d", rank, k, len(v), n)
 			}
-			w.Compute(r, w.cycles(int64(n*reduceOpCyclesPerElement)))
+			for i := range acc {
+				acc[i] += v[i]
+			}
+			r.Compute(r.w.cycles(int64(n * reduceOpCyclesPerElement)))
 		}
 	}
-	// Broadcast the result.
-	res, err := w.Bcast(acc[0], tag)
-	if err != nil {
-		return nil, err
-	}
-	// All ranks hold the same vector now; return rank 0's.
-	_ = res
-	return acc[0], nil
+	return r.Bcast(acc, tag)
 }
 
 // Gather collects every rank's vector at rank 0 (direct sends; fine for
-// the sizes the examples use) and returns them in rank order.
-func (w *World) Gather(contrib [][]float64, tag int) ([][]float64, error) {
-	p := w.Ranks()
-	out := make([][]float64, p)
-	out[0] = contrib[0]
-	for r := 1; r < p; r++ {
-		if err := w.Send(r, 0, tagGather+tag+r, encodeVec(contrib[r])); err != nil {
+// the sizes the examples use) and returns them in rank order at rank 0;
+// other ranks return nil.
+func (r *PRank) Gather(vec []float64, tag int) ([][]float64, error) {
+	p, rank := r.Ranks(), r.rank
+	if rank != 0 {
+		if err := r.Send(0, tagGather+tag+rank, encodeVec(vec)); err != nil {
 			return nil, err
 		}
+		return nil, nil
 	}
-	for r := 1; r < p; r++ {
-		b, err := w.Recv(0, r, tagGather+tag+r)
+	out := make([][]float64, p)
+	out[0] = vec
+	for q := 1; q < p; q++ {
+		b, err := r.Recv(q, tagGather+tag+q)
 		if err != nil {
 			return nil, err
 		}
-		out[r] = decodeVec(b)
+		out[q] = decodeVec(b)
 	}
 	return out, nil
 }

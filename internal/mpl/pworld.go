@@ -2,16 +2,14 @@
 
 // PWorld: the message-passing layer over the node-partitioned datapath.
 //
-// The legacy World is a virtual-time machine: one goroutine owns every
-// rank clock and the whole network, and sends resolve synchronously in
-// program order. That shape cannot parallelise — and it cannot even
-// express a genuinely concurrent workload, because rank program order
-// is the global order. PWorld keeps the same calibrated software
-// overheads (comm.PMParams: PIO lines, poll cycles, setup cycles) but
-// runs each rank as its own coroutine over a netsim.PartNetwork: sends
-// go through the split-phase failover protocol (netsim.SendAsync),
+// PWorld charges the calibrated software overheads (comm.PMParams: PIO
+// lines, poll cycles, setup cycles) on per-rank virtual clocks and runs
+// each rank as its own coroutine over a netsim.PartNetwork: sends go
+// through the split-phase failover protocol (netsim.SendAsync),
 // receives block on real arrival events, and rank execution is driven
-// by the psim shard that owns the rank's node.
+// by the psim shard that owns the rank's node. Ranks run genuinely
+// concurrently: no global program order exists, so the same SPMD
+// program produces the same history at every aligned shard count.
 //
 // Scheduling discipline — rank code runs only nested inside a shard
 // event. Each rank body is an iter.Pull coroutine: the shard resumes it
@@ -32,13 +30,12 @@
 // The build constraint raises this file's language version to go1.23,
 // the first with iter.Pull, while the module's go line stays at go1.22.
 //
-// Model differences from the legacy World, both inherent to losing the
-// global sequential order: a rank's virtual clock may lag its shard's
-// event clock (the verdict that frees the sender arrives at network
-// time), so SendAsync clamps entry times forward — consecutive sends
-// never enter the network before the previous verdict; and there is no
-// background OS stream (the lazy injector advances on the global send
-// order, which no longer exists).
+// Two model consequences of having no global send order: a rank's
+// virtual clock may lag its shard's event clock (the verdict that frees
+// the sender arrives at network time), so SendAsync clamps entry times
+// forward — consecutive sends never enter the network before the
+// previous verdict; and there is no background OS stream (the lazy
+// injector advances on the global send order).
 package mpl
 
 import (
@@ -102,8 +99,8 @@ type PWorld struct {
 type PRank struct {
 	w    *PWorld
 	rank int
-	// clock is the rank's virtual CPU time, advanced by its own sends,
-	// receives and computation exactly as the legacy World advances it.
+	// clock is the rank's virtual CPU time, advanced only by its own
+	// sends, receives and computation.
 	clock sim.Time
 	queue []pmessage
 	state prState
@@ -131,13 +128,7 @@ type PRank struct {
 // default failover protocol, one rank per node, across the given
 // number of psim shards.
 func NewPWorld(t *topo.Topology, shards int) (*PWorld, error) {
-	return NewPWorldWith(t, shards, netsim.DefaultFailover())
-}
-
-// NewPWorldWith builds a partitioned world with an explicit failover
-// configuration.
-func NewPWorldWith(t *topo.Topology, shards int, cfg netsim.FailoverConfig) (*PWorld, error) {
-	pn, err := netsim.NewPartitioned(t, shards, cfg)
+	pn, err := netsim.NewPartitioned(t, shards, netsim.DefaultFailover())
 	if err != nil {
 		return nil, err
 	}
@@ -222,9 +213,10 @@ func (w *PWorld) cycles(n int64) sim.Time { return w.params.CPUClock.Cycles(n) }
 // Run executes fn once per rank, each as its own coroutine, and drives
 // them through the partitioned network until every rank returns or the
 // engine drains with ranks still parked (a communication deadlock —
-// reported as an error naming the stuck ranks). A panic in a rank body
-// reaches Run's caller. No rank coroutine outlives Run. Run may be
-// called once per world.
+// reported as an error naming the stuck ranks, unless a rank returned
+// an error, which is reported instead). A panic in a rank body reaches
+// Run's caller. No rank coroutine outlives Run. Run may be called once
+// per world.
 func (w *PWorld) Run(fn func(r *PRank) error) error {
 	if w.ran {
 		return fmt.Errorf("mpl: PWorld.Run called twice")
@@ -251,19 +243,19 @@ func (w *PWorld) Run(fn func(r *PRank) error) error {
 		}
 	}()
 	w.pn.Run()
+	// A rank error comes first: a rank that returned early usually
+	// strands the partners still waiting on it.
 	var stuck []int
 	for _, r := range w.ranks {
+		if r.err != nil {
+			return fmt.Errorf("mpl: rank %d: %w", r.rank, r.err)
+		}
 		if !r.done {
 			stuck = append(stuck, r.rank)
 		}
 	}
 	if len(stuck) > 0 {
 		return fmt.Errorf("mpl: ranks %v still waiting when the network drained (communication deadlock)", stuck)
-	}
-	for _, r := range w.ranks {
-		if r.err != nil {
-			return fmt.Errorf("mpl: rank %d: %w", r.rank, r.err)
-		}
 	}
 	return nil
 }
@@ -297,9 +289,10 @@ func (r *PRank) Now() sim.Time { return r.clock }
 // Compute advances the rank's clock by local computation time.
 func (r *PRank) Compute(d sim.Time) { r.clock += d }
 
-// Send posts payload to rank dst with a tag, paying the same
-// user-level send path as the legacy World (setup cycles, PIO lines,
-// FIFO overlap with the link). The rank parks until the failover
+// Send posts payload to rank dst with a tag, paying the user-level
+// send path (setup cycles, then PIO at line granularity, overlapped
+// with the link once the FIFO pipeline is full — eager protocol, the
+// paper's NI has no rendezvous). The rank parks until the failover
 // protocol renders the message's verdict; a message lost on both
 // planes is an error.
 func (r *PRank) Send(dst, tag int, payload []byte) error {
@@ -325,6 +318,8 @@ func (r *PRank) Send(dst, tag int, payload []byte) error {
 	if del.Failed {
 		return fmt.Errorf("mpl: message %d->%d lost on both planes", r.rank, dst)
 	}
+	// Sender occupancy: beyond the FIFO, the CPU feeds lines as the link
+	// drains them and is free once the last FIFO's worth remains.
 	tail := len(payload) - w.params.FIFOBytes
 	senderDone := start
 	if tail > 0 {

@@ -1,7 +1,9 @@
 package mpl
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -85,52 +87,54 @@ func TestPWorldDeadlockReported(t *testing.T) {
 }
 
 // TestPWorldCollectives checks the SPMD collectives' arithmetic on a
-// full Cluster8: AllReduce of known vectors, Bcast fan-out, Gather
-// assembly, Barrier completion.
+// full Cluster8 and on a crossbar-free single node: AllReduce of known
+// vectors, Bcast fan-out, Gather assembly, Barrier completion.
 func TestPWorldCollectives(t *testing.T) {
-	w, err := NewPWorld(topo.Cluster8(), 1)
-	if err != nil {
-		t.Fatalf("NewPWorld: %v", err)
-	}
-	p := w.Ranks()
-	wantSum := float64(p*(p+1)) / 2
-	fields := make([][]float64, p)
-	err = w.Run(func(r *PRank) error {
-		rank := r.Rank()
-		got, err := r.AllReduce([]float64{float64(rank + 1), 2}, 7)
+	for _, top := range []*topo.Topology{topo.Cluster8(), topo.New("single", 1)} {
+		w, err := NewPWorld(top, 1)
 		if err != nil {
-			return err
+			t.Fatalf("%s: NewPWorld: %v", top.Name(), err)
 		}
-		if got[0] != wantSum || got[1] != float64(2*p) {
-			return fmt.Errorf("allreduce = %v", got)
-		}
-		bc, err := r.Bcast([]float64{42, float64(rank)}, 9)
-		if err != nil {
-			return err
-		}
-		if bc[0] != 42 || bc[1] != 0 {
-			return fmt.Errorf("bcast = %v", bc)
-		}
-		if err := r.Barrier(3); err != nil {
-			return err
-		}
-		g, err := r.Gather([]float64{float64(rank * rank)}, 11)
-		if err != nil {
-			return err
-		}
-		if rank == 0 {
-			for q := range g {
-				fields[q] = g[q]
+		p := w.Ranks()
+		wantSum := float64(p*(p+1)) / 2
+		fields := make([][]float64, p)
+		err = w.Run(func(r *PRank) error {
+			rank := r.Rank()
+			got, err := r.AllReduce([]float64{float64(rank + 1), 2}, 7)
+			if err != nil {
+				return err
 			}
+			if got[0] != wantSum || got[1] != float64(2*p) {
+				return fmt.Errorf("allreduce = %v", got)
+			}
+			bc, err := r.Bcast([]float64{42, float64(rank)}, 9)
+			if err != nil {
+				return err
+			}
+			if bc[0] != 42 || bc[1] != 0 {
+				return fmt.Errorf("bcast = %v", bc)
+			}
+			if err := r.Barrier(3); err != nil {
+				return err
+			}
+			g, err := r.Gather([]float64{float64(rank * rank)}, 11)
+			if err != nil {
+				return err
+			}
+			if rank == 0 {
+				for q := range g {
+					fields[q] = g[q]
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: Run: %v", top.Name(), err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for q := 0; q < p; q++ {
-		if len(fields[q]) != 1 || fields[q][0] != float64(q*q) {
-			t.Fatalf("gather[%d] = %v", q, fields[q])
+		for q := 0; q < p; q++ {
+			if len(fields[q]) != 1 || fields[q][0] != float64(q*q) {
+				t.Fatalf("%s: gather[%d] = %v", top.Name(), q, fields[q])
+			}
 		}
 	}
 }
@@ -394,5 +398,410 @@ func BenchmarkPWorldPingPong(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// runPWorld runs fn on a fresh 1-shard world over top and fails the
+// test on any error.
+func runPWorld(t *testing.T, top *topo.Topology, fn func(r *PRank) error) *PWorld {
+	t.Helper()
+	w, err := NewPWorld(top, 1)
+	if err != nil {
+		t.Fatalf("NewPWorld: %v", err)
+	}
+	if err := w.Run(fn); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return w
+}
+
+func TestSendRecvRoundTrip(t *testing.T) {
+	msg := []byte("hello from node 0")
+	clocks := make([]sim.Time, 8)
+	w := runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		switch r.Rank() {
+		case 0:
+			if err := r.Send(3, 7, msg); err != nil {
+				return err
+			}
+		case 3:
+			got, err := r.Recv(0, 7)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, msg) {
+				return fmt.Errorf("payload = %q", got)
+			}
+		}
+		clocks[r.Rank()] = r.Now()
+		return nil
+	})
+	if clocks[3] <= clocks[1] {
+		t.Error("receiver clock did not advance")
+	}
+	if msgs, payload := w.Stats(); msgs != 1 || payload != int64(len(msg)) {
+		t.Errorf("stats = %d msgs %d bytes", msgs, payload)
+	}
+}
+
+func TestSelfSendRejected(t *testing.T) {
+	w, err := NewPWorld(topo.Cluster8(), 1)
+	if err != nil {
+		t.Fatalf("NewPWorld: %v", err)
+	}
+	err = w.Run(func(r *PRank) error {
+		if r.Rank() == 2 {
+			return r.Send(2, 0, nil)
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "self-send") {
+		t.Errorf("self-send error = %v", err)
+	}
+}
+
+// TestTagMatching receives two messages from one sender in the reverse
+// of their send order: matching is by (src, tag), not arrival.
+func TestTagMatching(t *testing.T) {
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		switch r.Rank() {
+		case 0:
+			if err := r.Send(1, 10, []byte("ten")); err != nil {
+				return err
+			}
+			return r.Send(1, 20, []byte("twenty"))
+		case 1:
+			for _, want := range []struct {
+				tag  int
+				body string
+			}{{20, "twenty"}, {10, "ten"}} {
+				got, err := r.Recv(0, want.tag)
+				if err != nil {
+					return err
+				}
+				if string(got) != want.body {
+					return fmt.Errorf("tag %d recv = %q", want.tag, got)
+				}
+			}
+		}
+		return nil
+	})
+}
+
+func TestCausality(t *testing.T) {
+	// A receive can never complete before the send started.
+	var sendStart, recvDone sim.Time
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		switch r.Rank() {
+		case 0:
+			r.Compute(100 * sim.Microsecond)
+			sendStart = r.Now()
+			return r.Send(5, 0, make([]byte, 1024))
+		case 5:
+			if _, err := r.Recv(0, 0); err != nil {
+				return err
+			}
+			recvDone = r.Now()
+		}
+		return nil
+	})
+	if recvDone <= sendStart {
+		t.Errorf("receiver finished at %v before send started at %v", recvDone, sendStart)
+	}
+}
+
+func TestLargeSendOccupiesSender(t *testing.T) {
+	held := make([]sim.Time, 8)
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		var size int
+		switch r.Rank() {
+		case 0:
+			size = 64 << 10
+		case 2:
+			size = 64
+		default:
+			return nil
+		}
+		err := r.Send(r.Rank()+1, 0, make([]byte, size))
+		held[r.Rank()] = r.Now()
+		return err
+	})
+	// A 64 KB eager send holds the sender roughly for the link time
+	// (~1.09 ms); a 64 B send returns in microseconds.
+	if held[0] < 500*sim.Microsecond {
+		t.Errorf("64 KB send released sender at %v, want ~1ms", held[0])
+	}
+	if held[2] > 10*sim.Microsecond {
+		t.Errorf("64 B send held sender until %v", held[2])
+	}
+}
+
+func TestBarrierSynchronizes(t *testing.T) {
+	const skew = 10 * sim.Microsecond
+	left := make([]sim.Time, 8)
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		r.Compute(sim.Time(r.Rank()) * skew)
+		if err := r.Barrier(0); err != nil {
+			return err
+		}
+		left[r.Rank()] = r.Now()
+		return nil
+	})
+	// Every rank's clock is now past the last entrant's entry time.
+	latest := sim.Time(len(left)-1) * skew
+	for rank, at := range left {
+		if at < latest {
+			t.Errorf("rank %d left barrier at %v before last entry %v", rank, at, latest)
+		}
+	}
+}
+
+func TestBarrierRepeatedRounds(t *testing.T) {
+	w := runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		for round := 0; round < 3; round++ {
+			if err := r.Barrier(round); err != nil {
+				return fmt.Errorf("round %d: %w", round, err)
+			}
+		}
+		return nil
+	})
+	if w.MaxTime() <= 0 {
+		t.Error("no time elapsed")
+	}
+}
+
+func TestBcastDeliversToAll(t *testing.T) {
+	vec := []float64{1.5, -2.25, 3.125}
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		var in []float64
+		if r.Rank() == 0 {
+			in = vec
+		}
+		got, err := r.Bcast(in, 1)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, vec) {
+			return fmt.Errorf("rank %d got %v", r.Rank(), got)
+		}
+		return nil
+	})
+}
+
+func TestAllReduceSums(t *testing.T) {
+	const p = 8
+	want := make([]float64, 4)
+	for rank := 0; rank < p; rank++ {
+		for i, v := range []float64{float64(rank), 1, float64(rank * rank), 0.5} {
+			want[i] += v
+		}
+	}
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		rank := r.Rank()
+		got, err := r.AllReduce([]float64{float64(rank), 1, float64(rank * rank), 0.5}, 2)
+		if err != nil {
+			return err
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				return fmt.Errorf("rank %d element %d = %g, want %g", rank, i, got[i], want[i])
+			}
+		}
+		return nil
+	})
+}
+
+func TestGatherCollects(t *testing.T) {
+	var out [][]float64
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		g, err := r.Gather([]float64{float64(r.Rank() * 10)}, 3)
+		if r.Rank() == 0 {
+			out = g
+		}
+		return err
+	})
+	for rank := 0; rank < 8; rank++ {
+		if out[rank][0] != float64(rank*10) {
+			t.Errorf("rank %d gathered %g", rank, out[rank][0])
+		}
+	}
+}
+
+func TestAllReduceOnSystem256(t *testing.T) {
+	w := runPWorld(t, topo.System256(), func(r *PRank) error {
+		got, err := r.AllReduce([]float64{1}, 5)
+		if err != nil {
+			return err
+		}
+		if got[0] != float64(r.Ranks()) {
+			return fmt.Errorf("sum of ones = %g, want %d", got[0], r.Ranks())
+		}
+		return nil
+	})
+	// Critical path: O(log P) small-message latencies, so a 128-rank
+	// allreduce of one element finishes within tens of microseconds
+	// (7 levels up + 7 down at < 4 µs per hop plus overheads).
+	if w.MaxTime() > 200*sim.Microsecond {
+		t.Errorf("128-rank allreduce took %v, expected tens of us", w.MaxTime())
+	}
+	if CriticalDepth(w.Ranks()) != 7 {
+		t.Errorf("depth = %d, want 7", CriticalDepth(w.Ranks()))
+	}
+}
+
+func TestDeterminism(t *testing.T) {
+	runOnce := func() sim.Time {
+		return runPWorld(t, topo.System256(), func(r *PRank) error {
+			_, err := r.AllReduce([]float64{float64(r.Rank())}, 1)
+			return err
+		}).MaxTime()
+	}
+	if a, b := runOnce(), runOnce(); a != b {
+		t.Errorf("non-deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestCollectiveErrorPaths feeds AllReduce a ragged contribution: the
+// parent that combines it reports the length mismatch, and Run surfaces
+// that error rather than the deadlock of the ranks left waiting.
+func TestCollectiveErrorPaths(t *testing.T) {
+	w, err := NewPWorld(topo.Cluster8(), 1)
+	if err != nil {
+		t.Fatalf("NewPWorld: %v", err)
+	}
+	err = w.Run(func(r *PRank) error {
+		vec := []float64{1}
+		if r.Rank() == 3 {
+			vec = []float64{1, 2}
+		}
+		_, err := r.AllReduce(vec, 0)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 2 reduce level 0 got 2 elements") {
+		t.Errorf("ragged allreduce error = %v", err)
+	}
+}
+
+// TestSendTracingOffAddsNoAllocs pins the nil-Recorder contract on the
+// send path: with no recorder attached, a steady-state 256-byte
+// send/recv round trip between System256 nodes 0 and 61 allocates only
+// the two payload copies and the two boxed message cargos that cross
+// the network.
+func TestSendTracingOffAddsNoAllocs(t *testing.T) {
+	const src, dst, warm, runs = 0, 61, 16, 200
+	w, err := NewPWorld(topo.System256(), 1)
+	if err != nil {
+		t.Fatalf("NewPWorld: %v", err)
+	}
+	if w.Network().Recorder() != nil {
+		t.Fatal("fresh world has a recorder attached; tracing must default to off")
+	}
+	payload := make([]byte, 256)
+	var allocs float64
+	err = w.Run(func(r *PRank) error {
+		switch r.Rank() {
+		case src:
+			ping := func() error {
+				if err := r.Send(dst, 0, payload); err != nil {
+					return err
+				}
+				_, err := r.Recv(dst, 0)
+				return err
+			}
+			for i := 0; i < warm; i++ {
+				if err := ping(); err != nil {
+					return err
+				}
+			}
+			var err error
+			allocs = testing.AllocsPerRun(runs, func() {
+				if e := ping(); e != nil {
+					err = e
+				}
+			})
+			return err
+		case dst:
+			// AllocsPerRun calls its function once more as a warm-up.
+			for i := 0; i < warm+runs+1; i++ {
+				if _, err := r.Recv(src, 0); err != nil {
+					return err
+				}
+				if err := r.Send(src, 0, payload); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if allocs > 4 {
+		t.Errorf("send/recv round trip with tracing off = %.1f allocs, want <= 4", allocs)
+	}
+}
+
+// TestPerRankRecvWaitViews checks the per-rank receive-wait breakout:
+// every Recv lands in both the machine-wide histogram and the receiving
+// rank's own view, the per-rank counts sum to the machine-wide count,
+// non-receiving ranks stay empty, and with no registry attached the
+// ranks hold no views.
+func TestPerRankRecvWaitViews(t *testing.T) {
+	pairs := func(r *PRank) error {
+		switch r.Rank() {
+		case 0, 2:
+			return r.Send(r.Rank()+1, 0, []byte{byte(r.Rank())})
+		case 1, 3:
+			_, err := r.Recv(r.Rank()-1, 0)
+			return err
+		}
+		return nil
+	}
+	w, err := NewPWorld(topo.Cluster8(), 1)
+	if err != nil {
+		t.Fatalf("NewPWorld: %v", err)
+	}
+	reg := metrics.NewRegistry()
+	w.SetMetrics(reg)
+	if err := w.Run(pairs); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	whole := reg.TimeHistogram(MetricRecvWait, recvWaitBuckets())
+	if whole.Count() != 2 {
+		t.Fatalf("machine-wide recv.wait count = %d, want 2", whole.Count())
+	}
+	var sum int64
+	for rank := 0; rank < w.Ranks(); rank++ {
+		h := reg.TimeHistogram(recvWaitRankName(rank), recvWaitBuckets())
+		sum += h.Count()
+		want := int64(0)
+		if rank == 1 || rank == 3 {
+			want = 1
+		}
+		if h.Count() != want {
+			t.Errorf("rank %d recv.wait count = %d, want %d", rank, h.Count(), want)
+		}
+	}
+	if sum != whole.Count() {
+		t.Errorf("per-rank counts sum to %d, machine-wide %d", sum, whole.Count())
+	}
+	if !strings.Contains(reg.Render(), "mpl.recv.wait.r001") {
+		t.Error("dump missing the per-rank view name")
+	}
+
+	// Metrics off: a world with no registry attached holds no views and
+	// still runs.
+	w2, err := NewPWorld(topo.Cluster8(), 1)
+	if err != nil {
+		t.Fatalf("NewPWorld: %v", err)
+	}
+	w2.SetMetrics(nil)
+	for _, r := range w2.ranks {
+		if r.recvWait != nil || r.rankWait != nil {
+			t.Fatalf("nil registry still gave rank %d a view", r.rank)
+		}
+	}
+	if err := w2.Run(pairs); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

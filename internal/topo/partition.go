@@ -74,8 +74,12 @@ func (t *Topology) Partition(shards int) (*Partition, error) {
 // per leaf-crossbar group (the nodes sharing a network-A leaf). This is
 // the finest aligned partition — the grain the split-phase send path
 // fixes its event program to, so that coarser shard counts replay the
-// identical history.
+// identical history. A topology with no crossbars (a single node) is
+// one group.
 func (t *Topology) GroupPartition() (*Partition, error) {
+	if len(t.xbarName) == 0 {
+		return t.Partition(1)
+	}
 	nodeShard := make([]int, t.nodes)
 	leafOf := make(map[int]int) // leaf device -> group index
 	for n := 0; n < t.nodes; n++ {

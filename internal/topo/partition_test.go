@@ -84,6 +84,10 @@ func TestPartitionAlignment(t *testing.T) {
 	if _, err := s256.Partition(32); err == nil || !strings.Contains(err.Error(), "align") {
 		t.Fatalf("System256 shards=32: want leaf-alignment error, got %v", err)
 	}
+	// A crossbar-free single node is one group at the natural grain.
+	if p, err := New("single", 1).GroupPartition(); err != nil || p.Shards() != 1 {
+		t.Fatalf("single-node GroupPartition = %v, %v; want 1 group", p, err)
+	}
 }
 
 // TestPartitionOwnershipTables spot-checks the wiring-derived tables on

@@ -187,14 +187,18 @@ const (
 
 // Message-passing layer (the MPI role of Section 4).
 type (
-	// World is a set of ranks over a simulated interconnect with
-	// point-to-point messaging and binomial-tree collectives.
-	World = mpl.World
+	// World is one SPMD program run over a simulated interconnect: one
+	// rank per node, point-to-point messaging and binomial-tree
+	// collectives.
+	World = mpl.PWorld
+	// Rank is one rank's handle, the argument of World.Run's function.
+	Rank = mpl.PRank
 )
 
 var (
-	// NewWorld builds a message-passing world, one rank per node.
-	NewWorld = mpl.NewWorld
+	// NewWorld builds a message-passing world, one rank per node, over
+	// the given number of simulation shards (1 runs it serially).
+	NewWorld = mpl.NewPWorld
 	// CollectiveDepth reports the binomial-tree depth over p ranks.
 	CollectiveDepth = mpl.CriticalDepth
 )
@@ -237,7 +241,7 @@ var (
 	// RunHeatSerial computes the reference solution.
 	RunHeatSerial = heat.RunSerial
 	// RunHeat solves across all ranks of a message-passing world.
-	RunHeat = heat.Run
+	RunHeat = heat.RunPart
 )
 
 // Dispatcher protocol engine (Section 2, Figures 2-3) and the PCI-NIC

@@ -115,7 +115,10 @@ func TestFacadeDispatcherAndNIC(t *testing.T) {
 }
 
 func TestFacadeHeatAndEarth(t *testing.T) {
-	w := powermanna.NewWorld(powermanna.Cluster8())
+	w, err := powermanna.NewWorld(powermanna.Cluster8(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := powermanna.RunHeat(w, powermanna.HeatDefaultConfig(256, 10))
 	if err != nil || res.Ranks != 8 {
 		t.Errorf("heat: %v %v", res.Ranks, err)
