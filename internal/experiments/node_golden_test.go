@@ -24,28 +24,43 @@ func quickRun(id string) Result {
 	return r
 }
 
-// nodeGoldenIDs are the experiments driven by the node model: HINT,
-// MatMult, SMP speedup and the node scalability ablation.
-var nodeGoldenIDs = []string{"fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "nodescale"}
+// figureGoldens pins every paper experiment at quick size, split by the
+// model that drives it: the node model (HINT, MatMult, SMP speedup and
+// the node scalability ablation) and the rest (the hardware table, the
+// NI and crossbar microbenchmarks, the communication figures over the
+// synchronous datapath and the ablations).
+var figureGoldens = []struct {
+	golden string
+	ids    []string
+}{
+	{"pmbench_node_quick.golden", []string{"fig6a", "fig6b", "fig7a", "fig7b", "fig8a", "fig8b", "nodescale"}},
+	{"pmbench_rest_quick.golden", []string{"table1", "fig5", "fig9", "fig10", "fig11", "fig12",
+		"blocking", "dispatcher", "smartni", "fifosweep", "duallink", "faultsweep"}},
+}
 
-// TestNodeFiguresGolden pins the node-model figures byte for byte against
-// the output of cmd/pmbench, which prints each Render followed by a newline.
+// TestNodeFiguresGolden pins the paper figures byte for byte against
+// the output of cmd/pmbench, which prints each Render followed by a
+// newline.
 func TestNodeFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	golden := filepath.Join("..", "..", "testdata", "pmbench_node_quick.golden")
-	regen := "go run ./cmd/pmbench --exp " + strings.Join(nodeGoldenIDs, ",") + " > " + filepath.Join("testdata", "pmbench_node_quick.golden")
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden: %v (regenerate with: %s)", err, regen)
-	}
-	var b strings.Builder
-	for _, id := range nodeGoldenIDs {
-		b.WriteString(quickRun(id).Render())
-		b.WriteString("\n")
-	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("node figures diverged from %s (regenerate with: %s);\ngot:\n%s", golden, regen, got)
+	for _, g := range figureGoldens {
+		t.Run(strings.TrimSuffix(g.golden, ".golden"), func(t *testing.T) {
+			golden := filepath.Join("..", "..", "testdata", g.golden)
+			regen := "go run ./cmd/pmbench --exp " + strings.Join(g.ids, ",") + " > " + filepath.Join("testdata", g.golden)
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden: %v (regenerate with: %s)", err, regen)
+			}
+			var b strings.Builder
+			for _, id := range g.ids {
+				b.WriteString(quickRun(id).Render())
+				b.WriteString("\n")
+			}
+			if got := b.String(); got != string(want) {
+				t.Errorf("figures diverged from %s (regenerate with: %s);\ngot:\n%s", golden, regen, got)
+			}
+		})
 	}
 }

@@ -16,10 +16,18 @@ import (
 // 16 leaf groups of 8 nodes.
 var system256Shards = []int{1, 2, 4, 8, 16}
 
-// partSend runs one message through a fresh partitioned System256 and
-// returns its Delivery. fault applies wire faults to both the
-// partitioned and the legacy network identically.
-func partSend(t *testing.T, shards int, serial bool, src, dst, bytes int, fault func(*Network)) Delivery {
+// sendAt is one message of an equivalence row: dst and payload, posted
+// at the given time.
+type sendAt struct {
+	at         sim.Time
+	dst, bytes int
+}
+
+// partSends runs a sequence of messages from src through a fresh
+// partitioned System256 and returns their Delivery records and both
+// planes' counters. fault applies wire faults to both the partitioned
+// and the legacy network identically.
+func partSends(t *testing.T, shards int, serial bool, src int, msgs []sendAt, fault func(*Network)) ([]Delivery, [2]PlaneCounters) {
 	t.Helper()
 	pn, err := NewPartitioned(topo.System256(), shards, DefaultFailover())
 	if err != nil {
@@ -29,86 +37,180 @@ func partSend(t *testing.T, shards int, serial bool, src, dst, bytes int, fault 
 	if fault != nil {
 		fault(pn.Network())
 	}
-	var got Delivery
-	done := false
+	got := make([]Delivery, len(msgs))
+	done := 0
 	sh := pn.Shard(pn.ShardOf(src))
-	sh.At(0, func() {
-		if err := pn.SendAsync(src, dst, bytes, nil, 0, func(d Delivery) { got = d; done = true }); err != nil {
-			t.Errorf("SendAsync: %v", err)
-		}
-	})
-	pn.Run()
-	if !done {
-		t.Fatalf("shards=%d serial=%v: send %d->%d never completed", shards, serial, src, dst)
+	for i, m := range msgs {
+		i, m := i, m
+		sh.At(m.at, func() {
+			if err := pn.SendAsync(src, m.dst, m.bytes, nil, m.at, func(d Delivery) { got[i] = d; done++ }); err != nil {
+				t.Errorf("SendAsync: %v", err)
+			}
+		})
 	}
-	return got
+	pn.Run()
+	if done != len(msgs) {
+		t.Fatalf("shards=%d serial=%v: %d of %d sends from %d completed", shards, serial, done, len(msgs), src)
+	}
+	return got, [2]PlaneCounters{pn.Plane(topo.NetworkA), pn.Plane(topo.NetworkB)}
 }
 
-// legacySend runs the same message through the synchronous path.
-func legacySend(t *testing.T, src, dst, bytes int, fault func(*Network)) Delivery {
+// legacySends runs the same messages through one synchronous transport.
+func legacySends(t *testing.T, src int, msgs []sendAt, fault func(*Network)) ([]Delivery, [2]PlaneCounters) {
 	t.Helper()
 	n := New(topo.System256())
 	if fault != nil {
 		fault(n)
 	}
-	d, err := n.MustTransport(src, DefaultFailover()).Send(0, dst, bytes)
-	if err != nil {
-		t.Fatalf("legacy send %d->%d: %v", src, dst, err)
+	tp := n.MustTransport(src, DefaultFailover())
+	out := make([]Delivery, len(msgs))
+	for i, m := range msgs {
+		d, err := tp.Send(m.at, m.dst, m.bytes)
+		if err != nil {
+			t.Fatalf("legacy send %d->%d: %v", src, m.dst, err)
+		}
+		out[i] = d
 	}
-	return d
+	return out, [2]PlaneCounters{n.Plane(topo.NetworkA), n.Plane(topo.NetworkB)}
 }
 
 // TestPartitionedSendMatchesLegacy pins the partitioned split-phase
 // send to the synchronous protocol, message by message: with no
 // contention the two paths must produce identical Delivery records —
 // same transit times, same plane, same attempt and failover accounting
-// — for intra-group, cross-group and faulted routes, at every aligned
-// shard count and under both dispatch modes.
+// — and identical plane counters, for intra-group, cross-group and
+// faulted routes, at every aligned shard count and under both dispatch
+// modes. The faulted rows reach every branch of the sender's protocol:
+// ack-timeout failover after a cut on either half, setup timeouts at a
+// stuck output on either half, a wedged send FIFO, CRC retry and
+// failover, a budget-exhausting corruption on both planes, total
+// failure, and a plane-down cache hit on a follow-up send.
 func TestPartitionedSendMatchesLegacy(t *testing.T) {
 	cutUplink := func(n *Network) {
 		// Sever the source's plane-A uplink just after the header passes
 		// its entry check: failover to plane B after one ack timeout.
 		n.CutWire(0, topo.NetworkA, 100*sim.Nanosecond)
 	}
+	// hop returns the i-th crossbar hop (negative: from the end) of
+	// 0->13 on a plane.
+	hop := func(n *Network, plane, i int) topo.Hop {
+		path, err := n.Topology().Route(0, 13, plane)
+		if err != nil {
+			t.Fatalf("route: %v", err)
+		}
+		if i < 0 {
+			i += len(path.Hops)
+		}
+		return path.Hops[i]
+	}
+	farSide := func(n *Network, plane int) (dev, port int) {
+		last := hop(n, plane, -1)
+		return n.Topology().Nodes() + last.Xbar, last.Out
+	}
 	cutFarSide := func(n *Network) {
 		// Sever the destination-side leaf-to-node wire of 0->13 plane A
 		// before the run: the walk fails on the destination half.
-		path, err := n.Topology().Route(0, 13, topo.NetworkA)
-		if err != nil {
-			t.Fatalf("route: %v", err)
-		}
-		last := path.Hops[len(path.Hops)-1]
-		n.CutWire(n.Topology().Nodes()+last.Xbar, last.Out, 0)
+		dev, port := farSide(n, topo.NetworkA)
+		n.CutWire(dev, port, 0)
 	}
 	corruptFarSide := func(n *Network) {
-		path, err := n.Topology().Route(0, 13, topo.NetworkA)
-		if err != nil {
-			t.Fatalf("route: %v", err)
-		}
-		last := path.Hops[len(path.Hops)-1]
-		n.CorruptWire(n.Topology().Nodes()+last.Xbar, last.Out, 0, 20*sim.Microsecond)
+		dev, port := farSide(n, topo.NetworkA)
+		n.CorruptWire(dev, port, 0, 20*sim.Microsecond)
 	}
+	corruptOnce := func(n *Network) {
+		// Garble only the first crossing: the same-plane retry delivers.
+		dev, port := farSide(n, topo.NetworkA)
+		n.CorruptWire(dev, port, 0, 5*sim.Microsecond)
+	}
+	corruptBoth := func(n *Network) {
+		// Every crossing on both planes is garbled: the CRC budget runs
+		// out, then the soft-failure alternation does.
+		for _, plane := range []int{topo.NetworkA, topo.NetworkB} {
+			dev, port := farSide(n, plane)
+			n.CorruptWire(dev, port, 0, sim.MaxTime)
+		}
+	}
+	stuckSrcSide := func(n *Network) {
+		h := hop(n, topo.NetworkA, 0)
+		n.Crossbar(h.Xbar).StickOutput(h.Out, 0, sim.Second)
+	}
+	stuckDstSide := func(n *Network) {
+		h := hop(n, topo.NetworkA, -1)
+		n.Crossbar(h.Xbar).StickOutput(h.Out, 0, sim.Second)
+	}
+	stallFIFO := func(n *Network) {
+		n.NI(0).Links[topo.NetworkA].Stall(0, sim.Millisecond)
+	}
+	cutBoth := func(n *Network) {
+		n.CutWire(0, topo.NetworkA, 0)
+		n.CutWire(0, topo.NetworkB, 0)
+	}
+	one := func(dst, bytes int) []sendAt { return []sendAt{{0, dst, bytes}} }
 	cases := []struct {
-		name     string
-		src, dst int
-		bytes    int
-		fault    func(*Network)
+		name  string
+		src   int
+		msgs  []sendAt
+		fault func(*Network)
+		// ran checks on the legacy outcome that the row reached the
+		// branch it is named for.
+		ran func(d []Delivery, a PlaneCounters) bool
 	}{
-		{"intra-group", 0, 5, 256, nil},
-		{"cross-group", 0, 13, 256, nil},
-		{"far-cross-shard", 3, 120, 4096, nil},
-		{"uplink-cut-failover", 0, 13, 256, cutUplink},
-		{"dst-cut-failover", 0, 13, 256, cutFarSide},
-		{"dst-crc-retry", 0, 13, 256, corruptFarSide},
+		{"intra-group", 0, one(5, 256), nil, nil},
+		{"cross-group", 0, one(13, 256), nil, nil},
+		{"far-cross-shard", 3, one(120, 4096), nil, nil},
+		{"uplink-cut-failover", 0, one(13, 256), cutUplink,
+			func(d []Delivery, a PlaneCounters) bool { return a.LinkDown == 1 && d[0].Plane == topo.NetworkB }},
+		{"dst-cut-failover", 0, one(13, 256), cutFarSide,
+			func(d []Delivery, a PlaneCounters) bool { return a.LinkDown == 1 && d[0].Plane == topo.NetworkB }},
+		{"dst-crc-retry", 0, one(13, 256), corruptFarSide,
+			func(d []Delivery, a PlaneCounters) bool { return a.CRCRetries == 1 && a.FailedOver == 1 }},
+		{"crc-retry-delivers", 0, one(13, 256), corruptOnce,
+			func(d []Delivery, a PlaneCounters) bool {
+				return a.CRCRetries == 1 && a.FailedOver == 0 && d[0].Plane == topo.NetworkA && d[0].Attempts == 2
+			}},
+		{"crc-outlasts-budget", 0, one(13, 256), corruptBoth,
+			func(d []Delivery, a PlaneCounters) bool {
+				return d[0].Failed && d[0].Attempts == DefaultMaxAttempts && a.CRCRetries == 1
+			}},
+		{"src-stuck-timeout", 0, one(13, 256), stuckSrcSide,
+			func(d []Delivery, a PlaneCounters) bool { return a.SetupTimeouts == 1 && d[0].Plane == topo.NetworkB }},
+		{"dst-stuck-timeout", 0, one(13, 256), stuckDstSide,
+			func(d []Delivery, a PlaneCounters) bool { return a.SetupTimeouts == 1 && d[0].Plane == topo.NetworkB }},
+		{"fifo-stall-failover", 0, one(13, 256), stallFIFO,
+			func(d []Delivery, a PlaneCounters) bool {
+				return a.Stalled == 1 && a.SetupTimeouts == 1 && d[0].Plane == topo.NetworkB
+			}},
+		{"both-planes-cut", 0, one(13, 256), cutBoth,
+			func(d []Delivery, a PlaneCounters) bool { return d[0].Failed }},
+		{"plane-down-cache-hit", 0, []sendAt{{0, 13, 256}, {60 * sim.Microsecond, 13, 256}}, cutUplink,
+			func(d []Delivery, a PlaneCounters) bool { return d[1].SkippedDown == 1 && a.SkippedDown == 1 }},
 	}
 	for _, tc := range cases {
-		want := legacySend(t, tc.src, tc.dst, tc.bytes, tc.fault)
+		want, wantPlanes := legacySends(t, tc.src, tc.msgs, tc.fault)
+		if tc.ran != nil && !tc.ran(want, wantPlanes[topo.NetworkA]) {
+			t.Errorf("%s: legacy run missed its branch: %+v, plane A %+v", tc.name, want, wantPlanes[topo.NetworkA])
+		}
+		for i, d := range want {
+			if d.Decomp.Total() != d.Latency() {
+				t.Errorf("%s send %d: legacy decomposition %v != latency %v", tc.name, i, d.Decomp.Total(), d.Latency())
+			}
+		}
 		for _, shards := range system256Shards {
 			for _, serial := range []bool{false, true} {
-				got := partSend(t, shards, serial, tc.src, tc.dst, tc.bytes, tc.fault)
-				if got != want {
-					t.Errorf("%s shards=%d serial=%v:\n got %+v\nwant %+v",
-						tc.name, shards, serial, got, want)
+				got, planes := partSends(t, shards, serial, tc.src, tc.msgs, tc.fault)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("%s shards=%d serial=%v send %d:\n got %+v\nwant %+v",
+							tc.name, shards, serial, i, got[i], want[i])
+					}
+					if got[i].Decomp.Total() != got[i].Latency() {
+						t.Errorf("%s shards=%d serial=%v send %d: decomposition %v != latency %v",
+							tc.name, shards, serial, i, got[i].Decomp.Total(), got[i].Latency())
+					}
+				}
+				if planes != wantPlanes {
+					t.Errorf("%s shards=%d serial=%v: plane counters\n got %+v\nwant %+v",
+						tc.name, shards, serial, planes, wantPlanes)
 				}
 			}
 		}
