@@ -218,7 +218,7 @@ func runPingPong(rec *trace.Recorder, seed int64, t *topo.Topology, rounds int) 
 // runFib records the EARTH fib benchmark: EU fiber spans, SU service
 // spans and split-phase tokens crossing the planes.
 func runFib(rec *trace.Recorder, seed int64, t *topo.Topology) error {
-	s := earth.NewWithFailover(t, earth.DefaultParams(), netsim.DefaultFailover())
+	s := earth.New(t, earth.DefaultParams())
 	s.SetRecorder(rec)
 	s.Network().AttachOSStream(netsim.BurstyOSStream(seed))
 	got, _, err := earth.RunFib(s, fibN)

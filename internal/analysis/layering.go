@@ -15,9 +15,9 @@ const layeringHome = "internal/netsim"
 // internal/netsim, nothing calls Network.Send directly. Raw sends bypass
 // the failover protocol, the plane-down cache and the per-plane
 // counters, so a layer using one silently opts its traffic out of every
-// fault campaign. Sends go through a netsim.Transport (or
-// Network.SendReliable); deliberate raw-datapath experiments carry a
-// //pmlint:allow layering directive with a reason.
+// fault campaign. Sends go through a netsim.Transport; deliberate
+// raw-datapath experiments carry a //pmlint:allow layering directive
+// with a reason.
 type Layering struct{}
 
 // Name implements Analyzer.

@@ -11,10 +11,11 @@ import (
 // This file renders the shard-safety audit behind `pmlint --report`: a
 // deterministic classification of every internal/ package against the
 // requirements of the parallel (conservative-PDES) engine. The report is
-// golden-pinned in ci.sh (testdata/pmlint_report.golden), so it doubles
-// as the literal work-list for the PDES refactor: a package may only
-// move from clean to needs-queue-mediation or violations through a
-// reviewed golden update.
+// golden-pinned by TestReportMatchesGolden
+// (testdata/pmlint_report.golden), so it doubles as the literal
+// work-list for the PDES refactor: a package may only move from clean
+// to needs-queue-mediation or violations through a reviewed golden
+// update.
 
 // shardAnalyzers is the shard-safety family the audit runs.
 func shardAnalyzers() []Analyzer {

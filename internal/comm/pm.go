@@ -86,12 +86,6 @@ func NewPowerMANNA() *PMSystem { return NewPowerMANNAWith(DefaultPMParams()) }
 // (used by the FIFO-size and dual-link ablations) and the default
 // failover protocol.
 func NewPowerMANNAWith(p PMParams) *PMSystem {
-	return NewPowerMANNAFailover(p, netsim.DefaultFailover())
-}
-
-// NewPowerMANNAFailover builds a PowerMANNA pair whose transport runs
-// the given failover configuration.
-func NewPowerMANNAFailover(p PMParams, cfg netsim.FailoverConfig) *PMSystem {
 	if p.Links < 1 {
 		p.Links = 1
 	}
@@ -100,7 +94,7 @@ func NewPowerMANNAFailover(p PMParams, cfg netsim.FailoverConfig) *PMSystem {
 	if err != nil {
 		panic(err)
 	}
-	return &PMSystem{params: p, net: net, tp: net.MustTransport(0, cfg), path: path}
+	return &PMSystem{params: p, net: net, tp: net.MustTransport(0, netsim.DefaultFailover()), path: path}
 }
 
 // Name implements System.

@@ -160,13 +160,7 @@ type nodeState struct {
 // New builds an EARTH system over a topology with the default failover
 // protocol.
 func New(t *topo.Topology, p Params) *System {
-	return NewWithFailover(t, p, netsim.DefaultFailover())
-}
-
-// NewWithFailover builds an EARTH system whose per-node transports run
-// the given failover configuration.
-func NewWithFailover(t *topo.Topology, p Params, cfg netsim.FailoverConfig) *System {
-	return NewWithEngine(t, p, cfg, sim.NewScheduler())
+	return NewWithEngine(t, p, sim.NewScheduler())
 }
 
 // NewWithEngine builds an EARTH system over an explicit event engine —
@@ -174,7 +168,7 @@ func NewWithFailover(t *topo.Topology, p Params, cfg netsim.FailoverConfig) *Sys
 // one psim shard, where the shard's heap is the runtime's event queue.
 // The engine must honor sim.Engine's (time, seq) dispatch order; both
 // the sequential scheduler and a psim shard do.
-func NewWithEngine(t *topo.Topology, p Params, cfg netsim.FailoverConfig, eng sim.Engine) *System {
+func NewWithEngine(t *topo.Topology, p Params, eng sim.Engine) *System {
 	s := &System{
 		params: p,
 		sched:  eng,
@@ -191,7 +185,7 @@ func NewWithEngine(t *topo.Topology, p Params, cfg netsim.FailoverConfig, eng si
 			// never collide with program addresses.
 			nextBuf: 1 << 40,
 		})
-		s.tps = append(s.tps, s.net.MustTransport(i, cfg))
+		s.tps = append(s.tps, s.net.MustTransport(i, netsim.DefaultFailover()))
 	}
 	return s
 }

@@ -246,7 +246,7 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 		var plane func(p int) netsim.PlaneCounters
 		var counters func(p int) stats.CounterSet
 		if c.EarthWorkload != nil {
-			s := earth.NewWithEngine(opt.Topology, earth.DefaultParams(), netsim.DefaultFailover(), eng)
+			s := earth.NewWithEngine(opt.Topology, earth.DefaultParams(), eng)
 			net = s.Network()
 			net.AttachOSStream(netsim.DefaultOSStream())
 			runW = func() (sim.Time, error) { return c.EarthWorkload(s) }

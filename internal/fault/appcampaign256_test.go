@@ -61,7 +61,8 @@ func TestAppCampaignsOnSystem256(t *testing.T) {
 }
 
 // TestAppCampaignSystem256Golden pins heat-linkcut over System256
-// against the golden ci.sh compares cmd/pmfault stdout to.
+// against the golden TestDatapathGoldens compares cmd/pmfault stdout
+// to.
 func TestAppCampaignSystem256Golden(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "pmfault_heat-linkcut_system256_seed1.golden")
 	want, err := os.ReadFile(golden)

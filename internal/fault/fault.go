@@ -4,7 +4,7 @@
 // (Section 4) — a redundancy argument that only means something if the
 // simulated machine can actually lose a link and keep running. This
 // package injects faults at simulated cycle times and measures what the
-// failover protocol (netsim.SendReliable) makes of them.
+// failover protocol (netsim.Transport.Send) makes of them.
 //
 // Four fault classes map onto the hardware the paper describes:
 //

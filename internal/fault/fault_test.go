@@ -267,14 +267,14 @@ func TestInjectorAppliesInTimeOrder(t *testing.T) {
 		t.Errorf("ApplyUntil(15us) fired %d, want 1", fired)
 	}
 	// Node 0's uplink is now cut; node 1's is not yet.
-	d, err := net.SendReliable(16*sim.Microsecond, 0, 3, 64, netsim.DefaultFailover())
+	d, err := net.MustTransport(0, netsim.DefaultFailover()).Send(16*sim.Microsecond, 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Retried {
 		t.Error("applied cut had no effect")
 	}
-	d, err = net.SendReliable(17*sim.Microsecond, 1, 3, 64, netsim.DefaultFailover())
+	d, err = net.MustTransport(1, netsim.DefaultFailover()).Send(17*sim.Microsecond, 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // TestTrafficCampaignGolden pins the System256 traffic sweep against
-// the same golden ci.sh compares `pmfault --traffic` stdout to.
+// the same golden TestDatapathGoldens compares `pmfault --traffic`
+// stdout to.
 func TestTrafficCampaignGolden(t *testing.T) {
 	golden := filepath.Join("..", "..", "testdata", "pmfault_traffic_system256_seed1.golden")
 	want, err := os.ReadFile(golden)

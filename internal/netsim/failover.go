@@ -28,6 +28,9 @@
 //   - a send FIFO stalled beyond SetupTimeout is abandoned without ever
 //     entering the network — the driver polls the status register
 //     (Section 3.3) and can tell the interface is wedged.
+//
+// The sender's side of the protocol is the cursor in protocol.go, which
+// both send executors (Transport.Send and the split-phase psend) drive.
 package netsim
 
 import (
@@ -98,8 +101,7 @@ type FailoverConfig struct {
 	RetryBackoff sim.Time
 	// ReprobeInterval is how long a Transport's plane-down cache routes
 	// around a failed plane before the next real probe. Zero disables
-	// the cache (every send pays the full detection window again —
-	// the pre-Transport behaviour, and what Network.SendReliable does).
+	// the cache (every send pays the full detection window again).
 	ReprobeInterval sim.Time
 	// PlaneDownCheck is the per-message cost of consulting the plane-
 	// down cache and skipping a known-dead plane.
@@ -131,7 +133,7 @@ func DefaultFailover() FailoverConfig {
 }
 
 // PlaneCounters accumulates one network plane's degraded-mode statistics
-// across SendReliable calls.
+// across reliable sends.
 type PlaneCounters struct {
 	// Attempts counts sends attempted on this plane.
 	Attempts int64
@@ -153,8 +155,7 @@ type PlaneCounters struct {
 	FailedOver int64
 	// SkippedDown counts sends that skipped this plane on a plane-down
 	// cache hit, paying only the cached status check instead of the full
-	// detection window (Transport only; SendReliable has no plane-down
-	// cache).
+	// detection window.
 	SkippedDown int64
 	// OSMessages counts background OS-stream messages injected on this
 	// plane (osstream.go; only plane B carries the stream).
@@ -166,8 +167,10 @@ type PlaneCounters struct {
 
 // PlaneCounterSet renders plane p's counters as an ordered
 // stats.CounterSet — the degraded-mode report of cmd/pmfault.
-func (n *Network) PlaneCounterSet(p int) stats.CounterSet {
-	c := n.planes[p]
+func (n *Network) PlaneCounterSet(p int) stats.CounterSet { return n.planes[p].counterSet(p) }
+
+// counterSet renders plane p's counters c in report order.
+func (c PlaneCounters) counterSet(p int) stats.CounterSet {
 	set := stats.CounterSet{Title: fmt.Sprintf("plane %s", planeName(p))}
 	set.Add("attempts", c.Attempts)
 	set.Add("delivered", c.Delivered)
@@ -233,7 +236,7 @@ type Delivery struct {
 	// means failovers and soft-failure retries preceded it).
 	Attempts int
 	// SkippedDown counts planes skipped on a plane-down cache hit before
-	// this delivery (Transport sends only).
+	// this delivery.
 	SkippedDown int
 	// Retried marks a delivery that did not land on the first-choice
 	// plane — either a real failed attempt preceded it or the plane-down
@@ -256,37 +259,3 @@ type Delivery struct {
 // Latency is the end-to-end time the sender observed, including every
 // detection window, backoff and retry.
 func (d Delivery) Latency() sim.Time { return d.Done - d.Sent }
-
-// SendReliable sends payloadBytes from node src to node dst under the
-// failover protocol: plane A first (applications own plane A, Section 4),
-// then plane B on timeout or NACK. All protocol costs — stall deferral,
-// ack timeout, NACK return, backoff — land in the returned Delivery's
-// times. A message failing on both planes returns with Failed set (not an
-// error: degraded operation is a modelled outcome, and the campaign
-// tables count it).
-//
-// SendReliable is the stateless entry point: every call pays the full
-// detection window on a dead plane. Long-lived senders should hold a
-// Transport (transport.go) instead — it runs the identical protocol with
-// the plane-down cache on top. Both read routes from the topology's
-// shared route table.
-func (n *Network) SendReliable(at sim.Time, src, dst, payloadBytes int, cfg FailoverConfig) (Delivery, error) {
-	if src < 0 || src >= n.topo.Nodes() {
-		return Delivery{}, fmt.Errorf("netsim: node out of range (%d, %d)", src, dst)
-	}
-	// An ephemeral transport shares the protocol body; the zeroed
-	// ReprobeInterval disables the plane-down cache.
-	eph := Transport{net: n, src: src, routes: n.topo.RoutesFrom(src)}
-	cfg.ReprobeInterval = 0
-	return eph.sendWith(at, dst, payloadBytes, cfg)
-}
-
-// errorsAs is errors.As specialised to *DownError; spelled out to keep
-// the hot send path free of reflection.
-func errorsAs(err error, target **DownError) bool {
-	d, ok := err.(*DownError)
-	if ok {
-		*target = d
-	}
-	return ok
-}

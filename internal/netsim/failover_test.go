@@ -50,7 +50,7 @@ func TestPlaneBTransit(t *testing.T) {
 
 func TestSendReliableHealthyUsesPlaneA(t *testing.T) {
 	n := New(topo.Cluster8())
-	d, err := n.SendReliable(0, 0, 1, 64, DefaultFailover())
+	d, err := n.MustTransport(0, DefaultFailover()).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFailoverOnLinkCut(t *testing.T) {
 	n := New(topo.Cluster8())
 	cfg := DefaultFailover()
 	n.CutWire(0, topo.NetworkA, 0) // node 0's plane-A uplink dead from t=0
-	d, err := n.SendReliable(0, 0, 1, 64, cfg)
+	d, err := n.MustTransport(0, cfg).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFailoverOnLinkCut(t *testing.T) {
 		t.Errorf("plane B counters = %+v", b)
 	}
 	// Other sources are untouched by node 0's cut uplink.
-	d2, err := n.SendReliable(d.Done, 2, 3, 64, cfg)
+	d2, err := n.MustTransport(2, cfg).Send(d.Done, 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFailoverOnCorruption(t *testing.T) {
 	n := New(topo.Cluster8())
 	cfg := DefaultFailover()
 	n.CorruptWire(0, topo.NetworkA, 0, 1*sim.Millisecond)
-	d, err := n.SendReliable(0, 0, 1, 64, cfg)
+	d, err := n.MustTransport(0, cfg).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCRCRetrySamePlane(t *testing.T) {
 	n.Reset()
 	n.CorruptWire(0, topo.NetworkA, 0, 1*sim.Nanosecond)
 	cfg.CRCRetries = 0
-	d, err = n.SendReliable(0, 0, 1, 64, cfg)
+	d, err = n.MustTransport(0, cfg).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFailoverOnStuckOutput(t *testing.T) {
 	cfg := DefaultFailover()
 	// Cluster8 crossbar 0 is plane A; output 1 feeds node 1.
 	n.Crossbar(0).StickOutput(1, 0, 1*sim.Second)
-	d, err := n.SendReliable(0, 0, 1, 64, cfg)
+	d, err := n.MustTransport(0, cfg).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestFailoverOnNIStall(t *testing.T) {
 	n := New(topo.Cluster8())
 	cfg := DefaultFailover()
 	n.NI(0).Links[topo.NetworkA].Stall(0, 1*sim.Millisecond)
-	d, err := n.SendReliable(0, 0, 1, 64, cfg)
+	d, err := n.MustTransport(0, cfg).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestBothPlanesDownFails(t *testing.T) {
 	cfg := DefaultFailover()
 	n.CutWire(0, topo.NetworkA, 0)
 	n.CutWire(0, topo.NetworkB, 0)
-	d, err := n.SendReliable(0, 0, 1, 64, cfg)
+	d, err := n.MustTransport(0, cfg).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMidStreamCutCorrupts(t *testing.T) {
 func TestResetClearsPlaneCounters(t *testing.T) {
 	n := New(topo.Cluster8())
 	n.CutWire(0, topo.NetworkA, 0)
-	if _, err := n.SendReliable(0, 0, 1, 64, DefaultFailover()); err != nil {
+	if _, err := n.MustTransport(0, DefaultFailover()).Send(0, 1, 64); err != nil {
 		t.Fatal(err)
 	}
 	n.Reset()
@@ -252,7 +252,7 @@ func TestResetClearsPlaneCounters(t *testing.T) {
 		t.Error("Reset kept plane counters")
 	}
 	// Reset also heals wires (Wire.Reset clears fault state).
-	d, err := n.SendReliable(0, 0, 1, 64, DefaultFailover())
+	d, err := n.MustTransport(0, DefaultFailover()).Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestResetClearsPlaneCounters(t *testing.T) {
 
 func TestPlaneCounterSetOrdering(t *testing.T) {
 	n := New(topo.Cluster8())
-	if _, err := n.SendReliable(0, 0, 1, 64, DefaultFailover()); err != nil {
+	if _, err := n.MustTransport(0, DefaultFailover()).Send(0, 1, 64); err != nil {
 		t.Fatal(err)
 	}
 	set := n.PlaneCounterSet(topo.NetworkA)
@@ -292,7 +292,7 @@ func TestFailedAttemptHoldsPartialCircuit(t *testing.T) {
 	// output feeding node 1. Output 2 is clean, so the send is fast.
 	ref := New(topo.Cluster8())
 	ref.Crossbar(0).StickOutput(1, 0, 1*sim.Second)
-	d0, err := ref.SendReliable(0, 0, 2, 64, cfg)
+	d0, err := ref.MustTransport(0, cfg).Send(0, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,20 +306,26 @@ func TestFailedAttemptHoldsPartialCircuit(t *testing.T) {
 	// Same machine, but node 0 first sends toward the stuck output: that
 	// attempt claims the node-0 uplink wire, times out at setup, and
 	// holds the partial circuit until its teardown at entry+AckTimeout.
+	// A zero ReprobeInterval disables the plane-down cache, so the
+	// second send from the same transport tries plane A again instead of
+	// skipping it.
 	n := New(topo.Cluster8())
 	n.Crossbar(0).StickOutput(1, 0, 1*sim.Second)
-	d1, err := n.SendReliable(0, 0, 1, 64, cfg)
+	cacheless := cfg
+	cacheless.ReprobeInterval = 0
+	tp := n.MustTransport(0, cacheless)
+	d1, err := tp.Send(0, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1.Failed || !d1.Retried || d1.Plane != topo.NetworkB {
 		t.Fatalf("first delivery = %+v, want retried plane-B success", d1)
 	}
-	d2, err := n.SendReliable(0, 0, 2, 64, cfg)
+	d2, err := tp.Send(0, 2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Retried || d2.Plane != topo.NetworkA {
+	if d2.Retried || d2.SkippedDown != 0 || d2.Plane != topo.NetworkA {
 		t.Errorf("second delivery = %+v, want delayed plane-A success", d2)
 	}
 	// The second send enters at t=0 too, so the held uplink pins its

@@ -120,12 +120,49 @@ type netInstruments struct {
 	// wait holds the machine-wide latency-decomposition histograms in
 	// waitComponents order; every delivered send feeds them.
 	wait [4]*metrics.Histogram
-	// tenantLat holds the per-tenant delivered-latency histograms of a
-	// partitioned shard, indexed by the tenant id SendAsyncTenant carries
-	// (PartNetwork.SetTenants); nil when unlabelled. tenantWait holds the
+	// tenantLat holds the per-tenant delivered-latency histograms,
+	// indexed by a send's tenant label (Transport.SetTenant,
+	// PartNetwork.SetTenants); nil when unlabelled. tenantWait holds the
 	// matching per-tenant decomposition histograms.
 	tenantLat  []*metrics.Histogram
 	tenantWait [][4]*metrics.Histogram
+}
+
+// newNetInstruments resolves the send-path instruments in m, with the
+// per-tenant histograms of every label in tenants (all off when m is
+// nil).
+func newNetInstruments(m *metrics.Registry, tenants []string) netInstruments {
+	if m == nil {
+		return netInstruments{}
+	}
+	mi := netInstruments{
+		sends:         m.Counter(MetricSends),
+		delivered:     m.Counter(MetricDelivered),
+		failed:        m.Counter(MetricFailed),
+		retried:       m.Counter(MetricRetried),
+		planeDownHits: m.Counter(MetricPlaneDownHits),
+		sendLatency:   m.TimeHistogram(MetricSendLatency, latencyBuckets()),
+		detection:     m.TimeHistogram(MetricDetection, latencyBuckets()),
+		wait:          waitHistograms(m),
+	}
+	mi.setTenants(m, tenants)
+	return mi
+}
+
+// setTenants resolves the per-tenant histograms of every label in
+// names from m, replacing the previous set; nothing when m is nil or
+// no label is declared.
+func (mi *netInstruments) setTenants(m *metrics.Registry, names []string) {
+	mi.tenantLat, mi.tenantWait = nil, nil
+	if m == nil || len(names) == 0 {
+		return
+	}
+	mi.tenantLat = make([]*metrics.Histogram, len(names))
+	mi.tenantWait = make([][4]*metrics.Histogram, len(names))
+	for i, name := range names {
+		mi.tenantLat[i] = m.TimeHistogram(MetricSendLatencyTenantPrefix+name, tenantLatencyBuckets())
+		mi.tenantWait[i] = tenantWaitHistograms(m, name)
+	}
 }
 
 // SetMetrics attaches a metrics registry: the failover send path feeds
@@ -137,20 +174,7 @@ type netInstruments struct {
 // costing the instrumented paths one nil check per observation.
 func (n *Network) SetMetrics(m *metrics.Registry) {
 	n.mreg = m
-	if m == nil {
-		n.met = netInstruments{}
-	} else {
-		n.met = netInstruments{
-			sends:         m.Counter(MetricSends),
-			delivered:     m.Counter(MetricDelivered),
-			failed:        m.Counter(MetricFailed),
-			retried:       m.Counter(MetricRetried),
-			planeDownHits: m.Counter(MetricPlaneDownHits),
-			sendLatency:   m.TimeHistogram(MetricSendLatency, latencyBuckets()),
-			detection:     m.TimeHistogram(MetricDetection, latencyBuckets()),
-			wait:          waitHistograms(m),
-		}
-	}
+	n.met = newNetInstruments(m, n.tenants)
 	planes := n.topo.CrossbarPlanes()
 	for i, x := range n.xbars {
 		label := ""
@@ -162,7 +186,7 @@ func (n *Network) SetMetrics(m *metrics.Registry) {
 }
 
 // observeSend tallies one completed reliable send.
-func (mi *netInstruments) observeSend(d Delivery) {
+func (mi *netInstruments) observeSend(d *Delivery) {
 	mi.sends.Inc()
 	mi.planeDownHits.Add(int64(d.SkippedDown))
 	if d.Failed {

@@ -67,8 +67,10 @@ type Network struct {
 	// feeds (netmetrics.go); the zero value is the "metrics off" state.
 	met netInstruments
 	// mreg is the attached registry itself, kept so late labelling
-	// (Transport.SetTenant) can resolve additional instruments.
-	mreg *metrics.Registry
+	// (Transport.SetTenant) can resolve additional instruments; tenants
+	// are the labels declared so far, indexed by Transport.tenant.
+	mreg    *metrics.Registry
+	tenants []string
 	// osSending marks sends issued by the background OS stream so their
 	// message spans land on the OS track instead of a node track.
 	osSending bool

@@ -281,23 +281,13 @@ func (pn *PartNetwork) SetMetrics(m *metrics.Registry) {
 			continue
 		}
 		ps.reg = metrics.NewRegistry()
-		ps.met = netInstruments{
-			sends:         ps.reg.Counter(MetricSends),
-			delivered:     ps.reg.Counter(MetricDelivered),
-			failed:        ps.reg.Counter(MetricFailed),
-			retried:       ps.reg.Counter(MetricRetried),
-			planeDownHits: ps.reg.Counter(MetricPlaneDownHits),
-			sendLatency:   ps.reg.TimeHistogram(MetricSendLatency, latencyBuckets()),
-			detection:     ps.reg.TimeHistogram(MetricDetection, latencyBuckets()),
-			wait:          waitHistograms(ps.reg),
-		}
+		ps.met = newNetInstruments(ps.reg, pn.tenants)
 		buckets := metrics.TimeBuckets(200*sim.Nanosecond, 2, 10)
 		ps.arbWait = ps.reg.TimeHistogram(xbar.MetricArbWait, buckets)
 		for p := range ps.planeWait {
 			ps.planeWait[p] = ps.reg.TimeHistogram(xbar.MetricArbWaitPlanePrefix+planeName(p), buckets)
 		}
 	}
-	pn.SetTenants(pn.tenants)
 }
 
 // SetTenants declares the tenant labels of SendAsyncTenant: tenant i's
@@ -308,17 +298,7 @@ func (pn *PartNetwork) SetMetrics(m *metrics.Registry) {
 func (pn *PartNetwork) SetTenants(names []string) {
 	pn.tenants = names
 	for _, ps := range pn.shards {
-		if ps.reg == nil || len(names) == 0 {
-			ps.met.tenantLat = nil
-			ps.met.tenantWait = nil
-			continue
-		}
-		ps.met.tenantLat = make([]*metrics.Histogram, len(names))
-		ps.met.tenantWait = make([][4]*metrics.Histogram, len(names))
-		for i, name := range names {
-			ps.met.tenantLat[i] = ps.reg.TimeHistogram(MetricSendLatencyTenantPrefix+name, tenantLatencyBuckets())
-			ps.met.tenantWait[i] = tenantWaitHistograms(ps.reg, name)
-		}
+		ps.met.setTenants(ps.reg, names)
 	}
 }
 
@@ -412,22 +392,7 @@ func (pn *PartNetwork) Plane(p int) PlaneCounters {
 // ordered stats.CounterSet the legacy Network renders — the degraded-
 // mode report of cmd/pmfault. The OS-stream rows are always zero: the
 // partitioned datapath carries no background OS stream.
-func (pn *PartNetwork) PlaneCounterSet(p int) stats.CounterSet {
-	c := pn.Plane(p)
-	set := stats.CounterSet{Title: fmt.Sprintf("plane %s", planeName(p))}
-	set.Add("attempts", c.Attempts)
-	set.Add("delivered", c.Delivered)
-	set.Add("stalled", c.Stalled)
-	set.Add("link-down", c.LinkDown)
-	set.Add("setup-timeouts", c.SetupTimeouts)
-	set.Add("crc-errors", c.CRCErrors)
-	set.Add("crc-retries", c.CRCRetries)
-	set.Add("failed-over", c.FailedOver)
-	set.Add("skipped-down", c.SkippedDown)
-	set.Add("os-messages", c.OSMessages)
-	set.Add("os-dropped", c.OSDropped)
-	return set
-}
+func (pn *PartNetwork) PlaneCounterSet(p int) stats.CounterSet { return pn.Plane(p).counterSet(p) }
 
 // MessagesSent reports network attempts across all shards.
 func (pn *PartNetwork) MessagesSent() int64 {

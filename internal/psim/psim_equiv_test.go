@@ -17,7 +17,6 @@ import (
 	"powermanna/internal/heat"
 	"powermanna/internal/metrics"
 	"powermanna/internal/mpl"
-	"powermanna/internal/netsim"
 	"powermanna/internal/psim"
 	"powermanna/internal/sim"
 	"powermanna/internal/topo"
@@ -170,9 +169,9 @@ func TestEarthOnShardMatchesScheduler(t *testing.T) {
 		tp := topo.Cluster8()
 		var s *earth.System
 		if eng != nil {
-			s = earth.NewWithEngine(tp, earth.DefaultParams(), netsim.DefaultFailover(), eng)
+			s = earth.NewWithEngine(tp, earth.DefaultParams(), eng)
 		} else {
-			s = earth.NewWithFailover(tp, earth.DefaultParams(), netsim.DefaultFailover())
+			s = earth.New(tp, earth.DefaultParams())
 		}
 		rec := trace.NewRecorder()
 		s.SetRecorder(rec)

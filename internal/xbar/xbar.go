@@ -208,7 +208,7 @@ func (x *Crossbar) ClaimOutput(start, until sim.Time, out int) {
 // StickOutput injects a stuck-busy fault: output channel out is forced
 // busy for the window [from, until), as if a failed arbiter never released
 // the crosspoint. Circuits requesting the channel inside the window wait
-// like any contender — the fault-aware send path (netsim.SendReliable)
+// like any contender — the fault-aware send path (netsim.Transport)
 // gives up after its setup timeout and fails over to the other network
 // plane. Like every Resource acquisition, the window must be applied in
 // non-decreasing time order relative to traffic; the fault injector
