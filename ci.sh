@@ -34,9 +34,6 @@ go test -race ./...
 echo "== pmlint =="
 go run ./cmd/pmlint ./...
 
-echo "== analysis race tests =="
-go test -race ./internal/analysis/...
-
 echo "== build cmd binaries =="
 bindir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT

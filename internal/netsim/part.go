@@ -190,7 +190,8 @@ type openHold struct {
 // with every directed wire pre-created (lazy creation would write the
 // shared wire table from concurrent shards) and one fault-aware
 // transport per node for route and plane-down caching on the node's
-// shard.
+// shard. The engine's window width is derived from the topology
+// (lookaheadFor).
 func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetwork, error) {
 	part, err := t.Partition(shards)
 	if err != nil {
@@ -217,7 +218,7 @@ func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetw
 		net:     n,
 		part:    part,
 		grain:   grain,
-		eng:     psim.NewEngine(shards, psim.DefaultLookahead()),
+		eng:     psim.NewEngine(shards, lookaheadFor(t, grain, n, cfg.NackLatency)),
 		tps:     make([]*Transport, t.Nodes()),
 		hopBase: len(n.wires),
 		msgSeq:  make([]uint32, t.Nodes()),
@@ -237,6 +238,46 @@ func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetw
 		pn.tps[node] = n.MustTransport(node, cfg)
 	}
 	return pn, nil
+}
+
+// lookaheadFor derives the engine's conservative window width from the
+// network's grain: the least simulated time between a canonical drain
+// and any event it posts to another shard. The datapath posts across
+// shards in two places, each at least one route setup plus one crossing
+// of a boundary wire (topo.BoundaryLinks) past its drain, less the
+// canonStep the drain trails its producer by:
+//
+//   - srcSplit posts a remote leg at the header's arrival at the
+//     central crossbar, after a route setup at the source leaf and the
+//     leaf-to-central wire. That setup starts no earlier than the
+//     drain: a first walk enters the network no earlier than its
+//     drain's producer, and a walker woken from an open hold re-walks
+//     into the leaf output it parked at, freed no earlier than the
+//     release that woke it. A leaf output and the wire leaving it are
+//     held and released together, so no walker parks on the boundary
+//     wire itself.
+//   - sendVerdict posts at the last byte, or at a failure's detection.
+//     A destination leg is drained one canonStep after it arrives and
+//     never parks — open holds cover only up-direction, source-owned
+//     resources — so the verdict lies a route setup at the central
+//     crossbar plus the central-to-leaf wire past the drain, or at
+//     least NackLatency past it for a failure.
+//
+// The bound is computed on the grain, not on the placement, so every
+// aligned shard count, one included, runs the same window program. A
+// one-group grain, a synchronous boundary wire or a topology that is
+// not a leaf/central hierarchy falls back to psim.DefaultLookahead, as
+// does a bound that would not widen the window; the Post panic stays
+// the runtime guard.
+func lookaheadFor(t *topo.Topology, grain *topo.Partition, n *Network, nackLatency sim.Time) sim.Time {
+	floor := psim.DefaultLookahead()
+	links, sync, err := t.BoundaryLinks(grain)
+	if grain.Shards() < 2 || err != nil || links == 0 || sync > 0 {
+		return floor
+	}
+	wire := n.linkCfg.PropagationDelay + n.linkCfg.TransferTime(1) + n.trans.Latency
+	la := min(xbar.RouteSetup+wire, nackLatency) - canonStep
+	return max(la, floor)
 }
 
 // Network exposes the underlying network for pre-run fault injection
@@ -908,10 +949,12 @@ func (ps *partShard) processDst(l *pleg) {
 
 // sendVerdict routes rl's finalize verdict back to the source shard at
 // its effect time: the delivery (or NACK-visible) time for completed
-// circuits, the ack-timeout detection time for silent failures. Both
-// exceed the engine's lookahead past the current event by at least a
-// wire propagation delay. The destination shard must not touch rl
-// afterwards: it now belongs to the source shard again.
+// circuits, the detection time for silent failures. The first lies at
+// least a route setup plus the central-to-leaf wire past the drain that
+// walked the destination leg, the second at least NackLatency past it
+// — both at or beyond the engine's lookahead (lookaheadFor). The
+// destination shard must not touch rl afterwards: it now belongs to the
+// source shard again.
 func (ps *partShard) sendVerdict(rl *remoteLeg) {
 	fm := &rl.fin
 	at := fm.last

@@ -52,6 +52,9 @@ func partSends(t *testing.T, shards int, serial bool, src int, msgs []sendAt, fa
 	if done != len(msgs) {
 		t.Fatalf("shards=%d serial=%v: %d of %d sends from %d completed", shards, serial, done, len(msgs), src)
 	}
+	if eng := pn.Engine(); eng.MinPostSlack() < eng.Lookahead() {
+		t.Errorf("shards=%d serial=%v: cross-shard post slack %.3fns below the lookahead %.3fns", shards, serial, eng.MinPostSlack().Nanos(), eng.Lookahead().Nanos())
+	}
 	return got, [2]PlaneCounters{pn.Plane(topo.NetworkA), pn.Plane(topo.NetworkB)}
 }
 
@@ -265,6 +268,9 @@ func partBurst(t *testing.T, shards int, serial bool) (deliveries []Delivery, ar
 		})
 	}
 	pn.Run()
+	if eng := pn.Engine(); eng.MinPostSlack() < eng.Lookahead() {
+		t.Errorf("shards=%d serial=%v: burst post slack %.3fns below the lookahead %.3fns", shards, serial, eng.MinPostSlack().Nanos(), eng.Lookahead().Nanos())
+	}
 	return deliveries, arrivals, [2]PlaneCounters{pn.Plane(0), pn.Plane(1)}, reg.Render(), rec.Events()
 }
 

@@ -178,8 +178,10 @@ func (p *psend) srcFailed(res walkRes) {
 // srcSplit hands a cross-group attempt to the destination's half: the
 // source segment goes open-held, and the remote leg travels to the
 // boundary crossbar's shard as plain data at the header's arrival time
-// there (at least a route setup plus a wire crossing past the walk —
-// beyond the engine's lookahead by construction).
+// there. That is at least a route setup at the source leaf plus the
+// leaf-to-central wire past the drain that walked it, on a re-walk
+// after an open hold too — at or beyond the engine's lookahead by
+// construction (lookaheadFor).
 func (p *psend) srcSplit(res walkRes) {
 	ps, st := p.ps, &p.st
 	cfg := &st.tp.cfg

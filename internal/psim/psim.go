@@ -18,14 +18,20 @@
 // The conservative contract: during a barrier round every shard may
 // freely execute events before the round's window end, because no
 // other shard can inject an event below it — the lookahead is the
-// minimum latency of any cross-shard interaction. For the simulated
-// interconnect that floor comes from the hardware constants: a message
-// crossing a shard boundary pays at least one crossbar route setup
-// plus one link byte period before it can touch another shard's state
-// (DefaultLookahead). Partitions that exchange no events at all — the
-// fault campaigns' independent rate rows — run with an unbounded
-// window (lookahead 0), which degenerates to one round with no
-// barriers: the embarrassingly-parallel fast path.
+// minimum latency of any cross-shard interaction. The model that posts
+// across shards supplies it. The partitioned interconnect
+// (internal/netsim) derives it from its topology: where every link
+// between a node group and the central crossbar stage crosses
+// asynchronous transceivers, as in System256, a cross-shard event lies
+// at least a route setup plus one transceiver wire crossing in the
+// future; otherwise it falls back to DefaultLookahead, the
+// synchronous-link floor of one route setup plus one link byte period.
+// Every post records its slack — post time minus the posting shard's
+// clock — and MinPostSlack reports the least one, so tests can check
+// the bound a model claims against the run it made. Partitions that
+// exchange no events at all — the fault campaigns' independent rate
+// rows — run with an unbounded window (lookahead 0), which degenerates
+// to one round with no barriers: the embarrassingly-parallel fast path.
 //
 // Each Shard implements sim.Engine, so models written against the
 // sequential scheduler (EARTH, the campaign drivers) run unchanged on
@@ -79,12 +85,16 @@ func ParseKind(s string) (Kind, error) {
 	return Seq, fmt.Errorf("psim: unknown engine %q (want seq or par)", s)
 }
 
-// DefaultLookahead is the conservative window width for node-sharded
-// models: the minimum simulated latency of any cross-shard message.
-// Before a message started in one window can perturb another shard it
-// must at least claim a crossbar route (RouteSetup) and put its first
-// byte on a wire (BytePeriod), so events inside the window are safe to
-// dispatch without hearing from other shards.
+// DefaultLookahead is the synchronous-link floor of the conservative
+// window width for node-sharded models: the minimum simulated latency
+// of any cross-shard message when nothing more is known about the
+// links it crosses. Before a message started in one window can perturb
+// another shard it must at least claim a crossbar route (RouteSetup)
+// and put its first byte on a wire (BytePeriod), so events inside the
+// window are safe to dispatch without hearing from other shards. A
+// model that knows its cross-shard wires are longer — netsim's
+// partitioned network over asynchronous inter-cluster links — derives
+// a wider window and keeps this one as its fallback.
 func DefaultLookahead() sim.Time {
 	return xbar.RouteSetup + link.BytePeriod
 }
@@ -214,6 +224,10 @@ type Shard struct {
 	seq    uint64
 	queue  eventHeap
 	nsteps uint64
+	// minSlack is the least (post time − now) of this shard's
+	// cross-shard posts, sim.MaxTime before the first. Only the shard's
+	// own worker writes it: shards post concurrently.
+	minSlack sim.Time
 }
 
 // ID reports the shard's index within its engine.
@@ -382,9 +396,9 @@ type Engine struct {
 
 // NewEngine builds an engine with n shards. A lookahead > 0 sets the
 // conservative window width for models with cross-shard traffic
-// (DefaultLookahead derives the interconnect's floor); lookahead 0
-// means the shards are independent partitions and the whole run is one
-// unbounded window.
+// (DefaultLookahead is the interconnect's synchronous-link floor);
+// lookahead 0 means the shards are independent partitions and the
+// whole run is one unbounded window.
 func NewEngine(n int, lookahead sim.Time) *Engine {
 	if n < 1 {
 		panic("psim: engine needs at least one shard")
@@ -396,7 +410,7 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 		mail:      make([][]post, n*n),
 	}
 	for i := range e.shards {
-		e.shards[i] = &Shard{eng: e, id: i}
+		e.shards[i] = &Shard{eng: e, id: i, minSlack: sim.MaxTime}
 	}
 	return e
 }
@@ -434,6 +448,31 @@ func (e *Engine) Rounds() uint64 { return e.rounds }
 // with an event in the window: rounds with nothing to hand off.
 func (e *Engine) SoloRounds() uint64 { return e.solo }
 
+// MinPostSlack reports the least slack of any cross-shard post so far:
+// the post time minus the posting shard's clock, minimized over Post
+// and PostPayload on every shard (sim.MaxTime when nothing was posted).
+// It is a pure function of the model, like the post times themselves.
+// A model whose cross-shard latency really is at least the lookahead
+// keeps it at or above Lookahead; the Post panic catches only the
+// posts that land inside the current window, so the slack is the
+// stronger check.
+func (e *Engine) MinPostSlack() sim.Time {
+	min := sim.MaxTime
+	for _, s := range e.shards {
+		if s.minSlack < min {
+			min = s.minSlack
+		}
+	}
+	return min
+}
+
+// noteSlack records one post's slack on the posting shard.
+func (s *Shard) noteSlack(t sim.Time) {
+	if d := t - s.now; d < s.minSlack {
+		s.minSlack = d
+	}
+}
+
 // Post schedules fn on shard dst at absolute time t, from model code
 // running on shard src during a round. The conservative contract: t
 // must lie at or beyond the current window's end, because dst may
@@ -446,6 +485,7 @@ func (e *Engine) Post(src, dst int, t sim.Time, fn func()) {
 	if t < e.horizon {
 		panic(fmt.Sprintf("psim: shard %d posting to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, e.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
 	}
+	e.shards[src].noteSlack(t)
 	box := &e.mail[src*len(e.shards)+dst]
 	*box = append(*box, post{at: t, src: src, callback: callback{arg: fn}})
 }
@@ -460,6 +500,7 @@ func (e *Engine) PostPayload(src, dst int, t sim.Time, h Handler, payload any) {
 	if t < e.horizon {
 		panic(fmt.Sprintf("psim: shard %d posting payload to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, e.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
 	}
+	e.shards[src].noteSlack(t)
 	box := &e.mail[src*len(e.shards)+dst]
 	*box = append(*box, post{at: t, src: src, callback: callback{h: h, arg: payload}})
 }

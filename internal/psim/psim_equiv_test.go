@@ -209,6 +209,9 @@ func partArtifacts(t *testing.T, shards int, seed int64, body func(w *mpl.PWorld
 	if err := body(w, seed); err != nil {
 		t.Fatalf("shards=%d seed=%d: %v", shards, seed, err)
 	}
+	if eng := w.PartNetwork().Engine(); eng.MinPostSlack() < eng.Lookahead() {
+		t.Fatalf("shards=%d seed=%d: cross-shard post slack %.3fns below the lookahead %.3fns", shards, seed, eng.MinPostSlack().Nanos(), eng.Lookahead().Nanos())
+	}
 	msgs, bytes := w.Stats()
 	return fmt.Sprintf("makespan=%v msgs=%d bytes=%d", w.MaxTime(), msgs, bytes), reg.Render()
 }
@@ -296,6 +299,9 @@ func TestPartitionedWorkloadEquivalence(t *testing.T) {
 // quick configuration (System256, 24 cells per rank, 30 steps) and a
 // short System256 traffic run, both at 2 shards: the counters are pure
 // functions of the model, equal under serial and parallel dispatch.
+// They move only with the window program — System256's windows are
+// the 533.666 ns netsim derives from its asynchronous inter-cluster
+// links — never with a simulated result.
 func TestRoundCountsPinned(t *testing.T) {
 	heatRounds := func(serial bool) *psim.Engine {
 		w, err := mpl.NewPWorld(topo.System256(), 2)
@@ -326,11 +332,14 @@ func TestRoundCountsPinned(t *testing.T) {
 		run          func(serial bool) *psim.Engine
 		rounds, solo uint64
 	}{
-		{"heat-spmd", heatRounds, 1061, 211},
-		{"traffic", trafficRounds, 340, 130},
+		{"heat-spmd", heatRounds, 497, 23},
+		{"traffic", trafficRounds, 180, 37},
 	} {
 		for _, serial := range []bool{true, false} {
 			eng := tc.run(serial)
+			if la := 533666 * sim.Picosecond; eng.Lookahead() != la {
+				t.Errorf("%s: lookahead %.3fns, want %.3fns", tc.name, eng.Lookahead().Nanos(), la.Nanos())
+			}
 			if eng.Rounds() != tc.rounds || eng.SoloRounds() != tc.solo {
 				t.Errorf("%s serial=%v: %d rounds, %d solo; want %d, %d", tc.name, serial, eng.Rounds(), eng.SoloRounds(), tc.rounds, tc.solo)
 			}

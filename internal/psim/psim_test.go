@@ -130,6 +130,29 @@ func TestPostInsideWindowPanics(t *testing.T) {
 	eng.Run()
 }
 
+// TestMinPostSlack pins the runtime slack record: the least post time
+// minus posting-shard clock over Post and PostPayload on every shard,
+// sim.MaxTime before any post, and unchanged by local scheduling.
+func TestMinPostSlack(t *testing.T) {
+	eng := NewEngine(3, sim.Microsecond)
+	if got := eng.MinPostSlack(); got != sim.MaxTime {
+		t.Fatalf("slack before any post = %v, want sim.MaxTime", got)
+	}
+	h := &countHandler{}
+	one := 1
+	eng.Shard(1).At(3*sim.Microsecond, func() {
+		eng.Post(1, 0, 7*sim.Microsecond, func() {})
+		eng.Shard(1).At(3*sim.Microsecond, func() {}) // local: no slack
+	})
+	eng.Shard(2).At(5*sim.Microsecond, func() {
+		eng.PostPayload(2, 0, 6500*sim.Nanosecond, h, &one)
+	})
+	eng.Run()
+	if got, want := eng.MinPostSlack(), 1500*sim.Nanosecond; got != want {
+		t.Fatalf("MinPostSlack = %v, want %v", got, want)
+	}
+}
+
 // TestShardAtPastPanics mirrors the sequential scheduler's guard.
 func TestShardAtPastPanics(t *testing.T) {
 	sh := NewEngine(1, 0).Shard(0)

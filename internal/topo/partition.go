@@ -20,8 +20,12 @@
 // leaf-crossbar groups: splitting a leaf group would put two shards on
 // one crossbar's node-facing outputs, and — worse for the conservative
 // windows — the first remote resource would then sit one wire away from
-// the source node, under psim.DefaultLookahead. Partition rejects
-// misaligned shard counts for exactly that reason.
+// the source node, under even the synchronous-link floor
+// psim.DefaultLookahead. Partition rejects misaligned shard counts for
+// exactly that reason. With aligned groups every handoff sits on a
+// leaf-to-central wire (BoundaryLinks); on System256 those cross
+// asynchronous transceivers, which is what lets internal/netsim widen
+// its windows past that floor.
 package topo
 
 import (
@@ -53,8 +57,9 @@ type Partition struct {
 // sharing a leaf crossbar) must land entirely inside one shard — the
 // alignment that keeps every route a two-segment src/dst decomposition
 // and keeps the first cross-shard event at least a crossbar route setup
-// plus a link byte period in the future (psim.DefaultLookahead). A
-// single-shard partition is valid for any topology.
+// plus a crossing of a boundary wire in the future (see BoundaryLinks;
+// never less than psim.DefaultLookahead). A single-shard partition is
+// valid for any topology.
 func (t *Topology) Partition(shards int) (*Partition, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("topo %s: partition into %d shards", t.name, shards)
@@ -197,4 +202,41 @@ func (p *Partition) Boundary(path Path) int {
 		}
 	}
 	return len(path.Hops)
+}
+
+// BoundaryLinks counts the directed wires next to the ownership handoff
+// of a cross-group route under partition p, and how many of them are
+// synchronous. In a two-level hierarchy these are the wires between a
+// leaf crossbar and a central one, in both directions: a route's
+// source half ends on the leaf-to-central wire into the central
+// crossbar where it changes owner, and its destination half starts at
+// that crossbar's output with the central-to-leaf wire leaving it.
+// internal/netsim sizes its conservative window from these wires. A
+// wire joining two central crossbars, or the leaf crossbars of two
+// different groups, breaks the two-level structure — a route could
+// then hand off elsewhere, next to a node's wire — and is an error.
+// The scan is linear in the wires.
+func (t *Topology) BoundaryLinks(p *Partition) (links, sync int, err error) {
+	for x, g := range p.leafGroup {
+		for o := 0; o < xbar.Ports; o++ {
+			e := t.link(t.nodes+x, o)
+			if !e.wired || t.isNode(e.peerDev) {
+				continue
+			}
+			peer := t.xbarIndex(e.peerDev)
+			h := p.leafGroup[peer]
+			switch {
+			case g >= 0 && g == h:
+				continue // a link inside one group
+			case (g < 0) == (h < 0):
+				return 0, 0, fmt.Errorf("topo %s: crossbars %s and %s are wired directly across groups; handoffs are only bounded in a leaf/central hierarchy",
+					t.name, t.xbarName[x], t.xbarName[peer])
+			}
+			links++
+			if !e.async {
+				sync++
+			}
+		}
+	}
+	return links, sync, nil
 }
