@@ -50,7 +50,9 @@ func buildCLI(t *testing.T, name string) string {
 // sharding CLIs: a positive shard count without --engine par is a usage
 // error (exit 2), never silently ignored, while the same count under
 // --engine par still runs; a negative count is rejected (exit 1) by the
-// library under either engine.
+// library under either engine. An unknown --engine value is rejected
+// (exit 1) with the command's name in front of the message. A rejected
+// command prints nothing to stdout.
 func TestCLIShardsRequireParEngine(t *testing.T) {
 	cases := []struct {
 		cmd      string
@@ -70,12 +72,13 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmfault", []string{"--engine", "par", "--shards", "-1", "--messages", "10"}, 1, "fault: shard count -1 is negative"},
 		{"pmstat", []string{"--engine", "par", "--shards", "-2", "--horizon-us", "5"}, 1, "traffic: shard count -2 is negative"},
 		{"pmtraffic", []string{"--shards", "-1", "--horizon-us", "5"}, 1, "traffic: shard count -1 is negative"},
+		{"pmbench", []string{"--engine", "fast", "--exp", "table1"}, 1, `pmbench: psim: unknown engine "fast"`},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)
-		var stderr bytes.Buffer
+		var stdout, stderr bytes.Buffer
 		run := exec.Command(exe, c.args...)
-		run.Stderr = &stderr
+		run.Stdout, run.Stderr = &stdout, &stderr
 		err := run.Run()
 		exit := 0
 		var ee *exec.ExitError
@@ -89,6 +92,9 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		}
 		if c.inStderr != "" && !strings.Contains(stderr.String(), c.inStderr) {
 			t.Errorf("%s %v: stderr lacks %q:\n%s", c.cmd, c.args, c.inStderr, stderr.String())
+		}
+		if c.exit != 0 && stdout.Len() != 0 {
+			t.Errorf("%s %v: rejected but printed to stdout:\n%s", c.cmd, c.args, stdout.String())
 		}
 		if c.exit == 2 && !strings.Contains(stderr.String(), "Usage of") {
 			t.Errorf("%s %v: usage error without usage text:\n%s", c.cmd, c.args, stderr.String())

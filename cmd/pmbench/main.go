@@ -8,6 +8,7 @@
 //	pmbench -full            # full sweeps (the paper's plotted ranges)
 //	pmbench -exp fig9,fig12  # selected experiments
 //	pmbench -list            # list experiment IDs
+//	pmbench -engine par      # independent series one psim shard each, same output
 package main
 
 import (
@@ -28,7 +29,7 @@ func main() {
 		full     = flag.Bool("full", false, "run full sweeps instead of quick ones")
 		listOnly = flag.Bool("list", false, "list experiment IDs and exit")
 		asJSON   = flag.Bool("json", false, "emit machine-readable JSON instead of tables and plots")
-		engine   = flag.String("engine", "seq", "event engine for campaign-backed experiments: seq or par (byte-identical output)")
+		engine   = flag.String("engine", "seq", "event engine: seq, or par to run the independent series of fig6a-fig8b, nodescale and faultsweep one psim shard each (byte-identical output)")
 	)
 	flag.Parse()
 
@@ -41,7 +42,7 @@ func main() {
 
 	eng, err := psim.ParseKind(*engine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
 		os.Exit(1)
 	}
 	opt := powermanna.ExperimentOptions{Quick: !*full, Engine: eng}

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"powermanna/internal/psim"
+	"powermanna/internal/sim"
 	"powermanna/internal/stats"
 )
 
@@ -30,9 +31,26 @@ type Options struct {
 	// function of (experiment, Options) — the determinism contract
 	// forbids the global math/rand source.
 	Seed int64
-	// Engine selects the event engine for campaign-backed experiments
-	// (psim.Seq or psim.Par); results are byte-identical either way.
+	// Engine selects the event engine (psim.Seq or psim.Par) for the
+	// experiments built from independent rows: under psim.Par the
+	// per-machine series of fig6a, fig6b, fig7a, fig7b, fig8a and fig8b,
+	// the CPU counts of nodescale and the fault-count rows of faultsweep
+	// each run on their own psim shard, concurrently. Every other
+	// experiment ignores it. Results are byte-identical either way.
 	Engine psim.Kind
+}
+
+// rows runs the n independent series of one experiment through
+// psim.RunRows on opt.Engine and returns their results in row order.
+// Series i runs as its row's only event, so it must build everything
+// it touches — its node — itself; its result lands in its own slot and
+// is read only after the join.
+func rows[T any](opt Options, n int, series func(i int) T) []T {
+	out := make([]T, n)
+	psim.RunRows(opt.Engine, n, func(i int, e sim.Engine) {
+		e.At(0, func() { out[i] = series(i) })
+	})
+	return out
 }
 
 // rng builds a fresh explicit generator from the configured seed. Each

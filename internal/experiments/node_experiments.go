@@ -75,9 +75,12 @@ func hintFigure(id string, dt hint.DataType, opt Options) Result {
 		LogY:   true,
 	}
 	peaks := map[string]float64{}
-	for _, cfg := range machine.All() {
-		nd := node.New(cfg)
-		r := hint.Run(nd, dt, max)
+	cfgs := machine.All()
+	runs := rows(opt, len(cfgs), func(i int) hint.Result {
+		return hint.Run(node.New(cfgs[i]), dt, max)
+	})
+	for i, cfg := range cfgs {
+		r := runs[i]
 		s := stats.Series{Name: cfg.Name}
 		for _, p := range r.Points {
 			s.Add(p.Time.Seconds(), p.QUIPS)
@@ -129,15 +132,17 @@ func matmultFigure(id string, v matmult.Version, opt Options) Result {
 		YLabel: "MFLOPS",
 	}
 	last := map[string]float64{}
-	for _, cfg := range fig7Machines() {
-		nd := node.New(cfg)
-		s := stats.Series{Name: cfg.Name}
+	cfgs := fig7Machines()
+	for _, s := range rows(opt, len(cfgs), func(i int) stats.Series {
+		nd := node.New(cfgs[i])
+		s := stats.Series{Name: cfgs[i].Name}
 		for _, n := range fig7Sizes(opt) {
-			r := matmult.Run(nd, n, v, 1)
-			s.Add(float64(n), r.MFLOPS())
-			last[cfg.Name] = r.MFLOPS()
+			s.Add(float64(n), matmult.Run(nd, n, v, 1).MFLOPS())
 		}
+		return s
+	}) {
 		fig.Add(s)
+		last[s.Name] = s.Points[len(s.Points)-1].Y
 	}
 	expected := "the Pentium PC performs best (non-blocking loads overlap the strided misses); PowerMANNA's long lines prefetch superfluous data and its misses serialize"
 	if v == matmult.Transposed {
@@ -173,17 +178,19 @@ func speedupFigure(id string, v matmult.Version, opt Options) Result {
 		YLabel: "speedup",
 	}
 	lastSpeedup := map[string]float64{}
-	for _, cfg := range fig7Machines() {
-		nd := node.New(cfg)
-		s := stats.Series{Name: cfg.Name}
+	cfgs := fig7Machines()
+	for _, s := range rows(opt, len(cfgs), func(i int) stats.Series {
+		nd := node.New(cfgs[i])
+		s := stats.Series{Name: cfgs[i].Name}
 		for _, n := range sizes {
 			one := matmult.Run(nd, n, v, 1)
 			two := matmult.Run(nd, n, v, 2)
-			sp := one.Time.Seconds() / two.Time.Seconds()
-			s.Add(float64(n), sp)
-			lastSpeedup[cfg.Name] = sp
+			s.Add(float64(n), one.Time.Seconds()/two.Time.Seconds())
 		}
+		return s
+	}) {
 		fig.Add(s)
+		lastSpeedup[s.Name] = s.Points[len(s.Points)-1].Y
 	}
 	notes := []string{}
 	for _, k := range sortedKeys(lastSpeedup) {

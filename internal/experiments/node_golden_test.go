@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"powermanna/internal/psim"
 )
 
 // quickRuns memoizes quick-mode results by experiment ID, so the shape
@@ -40,7 +42,10 @@ var figureGoldens = []struct {
 
 // TestNodeFiguresGolden pins the paper figures byte for byte against
 // the output of cmd/pmbench, which prints each Render followed by a
-// newline.
+// newline — under the sequential engine and again under psim.Par,
+// where the independent series of the node figures, nodescale and
+// faultsweep run one psim shard each. CI runs it under -race, so the
+// parallel rows are also checked for data races.
 func TestNodeFiguresGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
@@ -53,13 +58,22 @@ func TestNodeFiguresGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read golden: %v (regenerate with: %s)", err, regen)
 			}
-			var b strings.Builder
-			for _, id := range g.ids {
-				b.WriteString(quickRun(id).Render())
-				b.WriteString("\n")
-			}
-			if got := b.String(); got != string(want) {
-				t.Errorf("figures diverged from %s (regenerate with: %s);\ngot:\n%s", golden, regen, got)
+			for _, eng := range []psim.Kind{psim.Seq, psim.Par} {
+				t.Run(eng.String(), func(t *testing.T) {
+					var b strings.Builder
+					for _, id := range g.ids {
+						r := quickRun(id)
+						if eng == psim.Par {
+							run, _ := ByID(id)
+							r = run(Options{Quick: true, Engine: psim.Par})
+						}
+						b.WriteString(r.Render())
+						b.WriteString("\n")
+					}
+					if got := b.String(); got != string(want) {
+						t.Errorf("figures under --engine %s diverged from %s (regenerate with: %s);\ngot:\n%s", eng, golden, regen, got)
+					}
+				})
 			}
 		})
 	}

@@ -95,9 +95,11 @@ func NodeScalability(opt Options) Result {
 	speedups := stats.Series{Name: "speedup"}
 	snoopUtil := stats.Series{Name: "snoop util x10"}
 	memUtil := stats.Series{Name: "mem util x10"}
-	var base float64
-	notes := []string{}
-	for _, cpus := range []int{1, 2, 3, 4, 5, 6} {
+	// One row per CPU count, each on its own node.
+	type scalePoint struct{ throughput, snoop, mem float64 }
+	counts := []int{1, 2, 3, 4, 5, 6}
+	points := rows(opt, len(counts), func(i int) scalePoint {
+		cpus := counts[i]
 		nd := node.New(machine.PowerMANNAWithCPUs(cpus))
 		kernels := make([]node.Kernel, cpus)
 		for c := 0; c < cpus; c++ {
@@ -109,15 +111,18 @@ func NodeScalability(opt Options) Result {
 			}
 		}
 		makespan := node.RunParallel(kernels...)
-		throughput := float64(cpus) * float64(iters) / makespan.Seconds()
-		if cpus == 1 {
-			base = throughput
-		}
-		sp := throughput / base
-		speedups.Add(float64(cpus), sp)
 		sw, _ := nd.Fabric().(*bus.SwitchedFabric)
-		su := sw.SnoopUtilization(makespan)
-		mu := nd.Memory().Stats().DatapathBusy.Seconds() / makespan.Seconds()
+		return scalePoint{
+			throughput: float64(cpus) * float64(iters) / makespan.Seconds(),
+			snoop:      sw.SnoopUtilization(makespan),
+			mem:        nd.Memory().Stats().DatapathBusy.Seconds() / makespan.Seconds(),
+		}
+	})
+	notes := []string{}
+	for i, cpus := range counts {
+		sp := points[i].throughput / points[0].throughput
+		su, mu := points[i].snoop, points[i].mem
+		speedups.Add(float64(cpus), sp)
 		snoopUtil.Add(float64(cpus), su*10)
 		memUtil.Add(float64(cpus), mu*10)
 		notes = append(notes, fmt.Sprintf("%d CPUs: speedup %.2f, snoop util %.0f%%, memory util %.0f%%", cpus, sp, su*100, mu*100))

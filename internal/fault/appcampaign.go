@@ -339,11 +339,11 @@ func runAppRate(c AppCampaign, opt Options, rate int, observed bool, baseline si
 // builds a fresh world, applies a seeded plane-A link-cut schedule up
 // front, runs the workload, and collects a makespan row. The 0-rate
 // row always runs first and alone — its makespan sizes the fault
-// window every later row draws from; under Options.Engine == psim.Par
-// the remaining rows then run concurrently, one psim shard each —
-// except for partitioned workloads, whose rows always run
-// sequentially because each row's PWorld owns its own psim engine
-// (Options.Shards wide) and supplies the parallelism itself.
+// window every later row draws from; psim.RunRows then runs the
+// remaining rows, under Options.Engine == psim.Par concurrently, one
+// psim shard each — except for partitioned workloads, whose rows
+// always run sequentially because each row's PWorld owns its own psim
+// engine (Options.Shards wide) and supplies the parallelism itself.
 // Deterministic either way: same spec and options, byte-identical
 // AppResult.
 func RunApp(c AppCampaign, opt Options) (*AppResult, error) {
@@ -360,28 +360,22 @@ func RunApp(c AppCampaign, opt Options) (*AppResult, error) {
 	res := &AppResult{Campaign: c, Options: opt}
 	outs := make([]appOutcome, len(c.Rates))
 
-	sch := sim.NewScheduler()
-	runAppRate(c, opt, 0, len(c.Rates) == 1, 0, sch, &outs[0])
-	sch.Run()
+	psim.RunRows(psim.Seq, 1, func(_ int, eng sim.Engine) {
+		runAppRate(c, opt, 0, len(c.Rates) == 1, 0, eng, &outs[0])
+	})
 	if outs[0].err != nil {
 		return nil, outs[0].err
 	}
 	baseline := outs[0].row.Makespan
 
 	rest := c.Rates[1:]
-	if opt.Engine == psim.Par && len(rest) > 0 && c.EarthWorkload != nil {
-		eng := psim.NewEngine(len(rest), 0)
-		for i, rate := range rest {
-			runAppRate(c, opt, rate, i == len(rest)-1, baseline, eng.Shard(i), &outs[i+1])
-		}
-		eng.Run()
-	} else {
-		for i, rate := range rest {
-			sch := sim.NewScheduler()
-			runAppRate(c, opt, rate, i == len(rest)-1, baseline, sch, &outs[i+1])
-			sch.Run()
-		}
+	kind := psim.Seq
+	if c.EarthWorkload != nil {
+		kind = opt.Engine
 	}
+	psim.RunRows(kind, len(rest), func(i int, eng sim.Engine) {
+		runAppRate(c, opt, rest[i], i == len(rest)-1, baseline, eng, &outs[i+1])
+	})
 	for i := range outs {
 		if outs[i].err != nil {
 			return nil, outs[i].err

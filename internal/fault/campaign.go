@@ -409,8 +409,8 @@ func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, obser
 // traffic and a (rate-dependent) fault schedule from the seed, posts
 // every message through a per-source Transport (failover protocol plus
 // plane-down cache) with faults applied in time order, and collects a
-// degradation row. Under Options.Engine == psim.Par the rows run
-// concurrently, one psim shard each. Deterministic either way: same
+// degradation row. psim.RunRows runs the rows, under Options.Engine ==
+// psim.Par concurrently, one psim shard each. Deterministic either way: same
 // spec and options, byte-identical Result.
 func Run(c Campaign, opt Options) (*Result, error) {
 	if opt.Topology == nil && c.DefaultTopology != nil {
@@ -426,21 +426,9 @@ func Run(c Campaign, opt Options) (*Result, error) {
 	res := &Result{Campaign: c, Options: opt}
 	cfg := netsim.DefaultFailover()
 	outs := make([]rateOutcome, len(c.Rates))
-	if opt.Engine == psim.Par {
-		// One shard per rate row, unbounded window: the rows exchange no
-		// events, so the whole sweep is a single barrier-free round.
-		eng := psim.NewEngine(len(c.Rates), 0)
-		for i, rate := range c.Rates {
-			runRate(c, opt, cfg, rate, i == len(c.Rates)-1, eng.Shard(i), &outs[i])
-		}
-		eng.Run()
-	} else {
-		for i, rate := range c.Rates {
-			sch := sim.NewScheduler()
-			runRate(c, opt, cfg, rate, i == len(c.Rates)-1, sch, &outs[i])
-			sch.Run()
-		}
-	}
+	psim.RunRows(opt.Engine, len(c.Rates), func(i int, eng sim.Engine) {
+		runRate(c, opt, cfg, c.Rates[i], i == len(c.Rates)-1, eng, &outs[i])
+	})
 	// Assemble in sweep order. Inflation replicates the sequential
 	// incremental semantics exactly: the baseline is looked up against
 	// the rows assembled so far, so the 0-rate row itself takes the

@@ -27,11 +27,29 @@ func settleGoroutines(want int) int {
 	return n
 }
 
+// stableGoroutines waits until the goroutine count has held still for
+// ten consecutive millisecond polls (about a second at most) and
+// returns it. A joined crew worker has called Done but may not have
+// exited yet, so a baseline read at once can count a goroutine an
+// earlier test is still tearing down.
+func stableGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, i := 0, 0; still < 10 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // TestParallelRunLeavesNoWorkers pins the crew's lifetime: every worker
 // a parallel Run starts is joined before Run returns, also when a
 // shard-0 event panics mid-round and the panic is recovered outside Run.
 func TestParallelRunLeavesNoWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := stableGoroutines()
 	eng := tickEngine(4, 4, 500)
 	eng.Run()
 	if eng.Rounds() != 500 || eng.SoloRounds() != 0 {
@@ -158,5 +176,106 @@ func TestParallelRoundsAllocateNothing(t *testing.T) {
 	short, long := allocs(10), allocs(10_000)
 	if short != long {
 		t.Errorf("a 10-round parallel Run allocates %v, a 10,000-round one %v: rounds allocate", short, long)
+	}
+}
+
+// rowProgram schedules row i's events on e: a chain of 50 events whose
+// times and running hash depend on i, written to the row's own slot.
+func rowProgram(i int, e sim.Engine, out []uint64) {
+	h := uint64(i + 1)
+	var step func()
+	n := 0
+	step = func() {
+		h = h*6364136223846793005 + uint64(e.Now())
+		out[i] = h
+		if n++; n < 50 {
+			e.After(sim.Time(1+(h>>60)+uint64(i)), step)
+		}
+	}
+	e.At(sim.Time(i), step)
+}
+
+// TestRunRows pins the independent-rows runner: under Seq every row is
+// set up only after the previous one drained, on a fresh scheduler, and
+// no goroutine is started; under Par every row runs on its own shard of
+// one engine, and the per-row results equal the sequential ones.
+func TestRunRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 5
+	var log []string
+	base := stableGoroutines()
+	psim.RunRows(psim.Seq, n, func(i int, e sim.Engine) {
+		if _, ok := e.(*sim.Scheduler); !ok {
+			t.Errorf("seq row %d runs on %T, want *sim.Scheduler", i, e)
+		}
+		log = append(log, fmt.Sprintf("setup %d", i))
+		e.At(0, func() {
+			log = append(log, fmt.Sprintf("run %d goroutines=%d", i, runtime.NumGoroutine()-base))
+		})
+	})
+	want := "[setup 0 run 0 goroutines=0 setup 1 run 1 goroutines=0 setup 2 run 2 goroutines=0 setup 3 run 3 goroutines=0 setup 4 run 4 goroutines=0]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("seq rows ran %s, want %s", got, want)
+	}
+
+	seq, par := make([]uint64, n), make([]uint64, n)
+	psim.RunRows(psim.Seq, n, func(i int, e sim.Engine) { rowProgram(i, e, seq) })
+	shards := map[int]bool{}
+	psim.RunRows(psim.Par, n, func(i int, e sim.Engine) {
+		if sh, ok := e.(*psim.Shard); !ok || sh.ID() != i {
+			t.Errorf("par row %d runs on %T %v, want shard %d", i, e, e, i)
+		} else {
+			shards[sh.ID()] = true
+		}
+		rowProgram(i, e, par)
+	})
+	if len(shards) != n {
+		t.Errorf("par rows ran on %d distinct shards, want %d", len(shards), n)
+	}
+	if fmt.Sprint(par) != fmt.Sprint(seq) {
+		t.Errorf("par rows %v, seq rows %v", par, seq)
+	}
+	for i, h := range seq {
+		if h == 0 {
+			t.Errorf("row %d never ran", i)
+		}
+	}
+	psim.RunRows(psim.Par, 0, func(int, sim.Engine) { t.Error("setup called for zero rows") })
+}
+
+// TestRunRowsPanicReachesCaller requires a panicking row to unwind to
+// RunRows' caller under either engine — under Par also from a row on a
+// crew worker — with its own panic value, and to leave no worker
+// running.
+func TestRunRowsPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := stableGoroutines()
+	for _, k := range []psim.Kind{psim.Seq, psim.Par} {
+		for _, bad := range []int{0, 2, 3} {
+			want := fmt.Sprintf("row %d failed", bad)
+			var ran [4]bool
+			func() {
+				defer func() {
+					if r := recover(); r != want {
+						t.Errorf("%v row %d: recovered %v, want %q", k, bad, r, want)
+					}
+				}()
+				psim.RunRows(k, len(ran), func(i int, e sim.Engine) {
+					e.At(sim.Time(i), func() {
+						ran[i] = true
+						if i == bad {
+							panic(fmt.Sprintf("row %d failed", i))
+						}
+					})
+				})
+				t.Errorf("%v row %d: RunRows returned normally", k, bad)
+			}()
+			if !ran[bad] {
+				t.Errorf("%v: row %d never ran", k, bad)
+			}
+			if n := settleGoroutines(base); n != base {
+				t.Fatalf("%v row %d: %d goroutines after a panicking RunRows, want the baseline %d", k, bad, n, base)
+			}
+		}
 	}
 }

@@ -29,17 +29,20 @@
 // Every post records its slack — post time minus the posting shard's
 // clock — and MinPostSlack reports the least one, so tests can check
 // the bound a model claims against the run it made. Partitions that
-// exchange no events at all — the fault campaigns' independent rate
-// rows — run with an unbounded window (lookahead 0), which degenerates
-// to one round with no barriers: the embarrassingly-parallel fast path.
+// exchange no events at all — the fault campaigns' rate rows, the
+// paper figures' per-machine series — go through RunRows, the single
+// entry point for independent partitions: a fresh sequential scheduler
+// per row under Seq, one shard per row of an unbounded-window
+// (lookahead 0) engine under Par, which degenerates to one round with
+// no barriers: the embarrassingly-parallel fast path.
 //
 // Each Shard implements sim.Engine, so models written against the
 // sequential scheduler (EARTH, the campaign drivers) run unchanged on
 // a shard. Everything a shard's events touch must be shard-local; the
 // pmlint --report audit (sharedstate and friends) is the static gate
-// on that, and the per-row construction in internal/fault is the
-// dynamic pattern: one network, one injector, one accounting row per
-// shard.
+// on that, and the per-row construction behind RunRows is the dynamic
+// pattern: one network, one injector, one accounting row per shard in
+// internal/fault, one node per series in internal/experiments.
 package psim
 
 import (
@@ -415,6 +418,33 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 	return e
 }
 
+// RunRows runs n independent rows — partitions that exchange no
+// events, such as a campaign's rate rows or a figure's per-machine
+// series — and returns once every row has drained. setup(i, e)
+// schedules row i's events on e without dispatching them. Under Seq
+// (and for a single row) each row gets a fresh sim.Scheduler, set up
+// and run to completion in row order on the calling goroutine. Under
+// Par row i is shard i of one lookahead-0 engine: every row is set up,
+// then one barrier-free round runs them concurrently. A row's events
+// may touch only row-confined state, which the caller reads after the
+// join. A panic in any row reaches the caller, and no worker outlives
+// the call.
+func RunRows(k Kind, n int, setup func(i int, e sim.Engine)) {
+	if k != Par || n < 2 {
+		for i := 0; i < n; i++ {
+			s := sim.NewScheduler()
+			setup(i, s)
+			s.Run()
+		}
+		return
+	}
+	e := NewEngine(n, 0)
+	for i, s := range e.shards {
+		setup(i, s)
+	}
+	e.Run()
+}
+
 // SetSerial switches the engine between parallel dispatch (the
 // default: a crew of persistent workers, one per shard, for each Run)
 // and serial dispatch (every shard's window run on the calling
@@ -527,8 +557,10 @@ func (e *Engine) nextEventTime() (sim.Time, bool) {
 // cross-goroutine data flow is the hand-off at the round start and the
 // countdown at the barrier. The first round with two or more active
 // shards starts the crew; Run stops and joins it on return, a panic
-// unwinding through Run included, so no worker outlives it. Serial and
-// single-shard engines, and hosts with GOMAXPROCS 1, never start one.
+// unwinding through Run included, so no worker outlives it. A panic in
+// an event on a worker's shard is re-raised on the caller at the end of
+// its round. Serial and single-shard engines, and hosts with
+// GOMAXPROCS 1, never start one.
 func (e *Engine) Run() {
 	defer e.stopCrew()
 	fanout := !e.serial && len(e.shards) > 1 && runtime.GOMAXPROCS(0) > 1
@@ -593,6 +625,7 @@ func (e *Engine) round(end sim.Time, fanout bool) {
 	}
 	e.shards[0].runWindow(end)
 	c.await()
+	c.rethrow()
 }
 
 // spinBudget bounds every busy-wait of the barrier: a worker waiting
@@ -656,6 +689,9 @@ type worker struct {
 	// parked is set while the worker sleeps on wake.
 	parked atomic.Bool
 	wake   chan struct{}
+	// failure is the panic value of an event on the worker's shard,
+	// stored before the worker's last countdown; nil while it runs.
+	failure any
 }
 
 // hand starts round gen on the worker. Dekker order with await: store
@@ -721,11 +757,20 @@ func (e *Engine) startCrew() *crew {
 // work is a crew worker's loop: wait for a round, run the shard's
 // window, count down, until the caller stops the crew. It is the
 // parallel engine's second event-handler root beside runWindow: every
-// callback a worker dispatches runs in event-handler context.
+// callback a worker dispatches runs in event-handler context. A
+// panicking event ends the worker: it records the panic value and
+// counts down, and the caller re-raises the panic once the round has
+// joined, so it reaches Run's caller as a shard-0 panic does.
 //
 //pmlint:root
 func (c *crew) work(s *Shard, w *worker) {
 	defer c.done.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			w.failure = r
+			c.countDown()
+		}
+	}()
 	var seen uint64
 	for {
 		seen = w.await(seen)
@@ -733,8 +778,25 @@ func (c *crew) work(s *Shard, w *worker) {
 			return
 		}
 		s.runWindow(c.end)
-		if c.pending.Add(-1) == 0 && c.parked.Load() {
-			kick(c.wake)
+		c.countDown()
+	}
+}
+
+// countDown marks one worker's share of the round done and wakes the
+// caller if it parked waiting for the last one.
+func (c *crew) countDown() {
+	if c.pending.Add(-1) == 0 && c.parked.Load() {
+		kick(c.wake)
+	}
+}
+
+// rethrow re-raises on the caller the panic of the lowest-numbered
+// worker whose shard panicked in the round just joined. The countdown
+// orders the worker's store of failure before this read.
+func (c *crew) rethrow() {
+	for i := range c.workers {
+		if r := c.workers[i].failure; r != nil {
+			panic(r)
 		}
 	}
 }
