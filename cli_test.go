@@ -46,13 +46,17 @@ func buildCLI(t *testing.T, name string) string {
 	return exe
 }
 
-// TestCLIShardsRequireParEngine pins the --shards contract of the three
+// TestCLIShardsRequireParEngine pins the argument contract of the
 // sharding CLIs: a positive shard count without --engine par is a usage
 // error (exit 2), never silently ignored, while the same count under
 // --engine par still runs; a negative count is rejected (exit 1) by the
-// library under either engine. An unknown --engine value is rejected
-// (exit 1) with the command's name in front of the message. A rejected
-// command prints nothing to stdout.
+// library under either engine, and so are negative sizes — pmfault's
+// --messages, --payload and --window-us, pmtrace's --messages, pmstat's
+// and pmtraffic's --horizon-us and pmstat's --window-us — where zero
+// means the default.
+// An unknown --engine or --topo value is rejected (exit 1) with the
+// command's name in front of the message (pmtopo prints the bare
+// message). A rejected command prints nothing to stdout.
 func TestCLIShardsRequireParEngine(t *testing.T) {
 	cases := []struct {
 		cmd      string
@@ -73,6 +77,20 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmstat", []string{"--engine", "par", "--shards", "-2", "--horizon-us", "5"}, 1, "traffic: shard count -2 is negative"},
 		{"pmtraffic", []string{"--shards", "-1", "--horizon-us", "5"}, 1, "traffic: shard count -1 is negative"},
 		{"pmbench", []string{"--engine", "fast", "--exp", "table1"}, 1, `pmbench: psim: unknown engine "fast"`},
+		{"pmfault", []string{"--messages", "-3"}, 1, "pmfault: fault: message count -3 is negative"},
+		{"pmfault", []string{"--payload", "-1"}, 1, "pmfault: fault: payload size -1 is negative"},
+		{"pmfault", []string{"--window-us", "-5"}, 1, "pmfault: fault: window -5us is negative"},
+		{"pmfault", []string{"--traffic", "--window-us", "-5"}, 1, "pmfault: fault: window -5us is negative"},
+		{"pmstat", []string{"--horizon-us", "-5"}, 1, "pmstat: traffic: horizon -5us is negative"},
+		{"pmstat", []string{"--horizon-us", "5", "--window-us", "-1"}, 1, "pmstat: traffic: telemetry window -1us is negative"},
+		{"pmtraffic", []string{"--horizon-us", "-5"}, 1, "pmtraffic: traffic: horizon -5us is negative"},
+		{"pmtrace", []string{"--run", "pingpong", "--messages", "-3"}, 1, "pmtrace: round count -3 is negative"},
+		{"pmtrace", []string{"--campaign", "link-cut", "--messages", "-3"}, 1, "pmtrace: fault: message count -3 is negative"},
+		{"pmfault", []string{"--topo", "mesh"}, 1, `pmfault: unknown topology "mesh"`},
+		{"pmstat", []string{"--topo", "mesh"}, 1, `pmstat: unknown topology "mesh"`},
+		{"pmtraffic", []string{"--topo", "mesh"}, 1, `pmtraffic: unknown topology "mesh"`},
+		{"pmtrace", []string{"--topo", "mesh"}, 1, `pmtrace: unknown topology "mesh"`},
+		{"pmtopo", []string{"--topo", "mesh"}, 1, `unknown topology "mesh"`},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)

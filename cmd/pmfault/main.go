@@ -115,15 +115,11 @@ func main() {
 		}
 	})
 	var t *topo.Topology
-	switch {
-	case !topoSet:
-	case *topoFlag == "cluster8":
-		t = topo.Cluster8()
-	case *topoFlag == "system256":
-		t = topo.System256()
-	default:
-		fmt.Fprintf(os.Stderr, "pmfault: unknown topology %q\n", *topoFlag)
-		os.Exit(1)
+	if topoSet {
+		if t, err = topo.ByName(*topoFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	opt := fault.Options{
 		Seed:         *seed,

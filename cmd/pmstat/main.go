@@ -79,14 +79,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var t *topo.Topology
-	switch *topoFlag {
-	case "cluster8":
-		t = topo.Cluster8()
-	case "system256":
-		t = topo.System256()
-	default:
-		fail(fmt.Errorf("unknown topology %q", *topoFlag))
+	t, err := topo.ByName(*topoFlag)
+	if err != nil {
+		fail(err)
 	}
 	if *campaignFlag != "" && *campaignFlag != "link-cut" {
 		fail(fmt.Errorf("unknown campaign %q (want link-cut)", *campaignFlag))

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"powermanna"
+	"powermanna/internal/topo"
 )
 
 func main() {
@@ -29,14 +30,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var t *powermanna.Topology
-	switch *topoFlag {
-	case "cluster8":
-		t = powermanna.Cluster8()
-	case "system256":
-		t = powermanna.System256()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topoFlag)
+	t, err := topo.ByName(*topoFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("topology %s: %d nodes (%d processors), %d crossbars\n",

@@ -137,16 +137,10 @@ func main() {
 // pickTopology maps the --topo flag; empty means "workload default" and
 // returns nil so campaigns with their own default topology keep it.
 func pickTopology(name string) (*topo.Topology, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return nil, nil
-	case "cluster8":
-		return topo.Cluster8(), nil
-	case "system256":
-		return topo.System256(), nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
 	}
+	return topo.ByName(name)
 }
 
 // runWorkload records one seeded workload into rec.
@@ -170,9 +164,12 @@ func runWorkload(rec *trace.Recorder, name string, seed int64, t *topo.Topology,
 // the split-phase datapath of the duplicated interconnect. The pair
 // schedule is drawn up front; each rank then plays its part of every
 // round in order, so rounds between disjoint pairs overlap on the
-// wires.
+// wires. Zero rounds means 12.
 func runPingPong(rec *trace.Recorder, seed int64, t *topo.Topology, rounds int) error {
-	if rounds <= 0 {
+	if rounds < 0 {
+		return fmt.Errorf("round count %d is negative", rounds)
+	}
+	if rounds == 0 {
 		rounds = 12
 	}
 	w, err := mpl.NewPWorld(t, 1)
@@ -256,10 +253,7 @@ func runDispatch(rec *trace.Recorder, seed int64) error {
 // engine records only the highest-rate row, so the timeline is the
 // worst-case machine state the degradation table summarises.
 func runCampaign(rec *trace.Recorder, name string, seed int64, t *topo.Topology, messages int, engine psim.Kind) error {
-	opt := fault.Options{Seed: seed, Topology: t, Trace: rec, Engine: engine}
-	if messages > 0 {
-		opt.Messages = messages
-	}
+	opt := fault.Options{Seed: seed, Topology: t, Messages: messages, Trace: rec, Engine: engine}
 	if c, ok := fault.CampaignByName(name); ok {
 		_, err := fault.Run(c, opt)
 		return err

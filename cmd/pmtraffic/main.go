@@ -67,14 +67,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var t *topo.Topology
-	switch *topoFlag {
-	case "cluster8":
-		t = topo.Cluster8()
-	case "system256":
-		t = topo.System256()
-	default:
-		fmt.Fprintf(os.Stderr, "pmtraffic: unknown topology %q\n", *topoFlag)
+	t, err := topo.ByName(*topoFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pmtraffic: %v\n", err)
 		os.Exit(1)
 	}
 

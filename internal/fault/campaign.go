@@ -130,10 +130,10 @@ type Options struct {
 	// Topology is the interconnect under test; nil means topo.Cluster8().
 	Topology *topo.Topology
 	// Messages and PayloadBytes shape the traffic; zero means the
-	// defaults above.
+	// defaults above, a negative value is an error.
 	Messages, PayloadBytes int
 	// Window is the simulated span traffic spreads over; zero means
-	// DefaultWindow.
+	// DefaultWindow, a negative span is an error.
 	Window sim.Time
 	// Trace, when non-nil, records the highest-rate row's run (network
 	// sends, circuit holds, failover attempts) into the recorder — the
@@ -160,10 +160,17 @@ type Options struct {
 	Shards int
 }
 
-// resolved fills the defaults and rejects a negative shard count.
+// resolved fills the defaults and rejects negative counts and sizes.
 func (o Options) resolved() (Options, error) {
-	if o.Shards < 0 {
+	switch {
+	case o.Shards < 0:
 		return o, fmt.Errorf("fault: shard count %d is negative", o.Shards)
+	case o.Messages < 0:
+		return o, fmt.Errorf("fault: message count %d is negative", o.Messages)
+	case o.PayloadBytes < 0:
+		return o, fmt.Errorf("fault: payload size %d is negative", o.PayloadBytes)
+	case o.Window < 0:
+		return o, fmt.Errorf("fault: window %v is negative", o.Window)
 	}
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed

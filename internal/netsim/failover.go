@@ -165,6 +165,17 @@ type PlaneCounters struct {
 	OSDropped int64
 }
 
+// lost counts an attempt abandoned on a silent failure: a severed wire,
+// or a setup timeout (a busy resource or a wedged send FIFO).
+func (c *PlaneCounters) lost(cut bool) {
+	if cut {
+		c.LinkDown++
+	} else {
+		c.SetupTimeouts++
+	}
+	c.FailedOver++
+}
+
 // PlaneCounterSet renders plane p's counters as an ordered
 // stats.CounterSet — the degraded-mode report of cmd/pmfault.
 func (n *Network) PlaneCounterSet(p int) stats.CounterSet { return n.planes[p].counterSet(p) }

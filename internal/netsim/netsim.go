@@ -74,6 +74,10 @@ type Network struct {
 	// osSending marks sends issued by the background OS stream so their
 	// message spans land on the OS track instead of a node track.
 	osSending bool
+	// wireBuf/hopBuf are the claim buffers of send's walks, reused by
+	// every attempt: one goroutine drives a network's synchronous path.
+	wireBuf []partWireClaim
+	hopBuf  []partHopClaim
 }
 
 // New assembles a network over a topology with default PowerMANNA link
@@ -217,131 +221,301 @@ func (n *Network) CorruptWire(dev, port int, from, until sim.Time) {
 // busy, which is exactly the behaviour that separates mesh topologies
 // from the crossbar hierarchy in the blocking experiment.
 //
-// The claim is computed in two passes. First the header walk peeks at
-// each resource's free time to find the true setup schedule; then every
-// resource is claimed from its setup until the message has fully passed.
-// Sends are processed one at a time, so the peeked times stay valid.
+// A header that reaches a severed wire returns a *DownError, and the
+// attempt claims nothing.
 func (n *Network) Send(at sim.Time, path topo.Path, payloadBytes int) (Transit, error) {
-	return n.send(at, path, payloadBytes, 0, 0)
-}
-
-// send is Send with fault awareness: a positive setupTimeout bounds the
-// wait at any single busy resource (wire entry or crossbar output) before
-// the attempt is abandoned with a DownError, and severed wires on the
-// path abort the attempt outright.
-//
-// A positive failHold models the teardown of a failed attempt: the
-// partial circuit the header built stays claimed until at+failHold (the
-// sender's ack-timeout detection, when the driver gives up and the
-// switches reclaim the channels). Resources the header would only have
-// reached after that teardown are not claimed — the header never got
-// there. A zero failHold keeps the old behaviour: failed attempts claim
-// nothing (the raw Send API and the OS stream, which retries on its own
-// cadence).
-//
-//pmlint:hotpath
-func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeout, failHold sim.Time) (Transit, error) {
 	if payloadBytes < 0 {
 		return Transit{}, fmt.Errorf("netsim: negative payload")
 	}
+	tr, res := n.send(at, path, payloadBytes, 0, 0)
+	if res.outcome == walkFailed {
+		return Transit{}, &DownError{Plane: path.Network, Cut: res.cut, At: res.at}
+	}
+	return tr, nil
+}
+
+// send runs one attempt synchronously: the header walks the whole path
+// (walk with no open-hold table) and the circuit it forms is claimed
+// until the close command passes. Sends are processed one at a time, so
+// the walk's peeked free times stay valid until the claim. A positive
+// setupTimeout bounds the wait at any single busy resource (walk).
+//
+// A failed walk holds its partial circuit until the teardown at
+// at+failHold (the sender's ack-timeout detection, when the driver gives
+// up and the switches reclaim the channels). A zero failHold claims
+// nothing: the raw Send API and the OS stream, which retries on its own
+// cadence. The returned walk's claim slices are the network's reused
+// buffers, overwritten by the next send.
+//
+//pmlint:hotpath
+func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeout, failHold sim.Time) (Transit, walkRes) {
 	n.sent++
-	wireBytes := ni.WireBytes(len(path.RouteBytes), payloadBytes)
 	if len(path.Hops) == 0 {
 		// Self-delivery: no network involved.
-		return Transit{SetupDone: at, FirstByte: at, LastByte: at, WireBytes: 0}, nil
+		return Transit{SetupDone: at, FirstByte: at, LastByte: at}, walkRes{}
 	}
+	wireBytes := wireBytesFor(path, payloadBytes)
+	res := n.walk(nil, nil, path, len(path.Hops), false, at, wireBytes, setupTimeout, n.wireBuf, n.hopBuf)
+	n.wireBuf, n.hopBuf = res.wires, res.hops
+	if res.outcome == walkFailed {
+		n.hold(res.wires, res.hops, at+failHold, nil, path.Network)
+		return Transit{}, res
+	}
+	bad := corrupted(res.wires, res.last)
+	n.hold(res.wires, res.hops, res.last, nil, path.Network)
+	recordMsg(n.rec, n.osSending, path, payloadBytes, at, res.head, res.last, bad)
+	return Transit{SetupDone: res.head, FirstByte: res.first, LastByte: res.last, WireBytes: wireBytes, Corrupted: bad}, res
+}
+
+// resKey densely numbers one claimable resource: a directed wire at its
+// Network.wires slot (dev*xbar.Ports+port), then a crossbar output
+// channel after every wire slot (hopRes).
+type resKey int
+
+func wireRes(dev, port int) resKey { return resKey(dev*xbar.Ports + port) }
+
+func (n *Network) hopRes(ord, out int) resKey {
+	return resKey(len(n.wires) + ord*xbar.Ports + out)
+}
+
+// walkRes is the outcome of one header walk.
+type walkRes struct {
+	outcome walkOutcome
+	at      sim.Time // failure time (cut/timeout)
+	cut     bool
+	wires   []partWireClaim
+	hops    []partHopClaim
+	head    sim.Time // header time after the segment
+	first   sim.Time // body arrival (complete walks only)
+	last    sim.Time
+}
+
+type walkOutcome int
+
+const (
+	walkOK walkOutcome = iota
+	walkParked
+	walkFailed
+)
+
+// partWireClaim and partHopClaim are the peeked reservations of one
+// walk, applied by hold once the walk's fate is known.
+type partWireClaim struct {
+	w     *link.Wire
+	key   resKey
+	start sim.Time
+	bytes int
+}
+
+type partHopClaim struct {
+	ord, out         int
+	key              resKey
+	requested, start sim.Time
+}
+
+// walk is the wormhole header walk, the one both executors run. It
+// advances the header over one segment of path, peeking at each wire's
+// and crossbar output's free time to find the true setup schedule, and
+// collects the claims hold applies once the walk's fate is known. The
+// segment is the whole path on the synchronous path (split =
+// len(path.Hops)); on the split-phase path it is the source-owned prefix
+// up to the boundary crossbar at split, or (dstLeg) the destination-owned
+// suffix from that crossbar's output arbitration.
+//
+// open is the walking shard's open-hold table, nil on the synchronous
+// path: a walker reaching an open-held resource parks l there and
+// claims nothing. A positive setupTimeout bounds the wait at any single
+// busy resource; a severed wire fails the walk outright. All times are
+// the walker's carried model times, never an event clock. The claims
+// append to wires[:0] and hops[:0], the caller's buffers, which come
+// back (grown if need be) in the result.
+//
+//pmlint:hotpath
+func (n *Network) walk(l *pleg, open []*openHold, path topo.Path, split int, dstLeg bool, entry sim.Time,
+	wireBytes int, setupTimeout sim.Time, wires []partWireClaim, hops []partHopClaim) walkRes {
 
 	byteTime := n.linkCfg.TransferTime(1)
-	bodyTime := n.linkCfg.TransferTime(wireBytes - len(path.RouteBytes))
-
-	wireClaims := make([]sendWireClaim, 0, len(path.Hops)+1)
-	hopClaims := make([]sendHopClaim, 0, len(path.Hops))
-
-	// Pass 1: header walk, peeking at free times.
-	head := at
+	k := len(path.Hops)
+	lo, hi := 0, split
+	if dstLeg {
+		lo, hi = split, k
+	}
+	head := entry
 	fromDev, fromPort := path.Src, path.Network
-	remaining := wireBytes
-	for _, hop := range path.Hops {
-		w := n.wire(fromDev, fromPort)
-		wStart := sim.Max(head, w.FreeAt())
-		if w.DeadAt(wStart) {
-			n.teardownPartial(wireClaims, hopClaims, at, failHold)
-			return Transit{}, &DownError{Plane: path.Network, Cut: true, At: wStart}
+	if dstLeg {
+		// The source leg already crossed the wire into the boundary
+		// crossbar; this leg starts at its output arbitration.
+		fromDev, fromPort = n.topo.Nodes()+path.Hops[split].Xbar, path.Hops[split].Out
+	}
+	remaining := wireBytes - lo
+	res := walkRes{outcome: walkOK, wires: wires[:0], hops: hops[:0]}
+
+	for i := lo; i < hi; i++ {
+		hop := path.Hops[i]
+		if !(dstLeg && i == lo) {
+			wStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, i == 0, remaining)
+			if !ok {
+				return res
+			}
+			lat := n.linkCfg.PropagationDelay + byteTime
+			if hop.AsyncIn {
+				lat += n.trans.Latency
+			}
+			head = wStart + lat
 		}
-		// The setup timeout does not cover the first wire: a wait there is
-		// the sender's own uplink draining earlier traffic, and the driver
-		// watches that progress through the status register (Section 3.3)
-		// instead of declaring the plane dead. A severed uplink is still
-		// caught by DeadAt above, a wedged NI by ReadyAt's stall windows.
-		if setupTimeout > 0 && len(wireClaims) > 0 && wStart-head > setupTimeout {
-			n.teardownPartial(wireClaims, hopClaims, at, failHold)
-			return Transit{}, &DownError{Plane: path.Network, At: head + setupTimeout}
+		key := n.hopRes(hop.Xbar, hop.Out)
+		if park(open, key, l) {
+			res.outcome = walkParked
+			return res
 		}
-		wireClaims = append(wireClaims, sendWireClaim{w: w, start: wStart, bytes: remaining})
-		lat := n.linkCfg.PropagationDelay + byteTime
-		if hop.AsyncIn {
-			lat += n.trans.Latency
+		setupStart := sim.Max(head, n.xbars[hop.Xbar].OutputFreeAt(hop.Out))
+		if setupTimeout > 0 && setupStart-head > setupTimeout {
+			res.outcome, res.at = walkFailed, head+setupTimeout
+			return res
 		}
-		headArrive := wStart + lat
-		x := n.xbars[hop.Xbar]
-		setupStart := sim.Max(headArrive, x.OutputFreeAt(hop.Out))
-		if setupTimeout > 0 && setupStart-headArrive > setupTimeout {
-			n.teardownPartial(wireClaims, hopClaims, at, failHold)
-			return Transit{}, &DownError{Plane: path.Network, At: headArrive + setupTimeout}
-		}
-		hopClaims = append(hopClaims, sendHopClaim{x: x, out: hop.Out, requested: headArrive, start: setupStart})
+		res.hops = append(res.hops, partHopClaim{ord: hop.Xbar, out: hop.Out, key: key, requested: head, start: setupStart})
 		head = setupStart + xbar.RouteSetup
 		fromDev, fromPort = n.topo.Nodes()+hop.Xbar, hop.Out
 		remaining-- // the crossbar consumed one route byte
 	}
-	lastWire := n.wire(fromDev, fromPort)
-	lwStart := sim.Max(head, lastWire.FreeAt())
-	if lastWire.DeadAt(lwStart) {
-		n.teardownPartial(wireClaims, hopClaims, at, failHold)
-		return Transit{}, &DownError{Plane: path.Network, Cut: true, At: lwStart}
-	}
-	if setupTimeout > 0 && lwStart-head > setupTimeout {
-		n.teardownPartial(wireClaims, hopClaims, at, failHold)
-		return Transit{}, &DownError{Plane: path.Network, At: head + setupTimeout}
-	}
-	wireClaims = append(wireClaims, sendWireClaim{w: lastWire, start: lwStart, bytes: remaining})
-	first := lwStart + n.linkCfg.PropagationDelay + byteTime
-	last := first + bodyTime
 
-	// The circuit forms. A wire severed while the body streams truncates
-	// the message; a corruption window garbles it. Both surface only at
-	// the destination's CRC check, so the transit still claims the path.
-	corrupted := false
-	for _, c := range wireClaims {
+	if !dstLeg && split < k {
+		// Source leg of a split send: walk the wire into the boundary
+		// crossbar (source-owned, per the up/down ownership rule) and stop
+		// with the header's arrival there.
+		wStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, false, remaining)
+		if !ok {
+			return res
+		}
+		lat := n.linkCfg.PropagationDelay + byteTime
+		if path.Hops[split].AsyncIn {
+			lat += n.trans.Latency
+		}
+		res.head = wStart + lat
+		return res
+	}
+
+	// Complete walk (full path or destination leg): the last wire to the
+	// destination node.
+	lwStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, false, remaining)
+	if !ok {
+		return res
+	}
+	res.head = head
+	res.first = lwStart + n.linkCfg.PropagationDelay + byteTime
+	res.last = res.first + n.linkCfg.TransferTime(wireBytes-len(path.RouteBytes))
+	return res
+}
+
+// peekWire is one wire step of walk: the header reaching the wire
+// leaving (dev, port) at head. It appends the claim and returns the
+// wire's start time, or records in res why the walk stops there —
+// parked on an open hold, severed, or timed out — and returns false.
+// The setup timeout does not cover the first wire: a wait there is the
+// sender's own uplink draining earlier traffic, which the driver watches
+// through the status register (Section 3.3) instead of declaring the
+// plane dead; a wedged NI shows up in ReadyAt's stall windows instead.
+//
+//pmlint:hotpath
+func (n *Network) peekWire(res *walkRes, l *pleg, open []*openHold, dev, port int, head, setupTimeout sim.Time, first bool, bytes int) (sim.Time, bool) {
+	key := wireRes(dev, port)
+	if park(open, key, l) {
+		res.outcome = walkParked
+		return 0, false
+	}
+	w := n.wire(dev, port)
+	wStart := sim.Max(head, w.FreeAt())
+	if w.DeadAt(wStart) {
+		res.outcome, res.at, res.cut = walkFailed, wStart, true
+		return 0, false
+	}
+	if setupTimeout > 0 && !first && wStart-head > setupTimeout {
+		res.outcome, res.at = walkFailed, head+setupTimeout
+		return 0, false
+	}
+	res.wires = append(res.wires, partWireClaim{w: w, key: key, start: wStart, bytes: bytes})
+	return wStart, true
+}
+
+// hold claims a walk's wires and crossbar outputs until `until`: the
+// close command passing for a completed circuit, the teardown for a
+// failed one. Claims that start at or after until are skipped — the
+// header never got there before the teardown. The synchronous path (ps
+// nil) holds outputs through xbar.HoldOutput, which keeps the crossbar's
+// opened and blocked counters; the split-phase path claims them on
+// shard ps (claimHop).
+func (n *Network) hold(wires []partWireClaim, hops []partHopClaim, until sim.Time, ps *partShard, plane int) {
+	for _, c := range wires {
+		if c.start < until {
+			c.w.Hold(c.start, until, c.bytes)
+		}
+	}
+	for _, c := range hops {
+		switch {
+		case c.start >= until:
+		case ps == nil:
+			n.xbars[c.ord].HoldOutput(c.requested, c.start, until, c.out)
+		default:
+			ps.claimHop(c, until, plane)
+		}
+	}
+}
+
+// corrupted renders the CRC verdict over the wire claims of a circuit
+// whose last byte passes at last: a wire severed mid-stream or crossed
+// inside a corruption window garbles the frame. Both surface only at the
+// destination's CRC check, so the transit still claims the path.
+func corrupted(claims []partWireClaim, last sim.Time) bool {
+	for _, c := range claims {
 		if cut, ok := c.w.CutTime(); ok && cut > c.start && cut <= last {
-			corrupted = true
+			return true
 		}
 		if c.w.CorruptedIn(c.start, last) {
-			corrupted = true
+			return true
 		}
 	}
+	return false
+}
 
-	// Pass 2: claim the full circuit until the close command passes.
-	for _, c := range wireClaims {
-		c.w.Hold(c.start, last, c.bytes)
+// arrived renders a completed circuit's CRC verdict at the destination
+// link interface and counts it in planes: a CRC error or a delivery.
+func (n *Network) arrived(planes *[ni.LinksPerNode]PlaneCounters, dst, plane int, bad bool) {
+	lif := n.nis[dst].Links[plane]
+	if bad {
+		lif.RecordCRCError()
+		planes[plane].CRCErrors++
+		return
 	}
-	for _, c := range hopClaims {
-		c.x.HoldOutput(c.requested, c.start, last, c.out)
+	lif.RecordFrame()
+	planes[plane].Delivered++
+}
+
+// recordMsg records one completed circuit's message spans: the envelope
+// from entry to the last byte, the setup walk and the body stream, plus
+// the CRC-corrupt marker. Background OS messages (os) land on the OS
+// track, every other message on its source node's track.
+//
+//pmlint:hotpath
+func recordMsg(rec *trace.Recorder, os bool, path topo.Path, payloadBytes int, entry, setupDone, last sim.Time, bad bool) {
+	if !rec.Enabled() {
+		return
 	}
-	if n.rec.Enabled() {
-		track, cat := trace.NodeTrack(path.Src), "netsim"
-		if n.osSending {
-			track, cat = trace.OSTrack(), "os"
-		}
-		n.rec.SpanArg(track, cat, "msg", at, last,
-			fmt.Sprintf("%d->%d plane %s, %dB", path.Src, path.Dst, planeName(path.Network), payloadBytes)) //pmlint:allow hotpath trace-gated formatting, tracing runs pay for the labels
-		n.rec.Span(track, cat, "setup", at, head)
-		n.rec.Span(track, cat, "stream", head, last)
-		if corrupted {
-			n.rec.Instant(track, cat, "crc-corrupt", last)
-		}
+	track, cat := trace.NodeTrack(path.Src), "netsim"
+	if os {
+		track, cat = trace.OSTrack(), "os"
 	}
-	return Transit{SetupDone: head, FirstByte: first, LastByte: last, WireBytes: wireBytes, Corrupted: corrupted}, nil
+	rec.SpanArg(track, cat, "msg", entry, last,
+		fmt.Sprintf("%d->%d plane %s, %dB", path.Src, path.Dst, planeName(path.Network), payloadBytes)) //pmlint:allow hotpath trace-gated formatting, tracing runs pay for the labels
+	rec.Span(track, cat, "setup", entry, setupDone)
+	rec.Span(track, cat, "stream", setupDone, last)
+	if bad {
+		rec.Instant(track, cat, "crc-corrupt", last)
+	}
+}
+
+// wireBytesFor is the on-wire length of a payload along a path.
+func wireBytesFor(path topo.Path, payloadBytes int) int {
+	return ni.WireBytes(len(path.RouteBytes), payloadBytes)
 }
 
 // idealTransit is the zero-contention sender-observed transit time of a
@@ -358,7 +532,7 @@ func (n *Network) idealTransit(path topo.Path, payloadBytes int) sim.Time {
 	if len(path.Hops) == 0 {
 		return 0 // self-delivery: no network involved
 	}
-	wireBytes := ni.WireBytes(len(path.RouteBytes), payloadBytes)
+	wireBytes := wireBytesFor(path, payloadBytes)
 	byteTime := n.linkCfg.TransferTime(1)
 	var t sim.Time
 	for _, hop := range path.Hops {
@@ -370,43 +544,6 @@ func (n *Network) idealTransit(path topo.Path, payloadBytes int) sim.Time {
 	}
 	t += n.linkCfg.PropagationDelay + byteTime
 	return t + n.linkCfg.TransferTime(wireBytes-len(path.RouteBytes))
-}
-
-// sendWireClaim and sendHopClaim are the peeked pass-1 reservations of
-// one send attempt, applied in pass 2 (or held to a failed attempt's
-// teardown).
-type sendWireClaim struct {
-	w     *link.Wire
-	start sim.Time
-	bytes int
-}
-
-type sendHopClaim struct {
-	x                *xbar.Crossbar
-	out              int
-	requested, start sim.Time
-}
-
-// teardownPartial claims a failed attempt's partial circuit until the
-// teardown at entry+failHold — the sender's detection time, when the
-// driver gives up and the switches reclaim the channels. Resources the
-// header would only have reached after the teardown are skipped; a zero
-// failHold claims nothing (the unguarded Send path).
-func (n *Network) teardownPartial(wires []sendWireClaim, hops []sendHopClaim, entry, failHold sim.Time) {
-	if failHold <= 0 {
-		return
-	}
-	until := entry + failHold
-	for _, c := range wires {
-		if c.start < until {
-			c.w.Hold(c.start, until, c.bytes)
-		}
-	}
-	for _, c := range hops {
-		if c.start < until {
-			c.x.HoldOutput(c.requested, c.start, until, c.out)
-		}
-	}
 }
 
 // Reset clears all crossbar and wire timelines, NI state, per-plane

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"testing"
 
 	"powermanna/internal/sim"
@@ -152,5 +153,45 @@ func TestFaultWireOutOfRangePanics(t *testing.T) {
 			}()
 			n.CutWire(c.dev, c.port, 0)
 		}()
+	}
+}
+
+// TestRawSendDownError pins the raw Send failure contract: a header that
+// reaches a severed wire returns a *DownError naming the plane, the cut
+// and the time the header reached the wire, and the failed attempt
+// claims nothing — a later send over the wire and crossbar output it
+// walked first is not delayed.
+func TestRawSendDownError(t *testing.T) {
+	n, fresh := New(topo.Cluster8()), New(topo.Cluster8())
+	cutPath, _ := n.Topology().Route(0, 1, topo.NetworkA)
+	sharing, _ := n.Topology().Route(0, 2, topo.NetworkA) // same uplink
+	last := cutPath.Hops[len(cutPath.Hops)-1]
+	n.CutWire(n.Topology().Nodes()+last.Xbar, last.Out, 0)
+
+	// On an idle network the header reaches the last wire at SetupDone.
+	want, err := fresh.Send(0, cutPath, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = n.Send(0, cutPath, 64)
+	var down *DownError
+	if !errors.As(err, &down) {
+		t.Fatalf("Send across a cut wire returned %v, want *DownError", err)
+	}
+	if *down != (DownError{Plane: topo.NetworkA, Cut: true, At: want.SetupDone}) {
+		t.Errorf("DownError = %+v, want plane A, cut, at %v", *down, want.SetupDone)
+	}
+
+	fresh.Reset()
+	wantNext, _ := fresh.Send(0, sharing, 64)
+	next, err := n.Send(0, sharing, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != wantNext {
+		t.Errorf("send after the failed attempt = %+v, want the idle-network %+v", next, wantNext)
+	}
+	if got := n.Crossbar(last.Xbar).Stats(); got.Blocked != 0 {
+		t.Errorf("crossbar stats after the failed attempt = %+v, want nothing blocked", got)
 	}
 }

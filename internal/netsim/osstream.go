@@ -228,9 +228,9 @@ func (n *Network) advanceOS(now sim.Time) {
 			continue
 		}
 		n.osSending = true
-		_, err = n.send(at, path, bytes, 0, 0)
+		_, res := n.send(at, path, bytes, 0, 0)
 		n.osSending = false
-		if err != nil {
+		if res.outcome == walkFailed {
 			n.traceOSDrop(at)
 			pc.OSDropped++
 			continue

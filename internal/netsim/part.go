@@ -1,19 +1,19 @@
 // Node-partitioned datapath: the split-phase send machinery that routes
 // every inter-node message through psim cross-shard mailboxes.
 //
-// The legacy path (Network.send) computes a whole wormhole transit in
-// one synchronous call, which is only sound when one goroutine owns the
-// entire network. A PartNetwork carves the same network across psim
-// shards — contiguous node groups, resource ownership per
-// topo.Partition — and splits each send into a local and a remote
-// phase: the source shard walks the source-owned prefix of the route
-// (its own uplink, its leaf crossbar's outputs, the leaf-to-central
-// wire) and posts the remainder as a cross-shard event at the time the
-// header reaches the central crossbar; the destination shard walks the
-// destination-owned suffix, renders the delivery or failure verdict
-// (CRC check included), and posts the outcome back. Every cross-shard
-// hop rides a psim mailbox as plain data (psim.Handler payloads), never
-// a closure over source-shard state.
+// There is one header walk, Network.walk. The synchronous executor
+// (Network.send) walks a whole path in one call, which is only sound
+// when one goroutine owns the entire network. A PartNetwork carves the
+// same network across psim shards — contiguous node groups, resource
+// ownership per topo.Partition — and splits each send into a local and
+// a remote phase: the source shard walks the source-owned prefix of the
+// route (its own uplink, its leaf crossbar's outputs, the leaf-to-
+// central wire) and posts the remainder as a cross-shard event at the
+// time the header reaches the central crossbar; the destination shard
+// walks the destination-owned suffix, renders the delivery or failure
+// verdict (CRC check included), and posts the outcome back. Every
+// cross-shard hop rides a psim mailbox as plain data (psim.Handler
+// payloads), never a closure over source-shard state.
 //
 // Determinism contract — the event program is independent of the shard
 // count. Two mechanisms enforce it:
@@ -34,19 +34,19 @@
 //     distorts a transit.
 //
 // Resource discipline: a completed walk claims its whole segment
-// atomically (the same two-pass peek-then-claim as the legacy path). A
-// source leg of a split send cannot know its release time until the
-// destination's verdict, so it marks its resources open-held; walkers
-// hitting an open hold park without claiming anything (no hold-and-wait,
-// hence no deadlock) and are re-buffered into a canonical drain when the
-// hold resolves into a real timed claim.
+// atomically (Network.hold, the same peek-then-claim as the synchronous
+// executor). A source leg of a split send cannot know its release time
+// until the destination's verdict, so it marks its resources open-held
+// in its shard's table, which Network.walk consults; walkers hitting an
+// open hold park without claiming anything (no hold-and-wait, hence no
+// deadlock) and are re-buffered into a canonical drain when the hold
+// resolves into a real timed claim.
 package netsim
 
 import (
 	"fmt"
 	"slices"
 
-	"powermanna/internal/link"
 	"powermanna/internal/metrics"
 	"powermanna/internal/ni"
 	"powermanna/internal/psim"
@@ -82,9 +82,6 @@ type PartNetwork struct {
 	eng         *psim.Engine
 	shards      []*partShard
 	tps         []*Transport
-	// hopBase is the first crossbar-output resKey: wires take the keys
-	// below it (their Network.wires slots).
-	hopBase int
 	// msgSeq numbers each source node's sends; msgID = src<<32|seq is the
 	// canonical drain sort key. Each entry is written only by its node's
 	// shard.
@@ -167,22 +164,21 @@ func (f *freeList[T]) get() *T {
 // put recycles x; the caller has already zeroed its pointer fields.
 func (f *freeList[T]) put(x *T) { f.items = append(f.items, x) }
 
-// resKey densely numbers one claimable resource: a directed wire at its
-// Network.wires slot (dev*xbar.Ports+port), then a crossbar output
-// channel at hopBase + ord*xbar.Ports + out.
-type resKey int
-
-func wireRes(dev, port int) resKey { return resKey(dev*xbar.Ports + port) }
-
-func (pn *PartNetwork) hopRes(ord, out int) resKey {
-	return resKey(pn.hopBase + ord*xbar.Ports + out)
-}
-
 // openHold marks a resource held by an in-flight split send whose claim
 // window is not yet known. Walkers that hit it park here and are
 // re-buffered when the hold resolves.
 type openHold struct {
 	waiters []*pleg
+}
+
+// park queues walker l on the open hold at key, if one stands there;
+// open is nil on the synchronous path, which never parks.
+func park(open []*openHold, key resKey, l *pleg) bool {
+	if open == nil || open[key] == nil {
+		return false
+	}
+	open[key].waiters = append(open[key].waiters, l)
+	return true
 }
 
 // NewPartitioned assembles a partitioned network over the topology:
@@ -215,15 +211,14 @@ func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetw
 		}
 	}
 	pn := &PartNetwork{
-		net:     n,
-		part:    part,
-		grain:   grain,
-		eng:     psim.NewEngine(shards, lookaheadFor(t, grain, n, cfg.NackLatency)),
-		tps:     make([]*Transport, t.Nodes()),
-		hopBase: len(n.wires),
-		msgSeq:  make([]uint32, t.Nodes()),
+		net:    n,
+		part:   part,
+		grain:  grain,
+		eng:    psim.NewEngine(shards, lookaheadFor(t, grain, n, cfg.NackLatency)),
+		tps:    make([]*Transport, t.Nodes()),
+		msgSeq: make([]uint32, t.Nodes()),
 	}
-	resources := pn.hopBase + t.Crossbars()*xbar.Ports
+	resources := n.hopRes(t.Crossbars(), 0)
 	for i := 0; i < shards; i++ {
 		ps := &partShard{
 			pn:   pn,
@@ -430,9 +425,9 @@ func (pn *PartNetwork) Plane(p int) PlaneCounters {
 }
 
 // PlaneCounterSet renders plane p's shard-summed counters as the same
-// ordered stats.CounterSet the legacy Network renders — the degraded-
-// mode report of cmd/pmfault. The OS-stream rows are always zero: the
-// partitioned datapath carries no background OS stream.
+// ordered stats.CounterSet a Network renders — the degraded-mode report
+// of cmd/pmfault. The OS-stream rows are always zero: the partitioned
+// datapath carries no background OS stream.
 func (pn *PartNetwork) PlaneCounterSet(p int) stats.CounterSet { return pn.Plane(p).counterSet(p) }
 
 // MessagesSent reports network attempts across all shards.
@@ -615,39 +610,6 @@ func (ps *partShard) arrive(a *arrival) {
 	ps.freeArrivals.put(a)
 }
 
-// walkRes is the outcome of one segment walk.
-type walkRes struct {
-	outcome walkOutcome
-	at      sim.Time // failure time (cut/timeout)
-	cut     bool
-	wires   []partWireClaim
-	hops    []partHopClaim
-	head    sim.Time // header time after the segment
-	first   sim.Time // body arrival (complete walks only)
-	last    sim.Time
-}
-
-type walkOutcome int
-
-const (
-	walkOK walkOutcome = iota
-	walkParked
-	walkFailed
-)
-
-type partWireClaim struct {
-	w     *link.Wire
-	key   resKey
-	start sim.Time
-	bytes int
-}
-
-type partHopClaim struct {
-	ord, out         int
-	key              resKey
-	requested, start sim.Time
-}
-
 // process runs one drained walk attempt to its next state: parked on an
 // open hold, failed (severed wire / setup timeout), or walked — in
 // which case the claim/split/finalize logic of the leg's side applies.
@@ -659,162 +621,22 @@ func (ps *partShard) process(l *pleg) {
 	}
 }
 
-// walk mirrors Network.send's pass-1 header walk over one segment of
-// the path, peeking at free times and honouring open holds. All times
-// are the walker's carried model times — never the drain event's clock.
-// The claims append to wires[:0] and hops[:0], the caller's buffers,
-// which come back (grown if need be) in the result.
-//
-//pmlint:hotpath
-func (ps *partShard) walk(l *pleg, path topo.Path, split int, dstLeg bool, entry sim.Time,
-	wireBytes int, setupTimeout sim.Time, wires []partWireClaim, hops []partHopClaim) walkRes {
-
-	n := ps.pn.net
-	byteTime := n.linkCfg.TransferTime(1)
-	k := len(path.Hops)
-	lo, hi := 0, split
-	if dstLeg {
-		lo, hi = split, k
+// claimHop claims one crossbar output channel for a split-phase walk,
+// with the arbitration wait and circuit span landing in this shard's own
+// instruments: one crossbar's outputs can belong to several shards, so
+// its shared counters stay out of the split-phase path.
+func (ps *partShard) claimHop(c partHopClaim, until sim.Time, plane int) {
+	ps.pn.net.xbars[c.ord].ClaimOutput(c.start, until, c.out)
+	if c.start > c.requested {
+		ps.arbWait.ObserveTime(c.start - c.requested)
+		ps.planeWait[plane].ObserveTime(c.start - c.requested)
 	}
-	head := entry
-	fromDev, fromPort := path.Src, path.Network
-	if dstLeg {
-		// The source leg already crossed the wire into the boundary
-		// crossbar; this leg starts at its output arbitration.
-		fromDev, fromPort = n.topo.Nodes()+path.Hops[split].Xbar, path.Hops[split].Out
-	}
-	remaining := wireBytes - lo
-	res := walkRes{outcome: walkOK, wires: wires[:0], hops: hops[:0]}
-
-	for i := lo; i < hi; i++ {
-		hop := path.Hops[i]
-		if !(dstLeg && i == lo) {
-			wStart, ok := ps.peekWire(&res, l, fromDev, fromPort, head, setupTimeout, i == 0, remaining)
-			if !ok {
-				return res
-			}
-			lat := n.linkCfg.PropagationDelay + byteTime
-			if hop.AsyncIn {
-				lat += n.trans.Latency
-			}
-			head = wStart + lat
-		}
-		key := ps.pn.hopRes(hop.Xbar, hop.Out)
-		if hold := ps.open[key]; hold != nil {
-			hold.waiters = append(hold.waiters, l)
-			res.outcome = walkParked
-			return res
-		}
-		setupStart := sim.Max(head, n.xbars[hop.Xbar].OutputFreeAt(hop.Out))
-		if setupTimeout > 0 && setupStart-head > setupTimeout {
-			res.outcome, res.at = walkFailed, head+setupTimeout
-			return res
-		}
-		res.hops = append(res.hops, partHopClaim{ord: hop.Xbar, out: hop.Out, key: key, requested: head, start: setupStart})
-		head = setupStart + xbar.RouteSetup
-		fromDev, fromPort = n.topo.Nodes()+hop.Xbar, hop.Out
-		remaining--
-	}
-
-	if !dstLeg && split < k {
-		// Source leg of a split send: walk the wire into the boundary
-		// crossbar (source-owned, per the up/down ownership rule) and stop
-		// with the header's arrival there.
-		wStart, ok := ps.peekWire(&res, l, fromDev, fromPort, head, setupTimeout, false, remaining)
-		if !ok {
-			return res
-		}
-		lat := n.linkCfg.PropagationDelay + byteTime
-		if path.Hops[split].AsyncIn {
-			lat += n.trans.Latency
-		}
-		res.head = wStart + lat
-		return res
-	}
-
-	// Complete walk (full path or destination leg): the last wire to the
-	// destination node.
-	lwStart, ok := ps.peekWire(&res, l, fromDev, fromPort, head, setupTimeout, false, remaining)
-	if !ok {
-		return res
-	}
-	res.head = head
-	res.first = lwStart + n.linkCfg.PropagationDelay + byteTime
-	res.last = res.first + n.linkCfg.TransferTime(wireBytes-len(path.RouteBytes))
-	return res
-}
-
-// peekWire is one wire step of walk: the header reaching the wire
-// leaving (dev, port) at head. It appends the claim and returns the
-// wire's start time, or records in res why the walk stops there —
-// parked on an open hold, severed, or timed out (first, the sender's
-// own uplink, is exempt from the setup timeout) — and returns false.
-//
-//pmlint:hotpath
-func (ps *partShard) peekWire(res *walkRes, l *pleg, dev, port int, head, setupTimeout sim.Time, first bool, bytes int) (sim.Time, bool) {
-	key := wireRes(dev, port)
-	if hold := ps.open[key]; hold != nil {
-		hold.waiters = append(hold.waiters, l)
-		res.outcome = walkParked
-		return 0, false
-	}
-	w := ps.pn.net.wire(dev, port)
-	wStart := sim.Max(head, w.FreeAt())
-	if w.DeadAt(wStart) {
-		res.outcome, res.at, res.cut = walkFailed, wStart, true
-		return 0, false
-	}
-	if setupTimeout > 0 && !first && wStart-head > setupTimeout {
-		res.outcome, res.at = walkFailed, head+setupTimeout
-		return 0, false
-	}
-	res.wires = append(res.wires, partWireClaim{w: w, key: key, start: wStart, bytes: bytes})
-	return wStart, true
-}
-
-// claimWires applies real wire holds for a walked segment.
-func (ps *partShard) claimWires(claims []partWireClaim, until sim.Time) {
-	for _, c := range claims {
-		c.w.Hold(c.start, until, c.bytes)
-	}
-}
-
-// claimPartial applies the claims of a failed attempt's partial circuit
-// up to its teardown time. Resources the header would only have reached
-// after the teardown are skipped — the header never got there — and the
-// rest hold until the teardown, never shorter than their own start.
-func (ps *partShard) claimPartial(wires []partWireClaim, hops []partHopClaim, teardown sim.Time, plane int) {
-	for _, c := range wires {
-		if c.start < teardown {
-			c.w.Hold(c.start, teardown, c.bytes)
-		}
-	}
-	kept := hops[:0]
-	for _, c := range hops {
-		if c.start < teardown {
-			kept = append(kept, c)
-		}
-	}
-	ps.claimHops(kept, teardown, plane)
-}
-
-// claimHops applies real output-channel claims, with arbitration waits
-// and circuit spans landing in the claiming shard's own instruments
-// (the crossbar's shared counters can belong to several shards).
-func (ps *partShard) claimHops(claims []partHopClaim, until sim.Time, plane int) {
-	for _, c := range claims {
-		ps.pn.net.xbars[c.ord].ClaimOutput(c.start, until, c.out)
+	if ps.rec.Enabled() {
+		track := trace.XbarPortTrack(c.ord, c.out)
 		if c.start > c.requested {
-			ps.arbWait.ObserveTime(c.start - c.requested)
-			ps.planeWait[plane].ObserveTime(c.start - c.requested)
+			ps.rec.Span(track, "xbar", "arb-wait", c.requested, c.start)
 		}
-		if ps.rec.Enabled() {
-			track := trace.XbarPortTrack(c.ord, c.out)
-			if c.start > c.requested {
-				ps.rec.Span(track, "xbar", "arb-wait", c.requested, c.start)
-			}
-			ps.rec.Span(track, "xbar", "circuit", c.start, until)
-		}
+		ps.rec.Span(track, "xbar", "circuit", c.start, until)
 	}
 }
 
@@ -852,21 +674,6 @@ func (ps *partShard) releaseOpen(keys []resKey) {
 	}
 }
 
-// corrupted renders the CRC verdict over every wire claim of a circuit
-// whose last byte passes at last: a wire severed mid-stream or crossed
-// inside a corruption window garbles the frame.
-func corrupted(claims []partWireClaim, last sim.Time) bool {
-	for _, c := range claims {
-		if cut, ok := c.w.CutTime(); ok && cut > c.start && cut <= last {
-			return true
-		}
-		if c.w.CorruptedIn(c.start, last) {
-			return true
-		}
-	}
-	return false
-}
-
 // acceptRemote turns an arriving remote leg into a buffered destination
 // walk attempt — the same canonical path whether the leg crossed a
 // mailbox or was scheduled locally (same-shard groups).
@@ -880,8 +687,8 @@ func (ps *partShard) acceptRemote(rl *remoteLeg) {
 // processDst runs a destination leg: walk the destination-owned suffix,
 // claim it, and render the verdict.
 func (ps *partShard) processDst(l *pleg) {
-	rl := l.rl
-	res := ps.walk(l, rl.path, rl.split, true, rl.head, rl.wireBytes, rl.setupTimeout, ps.dstWires, ps.dstHops)
+	rl, n := l.rl, ps.pn.net
+	res := n.walk(l, ps.open, rl.path, rl.split, true, rl.head, rl.wireBytes, rl.setupTimeout, ps.dstWires, ps.dstHops)
 	ps.dstWires, ps.dstHops = res.wires, res.hops
 	switch res.outcome {
 	case walkParked:
@@ -896,18 +703,9 @@ func (ps *partShard) processDst(l *pleg) {
 		// header's arrival at the failure point — floor it there plus the
 		// NACK return, which also keeps the verdict beyond the engine's
 		// conservative lookahead.
-		detected := rl.entry + rl.ackTimeout
-		if fl := res.at + rl.nackLatency; detected < fl {
-			detected = fl
-		}
-		pc := &ps.planes[rl.plane]
-		if res.cut {
-			pc.LinkDown++
-		} else {
-			pc.SetupTimeouts++
-		}
-		pc.FailedOver++
-		ps.claimPartial(res.wires, res.hops, detected, rl.plane)
+		detected := max(rl.entry+rl.ackTimeout, res.at+rl.nackLatency)
+		ps.planes[rl.plane].lost(res.cut)
+		n.hold(res.wires, res.hops, detected, ps, rl.plane)
 		kind := finTimeout
 		if res.cut {
 			kind = finCut
@@ -917,32 +715,21 @@ func (ps *partShard) processDst(l *pleg) {
 		return
 	}
 
+	// A CRC error is discovered (and counted) here; whether the sender
+	// spends a same-plane retry or fails over is decided on the source
+	// shard, which owns the send's budget — the failed-over and
+	// crc-retries counters land there (psend.finish).
 	bad := corrupted(rl.srcChecks, res.last) || corrupted(res.wires, res.last)
-	ps.claimWires(res.wires, res.last)
-	ps.claimHops(res.hops, res.last, rl.plane)
-	lif := ps.pn.net.nis[rl.dst].Links[rl.plane]
-	pc := &ps.planes[rl.plane]
-	if bad {
-		// The CRC error is discovered (and counted) here; whether the
-		// sender spends a same-plane retry or fails over is decided on the
-		// source shard, which owns the send's budget — the failed-over and
-		// crc-retries counters land there (psend.finish).
-		lif.RecordCRCError()
-		pc.CRCErrors++
-		rl.fin = finalizeMsg{
-			rl: rl, msgID: rl.msgID, kind: finCRC,
-			last: res.last, firstByte: res.first, setupDone: res.head,
-			detected: res.last + rl.nackLatency,
-		}
-		ps.sendVerdict(rl)
-		return
-	}
-	lif.RecordFrame()
-	pc.Delivered++
-	ps.scheduleArrival(rl.src, rl.dst, rl.payload, res.first, res.last)
+	n.hold(res.wires, res.hops, res.last, ps, rl.plane)
+	n.arrived(&ps.planes, rl.dst, rl.plane, bad)
 	rl.fin = finalizeMsg{
 		rl: rl, msgID: rl.msgID, kind: finOK,
 		last: res.last, firstByte: res.first, setupDone: res.head,
+	}
+	if bad {
+		rl.fin.kind, rl.fin.detected = finCRC, res.last+rl.nackLatency
+	} else {
+		ps.scheduleArrival(rl.src, rl.dst, rl.payload, res.first, res.last)
 	}
 	ps.sendVerdict(rl)
 }

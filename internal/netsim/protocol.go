@@ -1,13 +1,14 @@
 // The sender side of the driver-level failover protocol (failover.go),
-// written once as a resumable cursor that both send executors drive:
+// written once as a resumable cursor that both send executors drive.
+// Each real attempt is the one header walk (Network.walk), run
 //
-//   - Transport.Send, the synchronous executor: each real attempt is one
-//     Network.send call, so the cursor runs to its outcome inside a
-//     single call;
-//   - psend (psend.go), the split-phase executor: each real attempt is a
-//     walk through the partitioned network whose verdict may arrive in a
-//     later event on another shard, so the cursor is parked inside the
-//     in-flight send and resumed from the verdict.
+//   - by Transport.Send, the synchronous executor, over the whole path
+//     in one Network.send call, so the cursor runs to its outcome inside
+//     a single call;
+//   - by psend (psend.go), the split-phase executor, as source and
+//     destination legs whose verdict may arrive in a later event on
+//     another shard, so the cursor is parked inside the in-flight send
+//     and resumed from the verdict.
 //
 // The cursor owns every decision the sender makes: the three passes
 // (preferred order with plane-down cache skips, a probe of the skipped
@@ -15,11 +16,11 @@
 // budget runs out), FIFO-stall abandonment, the plane-down cache, the
 // same-plane CRC re-send budget, the sender's clock and its latency
 // decomposition, the failover trace spans, and the final Delivery and
-// its observation. The executors own the attempt itself — the walk, its
-// claims, and the counters for what the walk discovers (link-down,
-// setup-timeout and failed-over on a silent failure, CRC errors and
-// deliveries), which land where the walk discovers them: on the split-
-// phase path that is the destination shard.
+// its observation. The executors own the scheduling of the walk and
+// where its discoveries are counted (PlaneCounters.lost for a silent
+// failure, Network.arrived for a CRC error or a delivery): where the
+// walk discovers them, which on the split-phase path is the
+// destination shard.
 package netsim
 
 import (
@@ -199,8 +200,7 @@ func (st *sendState) begin(plane int) bool {
 	}
 	st.plane, st.path, st.postedAt, st.entry = plane, path, attemptAt, entry
 	if to := st.tp.cfg.SetupTimeout; to > 0 && entry > attemptAt+to {
-		pc.SetupTimeouts++
-		pc.FailedOver++
+		pc.lost(false)
 		st.abandon(attemptAt+to, "fifo-stall")
 		return false
 	}

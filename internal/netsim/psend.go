@@ -1,23 +1,19 @@
 // psend: the split-phase executor of the driver-level failover protocol.
 // One psend carries one reliable send's protocol cursor (protocol.go)
-// and runs each real attempt the cursor opens as a walk through the
-// partitioned network instead of a synchronous Network.send call: the
-// source half walks on the source shard, a cross-group attempt posts its
-// remainder to the destination's half, and the verdict resumes the
-// cursor in a later event. The decisions and timing are the cursor's,
-// shared with Transport.Send; psend owns only the walk, its claims and
-// open holds, the split posting and the message spans, so attempts from
-// many nodes interleave deterministically across psim shards instead of
-// serialising in program order.
+// and runs each real attempt the cursor opens as split-phase legs of the
+// one header walk (Network.walk): the source half walks on the source
+// shard, a cross-group attempt posts its remainder to the destination's
+// half, and the verdict resumes the cursor in a later event. The
+// decisions and timing are the cursor's, shared with Transport.Send;
+// psend owns only the legs' scheduling, their open holds and the split
+// posting, so attempts from many nodes interleave deterministically
+// across psim shards instead of serialising in program order.
 package netsim
 
 import (
 	"fmt"
 
-	"powermanna/internal/ni"
 	"powermanna/internal/sim"
-	"powermanna/internal/topo"
-	"powermanna/internal/trace"
 )
 
 // psend is one in-flight reliable send's split-phase executor. It lives
@@ -131,7 +127,7 @@ func (p *psend) step() {
 func (ps *partShard) processSrc(l *pleg) {
 	p := l.p
 	st := &p.st
-	res := ps.walk(l, st.path, p.curSplit, false, st.entry, p.curWireBytes, st.tp.cfg.SetupTimeout, p.srcWires, p.srcHops)
+	res := p.pn.net.walk(l, ps.open, st.path, p.curSplit, false, st.entry, p.curWireBytes, st.tp.cfg.SetupTimeout, p.srcWires, p.srcHops)
 	p.srcWires, p.srcHops = res.wires, res.hops
 	switch res.outcome {
 	case walkParked:
@@ -153,13 +149,7 @@ func (ps *partShard) processSrc(l *pleg) {
 // until that teardown — the contention a failed wormhole really causes.
 func (p *psend) srcFailed(res walkRes) {
 	st := &p.st
-	pc := &p.ps.planes[st.plane]
-	if res.cut {
-		pc.LinkDown++
-	} else {
-		pc.SetupTimeouts++
-	}
-	pc.FailedOver++
+	p.ps.planes[st.plane].lost(res.cut)
 	detected := st.entry + st.tp.cfg.AckTimeout
 	if now := p.ps.sh.Now(); detected < now {
 		// The attempt parked behind an open circuit past its own ack
@@ -170,7 +160,7 @@ func (p *psend) srcFailed(res walkRes) {
 		// its split legs would post into other shards' pasts.
 		detected = now
 	}
-	p.ps.claimPartial(res.wires, res.hops, detected, st.plane)
+	p.pn.net.hold(res.wires, res.hops, detected, p.ps, st.plane)
 	st.lost(res.cut, detected)
 	p.step()
 }
@@ -209,25 +199,19 @@ func (p *psend) srcSplit(res walkRes) {
 
 // srcComplete finishes an intra-group attempt whose whole circuit lives
 // on one shard: claim it, render the CRC verdict, and either deliver or
-// hand the NACK to the cursor — the legacy path's semantics, under
-// canonical-drain ordering.
+// hand the NACK to the cursor — what send does for a whole-path walk,
+// under canonical-drain ordering.
 func (p *psend) srcComplete(res walkRes) {
-	ps, st := p.ps, &p.st
+	ps, st, n := p.ps, &p.st, p.pn.net
 	bad := corrupted(res.wires, res.last)
-	ps.claimWires(res.wires, res.last)
-	ps.claimHops(res.hops, res.last, st.plane)
-	p.recordMsgSpans(res.head, res.last, bad)
-	lif := p.pn.net.nis[st.dst].Links[st.plane]
-	pc := &ps.planes[st.plane]
+	n.hold(res.wires, res.hops, res.last, ps, st.plane)
+	recordMsg(ps.rec, false, st.path, st.payloadBytes, st.entry, res.head, res.last, bad)
+	n.arrived(&ps.planes, st.dst, st.plane, bad)
 	if bad {
-		lif.RecordCRCError()
-		pc.CRCErrors++
 		st.nack(res.last + st.tp.cfg.NackLatency)
 		p.step()
 		return
 	}
-	lif.RecordFrame()
-	pc.Delivered++
 	ps.scheduleArrival(st.tp.src, st.dst, p.payload, res.first, res.last)
 	p.done(st.delivered(Transit{
 		SetupDone: res.head, FirstByte: res.first, LastByte: res.last,
@@ -247,12 +231,11 @@ func (p *psend) finish(fm *finalizeMsg) {
 	if fm.kind == finCut || fm.kind == finTimeout {
 		until = fm.detected // the suffix never formed
 	}
-	ps.claimWires(p.srcWires, until)
-	ps.claimHops(p.srcHops, until, st.plane)
+	p.pn.net.hold(p.srcWires, p.srcHops, until, ps, st.plane)
 	ps.releaseOpen(p.openKeys)
 	switch fm.kind {
 	case finOK:
-		p.recordMsgSpans(fm.setupDone, fm.last, false)
+		recordMsg(ps.rec, false, st.path, st.payloadBytes, st.entry, fm.setupDone, fm.last, false)
 		p.done(st.delivered(Transit{
 			SetupDone: fm.setupDone, FirstByte: fm.firstByte, LastByte: fm.last,
 			WireBytes: p.curWireBytes,
@@ -261,33 +244,10 @@ func (p *psend) finish(fm *finalizeMsg) {
 	case finCRC:
 		// The circuit completed and the body crossed it — the claims run
 		// to the last byte — but the destination NACKed the frame.
-		p.recordMsgSpans(fm.setupDone, fm.last, true)
+		recordMsg(ps.rec, false, st.path, st.payloadBytes, st.entry, fm.setupDone, fm.last, true)
 		st.nack(fm.detected)
 	default:
 		st.lost(fm.kind == finCut, fm.detected)
 	}
 	p.step()
-}
-
-// recordMsgSpans records the per-message spans the legacy send path
-// records for every completed circuit: the message envelope, the setup
-// walk and the body stream, plus the CRC-corrupt marker.
-func (p *psend) recordMsgSpans(setupDone, last sim.Time, bad bool) {
-	rec, st := p.ps.rec, &p.st
-	if !rec.Enabled() {
-		return
-	}
-	track := trace.NodeTrack(st.tp.src)
-	rec.SpanArg(track, "netsim", "msg", st.entry, last,
-		fmt.Sprintf("%d->%d plane %s, %dB", st.tp.src, st.dst, planeName(st.plane), st.payloadBytes))
-	rec.Span(track, "netsim", "setup", st.entry, setupDone)
-	rec.Span(track, "netsim", "stream", setupDone, last)
-	if bad {
-		rec.Instant(track, "netsim", "crc-corrupt", last)
-	}
-}
-
-// wireBytesFor is the on-wire length of a payload along a path.
-func wireBytesFor(path topo.Path, payloadBytes int) int {
-	return ni.WireBytes(len(path.RouteBytes), payloadBytes)
 }

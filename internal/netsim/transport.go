@@ -1,10 +1,5 @@
 // Transport: the one fault-aware send path every software layer uses.
-//
-// Before this layer existed, internal/comm, internal/mpl and
-// internal/earth each hand-rolled their own sends over raw Network.Send
-// on plane A — so no application benchmark could run under a fault
-// campaign, and every layer repeated the route lookup per message. A
-// Transport is a per-source handle over the network that owns:
+// A Transport is a per-source handle over the network that owns:
 //
 //   - route lookup through its source's row of the topology's shared
 //     route table (routes are a pure function of the immutable wiring,
@@ -143,8 +138,8 @@ func (t *Transport) Route(dst, plane int) (topo.Path, error) {
 // is a modelled outcome, and the campaign tables count it).
 //
 // Send is the synchronous executor of the protocol cursor (protocol.go):
-// each real attempt is one Network.send call, whose partial circuit on a
-// failure holds until the ack-timeout teardown.
+// each real attempt is one whole-path walk (Network.send), whose partial
+// circuit on a failure holds until the ack-timeout teardown.
 //
 //pmlint:hotpath
 func (t *Transport) Send(at sim.Time, dst, payloadBytes int) (Delivery, error) {
@@ -170,33 +165,19 @@ func (t *Transport) Send(at sim.Time, dst, payloadBytes int) (Delivery, error) {
 		if !st.begin(plane) {
 			continue
 		}
-		tr, err := n.send(st.entry, st.path, payloadBytes, t.cfg.SetupTimeout, t.cfg.AckTimeout)
-		pc := &n.planes[plane]
-		if err != nil {
-			var down *DownError
-			if !errorsAs(err, &down) {
-				return Delivery{}, err
-			}
-			if down.Cut {
-				pc.LinkDown++
-			} else {
-				pc.SetupTimeouts++
-			}
-			pc.FailedOver++
+		tr, res := n.send(st.entry, st.path, payloadBytes, t.cfg.SetupTimeout, t.cfg.AckTimeout)
+		if res.outcome == walkFailed {
 			// Silence on the wire: the sender learns only via the
 			// acknowledgment timeout, wherever the fault sits.
-			st.lost(down.Cut, st.entry+t.cfg.AckTimeout)
+			n.planes[plane].lost(res.cut)
+			st.lost(res.cut, st.entry+t.cfg.AckTimeout)
 			continue
 		}
-		lif := n.nis[dst].Links[plane]
+		n.arrived(&n.planes, dst, plane, tr.Corrupted)
 		if tr.Corrupted {
-			lif.RecordCRCError()
-			pc.CRCErrors++
 			st.nack(tr.LastByte + t.cfg.NackLatency)
 			continue
 		}
-		lif.RecordFrame()
-		pc.Delivered++
 		return st.delivered(tr), nil
 	}
 }
@@ -205,14 +186,4 @@ func (t *Transport) Send(at sim.Time, dst, payloadBytes int) (Delivery, error) {
 // depend only on the immutable topology and are not the transport's.
 func (t *Transport) resetFaultState() {
 	t.down = [ni.LinksPerNode]planeDown{}
-}
-
-// errorsAs is errors.As specialised to *DownError; spelled out to keep
-// the hot send path free of reflection.
-func errorsAs(err error, target **DownError) bool {
-	d, ok := err.(*DownError)
-	if ok {
-		*target = d
-	}
-	return ok
 }

@@ -361,3 +361,47 @@ func BenchmarkTransportRouteHit(b *testing.B) {
 		}
 	}
 }
+
+// TestTransportSendAllocatesNothing pins the synchronous executor's
+// steady state to zero heap allocations per message: a healthy
+// Transport.Send and a raw Network.Send walk into the network's reused
+// claim buffers, on a one-crossbar and a three-crossbar route.
+func TestTransportSendAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		topo     *topo.Topology
+		src, dst int
+	}{
+		{topo.Cluster8(), 0, 5},
+		{topo.System256(), 0, 127},
+	} {
+		n := New(tc.topo)
+		tp := n.MustTransport(tc.src, DefaultFailover())
+		path, err := tp.Route(tc.dst, topo.NetworkA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at sim.Time
+		sends := []struct {
+			name string
+			send func()
+		}{
+			{"Transport.Send", func() {
+				at += 50 * sim.Microsecond
+				if d, err := tp.Send(at, tc.dst, 256); err != nil || d.Failed {
+					t.Fatalf("Send: %+v, %v", d, err)
+				}
+			}},
+			{"Network.Send", func() {
+				at += 50 * sim.Microsecond
+				if _, err := n.Send(at, path, 256); err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+			}},
+		}
+		for _, s := range sends {
+			if got := testing.AllocsPerRun(100, s.send); got != 0 {
+				t.Errorf("%s on %s: %v allocations per send, want 0", s.name, tc.topo.Name(), got)
+			}
+		}
+	}
+}

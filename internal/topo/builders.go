@@ -2,6 +2,18 @@ package topo
 
 import "fmt"
 
+// ByName builds a paper topology by the name the command-line tools take
+// in --topo: "cluster8" (Figure 5a) or "system256" (Figure 5b).
+func ByName(name string) (*Topology, error) {
+	switch name {
+	case "cluster8":
+		return Cluster8(), nil
+	case "system256":
+		return System256(), nil
+	}
+	return nil, fmt.Errorf("unknown topology %q", name)
+}
+
 // Cluster8 builds the Figure 5a configuration: eight nodes, two crossbars
 // (A and B, one per network plane), assembled on one backplane. Ports
 // 8–15 of each crossbar remain free for the eight asynchronous dual-links

@@ -235,3 +235,31 @@ func TestMeshPanicsOnBadSize(t *testing.T) {
 	}()
 	Mesh(0, 3)
 }
+
+// TestByName pins the --topo names: each builds its paper topology, and
+// any other name (case and spacing included) is an error naming it.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		nodes, xbars int
+		wantErr      bool
+	}{
+		{"cluster8", 8, 2, false},
+		{"system256", 128, 48, false},
+		{"", 0, 0, true},
+		{"mesh", 0, 0, true},
+		{"System256", 0, 0, true},
+		{" cluster8", 0, 0, true},
+	} {
+		got, err := ByName(tc.name)
+		if tc.wantErr {
+			if got != nil || err == nil || err.Error() != `unknown topology "`+tc.name+`"` {
+				t.Errorf("ByName(%q) = %v, %v; want unknown-topology error", tc.name, got, err)
+			}
+			continue
+		}
+		if err != nil || got.Name() != tc.name || got.Nodes() != tc.nodes || got.Crossbars() != tc.xbars {
+			t.Errorf("ByName(%q) = %v, %v; want %d nodes, %d crossbars", tc.name, got, err, tc.nodes, tc.xbars)
+		}
+	}
+}

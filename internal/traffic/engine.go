@@ -40,7 +40,7 @@ type Options struct {
 	Topology *topo.Topology
 	// Horizon is the offered-load window: arrivals stop at the horizon
 	// and the run drains in-flight traffic to completion. 0 means
-	// DefaultHorizon.
+	// DefaultHorizon; a negative horizon is an error.
 	Horizon sim.Time
 	// Engine selects sequential (one shard) or parallel (Shards-wide)
 	// execution; the output is byte-identical either way.
@@ -57,8 +57,9 @@ type Options struct {
 	// offered/outcome/violation series, latency-decomposition series and
 	// the SLO burn-rate views, folded into Result.Telemetry.
 	Telemetry bool
-	// Window is the telemetry grid width; <= 0 auto-sizes to
-	// telemetry.AutoWindow(Horizon). Ignored unless Telemetry is set.
+	// Window is the telemetry grid width; 0 auto-sizes to
+	// telemetry.AutoWindow(Horizon), a negative width is an error.
+	// Otherwise ignored unless Telemetry is set.
 	Window sim.Time
 }
 
@@ -92,11 +93,16 @@ func New(mix Mix, opt Options) (*Engine, error) {
 	if opt.Topology == nil {
 		opt.Topology = topo.Cluster8()
 	}
-	if opt.Horizon <= 0 {
-		opt.Horizon = DefaultHorizon
-	}
-	if opt.Shards < 0 {
+	switch {
+	case opt.Shards < 0:
 		return nil, fmt.Errorf("traffic: shard count %d is negative", opt.Shards)
+	case opt.Horizon < 0:
+		return nil, fmt.Errorf("traffic: horizon %v is negative", opt.Horizon)
+	case opt.Window < 0:
+		return nil, fmt.Errorf("traffic: telemetry window %v is negative", opt.Window)
+	}
+	if opt.Horizon == 0 {
+		opt.Horizon = DefaultHorizon
 	}
 	shards := 1
 	if opt.Engine == psim.Par && opt.Shards > 0 {
@@ -130,7 +136,7 @@ func New(mix Mix, opt Options) (*Engine, error) {
 	// (shard, tenant) — with nil samplers handing out no-op instruments
 	// when telemetry is off.
 	if opt.Telemetry {
-		if opt.Window <= 0 {
+		if opt.Window == 0 {
 			opt.Window = telemetry.AutoWindow(opt.Horizon)
 		}
 		e.tels = make([]*telemetry.Sampler, shards)
