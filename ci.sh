@@ -2,8 +2,10 @@
 # ci.sh — the pre-PR gate (see README.md "Install and run").
 #
 # Runs the whole verification ladder and stops at the first failure:
-# formatting, vet, build, race-enabled tests, the determinism-contract
-# lint (cmd/pmlint) and a build of every cmd/* binary. Every golden gate
+# formatting, vet, build, race-enabled tests, one iteration of each
+# node-model benchmark (so the benchmarks keep running), the
+# determinism-contract lint (cmd/pmlint) and a build of every cmd/*
+# binary. Every golden gate
 # runs under go test: the CLI goldens on both engines in golden_test.go
 # (TestCampaignGoldens, TestParallelEngineGoldens, TestDatapathGoldens,
 # TestTraceGoldens), the paper figures in internal/experiments
@@ -30,6 +32,9 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== node-model benchmarks =="
+go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult
 
 echo "== pmlint =="
 go run ./cmd/pmlint ./...

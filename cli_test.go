@@ -53,7 +53,7 @@ func buildCLI(t *testing.T, name string) string {
 // library under either engine, and so are negative sizes — pmfault's
 // --messages, --payload and --window-us, pmtrace's --messages, pmstat's
 // and pmtraffic's --horizon-us and pmstat's --window-us — where zero
-// means the default.
+// means the default — and pmtopo's -bytes.
 // An unknown --engine or --topo value is rejected (exit 1) with the
 // command's name in front of the message (pmtopo prints the bare
 // message). A rejected command prints nothing to stdout.
@@ -91,6 +91,7 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmtraffic", []string{"--topo", "mesh"}, 1, `pmtraffic: unknown topology "mesh"`},
 		{"pmtrace", []string{"--topo", "mesh"}, 1, `pmtrace: unknown topology "mesh"`},
 		{"pmtopo", []string{"--topo", "mesh"}, 1, `unknown topology "mesh"`},
+		{"pmtopo", []string{"-bytes", "-5"}, 1, "pmtopo: -bytes -5 is negative"},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)

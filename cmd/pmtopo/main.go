@@ -29,6 +29,10 @@ func main() {
 		validate = flag.Bool("validate", false, "check the max-crossbars bound over all pairs")
 	)
 	flag.Parse()
+	if *bytes < 0 {
+		fmt.Fprintf(os.Stderr, "pmtopo: -bytes %d is negative\n", *bytes)
+		os.Exit(1)
+	}
 
 	t, err := topo.ByName(*topoFlag)
 	if err != nil {

@@ -113,10 +113,18 @@ func (s Stats) HitRate() float64 {
 const noTag = ^uint64(0)
 
 // hintSize is the number of way-predictor entries, indexed by the low bits
-// of the line address. It is wider than the PowerMANNA L1's 64 sets, so
-// streams sharing a set keep separate entries, and than the 79 pages the
-// naive N=201 MatMult column sweep touches on the SUN's 64-way DTLB.
+// of the line address (its residue). It is wider than the PowerMANNA L1's
+// 64 sets, so streams sharing a set keep separate entries, and than the 79
+// pages the naive N=201 MatMult column sweep touches on the SUN's 64-way
+// DTLB.
 const hintSize = 1024
+
+// A set of at least wideAssoc ways keeps an oldest-ways queue of up to
+// queueLen entries (see lru).
+const (
+	wideAssoc = 16
+	queueLen  = 8
+)
 
 // Cache is one cache instance.
 //
@@ -137,6 +145,16 @@ type Cache struct {
 	// its tag checks, and a valid tag is held by at most one way, so a
 	// wrong or stale hint costs a scan, never a different outcome.
 	hint [hintSize]int32
+	// resident counts the valid lines of each residue. A zero count proves
+	// a line absent without a look at its set.
+	resident [hintSize]int32
+	// queue holds, oldest first, the ways of set queueSet with the
+	// smallest lastUse at its last full victim scan, and queued their
+	// lastUse then. Only wide sets keep one; invalidate empties it.
+	queue    [queueLen]int32
+	queued   [queueLen]uint64
+	queueN   int
+	queueSet int
 	// missed is the line Access last reported missing, at clock missedAt,
 	// and victim the way its scan found Fill would evict. Only Fill
 	// installs lines, so the next Fill of it may skip its own lookup; if
@@ -205,34 +223,86 @@ func (c *Cache) find(la uint64) int {
 }
 
 // scan searches la's set way by way. It returns the way holding la,
-// retraining the predictor, or -1 and the way Fill would evict: the first
-// minimum of lastUse, which is the first Invalid way, else the LRU way.
+// retraining the predictor, or -1 and the way Fill would evict (see lru).
+// A residue with no resident line skips the search.
 func (c *Cache) scan(la uint64) (way, victim int) {
 	base := c.setBase(la)
-	tags := c.tags[base : base+c.assoc]
-	uses := c.lastUse[base : base+c.assoc]
-	uses = uses[:len(tags)] // the same length as tags: no bounds checks below
-	v, oldest := 0, uses[0]
-	for w, t := range tags {
-		u := uses[w]
-		if t == la && (la != noTag || u != 0) {
-			c.hint[la%hintSize] = int32(base + w)
-			return base + w, -1
-		}
-		if u < oldest {
-			v, oldest = w, u
+	if c.resident[la%hintSize] != 0 {
+		tags := c.tags[base : base+c.assoc]
+		for w, t := range tags {
+			if t == la && (la != noTag || c.lastUse[base+w] != 0) {
+				c.hint[la%hintSize] = int32(base + w)
+				return base + w, -1
+			}
 		}
 	}
-	return -1, base + v
+	return -1, c.lru(base)
+}
+
+// lru returns the first minimum of lastUse in the set at base: its first
+// Invalid way, else its LRU way.
+//
+// A full scan of a wide set records its queueLen oldest ways, ordered by
+// lastUse and then index, with their lastUse. lastUse only grows until
+// invalidate empties the queue, so a way whose lastUse has moved since is
+// newer than every way whose lastUse has not, and at a later call for the
+// same set the first queued way with an unchanged lastUse is still the
+// first minimum. Once every queued way has moved, the set is scanned
+// again.
+func (c *Cache) lru(base int) int {
+	uses := c.lastUse[base : base+c.assoc]
+	if c.assoc < wideAssoc {
+		v, oldest := 0, uses[0]
+		for w, u := range uses {
+			if u < oldest {
+				v, oldest = w, u
+			}
+		}
+		return base + v
+	}
+	if base == c.queueSet {
+		for i, w := range c.queue[:c.queueN] {
+			if c.lastUse[w] == c.queued[i] {
+				return int(w)
+			}
+		}
+	}
+	// Insertion into the sorted queue; ways are visited in index order and
+	// an equal lastUse never displaces an earlier way.
+	var ways [queueLen]int32
+	var used [queueLen]uint64
+	n := 0
+	for w, u := range uses {
+		if n == queueLen && u >= used[queueLen-1] {
+			continue
+		}
+		j := n
+		if n < queueLen {
+			n++
+		} else {
+			j--
+		}
+		for ; j > 0 && used[j-1] > u; j-- {
+			ways[j], used[j] = ways[j-1], used[j-1]
+		}
+		ways[j], used[j] = int32(base+w), u
+	}
+	c.queue, c.queued, c.queueN, c.queueSet = ways, used, n, base
+	return int(ways[0])
 }
 
 // invalidate empties way i. A freed way may be an earlier first minimum
-// of lastUse than the memoized victim, so it clears the miss memo.
+// of lastUse than the memoized victim or the queued ways, so it clears the
+// miss memo and the queue.
 func (c *Cache) invalidate(i int) {
+	if c.lastUse[i] != 0 {
+		c.resident[c.tags[i]%hintSize]--
+	}
 	c.tags[i] = noTag
 	c.states[i] = Invalid
 	c.lastUse[i] = 0
 	c.missed = noTag
+	c.queueN = 0
 }
 
 // Outcome classifies an access against the local cache.
@@ -264,19 +334,33 @@ func (o Outcome) String() string {
 	}
 }
 
+// ReadHit completes a read of addr if the way predictor's way holds its
+// line, exactly as Access would: it ticks the clock, marks the way used
+// and counts the read. Otherwise it reports false and changes nothing, and
+// the caller falls back to Access. It is small enough to inline, so a
+// caller's common case, a read hit, costs no call.
+func (c *Cache) ReadHit(addr uint64) bool {
+	la := addr >> c.lineShift
+	i := c.hint[la%hintSize]
+	// An Invalid way is tagged noTag, so the guard keeps it from matching.
+	if c.tags[i] != la || la == noTag {
+		return false
+	}
+	c.clock++
+	c.lastUse[i] = c.clock
+	c.stats.Reads++
+	return true
+}
+
 // Access classifies a read or write of addr and applies the purely local
 // state transitions (E→M on write hit, LRU update, counters).
 func (c *Cache) Access(addr uint64, write bool) Outcome {
+	if !write && c.ReadHit(addr) {
+		return Hit
+	}
 	la := c.LineAddr(addr)
 	c.clock++
 	i := c.predict(la)
-	// The common case, a read hit on the predicted way, returns at once.
-	// An Invalid way is tagged noTag, so the guard keeps it from matching.
-	if !write && c.tags[i] == la && la != noTag {
-		c.lastUse[i] = c.clock
-		c.stats.Reads++
-		return Hit
-	}
 	if write {
 		c.stats.Writes++
 	} else {
@@ -365,7 +449,9 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 		if out.Dirty {
 			c.stats.Writebacks++
 		}
+		c.resident[out.LineAddr%hintSize]--
 	}
+	c.resident[la%hintSize]++
 	c.tags[i] = la
 	c.states[i] = st
 	c.lastUse[i] = c.clock

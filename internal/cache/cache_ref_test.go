@@ -249,6 +249,40 @@ func (o *oracle) check(op string, got, want any) {
 	if g, w := o.c.Occupancy(), o.ref.Occupancy(); g != w {
 		fail("Occupancy after "+op, g, w)
 	}
+	if g, w := o.c.clock, o.ref.clock; g != w {
+		fail("clock after "+op, g, w)
+	}
+	var resident [hintSize]int32
+	for i, u := range o.c.lastUse {
+		if u != 0 {
+			resident[o.c.tags[i]%hintSize]++
+		}
+	}
+	if resident != o.c.resident {
+		fail("resident counts after "+op, o.c.resident, resident)
+	}
+}
+
+// readHit is the node's probe: a true ReadHit must be the reference's read
+// hit, and a false one must leave the cache as the untouched reference.
+func (o *oracle) readHit(a uint64) bool {
+	o.t.Helper()
+	op := fmt.Sprintf("ReadHit(%#x)", a)
+	if o.c.ReadHit(a) {
+		o.check(op, Hit, o.ref.Access(a, false))
+		return true
+	}
+	o.check(op, o.c.Lookup(a), o.ref.Lookup(a))
+	return false
+}
+
+// translate is the node's TLB lookup: a probe, else an Access whose miss
+// the Fill of the walked translation follows.
+func (o *oracle) translate(a uint64) {
+	o.t.Helper()
+	if !o.readHit(a) && o.access(a, false) == Miss {
+		o.fill(a, Exclusive)
+	}
 }
 
 func (o *oracle) access(a uint64, write bool) Outcome {
@@ -278,8 +312,12 @@ func (o *oracle) run(ops int) {
 	for o.step < ops {
 		a := o.addr()
 		switch k := o.rng.Intn(100); {
-		case k < 30:
+		case k < 22:
 			o.access(a, o.rng.Intn(3) == 0)
+		case k < 30:
+			if !o.readHit(a) {
+				o.access(a, false)
+			}
 		case k < 50:
 			// The node's miss path: Access misses, then Fill installs it.
 			if o.access(a, o.rng.Intn(3) == 0) == Miss {
@@ -338,18 +376,63 @@ func TestCacheMatchesReference(t *testing.T) {
 				n = min(n, g.seeds)
 			}
 			for seed := int64(1); seed <= int64(n); seed++ {
-				c := New(g.cfg)
-				o := &oracle{
-					t:      t,
-					rng:    rand.New(rand.NewSource(seed)),
-					c:      c,
-					ref:    newRef(g.cfg),
-					lines:  2 * uint64(g.cfg.SizeBytes/g.cfg.LineBytes) / stride,
-					stride: stride,
-					top:    g.top,
-					prefix: fmt.Sprintf("seed %d", seed),
-				}
+				o := newOracle(t, g.cfg, seed)
+				o.lines = 2 * uint64(g.cfg.SizeBytes/g.cfg.LineBytes) / stride
+				o.stride, o.top = stride, g.top
 				o.run(ops)
+			}
+		})
+	}
+}
+
+func newOracle(t *testing.T, cfg Config, seed int64) *oracle {
+	return &oracle{
+		t:      t,
+		rng:    rand.New(rand.NewSource(seed)),
+		c:      New(cfg),
+		ref:    newRef(cfg),
+		prefix: fmt.Sprintf("seed %d", seed),
+	}
+}
+
+// TestCacheMatchesReferenceOnPageThrash checks the miss path of the TLB
+// geometries against the reference on the naive MatMult column sweep: a
+// cyclic walk over more pages than the TLB holds, so nearly every
+// translation misses and evicts the LRU page. Re-touches of just-used and
+// soon-needed pages move queued ways, and snoop invalidations and
+// InvalidateAll free ways between misses.
+func TestCacheMatchesReferenceOnPageThrash(t *testing.T) {
+	seeds, ops := 12, 4000
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, g := range oracleGeometries {
+		if g.cfg.Name != "SUN-DTLB" && g.cfg.Name != "PII-DTLB" {
+			continue
+		}
+		t.Run(g.cfg.Name, func(t *testing.T) {
+			entries := uint64(g.cfg.SizeBytes / g.cfg.LineBytes)
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				o := newOracle(t, g.cfg, seed)
+				pages := entries + 1 + uint64(o.rng.Intn(int(entries)))
+				page := func(p uint64) uint64 {
+					return p%pages<<o.c.lineShift | uint64(o.rng.Intn(g.cfg.LineBytes))
+				}
+				for cur := uint64(0); o.step < ops; cur++ {
+					o.translate(page(cur))
+					switch k := o.rng.Intn(100); {
+					case k < 10:
+						o.translate(page(cur + pages - uint64(o.rng.Intn(8)))) // just used
+					case k < 20:
+						o.translate(page(cur + 1 + uint64(o.rng.Intn(8)))) // oldest
+					case k < 23:
+						o.snoop(page(cur+uint64(o.rng.Intn(int(pages)))), true)
+					case k < 24:
+						o.c.InvalidateAll()
+						o.ref.InvalidateAll()
+						o.check("InvalidateAll", nil, nil)
+					}
+				}
 			}
 		})
 	}

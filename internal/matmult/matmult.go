@@ -222,11 +222,11 @@ func newKernel(p *node.Proc, m *Matrices, lay layout, v Version, rows, cols [2]i
 		colStart: cols[0], colEnd: cols[1],
 		i: rows[0],
 	}
-	if v == Transposed {
+	if v == Transposed && cols[0] < cols[1] {
 		k.costT = cpu.NewCostModel(core, transposeTemplate())
 		k.j = cols[0]
 	} else {
-		k.phase = 1
+		k.phase = 1 // nothing to transpose
 	}
 	return k
 }
@@ -301,10 +301,14 @@ func (k *kernel) Step() bool {
 
 // Run executes the benchmark on the first `cpus` processors of a fresh
 // (reset) node, splitting C rows — and, in the transposed variant, the
-// transposition columns — evenly. It returns timing and checksum.
+// transposition columns — evenly. It returns timing and checksum. It
+// panics unless n >= 1 and 1 <= cpus <= the installed CPUs.
 func Run(nd *node.Node, n int, v Version, cpus int) Result {
 	if cpus <= 0 || cpus > len(nd.Procs()) {
 		panic(fmt.Sprintf("matmult: cpus = %d with %d installed", cpus, len(nd.Procs())))
+	}
+	if n < 1 {
+		panic(fmt.Sprintf("matmult: n = %d", n))
 	}
 	nd.Reset()
 	m := NewMatrices(n)

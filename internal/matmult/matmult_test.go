@@ -2,6 +2,7 @@ package matmult
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"powermanna/internal/machine"
@@ -104,6 +105,34 @@ func TestRunPanicsOnBadCPUCount(t *testing.T) {
 		}
 	}()
 	Run(nd, 8, Naive, 3)
+}
+
+func TestRunPanicsOnEmptyMatrix(t *testing.T) {
+	nd := node.New(machine.PowerMANNA())
+	for _, v := range []Version{Naive, Transposed} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "matmult:") {
+					t.Errorf("Run(n=0, %v) panic = %q, want a matmult: panic", v, msg)
+				}
+			}()
+			Run(nd, 0, v, 1)
+		}()
+	}
+}
+
+// With fewer columns than CPUs a CPU's transposition range is empty, and
+// it must leave the columns of the others alone: at N=1 on two CPUs, CPU 0
+// owns no row and no column, so it makes no access at all.
+func TestRunMoreCPUsThanColumns(t *testing.T) {
+	nd := node.New(machine.PowerMANNA())
+	r := Run(nd, 1, Transposed, 2)
+	if want := Reference(1); r.Checksum != want {
+		t.Errorf("checksum = %v, want %v", r.Checksum, want)
+	}
+	if s := nd.Proc(0).L1().Stats(); s.Reads+s.Writes != 0 {
+		t.Errorf("CPU 0 made %d reads and %d writes, want none", s.Reads, s.Writes)
+	}
 }
 
 func TestMFLOPSZeroTime(t *testing.T) {

@@ -283,9 +283,18 @@ func (p *Proc) snoopPeers(lineByteAddr uint64, exclusive bool) (had, supplied bo
 // latency because the store buffer hides completion, but all coherence
 // work (upgrades, fills, invalidations, writebacks) still happens and is
 // charged to the shared resources.
+//
+// The common case, a TLB hit and an L1 read hit, is two inlined
+// Cache.ReadHit probes; a failed probe falls back to the full lookup.
 func (p *Proc) Access(addr uint64, write bool) int64 {
-	walk := p.translate(addr)
+	var walk int64
+	if !p.tlb.ReadHit(addr) {
+		walk = p.translate(addr)
+	}
 	l1Hit := p.l1Hit + walk
+	if !write && p.l1.ReadHit(addr) {
+		return l1Hit
+	}
 	switch p.l1.Access(addr, write) {
 	case cache.Hit:
 		return l1Hit
