@@ -3,7 +3,8 @@
 #
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet, build, race-enabled tests, one iteration of each
-# node-model benchmark (so the benchmarks keep running), the
+# node-model and route-search benchmark (so the benchmarks keep
+# running), the
 # determinism-contract lint (cmd/pmlint) and a build of every cmd/*
 # binary. Every golden gate
 # runs under go test: the CLI goldens on both engines in golden_test.go
@@ -33,8 +34,8 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== node-model benchmarks =="
-go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult
+echo "== node-model and route benchmarks =="
+go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo
 
 echo "== pmlint =="
 go run ./cmd/pmlint ./...

@@ -53,7 +53,8 @@ func buildCLI(t *testing.T, name string) string {
 // library under either engine, and so are negative sizes — pmfault's
 // --messages, --payload and --window-us, pmtrace's --messages, pmstat's
 // and pmtraffic's --horizon-us and pmstat's --window-us — where zero
-// means the default — and pmtopo's -bytes.
+// means the default — and pmtopo's -bytes, as are pmtopo's out-of-range
+// -src and -dst and a -net other than 0 or 1.
 // An unknown --engine or --topo value is rejected (exit 1) with the
 // command's name in front of the message (pmtopo prints the bare
 // message). A rejected command prints nothing to stdout.
@@ -92,6 +93,10 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmtrace", []string{"--topo", "mesh"}, 1, `pmtrace: unknown topology "mesh"`},
 		{"pmtopo", []string{"--topo", "mesh"}, 1, `unknown topology "mesh"`},
 		{"pmtopo", []string{"-bytes", "-5"}, 1, "pmtopo: -bytes -5 is negative"},
+		{"pmtopo", []string{"-src", "999"}, 1, "pmtopo: -src 999 is out of range: cluster8 has nodes 0 to 7"},
+		{"pmtopo", []string{"-topo", "system256", "-dst", "-1"}, 1, "pmtopo: -dst -1 is out of range: system256 has nodes 0 to 127"},
+		{"pmtopo", []string{"-net", "2"}, 1, "pmtopo: -net 2 is not a network plane: 0 (A) or 1 (B)"},
+		{"pmtopo", []string{"-topo", "system256", "-src", "127", "-dst", "0", "-net", "1"}, 0, ""},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)

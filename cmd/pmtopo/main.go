@@ -39,6 +39,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	for _, f := range []struct {
+		name string
+		node int
+	}{{"src", *src}, {"dst", *dst}} {
+		if f.node < 0 || f.node >= t.Nodes() {
+			fmt.Fprintf(os.Stderr, "pmtopo: -%s %d is out of range: %s has nodes 0 to %d\n", f.name, f.node, t.Name(), t.Nodes()-1)
+			os.Exit(1)
+		}
+	}
+	if *network != powermanna.NetworkA && *network != powermanna.NetworkB {
+		fmt.Fprintf(os.Stderr, "pmtopo: -net %d is not a network plane: 0 (A) or 1 (B)\n", *network)
+		os.Exit(1)
+	}
 	fmt.Printf("topology %s: %d nodes (%d processors), %d crossbars\n",
 		t.Name(), t.Nodes(), 2*t.Nodes(), t.Crossbars())
 

@@ -334,14 +334,15 @@ func (o Outcome) String() string {
 	}
 }
 
-// ReadHit completes a read of addr if the way predictor's way holds its
-// line, exactly as Access would: it ticks the clock, marks the way used
-// and counts the read. Otherwise it reports false and changes nothing, and
-// the caller falls back to Access. It is small enough to inline, so a
-// caller's common case, a read hit, costs no call.
+// ReadHit completes a read of addr if the predicted way (predict: the
+// only way of a direct-mapped cache, else the way predictor's way) holds
+// its line, exactly as Access would: it ticks the clock, marks the way
+// used and counts the read. Otherwise it reports false and changes
+// nothing, and the caller falls back to Access. It is small enough to
+// inline, so a caller's common case, a read hit, costs no call.
 func (c *Cache) ReadHit(addr uint64) bool {
 	la := addr >> c.lineShift
-	i := c.hint[la%hintSize]
+	i := c.predict(la)
 	// An Invalid way is tagged noTag, so the guard keeps it from matching.
 	if c.tags[i] != la || la == noTag {
 		return false

@@ -71,7 +71,7 @@ func TestLookaheadBoundsEveryCrossGroupRoute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				split := grain.Boundary(path)
+				split := grain.Boundary(&path)
 				if split == 0 || split >= len(path.Hops) {
 					t.Fatalf("%d->%d plane %d: split at hop %d of %d", src, dst, plane, split, len(path.Hops))
 				}

@@ -227,7 +227,7 @@ func (n *Network) Send(at sim.Time, path topo.Path, payloadBytes int) (Transit, 
 	if payloadBytes < 0 {
 		return Transit{}, fmt.Errorf("netsim: negative payload")
 	}
-	tr, res := n.send(at, path, payloadBytes, 0, 0)
+	tr, res := n.send(at, &path, payloadBytes, 0, 0)
 	if res.outcome == walkFailed {
 		return Transit{}, &DownError{Plane: path.Network, Cut: res.cut, At: res.at}
 	}
@@ -248,7 +248,7 @@ func (n *Network) Send(at sim.Time, path topo.Path, payloadBytes int) (Transit, 
 // buffers, overwritten by the next send.
 //
 //pmlint:hotpath
-func (n *Network) send(at sim.Time, path topo.Path, payloadBytes int, setupTimeout, failHold sim.Time) (Transit, walkRes) {
+func (n *Network) send(at sim.Time, path *topo.Path, payloadBytes int, setupTimeout, failHold sim.Time) (Transit, walkRes) {
 	n.sent++
 	if len(path.Hops) == 0 {
 		// Self-delivery: no network involved.
@@ -331,7 +331,7 @@ type partHopClaim struct {
 // back (grown if need be) in the result.
 //
 //pmlint:hotpath
-func (n *Network) walk(l *pleg, open []*openHold, path topo.Path, split int, dstLeg bool, entry sim.Time,
+func (n *Network) walk(l *pleg, open []*openHold, path *topo.Path, split int, dstLeg bool, entry sim.Time,
 	wireBytes int, setupTimeout sim.Time, wires []partWireClaim, hops []partHopClaim) walkRes {
 
 	byteTime := n.linkCfg.TransferTime(1)
@@ -496,7 +496,7 @@ func (n *Network) arrived(planes *[ni.LinksPerNode]PlaneCounters, dst, plane int
 // track, every other message on its source node's track.
 //
 //pmlint:hotpath
-func recordMsg(rec *trace.Recorder, os bool, path topo.Path, payloadBytes int, entry, setupDone, last sim.Time, bad bool) {
+func recordMsg(rec *trace.Recorder, os bool, path *topo.Path, payloadBytes int, entry, setupDone, last sim.Time, bad bool) {
 	if !rec.Enabled() {
 		return
 	}
@@ -514,7 +514,7 @@ func recordMsg(rec *trace.Recorder, os bool, path topo.Path, payloadBytes int, e
 }
 
 // wireBytesFor is the on-wire length of a payload along a path.
-func wireBytesFor(path topo.Path, payloadBytes int) int {
+func wireBytesFor(path *topo.Path, payloadBytes int) int {
 	return ni.WireBytes(len(path.RouteBytes), payloadBytes)
 }
 
@@ -528,7 +528,7 @@ func wireBytesFor(path topo.Path, payloadBytes int) int {
 // wait in the real walk is a max() against the unloaded schedule.
 //
 //pmlint:hotpath
-func (n *Network) idealTransit(path topo.Path, payloadBytes int) sim.Time {
+func (n *Network) idealTransit(path *topo.Path, payloadBytes int) sim.Time {
 	if len(path.Hops) == 0 {
 		return 0 // self-delivery: no network involved
 	}

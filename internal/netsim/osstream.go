@@ -221,7 +221,8 @@ func (n *Network) advanceOS(now sim.Time) {
 		if dst == src {
 			dst = (src + 1) % nodes
 		}
-		path, err := n.topo.Route(src, dst, topo.NetworkB)
+		row := n.topo.RoutesFrom(src)
+		path, err := row.Route(dst, topo.NetworkB)
 		if err != nil {
 			n.traceOSDrop(at)
 			pc.OSDropped++

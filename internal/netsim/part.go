@@ -535,7 +535,7 @@ type remoteLeg struct {
 	msgID        uint64
 	src, dst     int
 	plane        int
-	path         topo.Path
+	path         *topo.Path
 	split        int      // first destination-owned hop
 	head         sim.Time // header arrival at the boundary crossbar
 	entry        sim.Time // network entry time (for the message spans)

@@ -71,7 +71,7 @@ type sendState struct {
 	// The current attempt: its plane and path, the sender's clock when
 	// it was posted and its entry time into the network.
 	plane           int
-	path            topo.Path
+	path            *topo.Path
 	postedAt, entry sim.Time
 }
 

@@ -120,11 +120,13 @@ func (t *Transport) PlaneDown(plane int) (down bool, reprobeAt sim.Time) {
 }
 
 // Route returns the route from the transport's source to dst on the
-// given plane, from the topology's shared route table (see topo.Route:
-// the path's slices are shared and read-only).
+// given plane, by reference into the topology's shared route table (see
+// topo.RouteRow.Route): the Path is shared by every transport, network
+// and shard over the topology and must be treated as read-only, its
+// slices included. It is nil whenever the error is not.
 //
 //pmlint:hotpath
-func (t *Transport) Route(dst, plane int) (topo.Path, error) {
+func (t *Transport) Route(dst, plane int) (*topo.Path, error) {
 	return t.routes.Route(dst, plane)
 }
 

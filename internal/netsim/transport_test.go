@@ -315,7 +315,7 @@ func TestResetRestoresByteIdenticalRun(t *testing.T) {
 
 var (
 	sinkNet  *Network
-	sinkPath topo.Path
+	sinkPath *topo.Path
 )
 
 // BenchmarkNewNetwork builds a System256 network and its 128 per-node
@@ -393,7 +393,7 @@ func TestTransportSendAllocatesNothing(t *testing.T) {
 			}},
 			{"Network.Send", func() {
 				at += 50 * sim.Microsecond
-				if _, err := n.Send(at, path, 256); err != nil {
+				if _, err := n.Send(at, *path, 256); err != nil {
 					t.Fatalf("Send: %v", err)
 				}
 			}},

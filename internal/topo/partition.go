@@ -194,7 +194,7 @@ func (t *Topology) Wired(dev, p int) bool {
 // channel belongs to the destination shard — where the split-phase send
 // hands off. It returns len(path.Hops) when every hop is source-owned
 // (an intra-shard route: the send never leaves its shard).
-func (p *Partition) Boundary(path Path) int {
+func (p *Partition) Boundary(path *Path) int {
 	src := p.nodeShard[path.Src]
 	for i, h := range path.Hops {
 		if p.outOwner[h.Xbar][h.Out] != src {

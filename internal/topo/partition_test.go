@@ -30,7 +30,7 @@ func TestPartitionSystem256TwoSegment(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					b := p.Boundary(path)
+					b := p.Boundary(&path)
 					ss, ds := p.NodeShard(src), p.NodeShard(dst)
 					if ss == ds && b != len(path.Hops) {
 						t.Fatalf("shards=%d %d->%d net%d: intra-shard route has boundary %d", shards, src, dst, net, b)

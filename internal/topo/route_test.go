@@ -40,7 +40,10 @@ func TestRouteTableDigest(t *testing.T) {
 						if pass == "cold" {
 							path, err = c.topo.Route(s, d, net)
 						} else {
-							path, err = row.Route(d, net)
+							var p *Path
+							if p, err = row.Route(d, net); p != nil {
+								path = *p
+							}
 						}
 						fmt.Fprintf(h, "%d %d %d %+v %v\n", s, d, net, path, err)
 						n++
@@ -150,16 +153,44 @@ func TestRouteAllocs(t *testing.T) {
 }
 
 // TestRouteRowRejectsOutOfRange pins that a row lookup outside the table
-// returns Route's argument errors instead of indexing past its slots.
+// returns Route's argument errors, and a nil path, instead of indexing
+// past its slots; a cached error (Mesh plane B is unwired) is nil too.
 func TestRouteRowRejectsOutOfRange(t *testing.T) {
 	c := Cluster8()
 	for _, q := range []struct{ src, dst, net int }{{-1, 0, NetworkA}, {8, 0, NetworkA}, {0, -1, NetworkA}, {0, 8, NetworkB}, {0, 1, 2}, {0, 1, -1}} {
 		row := c.RoutesFrom(q.src)
 		got, gotErr := row.Route(q.dst, q.net)
-		want, wantErr := c.Route(q.src, q.dst, q.net)
-		if gotErr == nil || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("RoutesFrom(%d).Route(%d, %d) = %v, %v; want Route's %v, %v", q.src, q.dst, q.net, got, gotErr, want, wantErr)
+		_, wantErr := c.Route(q.src, q.dst, q.net)
+		if gotErr == nil || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != nil {
+			t.Errorf("RoutesFrom(%d).Route(%d, %d) = %v, %v; want nil and Route's %v", q.src, q.dst, q.net, got, gotErr, wantErr)
 		}
+	}
+	m := Mesh(2, 2)
+	row := m.RoutesFrom(0)
+	for pass := 0; pass < 2; pass++ { // cold fill, then the cached error
+		if got, err := row.Route(1, NetworkB); err == nil || got != nil {
+			t.Errorf("mesh RoutesFrom(0).Route(1, B) = %v, %v; want nil and the unwired-plane error", got, err)
+		}
+	}
+}
+
+// TestRouteRowSharesEntries pins that row lookups return the route
+// table's own entry: every lookup of one (src, dst, network) yields the
+// same *Path, equal to Route's value.
+func TestRouteRowSharesEntries(t *testing.T) {
+	s := System256()
+	row := s.RoutesFrom(3)
+	p, err := row.Route(90, NetworkB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := s.RoutesFrom(3)
+	q, err := again.Route(90, NetworkB)
+	if err != nil || q != p {
+		t.Fatalf("second lookup = %p, %v; want the shared entry %p", q, err, p)
+	}
+	if v, _ := s.Route(3, 90, NetworkB); fmt.Sprintf("%+v", v) != fmt.Sprintf("%+v", *p) {
+		t.Errorf("Route = %+v, RouteRow.Route = %+v", v, *p)
 	}
 }
 

@@ -193,11 +193,21 @@ type Path struct {
 // The returned Hops and RouteBytes are shared by every caller and must be
 // treated as read-only. Route is safe for concurrent use.
 func (t *Topology) Route(src, dst, network int) (Path, error) {
+	e, err := t.entry(src, dst, network)
+	if err != nil {
+		return Path{}, err
+	}
+	return e.path, e.err
+}
+
+// entry returns the route-table entry of (src, dst, network), searching
+// and publishing it on first use, or an argument error.
+func (t *Topology) entry(src, dst, network int) (*route, error) {
 	if src < 0 || src >= t.nodes || dst < 0 || dst >= t.nodes {
-		return Path{}, fmt.Errorf("topo %s: node out of range (%d, %d)", t.name, src, dst)
+		return nil, fmt.Errorf("topo %s: node out of range (%d, %d)", t.name, src, dst)
 	}
 	if network != NetworkA && network != NetworkB {
-		return Path{}, fmt.Errorf("topo %s: network %d invalid", t.name, network)
+		return nil, fmt.Errorf("topo %s: network %d invalid", t.name, network)
 	}
 	t.Seal()
 	slot := &t.routes[(src*t.nodes+dst)*networks+network]
@@ -211,7 +221,7 @@ func (t *Topology) Route(src, dst, network int) (Path, error) {
 			r = slot.Load()
 		}
 	}
-	return r.path, r.err
+	return r, nil
 }
 
 // RouteRow is one source node's row of the shared route table: a handle
@@ -235,16 +245,24 @@ func (t *Topology) RoutesFrom(src int) RouteRow {
 	return r
 }
 
-// Route is Topology.Route from the row's source node.
+// Route is Topology.Route from the row's source node, by reference: the
+// returned Path is the route table's own entry, shared by every caller
+// for the topology's lifetime, and must be treated as read-only (Path
+// and its slices alike). It is nil whenever the error is not: Route's
+// argument errors and the cached unwired-plane and no-route errors.
 //
 //pmlint:hotpath
-func (r *RouteRow) Route(dst, network int) (Path, error) {
+func (r *RouteRow) Route(dst, network int) (*Path, error) {
 	if uint(dst) < uint(len(r.slots)/networks) && uint(network) < networks {
 		if e := r.slots[dst*networks+network].Load(); e != nil {
-			return e.path, e.err
+			return e.ref()
 		}
 	}
-	return r.t.Route(r.src, dst, network)
+	e, err := r.t.entry(r.src, dst, network)
+	if err != nil {
+		return nil, err
+	}
+	return e.ref()
 }
 
 // inlineHops is the longest route whose Hops and RouteBytes live inside
@@ -265,8 +283,26 @@ type route struct {
 	bytes [inlineHops]byte
 }
 
+// ref is the entry's outcome by reference: its path, or nil and its
+// error.
+func (r *route) ref() (*Path, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	return &r.path, nil
+}
+
 // search runs the uncached breadth-first route search for validated
 // arguments. A failed search leaves the entry's path zero.
+//
+// The search stops as soon as the crossbar whose expansion would discover
+// dst is known, without expanding it or the rest of its BFS level. dst is
+// a node, so its only neighbours are the crossbars at the far ends of its
+// two links, and crossbars are expanded in the order they are discovered:
+// the first of dst's neighbours to be discovered is the one that
+// discovers dst, its own predecessor is fixed at its discovery, and dst
+// hangs off its first port, in that crossbar's expansion order, wired to
+// dst. The path is the one the full search finds.
 func (t *Topology) search(src, dst, network int) *route {
 	r := &route{}
 	if src == dst {
@@ -296,32 +332,41 @@ func (t *Topology) search(src, dst, network int) *route {
 	}
 	pred, queue := scratch[:devs], scratch[devs:devs]
 	pred[src], pred[first.peerDev] = -1, -1
+	last := -1 // the crossbar that discovers dst, once known
 	found := first.peerDev == dst
-	if !found && !t.isNode(first.peerDev) {
+	switch {
+	case found || t.isNode(first.peerDev):
+		// src's link ends at dst, or at another node: nothing to search.
+	case t.linksTo(dst, first.peerDev):
+		last = first.peerDev
+	default:
 		queue = append(queue, int32(first.peerDev))
 	}
-search:
-	for head := 0; head < len(queue); head++ {
+	for head := 0; last < 0 && head < len(queue); head++ {
 		cur := int(queue[head])
-		// Deterministic expansion order, shuffled per (src, dst, device)
-		// so equal-cost alternatives spread uniformly across parallel
-		// crossbars (a rotation would bias toward the first valid port).
-		order := portOrder(uint64(src)*1_000_003 + uint64(dst)*131 + uint64(network)*17 + uint64(cur)*31)
-		for _, out := range order {
+		for _, out := range expandOrder(src, dst, network, cur) {
 			slot := cur*xbar.Ports + out
 			e := t.links[slot]
 			if !e.wired || pred[e.peerDev] != 0 {
 				continue
 			}
 			pred[e.peerDev] = int32(slot + 1)
-			// dst's predecessor is fixed at discovery, so stopping here
-			// yields the path a full search would.
-			if e.peerDev == dst {
-				found = true
-				break search
+			if t.isNode(e.peerDev) { // routes only pass through crossbars
+				continue
 			}
-			if !t.isNode(e.peerDev) { // routes only pass through crossbars
-				queue = append(queue, int32(e.peerDev))
+			if t.linksTo(dst, e.peerDev) {
+				last = e.peerDev
+				break
+			}
+			queue = append(queue, int32(e.peerDev))
+		}
+	}
+	if last >= 0 {
+		for _, out := range expandOrder(src, dst, network, last) {
+			if e := t.links[last*xbar.Ports+out]; e.wired && e.peerDev == dst {
+				pred[dst] = int32(last*xbar.Ports + out + 1)
+				found = true
+				break
 			}
 		}
 	}
@@ -367,6 +412,21 @@ search:
 	}
 	path.Hops[0].In, path.Hops[0].AsyncIn = first.peerPort, first.async
 	return r
+}
+
+// linksTo reports whether one of node n's two links ends at device dev.
+func (t *Topology) linksTo(n, dev int) bool {
+	a, b := t.link(n, 0), t.link(n, 1)
+	return a.wired && a.peerDev == dev || b.wired && b.peerDev == dev
+}
+
+// expandOrder is the order in which the search from src to dst on
+// network scans crossbar device cur's ports: deterministic, and shuffled
+// per (src, dst, device) so equal-cost alternatives spread uniformly
+// across parallel crossbars (a rotation would bias toward the first valid
+// port).
+func expandOrder(src, dst, network, cur int) [xbar.Ports]int {
+	return portOrder(uint64(src)*1_000_003 + uint64(dst)*131 + uint64(network)*17 + uint64(cur)*31)
 }
 
 // portOrder returns a deterministic pseudo-random permutation of the
