@@ -2,7 +2,8 @@
 # ci.sh — the pre-PR gate (see README.md "Install and run").
 #
 # Runs the whole verification ladder and stops at the first failure:
-# formatting, vet, build, race-enabled tests, one iteration of each
+# formatting, vet, build, a check that the node model's cache probes
+# inline, race-enabled tests, one iteration of each
 # node-model and route-search benchmark (so the benchmarks keep
 # running), the
 # determinism-contract lint (cmd/pmlint) and a build of every cmd/*
@@ -30,6 +31,17 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== inlined cache probes =="
+# Proc.Access probes each cache level with Cache.ReadHit and relies on
+# every probe inlining: the compiler must report one inlined call per
+# call site in the node package's non-test code.
+sites=$(grep -hv '^[[:space:]]*//' $(ls internal/node/*.go | grep -v '_test\.go$') | grep -c '\.ReadHit(' || true)
+inlined=$(go build -gcflags=-m ./internal/node 2>&1 | grep -c 'inlining call to cache\.(\*Cache)\.ReadHit$' || true)
+if [ "$inlined" -lt "$sites" ]; then
+    echo "Cache.ReadHit inlined at $inlined of $sites call sites in internal/node" >&2
+    exit 1
+fi
 
 echo "== go test -race =="
 go test -race ./...

@@ -57,7 +57,9 @@ func buildCLI(t *testing.T, name string) string {
 // -src and -dst and a -net other than 0 or 1.
 // An unknown --engine or --topo value is rejected (exit 1) with the
 // command's name in front of the message (pmtopo prints the bare
-// message). A rejected command prints nothing to stdout.
+// message). A positional argument, which no CLI but pmlint takes, is a
+// usage error (exit 2), even after valid flags. A rejected command prints
+// nothing to stdout, and a usage error prints the usage text.
 func TestCLIShardsRequireParEngine(t *testing.T) {
 	cases := []struct {
 		cmd      string
@@ -97,6 +99,14 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmtopo", []string{"-topo", "system256", "-dst", "-1"}, 1, "pmtopo: -dst -1 is out of range: system256 has nodes 0 to 127"},
 		{"pmtopo", []string{"-net", "2"}, 1, "pmtopo: -net 2 is not a network plane: 0 (A) or 1 (B)"},
 		{"pmtopo", []string{"-topo", "system256", "-src", "127", "-dst", "0", "-net", "1"}, 0, ""},
+		{"pmbench", []string{"fig9"}, 2, `pmbench: unexpected argument "fig9"`},
+		{"pmbench", []string{"-exp", "fig9", "extra"}, 2, `pmbench: unexpected argument "extra"`},
+		{"pmfault", []string{"--campaign", "link-cut", "extra"}, 2, `pmfault: unexpected argument "extra"`},
+		{"pmsim", []string{"-machine", "pm", "matmult"}, 2, `pmsim: unexpected argument "matmult"`},
+		{"pmstat", []string{"--horizon-us", "5", "extra"}, 2, `pmstat: unexpected argument "extra"`},
+		{"pmtopo", []string{"-topo", "system256", "extra"}, 2, `pmtopo: unexpected argument "extra"`},
+		{"pmtrace", []string{"pingpong"}, 2, `pmtrace: unexpected argument "pingpong"`},
+		{"pmtraffic", []string{"--list", "extra"}, 2, `pmtraffic: unexpected argument "extra"`},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)

@@ -32,6 +32,11 @@ func main() {
 		engine   = flag.String("engine", "seq", "event engine: seq, or par to run the independent series of fig6a-fig8b, nodescale and faultsweep one psim shard each (byte-identical output)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "pmbench: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *listOnly {
 		for _, id := range powermanna.ExperimentIDs() {

@@ -83,6 +83,11 @@ func main() {
 		listOnly     = flag.Bool("list", false, "list campaign names and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "pmfault: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	engine, err := psim.ParseKind(*engineFlag)
 	if err != nil {

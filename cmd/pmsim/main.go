@@ -28,6 +28,11 @@ func main() {
 		intervals   = flag.Int("intervals", 100000, "hint interval budget")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "pmsim: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg, ok := powermanna.MachineByName(*machineFlag)
 	if !ok {

@@ -53,6 +53,11 @@ func main() {
 		listOnly     = flag.Bool("list", false, "list mix names and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "pmstat: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *listOnly {
 		for _, m := range traffic.Mixes() {

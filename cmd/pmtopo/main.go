@@ -29,6 +29,11 @@ func main() {
 		validate = flag.Bool("validate", false, "check the max-crossbars bound over all pairs")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "pmtopo: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *bytes < 0 {
 		fmt.Fprintf(os.Stderr, "pmtopo: -bytes %d is negative\n", *bytes)
 		os.Exit(1)

@@ -81,6 +81,11 @@ func main() {
 		engineFlag   = flag.String("engine", "seq", "event engine for --campaign runs: seq or par (byte-identical timelines)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "pmtrace: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	t, err := pickTopology(*topoFlag)
 	if err != nil {

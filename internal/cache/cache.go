@@ -13,8 +13,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // State is a MESI coherence state.
@@ -112,19 +114,32 @@ func (s Stats) HitRate() float64 {
 // lastUse before it counts.
 const noTag = ^uint64(0)
 
-// hintSize is the number of way-predictor entries, indexed by the low bits
-// of the line address (its residue). It is wider than the PowerMANNA L1's
-// 64 sets, so streams sharing a set keep separate entries, and than the 79
-// pages the naive N=201 MatMult column sweep touches on the SUN's 64-way
-// DTLB.
+// hintSize is the number of resident counters, indexed by the low bits of
+// the line address (its residue), and the least number of way-predictor
+// entries a set-associative cache keeps. It is wider than the PowerMANNA
+// L1's 64 sets, so streams sharing a set keep separate entries, and than
+// the 79 pages the naive N=201 MatMult column sweep touches on the SUN's
+// 64-way DTLB.
 const hintSize = 1024
 
-// A set of at least wideAssoc ways keeps an oldest-ways queue of up to
-// queueLen entries (see lru).
-const (
-	wideAssoc = 16
-	queueLen  = 8
-)
+// A cache whose sets have at least wideAssoc ways keeps a victim queue
+// (see lru).
+const wideAssoc = 16
+
+// queued is a victim-queue entry: a way and its lastUse when the queue was
+// built.
+type queued struct {
+	use uint64
+	way int32
+}
+
+// older orders victim-queue entries by lastUse, then way index.
+func older(a, b queued) int {
+	if a.use != b.use {
+		return cmp.Compare(a.use, b.use)
+	}
+	return cmp.Compare(a.way, b.way)
+}
 
 // Cache is one cache instance.
 //
@@ -141,20 +156,23 @@ type Cache struct {
 	tags      []uint64
 	states    []State
 	lastUse   []uint64
-	// hint predicts the way holding a line. A prediction counts only after
-	// its tag checks, and a valid tag is held by at most one way, so a
-	// wrong or stale hint costs a scan, never a different outcome.
-	hint [hintSize]int32
+	// hint predicts the way holding a line, indexed by la&hintMask. A
+	// prediction counts only after its tag checks, and a valid tag is held
+	// by at most one way, so a wrong or stale hint costs a scan, never a
+	// different outcome. A set-associative cache keeps an entry per line,
+	// at least hintSize; a direct-mapped one never reads its single entry.
+	hint     []int32
+	hintMask uint64
 	// resident counts the valid lines of each residue. A zero count proves
 	// a line absent without a look at its set.
 	resident [hintSize]int32
-	// queue holds, oldest first, the ways of set queueSet with the
-	// smallest lastUse at its last full victim scan, and queued their
-	// lastUse then. Only wide sets keep one; invalidate empties it.
-	queue    [queueLen]int32
-	queued   [queueLen]uint64
-	queueN   int
-	queueSet int
+	// queue holds every way of set queueSet, oldest first, with its
+	// lastUse at the set's last full victim scan; the entries before
+	// queueHead have moved since. Only wide caches keep one; invalidate
+	// empties it.
+	queue     []queued
+	queueHead int
+	queueSet  int
 	// missed is the line Access last reported missing, at clock missedAt,
 	// and victim the way its scan found Fill would evict. Only Fill
 	// installs lines, so the next Fill of it may skip its own lookup; if
@@ -183,6 +201,14 @@ func New(cfg Config) *Cache {
 		lastUse:   make([]uint64, sets*cfg.Assoc),
 		missed:    noTag,
 	}
+	hints := 1
+	if cfg.Assoc > 1 {
+		hints = max(hintSize, sets*cfg.Assoc)
+	}
+	c.hint, c.hintMask = make([]int32, hints), uint64(hints-1)
+	if cfg.Assoc >= wideAssoc {
+		c.queue = make([]queued, cfg.Assoc)
+	}
 	c.InvalidateAll()
 	return c
 }
@@ -210,7 +236,7 @@ func (c *Cache) predict(la uint64) int {
 	if c.assoc == 1 {
 		return int(la & c.setMask)
 	}
-	return int(c.hint[la%hintSize])
+	return int(c.hint[la&c.hintMask])
 }
 
 // find returns the index of the way holding the valid line la, or -1.
@@ -231,7 +257,7 @@ func (c *Cache) scan(la uint64) (way, victim int) {
 		tags := c.tags[base : base+c.assoc]
 		for w, t := range tags {
 			if t == la && (la != noTag || c.lastUse[base+w] != 0) {
-				c.hint[la%hintSize] = int32(base + w)
+				c.hint[la&c.hintMask] = int32(base + w)
 				return base + w, -1
 			}
 		}
@@ -242,13 +268,13 @@ func (c *Cache) scan(la uint64) (way, victim int) {
 // lru returns the first minimum of lastUse in the set at base: its first
 // Invalid way, else its LRU way.
 //
-// A full scan of a wide set records its queueLen oldest ways, ordered by
-// lastUse and then index, with their lastUse. lastUse only grows until
-// invalidate empties the queue, so a way whose lastUse has moved since is
-// newer than every way whose lastUse has not, and at a later call for the
-// same set the first queued way with an unchanged lastUse is still the
-// first minimum. Once every queued way has moved, the set is scanned
-// again.
+// A full scan of a wide set sorts all its ways by lastUse and then index,
+// with their lastUse, into the queue. lastUse only grows until invalidate
+// empties the queue, so a way whose lastUse has moved since is newer than
+// every way whose lastUse has not, and at a later call for the same set
+// the first queued way with an unchanged lastUse is still the first
+// minimum. A moved way stays moved, so the head passes it once; once
+// every queued way has moved, the set is sorted again.
 func (c *Cache) lru(base int) int {
 	uses := c.lastUse[base : base+c.assoc]
 	if c.assoc < wideAssoc {
@@ -261,34 +287,18 @@ func (c *Cache) lru(base int) int {
 		return base + v
 	}
 	if base == c.queueSet {
-		for i, w := range c.queue[:c.queueN] {
-			if c.lastUse[w] == c.queued[i] {
-				return int(w)
+		for ; c.queueHead < len(c.queue); c.queueHead++ {
+			if q := c.queue[c.queueHead]; c.lastUse[q.way] == q.use {
+				return int(q.way)
 			}
 		}
 	}
-	// Insertion into the sorted queue; ways are visited in index order and
-	// an equal lastUse never displaces an earlier way.
-	var ways [queueLen]int32
-	var used [queueLen]uint64
-	n := 0
 	for w, u := range uses {
-		if n == queueLen && u >= used[queueLen-1] {
-			continue
-		}
-		j := n
-		if n < queueLen {
-			n++
-		} else {
-			j--
-		}
-		for ; j > 0 && used[j-1] > u; j-- {
-			ways[j], used[j] = ways[j-1], used[j-1]
-		}
-		ways[j], used[j] = int32(base+w), u
+		c.queue[w] = queued{use: u, way: int32(base + w)}
 	}
-	c.queue, c.queued, c.queueN, c.queueSet = ways, used, n, base
-	return int(ways[0])
+	slices.SortFunc(c.queue, older)
+	c.queueHead, c.queueSet = 0, base
+	return int(c.queue[0].way)
 }
 
 // invalidate empties way i. A freed way may be an earlier first minimum
@@ -302,7 +312,7 @@ func (c *Cache) invalidate(i int) {
 	c.states[i] = Invalid
 	c.lastUse[i] = 0
 	c.missed = noTag
-	c.queueN = 0
+	c.queueHead = len(c.queue)
 }
 
 // Outcome classifies an access against the local cache.
@@ -353,12 +363,61 @@ func (c *Cache) ReadHit(addr uint64) bool {
 	return true
 }
 
-// Access classifies a read or write of addr and applies the purely local
-// state transitions (E→M on write hit, LRU update, counters).
-func (c *Cache) Access(addr uint64, write bool) Outcome {
-	if !write && c.ReadHit(addr) {
-		return Hit
+// PredictsHit reports whether ReadHit(addr) would hit, changing nothing.
+func (c *Cache) PredictsHit(addr uint64) bool {
+	la := addr >> c.lineShift
+	return c.tags[c.predict(la)] == la && la != noTag
+}
+
+// ReadHitPairs completes k rounds of a read of a followed by a read of b
+// exactly as 2k ReadHit calls would, if k > 0 and the predicted ways hold
+// both lines: a hit leaves the tags, states and predictor as they are, so
+// every round hits the same two ways. The clock moves by 2k, each way's
+// lastUse becomes the tick of its last read, and Reads grows by 2k.
+// Otherwise it reports false and changes nothing.
+func (c *Cache) ReadHitPairs(a, b uint64, k int) bool {
+	la, lb := a>>c.lineShift, b>>c.lineShift
+	i, j := c.predict(la), c.predict(lb)
+	if k < 1 || c.tags[i] != la || la == noTag || c.tags[j] != lb || lb == noTag {
+		return false
 	}
+	c.clock += 2 * uint64(k)
+	c.lastUse[i] = c.clock - 1
+	c.lastUse[j] = c.clock // the same way as i when a and b share a line
+	c.stats.Reads += 2 * int64(k)
+	return true
+}
+
+// ReadAllocate reads addr as Access does and, on a miss, installs its line
+// in state st as the Fill that would follow does, with one lookup for
+// both. It reports whether the read hit.
+func (c *Cache) ReadAllocate(addr uint64, st State) bool {
+	if st == Invalid {
+		panic(fmt.Sprintf("cache %s: ReadAllocate with Invalid state", c.cfg.Name))
+	}
+	la := c.LineAddr(addr)
+	c.clock++
+	c.stats.Reads++
+	i := c.predict(la)
+	if !c.holds(i, la) {
+		var victim int
+		if i, victim = c.scan(la); i < 0 {
+			c.stats.ReadMisses++
+			c.missed = noTag
+			c.clock++
+			c.install(victim, la, st)
+			return false
+		}
+	}
+	c.lastUse[i] = c.clock
+	return true
+}
+
+// Access classifies a read or write of addr and applies the purely local
+// state transitions (E→M on write hit, LRU update, counters). A read that
+// the caller has not probed with ReadHit first costs the same: Access
+// tries the predicted way first too.
+func (c *Cache) Access(addr uint64, write bool) Outcome {
 	la := c.LineAddr(addr)
 	c.clock++
 	i := c.predict(la)
@@ -443,6 +502,12 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 			return Victim{}
 		}
 	}
+	return c.install(i, la, st)
+}
+
+// install puts line la in state st into way i at the current clock tick,
+// evicting what it held.
+func (c *Cache) install(i int, la uint64, st State) Victim {
 	out := Victim{}
 	if c.lastUse[i] != 0 {
 		out = Victim{LineAddr: c.tags[i], Dirty: c.states[i] == Modified, Valid: true}
@@ -456,7 +521,7 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 	c.tags[i] = la
 	c.states[i] = st
 	c.lastUse[i] = c.clock
-	c.hint[la%hintSize] = int32(i)
+	c.hint[la&c.hintMask] = int32(i)
 	return out
 }
 

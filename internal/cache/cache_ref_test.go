@@ -265,10 +265,16 @@ func (o *oracle) check(op string, got, want any) {
 
 // readHit is the node's probe: a true ReadHit must be the reference's read
 // hit, and a false one must leave the cache as the untouched reference.
+// PredictsHit must foretell it.
 func (o *oracle) readHit(a uint64) bool {
 	o.t.Helper()
 	op := fmt.Sprintf("ReadHit(%#x)", a)
-	if o.c.ReadHit(a) {
+	predicted := o.c.PredictsHit(a)
+	hit := o.c.ReadHit(a)
+	if predicted != hit {
+		o.t.Fatalf("%s step %d: PredictsHit(%#x) = %v before ReadHit = %v", o.prefix, o.step, a, predicted, hit)
+	}
+	if hit {
 		o.check(op, Hit, o.ref.Access(a, false))
 		return true
 	}
@@ -276,13 +282,75 @@ func (o *oracle) readHit(a uint64) bool {
 	return false
 }
 
-// translate is the node's TLB lookup: a probe, else an Access whose miss
-// the Fill of the walked translation follows.
+// readHitPairs is the node's same-line hit run: a true ReadHitPairs must
+// be k rounds of reference read hits of a then b, leaving both lines with
+// the reference's lastUse, so the next victim is the reference's; a false
+// one must leave the cache as the untouched reference, and only when a
+// probe of a or b would fail. A Fill into a's set then compares the
+// victim.
+func (o *oracle) readHitPairs(a, b uint64, k int) {
+	o.t.Helper()
+	op := fmt.Sprintf("ReadHitPairs(%#x,%#x,%d)", a, b, k)
+	both := o.c.PredictsHit(a) && o.c.PredictsHit(b)
+	if !o.c.ReadHitPairs(a, b, k) {
+		if both && k > 0 {
+			o.t.Fatalf("%s step %d: %s = false with both ways predicted", o.prefix, o.step, op)
+		}
+		o.check(op, o.c.Lookup(b), o.ref.Lookup(b))
+		return
+	}
+	for r := 0; r < k; r++ {
+		if o.ref.Access(a, false) != Hit || o.ref.Access(b, false) != Hit {
+			o.t.Fatalf("%s step %d: %s = true but the reference missed in round %d", o.prefix, o.step, op, r)
+		}
+	}
+	o.check(op, o.age(a), o.ref.age(a))
+	o.check(op+" age of b", o.age(b), o.ref.age(b))
+	if o.rng.Intn(2) == 0 {
+		o.fill(o.conflict(a), o.state())
+	}
+}
+
+// age is the lastUse of the line holding addr, or 0.
+func (o *oracle) age(addr uint64) uint64 {
+	if i := o.c.find(o.c.LineAddr(addr)); i >= 0 {
+		return o.c.lastUse[i]
+	}
+	return 0
+}
+
+func (c *refCache) age(addr uint64) uint64 {
+	la := addr >> c.lineShift
+	if ln := refFind(c.set(la), la); ln != nil {
+		return ln.lastUse
+	}
+	return 0
+}
+
+// conflict returns an address in addr's set whose line is absent, so a
+// Fill of it evicts the set's first minimum of lastUse once it is full.
+func (o *oracle) conflict(addr uint64) uint64 {
+	la, sets := o.c.LineAddr(addr), o.c.setMask+1
+	for x := uint64(1); ; x++ {
+		if b := (la + x*sets) << o.c.lineShift; o.c.Lookup(b) == Invalid {
+			return b
+		}
+	}
+}
+
+// translate is the node's TLB lookup: a probe, else a ReadAllocate that
+// installs the walked translation on a miss. ReadAllocate must be the
+// reference's read and, on a miss, its Fill.
 func (o *oracle) translate(a uint64) {
 	o.t.Helper()
-	if !o.readHit(a) && o.access(a, false) == Miss {
-		o.fill(a, Exclusive)
+	if o.readHit(a) {
+		return
 	}
+	hit := o.ref.Access(a, false) == Hit
+	if !hit {
+		o.ref.Fill(a, Exclusive)
+	}
+	o.check(fmt.Sprintf("ReadAllocate(%#x)", a), o.c.ReadAllocate(a, Exclusive), hit)
 }
 
 func (o *oracle) access(a uint64, write bool) Outcome {
@@ -314,9 +382,25 @@ func (o *oracle) run(ops int) {
 		switch k := o.rng.Intn(100); {
 		case k < 22:
 			o.access(a, o.rng.Intn(3) == 0)
-		case k < 30:
+		case k < 27:
 			if !o.readHit(a) {
 				o.access(a, false)
+			}
+		case k < 30:
+			// A same-line hit run of a and a nearby line b, or of a alone.
+			b := a
+			if o.rng.Intn(4) != 0 {
+				b = o.addr()
+			}
+			o.readHitPairs(a, b, o.rng.Intn(9))
+		case k < 34:
+			if !o.readHit(a) {
+				hit := o.ref.Access(a, false) == Hit
+				st := o.state()
+				if !hit {
+					o.ref.Fill(a, st)
+				}
+				o.check(fmt.Sprintf("ReadAllocate(%#x,%v)", a, st), o.c.ReadAllocate(a, st), hit)
 			}
 		case k < 50:
 			// The node's miss path: Access misses, then Fill installs it.
@@ -399,12 +483,15 @@ func newOracle(t *testing.T, cfg Config, seed int64) *oracle {
 // geometries against the reference on the naive MatMult column sweep: a
 // cyclic walk over more pages than the TLB holds, so nearly every
 // translation misses and evicts the LRU page. Re-touches of just-used and
-// soon-needed pages move queued ways, and snoop invalidations and
-// InvalidateAll free ways between misses.
+// soon-needed pages move queued ways, and same-line hit runs move two at
+// once. Odd seeds free ways between misses often, with snoop
+// invalidations and InvalidateAll; even seeds walk long enough to use up
+// the whole victim queue of the 64-way set, and invalidate one resident
+// page at a time, between queue rebuilds.
 func TestCacheMatchesReferenceOnPageThrash(t *testing.T) {
 	seeds, ops := 12, 4000
 	if testing.Short() {
-		seeds = 3
+		seeds = 4
 	}
 	for _, g := range oracleGeometries {
 		if g.cfg.Name != "SUN-DTLB" && g.cfg.Name != "PII-DTLB" {
@@ -412,27 +499,41 @@ func TestCacheMatchesReferenceOnPageThrash(t *testing.T) {
 		}
 		t.Run(g.cfg.Name, func(t *testing.T) {
 			entries := uint64(g.cfg.SizeBytes / g.cfg.LineBytes)
+			usedUp := false
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				o := newOracle(t, g.cfg, seed)
 				pages := entries + 1 + uint64(o.rng.Intn(int(entries)))
 				page := func(p uint64) uint64 {
 					return p%pages<<o.c.lineShift | uint64(o.rng.Intn(g.cfg.LineBytes))
 				}
+				calm := seed%2 == 0
+				period := 2*pages + uint64(o.rng.Intn(int(pages)))
 				for cur := uint64(0); o.step < ops; cur++ {
 					o.translate(page(cur))
+					usedUp = usedUp || len(o.c.queue) > 0 && o.c.queueHead == len(o.c.queue)-1
+					if calm && cur%period == period/2 {
+						o.snoop(page(cur+uint64(o.rng.Intn(int(pages)))), true) // mid-queue
+					}
 					switch k := o.rng.Intn(100); {
 					case k < 10:
 						o.translate(page(cur + pages - uint64(o.rng.Intn(8)))) // just used
 					case k < 20:
 						o.translate(page(cur + 1 + uint64(o.rng.Intn(8)))) // oldest
-					case k < 23:
+					case k < 25:
+						// A hit run on the page just walked and a recent one.
+						o.readHitPairs(page(cur), page(cur+pages-uint64(o.rng.Intn(4))), 1+o.rng.Intn(8))
+					case calm:
+					case k < 28:
 						o.snoop(page(cur+uint64(o.rng.Intn(int(pages)))), true)
-					case k < 24:
+					case k < 29:
 						o.c.InvalidateAll()
 						o.ref.InvalidateAll()
 						o.check("InvalidateAll", nil, nil)
 					}
 				}
+			}
+			if g.cfg.Assoc >= wideAssoc && !usedUp {
+				t.Error("no walk used up the victim queue")
 			}
 		})
 	}

@@ -349,6 +349,21 @@ func BenchmarkCacheAccess(b *testing.B) {
 			}
 		}
 	})
+	b.Run("64way-column-hot", func(b *testing.B) {
+		// The naive N=201 MatMult sweep on the SUN: each step of a cyclic
+		// walk over 79 pages misses, and between steps the page of the A
+		// row hits, so the victim queue sees one re-touched way per miss.
+		c := New(Config{Name: "DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 64})
+		const hot = 1000 * 4096
+		c.Fill(hot, Exclusive)
+		for i := 0; i < b.N; i++ {
+			a := uint64(i%79) * 4096
+			if c.Access(a, false) == Miss {
+				c.Fill(a, Exclusive)
+			}
+			c.Access(hot, false)
+		}
+	})
 	b.Run("64way-miss-fill", func(b *testing.B) {
 		c := New(Config{Name: "DTLB", SizeBytes: 64 * 4096, LineBytes: 4096, Assoc: 64})
 		for i := 0; i < b.N; i++ {

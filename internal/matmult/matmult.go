@@ -208,9 +208,16 @@ type kernel struct {
 	phase            int // 0 = transpose (if any), 1 = multiply
 	i, j, kk         int
 	sum              float64
+
+	// runs enables same-line hit runs (see Step); hitCost is the cycles
+	// of a multiply iteration whose two loads hit the L1, and line the L1
+	// line length.
+	runs    bool
+	hitCost float64
+	line    uint64
 }
 
-func newKernel(p *node.Proc, m *Matrices, lay layout, v Version, rows, cols [2]int) *kernel {
+func newKernel(p *node.Proc, m *Matrices, lay layout, v Version, rows, cols [2]int, runs bool) *kernel {
 	core := p.Core()
 	k := &kernel{
 		p:        p,
@@ -227,6 +234,13 @@ func newKernel(p *node.Proc, m *Matrices, lay layout, v Version, rows, cols [2]i
 		k.j = cols[0]
 	} else {
 		k.phase = 1 // nothing to transpose
+	}
+	if runs && v == Transposed {
+		hit := k.cost.Quantize(p.L1HitCycles())
+		k.lat = [2]int64{hit, hit}
+		k.runs = true
+		k.hitCost = k.cost.CyclesPerIter(k.lat[:])
+		k.line = uint64(p.L1().Config().LineBytes)
 	}
 	return k
 }
@@ -281,6 +295,9 @@ func (k *kernel) Step() bool {
 	k.sum += k.m.A[i*n+k.kk] * bVal
 	k.p.AdvanceCycles(k.cost.CyclesPerIter(k.lat[:]))
 	k.kk++
+	if k.runs {
+		k.hitRun(aAddr, bAddr)
+	}
 	if k.kk >= n {
 		// Cell complete: store C[i][j], pay loop bookkeeping.
 		k.m.C[i*n+j] = k.sum
@@ -299,11 +316,40 @@ func (k *kernel) Step() bool {
 	return k.i < k.rowEnd
 }
 
+// hitRun follows a transposed multiply iteration that read aAddr and
+// bAddr with the iterations that read the rest of both lines, up to the
+// end of the nearer line or of the row. After the iteration both lines
+// sit in the predicted L1 ways and their pages in the predicted TLB ways,
+// so when Proc.ReadHitRun confirms that, each of those iterations hits
+// both loads and it commits them in one call; the products are summed in
+// the same order. Otherwise the next Step reads them one by one.
+func (k *kernel) hitRun(aAddr, bAddr uint64) {
+	n := k.m.N
+	last := k.line - 8 // offset of a line's last element
+	run := min(int(last-aAddr%k.line), int(last-bAddr%k.line)) / 8
+	run = min(run, n-k.kk)
+	if run < 1 || !k.p.ReadHitRun(aAddr+8, bAddr+8, run, k.hitCost) {
+		return
+	}
+	a := k.m.A[k.i*n+k.kk : k.i*n+k.kk+run]
+	b := k.m.BT[k.j*n+k.kk : k.j*n+k.kk+run]
+	for x := range a {
+		k.sum += a[x] * b[x]
+	}
+	k.kk += run
+}
+
 // Run executes the benchmark on the first `cpus` processors of a fresh
 // (reset) node, splitting C rows — and, in the transposed variant, the
 // transposition columns — evenly. It returns timing and checksum. It
 // panics unless n >= 1 and 1 <= cpus <= the installed CPUs.
 func Run(nd *node.Node, n int, v Version, cpus int) Result {
+	return run(nd, n, v, cpus, true)
+}
+
+// run is Run; runs enables same-line hit runs, which are exact only with
+// one kernel (see node.Proc.ReadHitRun), so they apply only when cpus is 1.
+func run(nd *node.Node, n int, v Version, cpus int, runs bool) Result {
 	if cpus <= 0 || cpus > len(nd.Procs()) {
 		panic(fmt.Sprintf("matmult: cpus = %d with %d installed", cpus, len(nd.Procs())))
 	}
@@ -317,7 +363,7 @@ func Run(nd *node.Node, n int, v Version, cpus int) Result {
 	for c := 0; c < cpus; c++ {
 		rows := [2]int{c * n / cpus, (c + 1) * n / cpus}
 		cols := [2]int{c * n / cpus, (c + 1) * n / cpus}
-		kernels[c] = newKernel(nd.Proc(c), m, lay, v, rows, cols)
+		kernels[c] = newKernel(nd.Proc(c), m, lay, v, rows, cols, runs && cpus == 1)
 	}
 	makespan := node.RunParallel(kernels...)
 	return Result{

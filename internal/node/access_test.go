@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"powermanna/internal/machine"
@@ -103,5 +104,66 @@ func BenchmarkProcAccess(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestReadHitRunMatchesAccesses checks Proc.ReadHitRun against the rounds
+// it stands for: two reads and an AdvanceCycles each, through Access on a
+// twin processor. Local time and every cache's counters must agree after
+// each run, a run that reports false, or one on a line that is not
+// cached, must change nothing, and a seeded stream of accesses afterwards, whose
+// victims depend on the ages the runs left, must keep them equal.
+func TestReadHitRunMatchesAccesses(t *testing.T) {
+	const cycles = 3.7 // fractional: CyclesF rounds each round up
+	for _, cfg := range machine.All() {
+		run, each := node.New(cfg).Proc(0), node.New(cfg).Proc(0)
+		line := uint64(cfg.L1D.LineBytes)
+		same := func(what string) {
+			t.Helper()
+			if run.Now() != each.Now() || misses(run) != misses(each) ||
+				run.L1().Stats() != each.L1().Stats() || run.L2().Stats() != each.L2().Stats() || run.TLB().Stats() != each.TLB().Stats() {
+				t.Fatalf("%s %s: ReadHitRun diverged from Access rounds: now %v vs %v, misses %v vs %v",
+					cfg.Name, what, run.Now(), each.Now(), misses(run), misses(each))
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		hits := 0
+		for round := 0; round < 200; round++ {
+			a := 0x1000_0000 + uint64(rng.Intn(512))*line
+			b := 0x2020_0000 + uint64(rng.Intn(512))*line // another predictor residue
+			if rng.Intn(8) == 0 {
+				b = a // one line read twice per round
+			}
+			for _, p := range []*node.Proc{run, each} {
+				p.AdvanceCycles(float64(p.Access(a, false)))
+				p.AdvanceCycles(float64(p.Access(b, false)))
+			}
+			k := 1 + rng.Intn(7)
+			if run.ReadHitRun(a+8, b, k, cycles) {
+				hits++
+				for r := 0; r < k; r++ {
+					each.Access(a+8, false)
+					each.Access(b, false)
+					each.AdvanceCycles(cycles)
+				}
+			}
+			same("run")
+			if absent := 0x3000_0000 + uint64(round)*line; run.ReadHitRun(a, absent, k, cycles) {
+				t.Fatalf("%s round %d: ReadHitRun hit an uncached line", cfg.Name, round)
+			}
+			same("failed run")
+		}
+		// A run fails where two lines or pages share a predictor entry or
+		// an L1 set; most must not.
+		if hits < 180 {
+			t.Errorf("%s: %d of 200 runs hit, want at least 180", cfg.Name, hits)
+		}
+		for i := 0; i < 20000; i++ {
+			addr := 0x1000_0000 + uint64(rng.Intn(4))<<28 + uint64(rng.Intn(1<<16))*8
+			write := rng.Intn(4) == 0
+			run.AdvanceCycles(float64(run.Access(addr, write)))
+			each.AdvanceCycles(float64(each.Access(addr, write)))
+		}
+		same("stream")
 	}
 }

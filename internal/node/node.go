@@ -241,14 +241,14 @@ func (p *Proc) L2() *cache.Cache { return p.l2 }
 // TLB returns the data TLB (for stats and tests).
 func (p *Proc) TLB() *cache.Cache { return p.tlb }
 
-// translate looks addr's page up in the data TLB, returning the
-// page-table-walk penalty in core cycles (0 on a hit). The walk's own
-// memory references are folded into the penalty.
+// translate looks addr's page up in the data TLB, installing the walked
+// translation on a miss, and returns the page-table-walk penalty in core
+// cycles (0 on a hit). The walk's own memory references are folded into
+// the penalty.
 func (p *Proc) translate(addr uint64) int64 {
-	if p.tlb.Access(addr, false) == cache.Hit {
+	if p.tlb.ReadAllocate(addr, cache.Exclusive) {
 		return 0
 	}
-	p.tlb.Fill(addr, cache.Exclusive)
 	return p.walkCycles
 }
 
@@ -285,7 +285,9 @@ func (p *Proc) snoopPeers(lineByteAddr uint64, exclusive bool) (had, supplied bo
 // charged to the shared resources.
 //
 // The common case, a TLB hit and an L1 read hit, is two inlined
-// Cache.ReadHit probes; a failed probe falls back to the full lookup.
+// Cache.ReadHit probes; a failed probe falls back to the full lookup,
+// and a read that misses the L1 probes the L2 the same way before it
+// does. Each level is probed once per access.
 func (p *Proc) Access(addr uint64, write bool) int64 {
 	var walk int64
 	if !p.tlb.ReadHit(addr) {
@@ -310,8 +312,11 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 	}
 
 	// L1 miss: try the private L2.
-	l2Outcome := p.l2.Access(addr, write)
-	switch l2Outcome {
+	if !write && p.l2.ReadHit(addr) {
+		p.fillL1(addr, false)
+		return p.l2Hit + walk
+	}
+	switch p.l2.Access(addr, write) {
 	case cache.Hit:
 		p.fillL1(addr, write)
 		return p.l2Hit + walk
@@ -346,6 +351,23 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 		return l1Hit + p.pushStore(done) // store-buffered unless the ring is full
 	}
 	return p.l2Hit + walk + p.clock.ToCycles(done-p.now)
+}
+
+// ReadHitRun commits k rounds of a read of a then a read of b, each
+// round followed by AdvanceCycles(cycles), when every round would hit the
+// TLB and L1 ways the predictor names: the caches change exactly as under
+// 2k Access calls and local time moves by k times CyclesF(cycles). A
+// kernel passes the cost of one round of two L1 hits. It is exact only
+// while no other processor runs, since a peer's snoop could take one of
+// the lines between rounds. If any predicted way misses, it reports false
+// and changes nothing.
+func (p *Proc) ReadHitRun(a, b uint64, k int, cycles float64) bool {
+	if !p.tlb.PredictsHit(a) || !p.tlb.PredictsHit(b) || !p.l1.ReadHitPairs(a, b, k) {
+		return false
+	}
+	p.tlb.ReadHitPairs(a, b, k)
+	p.now += sim.Time(k) * p.clock.CyclesF(cycles)
+	return true
 }
 
 // pushStore records a fabric-bound store's completion in the store
