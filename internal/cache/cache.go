@@ -166,10 +166,10 @@ type Cache struct {
 	// resident counts the valid lines of each residue. A zero count proves
 	// a line absent without a look at its set.
 	resident [hintSize]int32
-	// queue holds every way of set queueSet, oldest first, with its
-	// lastUse at the set's last full victim scan; the entries before
-	// queueHead have moved since. Only wide caches keep one; invalidate
-	// empties it.
+	// queue holds every way of set queueSet (-1 before the first victim
+	// search), oldest first, with its lastUse at the set's last sort; the
+	// entries before queueHead have moved since. Only wide caches keep
+	// one; invalidate empties it.
 	queue     []queued
 	queueHead int
 	queueSet  int
@@ -207,7 +207,7 @@ func New(cfg Config) *Cache {
 	}
 	c.hint, c.hintMask = make([]int32, hints), uint64(hints-1)
 	if cfg.Assoc >= wideAssoc {
-		c.queue = make([]queued, cfg.Assoc)
+		c.queue, c.queueSet = make([]queued, cfg.Assoc), -1
 	}
 	c.InvalidateAll()
 	return c
@@ -274,7 +274,10 @@ func (c *Cache) scan(la uint64) (way, victim int) {
 // every way whose lastUse has not, and at a later call for the same set
 // the first queued way with an unchanged lastUse is still the first
 // minimum. A moved way stays moved, so the head passes it once; once
-// every queued way has moved, the set is sorted again.
+// every queued way has moved, the set is sorted again. The queue of
+// queueSet always holds each of its ways once, and a re-sort starts from
+// the old order: ways leave the queue oldest first and are mostly
+// refilled in that order, so the input is nearly sorted already.
 func (c *Cache) lru(base int) int {
 	uses := c.lastUse[base : base+c.assoc]
 	if c.assoc < wideAssoc {
@@ -292,9 +295,13 @@ func (c *Cache) lru(base int) int {
 				return int(q.way)
 			}
 		}
-	}
-	for w, u := range uses {
-		c.queue[w] = queued{use: u, way: int32(base + w)}
+		for x, q := range c.queue {
+			c.queue[x].use = c.lastUse[q.way]
+		}
+	} else {
+		for w, u := range uses {
+			c.queue[w] = queued{use: u, way: int32(base + w)}
+		}
 	}
 	slices.SortFunc(c.queue, older)
 	c.queueHead, c.queueSet = 0, base
