@@ -114,12 +114,11 @@ func (s Stats) HitRate() float64 {
 // lastUse before it counts.
 const noTag = ^uint64(0)
 
-// hintSize is the number of resident counters, indexed by the low bits of
-// the line address (its residue), and the least number of way-predictor
-// entries a set-associative cache keeps. It is wider than the PowerMANNA
-// L1's 64 sets, so streams sharing a set keep separate entries, and than
-// the 79 pages the naive N=201 MatMult column sweep touches on the SUN's
-// 64-way DTLB.
+// hintSize is the number of way-predictor entries, indexed by the low bits
+// of the line address (its residue). It is wider than the PowerMANNA L1's
+// 64 sets, so streams sharing a set keep separate entries, and than the 79
+// pages the naive N=201 MatMult column sweep touches on the SUN's 64-way
+// DTLB.
 const hintSize = 1024
 
 // A cache whose sets have at least wideAssoc ways keeps a victim queue
@@ -156,13 +155,10 @@ type Cache struct {
 	tags      []uint64
 	states    []State
 	lastUse   []uint64
-	// hint predicts the way holding a line, indexed by la&hintMask. A
-	// prediction counts only after its tag checks, and a valid tag is held
-	// by at most one way, so a wrong or stale hint costs a scan, never a
-	// different outcome. A set-associative cache keeps an entry per line,
-	// at least hintSize; a direct-mapped one never reads its single entry.
-	hint     []int32
-	hintMask uint64
+	// hint predicts the way holding a line. A prediction counts only after
+	// its tag checks, and a valid tag is held by at most one way, so a
+	// wrong or stale hint costs a scan, never a different outcome.
+	hint [hintSize]int32
 	// resident counts the valid lines of each residue. A zero count proves
 	// a line absent without a look at its set.
 	resident [hintSize]int32
@@ -201,11 +197,6 @@ func New(cfg Config) *Cache {
 		lastUse:   make([]uint64, sets*cfg.Assoc),
 		missed:    noTag,
 	}
-	hints := 1
-	if cfg.Assoc > 1 {
-		hints = max(hintSize, sets*cfg.Assoc)
-	}
-	c.hint, c.hintMask = make([]int32, hints), uint64(hints-1)
 	if cfg.Assoc >= wideAssoc {
 		c.queue, c.queueSet = make([]queued, cfg.Assoc), -1
 	}
@@ -236,7 +227,7 @@ func (c *Cache) predict(la uint64) int {
 	if c.assoc == 1 {
 		return int(la & c.setMask)
 	}
-	return int(c.hint[la&c.hintMask])
+	return int(c.hint[la%hintSize])
 }
 
 // find returns the index of the way holding the valid line la, or -1.
@@ -257,7 +248,7 @@ func (c *Cache) scan(la uint64) (way, victim int) {
 		tags := c.tags[base : base+c.assoc]
 		for w, t := range tags {
 			if t == la && (la != noTag || c.lastUse[base+w] != 0) {
-				c.hint[la&c.hintMask] = int32(base + w)
+				c.hint[la%hintSize] = int32(base + w)
 				return base + w, -1
 			}
 		}
@@ -528,7 +519,7 @@ func (c *Cache) install(i int, la uint64, st State) Victim {
 	c.tags[i] = la
 	c.states[i] = st
 	c.lastUse[i] = c.clock
-	c.hint[la&c.hintMask] = int32(i)
+	c.hint[la%hintSize] = int32(i)
 	return out
 }
 

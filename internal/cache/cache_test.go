@@ -119,26 +119,6 @@ func TestReadAllocateInvalidStatePanics(t *testing.T) {
 	c.ReadAllocate(0, Invalid)
 }
 
-// TestPredictorCoversEveryLine checks the predictor's size: once a cache
-// holds as many consecutive lines as it has ways, the probe finds each of
-// them, so no two resident lines share an entry. That needs an entry per
-// line in a set-associative cache larger than hintSize lines, such as the
-// PII's 4-way 512 KB L2.
-func TestPredictorCoversEveryLine(t *testing.T) {
-	for _, g := range oracleGeometries {
-		c := New(g.cfg)
-		lines := uint64(g.cfg.SizeBytes / g.cfg.LineBytes)
-		for la := uint64(0); la < lines; la++ {
-			c.Fill(la*uint64(g.cfg.LineBytes), Exclusive)
-		}
-		for la := uint64(0); la < lines; la++ {
-			if a := la * uint64(g.cfg.LineBytes); !c.PredictsHit(a) || !c.ReadHit(a) {
-				t.Fatalf("%s: probe misses resident line %#x", g.cfg.Name, la)
-			}
-		}
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	c := New(smallConfig()) // 8 sets, 2-way, 64B lines: set = lineAddr % 8
 	// Three lines mapping to set 0: line addrs 0, 8, 16 → byte 0, 512, 1024.

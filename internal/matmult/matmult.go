@@ -193,7 +193,8 @@ func Reference(n int) float64 {
 // the transposed variant) a column range of the transposition. Step
 // advances one element at a time so that SMP runs interleave at fine
 // grain: shared-resource queueing is then resolved at close to true
-// arrival order (see node.RunParallel).
+// arrival order (see node.RunParallel). A lone transposed kernel may also
+// commit a same-line hit run in the same Step (see hitRun).
 type kernel struct {
 	p     *node.Proc
 	m     *Matrices
@@ -209,7 +210,7 @@ type kernel struct {
 	i, j, kk         int
 	sum              float64
 
-	// runs enables same-line hit runs (see Step); hitCost is the cycles
+	// runs enables same-line hit runs (see hitRun); hitCost is the cycles
 	// of a multiply iteration whose two loads hit the L1, and line the L1
 	// line length.
 	runs    bool
