@@ -286,8 +286,7 @@ func (p *Proc) snoopPeers(lineByteAddr uint64, exclusive bool) (had, supplied bo
 //
 // The common case, a TLB hit and an L1 read hit, is two inlined
 // Cache.ReadHit probes; a failed probe falls back to the full lookup,
-// and a read that misses the L1 probes the L2 the same way before it
-// does. Each level is probed once per access.
+// and a read that misses the L1 probes the L2 the same way first.
 func (p *Proc) Access(addr uint64, write bool) int64 {
 	var walk int64
 	if !p.tlb.ReadHit(addr) {
