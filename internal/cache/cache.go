@@ -170,10 +170,11 @@ type Cache struct {
 	queueHead int
 	queueSet  int
 	// missed is the line Access last reported missing, at clock missedAt,
-	// and victim the way its scan found Fill would evict. Only Fill
-	// installs lines, so the next Fill of it may skip its own lookup; if
-	// the clock has not ticked since, no lastUse has moved and victim
-	// still holds. Every Fill and every invalidate clears missed.
+	// and victim the way its scan found Fill would evict. Only Fill and
+	// ReadAllocate install lines, so the next Fill of it may skip its own
+	// lookup; if the clock has not ticked since, no lastUse has moved and
+	// victim still holds. Every Fill, ReadAllocate miss and invalidate
+	// clears missed.
 	missed   uint64
 	missedAt uint64
 	victim   int

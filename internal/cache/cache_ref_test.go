@@ -338,19 +338,23 @@ func (o *oracle) conflict(addr uint64) uint64 {
 	}
 }
 
-// translate is the node's TLB lookup: a probe, else a ReadAllocate that
-// installs the walked translation on a miss. ReadAllocate must be the
-// reference's read and, on a miss, its Fill.
-func (o *oracle) translate(a uint64) {
+// readAllocate must be the reference's read and, on a miss, its Fill.
+func (o *oracle) readAllocate(a uint64, st State) {
 	o.t.Helper()
-	if o.readHit(a) {
-		return
-	}
 	hit := o.ref.Access(a, false) == Hit
 	if !hit {
-		o.ref.Fill(a, Exclusive)
+		o.ref.Fill(a, st)
 	}
-	o.check(fmt.Sprintf("ReadAllocate(%#x)", a), o.c.ReadAllocate(a, Exclusive), hit)
+	o.check(fmt.Sprintf("ReadAllocate(%#x,%v)", a, st), o.c.ReadAllocate(a, st), hit)
+}
+
+// translate is the node's TLB lookup: a probe, else a ReadAllocate that
+// installs the walked translation on a miss.
+func (o *oracle) translate(a uint64) {
+	o.t.Helper()
+	if !o.readHit(a) {
+		o.readAllocate(a, Exclusive)
+	}
 }
 
 func (o *oracle) access(a uint64, write bool) Outcome {
@@ -395,12 +399,7 @@ func (o *oracle) run(ops int) {
 			o.readHitPairs(a, b, o.rng.Intn(9))
 		case k < 34:
 			if !o.readHit(a) {
-				hit := o.ref.Access(a, false) == Hit
-				st := o.state()
-				if !hit {
-					o.ref.Fill(a, st)
-				}
-				o.check(fmt.Sprintf("ReadAllocate(%#x,%v)", a, st), o.c.ReadAllocate(a, st), hit)
+				o.readAllocate(a, o.state())
 			}
 		case k < 50:
 			// The node's miss path: Access misses, then Fill installs it.
@@ -486,8 +485,8 @@ func newOracle(t *testing.T, cfg Config, seed int64) *oracle {
 // soon-needed pages move queued ways, and same-line hit runs move two at
 // once. Odd seeds free ways between misses often, with snoop
 // invalidations and InvalidateAll; even seeds walk long enough to use up
-// the whole victim queue of the 64-way set, and invalidate one resident
-// page at a time, between queue rebuilds.
+// the whole victim queue of the 64-way set, and snoop-invalidate one page
+// every two to three cycles of the walk, in the middle of a queue.
 func TestCacheMatchesReferenceOnPageThrash(t *testing.T) {
 	seeds, ops := 12, 4000
 	if testing.Short() {
