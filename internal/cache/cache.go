@@ -170,11 +170,10 @@ type Cache struct {
 	queueHead int
 	queueSet  int
 	// missed is the line Access last reported missing, at clock missedAt,
-	// and victim the way its scan found Fill would evict. Only Fill and
-	// ReadAllocate install lines, so the next Fill of it may skip its own
-	// lookup; if the clock has not ticked since, no lastUse has moved and
-	// victim still holds. Every Fill, ReadAllocate miss and invalidate
-	// clears missed.
+	// and victim the way its scan found Fill would evict. Only Fill
+	// installs lines, so the next Fill of it may skip its own lookup; if
+	// the clock has not ticked since, no lastUse has moved and victim
+	// still holds. Every Fill and every invalidate clears missed.
 	missed   uint64
 	missedAt uint64
 	victim   int
@@ -387,31 +386,6 @@ func (c *Cache) ReadHitPairs(a, b uint64, k int) bool {
 	return true
 }
 
-// ReadAllocate reads addr as Access does and, on a miss, installs its line
-// in state st as the Fill that would follow does, with one lookup for
-// both. It reports whether the read hit.
-func (c *Cache) ReadAllocate(addr uint64, st State) bool {
-	if st == Invalid {
-		panic(fmt.Sprintf("cache %s: ReadAllocate with Invalid state", c.cfg.Name))
-	}
-	la := c.LineAddr(addr)
-	c.clock++
-	c.stats.Reads++
-	i := c.predict(la)
-	if !c.holds(i, la) {
-		var victim int
-		if i, victim = c.scan(la); i < 0 {
-			c.stats.ReadMisses++
-			c.missed = noTag
-			c.clock++
-			c.install(victim, la, st)
-			return false
-		}
-	}
-	c.lastUse[i] = c.clock
-	return true
-}
-
 // Access classifies a read or write of addr and applies the purely local
 // state transitions (E→M on write hit, LRU update, counters). A read that
 // the caller has not probed with ReadHit first costs the same: Access
@@ -501,12 +475,6 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 			return Victim{}
 		}
 	}
-	return c.install(i, la, st)
-}
-
-// install puts line la in state st into way i at the current clock tick,
-// evicting what it held.
-func (c *Cache) install(i int, la uint64, st State) Victim {
 	out := Victim{}
 	if c.lastUse[i] != 0 {
 		out = Victim{LineAddr: c.tags[i], Dirty: c.states[i] == Modified, Valid: true}

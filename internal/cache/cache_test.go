@@ -109,16 +109,6 @@ func TestFillInvalidStatePanics(t *testing.T) {
 	c.Fill(0, Invalid)
 }
 
-func TestReadAllocateInvalidStatePanics(t *testing.T) {
-	c := New(smallConfig())
-	defer func() {
-		if recover() == nil {
-			t.Error("ReadAllocate with Invalid state did not panic")
-		}
-	}()
-	c.ReadAllocate(0, Invalid)
-}
-
 func TestLRUEviction(t *testing.T) {
 	c := New(smallConfig()) // 8 sets, 2-way, 64B lines: set = lineAddr % 8
 	// Three lines mapping to set 0: line addrs 0, 8, 16 → byte 0, 512, 1024.

@@ -212,7 +212,8 @@ type kernel struct {
 
 	// runs enables same-line hit runs (see hitRun); hitCost is the cycles
 	// of a multiply iteration whose two loads hit the L1, and line the L1
-	// line length.
+	// line length, kept here because copying the L1's Config on every
+	// hitRun made the transposed kernel ~15% slower.
 	runs    bool
 	hitCost float64
 	line    uint64
@@ -238,9 +239,8 @@ func newKernel(p *node.Proc, m *Matrices, lay layout, v Version, rows, cols [2]i
 	}
 	if runs && v == Transposed {
 		hit := k.cost.Quantize(p.L1HitCycles())
-		k.lat = [2]int64{hit, hit}
 		k.runs = true
-		k.hitCost = k.cost.CyclesPerIter(k.lat[:])
+		k.hitCost = k.cost.CyclesPerIter([]int64{hit, hit})
 		k.line = uint64(p.L1().Config().LineBytes)
 	}
 	return k

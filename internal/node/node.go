@@ -241,14 +241,14 @@ func (p *Proc) L2() *cache.Cache { return p.l2 }
 // TLB returns the data TLB (for stats and tests).
 func (p *Proc) TLB() *cache.Cache { return p.tlb }
 
-// translate looks addr's page up in the data TLB, installing the walked
-// translation on a miss, and returns the page-table-walk penalty in core
-// cycles (0 on a hit). The walk's own memory references are folded into
-// the penalty.
+// translate looks addr's page up in the data TLB, returning the
+// page-table-walk penalty in core cycles (0 on a hit). The walk's own
+// memory references are folded into the penalty.
 func (p *Proc) translate(addr uint64) int64 {
-	if p.tlb.ReadAllocate(addr, cache.Exclusive) {
+	if p.tlb.Access(addr, false) == cache.Hit {
 		return 0
 	}
+	p.tlb.Fill(addr, cache.Exclusive)
 	return p.walkCycles
 }
 
@@ -311,11 +311,11 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 	}
 
 	// L1 miss: try the private L2.
-	if !write && p.l2.ReadHit(addr) {
-		p.fillL1(addr, false)
-		return p.l2Hit + walk
+	l2Outcome := cache.Hit
+	if write || !p.l2.ReadHit(addr) {
+		l2Outcome = p.l2.Access(addr, write)
 	}
-	switch p.l2.Access(addr, write) {
+	switch l2Outcome {
 	case cache.Hit:
 		p.fillL1(addr, write)
 		return p.l2Hit + walk
