@@ -46,8 +46,8 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
-echo "== node-model and route benchmarks =="
-go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo
+echo "== node-model, route and event-queue benchmarks =="
+go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim
 
 echo "== pmlint =="
 go run ./cmd/pmlint ./...

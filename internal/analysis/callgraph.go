@@ -15,8 +15,9 @@ import (
 // It builds a per-package static call graph whose distinguished roots are
 // the sim event-handler entry points: every function or function literal
 // scheduled through a sim event queue — internal/sim's Scheduler.At /
-// After (directly or via the sim.Engine interface), internal/psim's
-// per-shard At / After and cross-shard Engine.Post — plus any declared
+// After (directly or via the sim.Engine interface) and the Queue.Push
+// beneath them, internal/psim's per-shard At / After and cross-shard
+// Engine.Post — plus any declared
 // function carrying the //pmlint:root directive.
 // The edge from the scheduling site to the scheduled callback is
 // deliberately *not* in the graph — crossing the event queue is the one
@@ -382,23 +383,26 @@ func (g *CallGraph) collectCaptures(node *CGNode, lit *ast.FuncLit) {
 	})
 }
 
-// scheduleQueues lists the event-queue owners whose At / After / Post
-// methods enqueue work: the sequential scheduler and the Engine
-// interface it satisfies in internal/sim, and the parallel engine's
-// shard plus its cross-shard mailbox in internal/psim.
+// scheduleQueues lists the event-queue owners whose At / After / Post /
+// Push methods enqueue work: the sequential scheduler, the Engine
+// interface it satisfies and the Queue both engines embed in
+// internal/sim, and the parallel engine's shard plus its cross-shard
+// mailbox in internal/psim.
 var scheduleQueues = []struct {
 	pkgSuffix string
 	typeName  string
 }{
 	{"internal/sim", "Scheduler"},
 	{"internal/sim", "Engine"},
+	{"internal/sim", "Queue"},
 	{"internal/psim", "Shard"},
 	{"internal/psim", "Engine"},
 }
 
 // scheduleCallback returns the callback argument of a call that enqueues
-// work on a sim event queue (Scheduler/Engine/Shard At and After, plus
-// the parallel engine's cross-shard Post), or nil for any other call.
+// work on a sim event queue (Scheduler/Engine/Shard At and After,
+// Queue.Push, plus the parallel engine's cross-shard Post), or nil for
+// any other call.
 // The callback is the final func() argument.
 func scheduleCallback(pkg *Package, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -406,7 +410,7 @@ func scheduleCallback(pkg *Package, call *ast.CallExpr) ast.Expr {
 		return nil
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || (fn.Name() != "At" && fn.Name() != "After" && fn.Name() != "Post") {
+	if !ok || (fn.Name() != "At" && fn.Name() != "After" && fn.Name() != "Post" && fn.Name() != "Push") {
 		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)

@@ -41,8 +41,9 @@ func TestCallGraphRoots(t *testing.T) {
 }
 
 // TestCallGraphEngineRoots checks the parallel-engine schedule sites:
-// callbacks scheduled through the sim.Engine interface, a psim shard
-// and the cross-shard Post mailbox all root; the //pmlint:root
+// callbacks scheduled through the sim.Engine interface, the sim.Queue
+// a scheduler embeds, a psim shard and the cross-shard Post mailbox all
+// root; the //pmlint:root
 // directive promotes a declared worker loop; a lookalike At method on
 // an unrelated type roots nothing.
 func TestCallGraphEngineRoots(t *testing.T) {
@@ -55,7 +56,7 @@ func TestCallGraphEngineRoots(t *testing.T) {
 	for _, r := range g.HandlerRoots() {
 		roots[r.Name] = true
 	}
-	for _, want := range []string{"ifaceHandler", "shardHandler", "postHandler", "drain"} {
+	for _, want := range []string{"ifaceHandler", "queueHandler", "shardHandler", "postHandler", "drain"} {
 		if !roots[want] {
 			t.Errorf("%s is not a handler root; roots = %v", want, roots)
 		}
@@ -63,8 +64,8 @@ func TestCallGraphEngineRoots(t *testing.T) {
 	if roots["notAHandler"] {
 		t.Errorf("lookalike At callback notAHandler rooted; the matcher must check the receiver's package")
 	}
-	if len(roots) != 4 {
-		t.Errorf("got %d roots (%v), want 4", len(roots), roots)
+	if len(roots) != 5 {
+		t.Errorf("got %d roots (%v), want 5", len(roots), roots)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package pqueue exercises the schedule-site matcher's parallel-engine
 // cases: callbacks scheduled through the sim.Engine interface, through
-// a psim shard, through the cross-shard Post mailbox, and a worker loop
+// the sim.Queue a scheduler embeds, through a psim shard, through the
+// cross-shard Post mailbox, and a worker loop
 // promoted to handler root by directive. The lookalike type at the
 // bottom must stay invisible.
 package pqueue
@@ -17,6 +18,13 @@ func viaInterface(eng sim.Engine) {
 }
 
 func ifaceHandler() {}
+
+// viaQueue pushes straight onto the queue beneath the scheduler's At.
+func viaQueue(s *sim.Scheduler) {
+	s.Push(0, queueHandler)
+}
+
+func queueHandler() {}
 
 // viaShard schedules on a psim shard and posts across shards.
 func viaShard(e *psim.Engine) {

@@ -317,13 +317,21 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 	}
 	switch l2Outcome {
 	case cache.Hit:
-		p.fillL1(addr, write)
+		st := cache.Modified
+		if !write {
+			// Access reports no state: a read hit asks the L2 for it.
+			st = cache.Exclusive
+			if p.l2.Lookup(addr) == cache.Shared {
+				st = cache.Shared
+			}
+		}
+		p.fillL1(addr, st)
 		return p.l2Hit + walk
 	case cache.HitNeedsUpgrade:
 		done := p.node.fabric.Upgrade(p.now)
 		p.snoopPeers(addr, true)
 		p.l2.CompleteUpgrade(addr)
-		p.fillL1(addr, write)
+		p.fillL1(addr, cache.Modified)
 		return p.l2Hit + walk + p.pushStore(done)
 	}
 
@@ -344,7 +352,7 @@ func (p *Proc) Access(addr uint64, write bool) int64 {
 		state = cache.Shared
 	}
 	p.installLine(addr, state, done)
-	p.fillL1(addr, write)
+	p.fillL1(addr, state)
 
 	if write {
 		return l1Hit + p.pushStore(done) // store-buffered unless the ring is full
@@ -400,15 +408,10 @@ func (p *Proc) installLine(addr uint64, st cache.State, at sim.Time) {
 	}
 }
 
-// fillL1 installs the line into the L1 after an L2 hit or fill. A dirty
-// L1 victim is merged into the L2 (no bus traffic).
-func (p *Proc) fillL1(addr uint64, write bool) {
-	st := cache.Exclusive
-	if write {
-		st = cache.Modified
-	} else if s := p.l2.Lookup(addr); s == cache.Shared {
-		st = cache.Shared
-	}
+// fillL1 installs the line into the L1 in state st after an L2 hit or
+// fill: Modified for a write, the L2's Shared or Exclusive for a read.
+// A dirty L1 victim is merged into the L2 (no bus traffic).
+func (p *Proc) fillL1(addr uint64, st cache.State) {
 	v := p.l1.Fill(addr, st)
 	if v.Valid && v.Dirty {
 		victimByte := v.LineAddr * uint64(p.node.cfg.L1D.LineBytes)

@@ -1,13 +1,14 @@
 // Package psim is the parallel discrete-event engine: the event space
-// is split into shards, each with its own heap, clock and sequence
-// counter, and synchronized through conservative lookahead windows
+// is split into shards, each running on its own sim.Queue — the one
+// event queue internal/sim's sequential Scheduler also runs on — and
+// synchronized through conservative lookahead windows
 // (null-message-free barrier rounds). Cross-shard events travel through
 // per-pair mailboxes and are merged at each barrier with a
 // deterministic (time, source shard, post order) tie-break, so a
 // sharded run dispatches exactly the events a sequential run would —
-// trace, metrics and stdout stay byte-identical to internal/sim's
-// single queue. The root package's golden tests pin that equivalence by
-// running the pmfault/pmtrace goldens through both engines.
+// trace, metrics and stdout stay byte-identical to a sequential
+// Scheduler run. The root package's golden tests pin that equivalence
+// by running the pmfault/pmtrace goldens through both engines.
 //
 // A parallel Run keeps a crew of persistent workers for its whole
 // duration: worker i owns shard i, the calling goroutine runs shard 0,
@@ -36,13 +37,14 @@
 // (lookahead 0) engine under Par, which degenerates to one round with
 // no barriers: the embarrassingly-parallel fast path.
 //
-// Each Shard implements sim.Engine, so models written against the
-// sequential scheduler (EARTH, the campaign drivers) run unchanged on
-// a shard. Everything a shard's events touch must be shard-local; the
-// pmlint --report audit (sharedstate and friends) is the static gate
-// on that, and the per-row construction behind RunRows is the dynamic
-// pattern: one network, one injector, one accounting row per shard in
-// internal/fault, one node per series in internal/experiments.
+// Each Shard implements sim.Engine (Now, At, After, Run), so models
+// written against the sequential scheduler (EARTH, the campaign
+// drivers) run unchanged on a shard. Everything a shard's events touch
+// must be shard-local; the pmlint --report audit (sharedstate and
+// friends) is the static gate on that, and the per-row construction
+// behind RunRows is the dynamic pattern: one network, one injector,
+// one accounting row per shard in internal/fault, one node per series
+// in internal/experiments.
 package psim
 
 import (
@@ -120,113 +122,16 @@ func (c callback) fire(s *Shard) {
 	c.arg.(func())()
 }
 
-// eventKey is an event's heap entry, in the same total order as
-// internal/sim: (at, seq), seq breaking every time tie in scheduling
-// order. slot locates the event's callback in eventHeap.calls.
-type eventKey struct {
-	at   sim.Time
-	seq  uint64
-	slot int32
-}
-
-// eventHeap is the hand-rolled binary min-heap over (at, seq), the
-// same ordering as internal/sim's: no interface boxing per schedule.
-// The heap orders small pointer-free keys; the callbacks stay put in a
-// slot table recycled through a free list, so a sift moves 24 bytes per
-// level whatever an event carries. Sifts move a hole instead of
-// swapping, one key copy per level.
-type eventHeap struct {
-	keys  []eventKey
-	calls []callback
-	free  []int32
-}
-
-// len reports the number of queued events.
-func (h *eventHeap) len() int { return len(h.keys) }
-
-// minAt reports the earliest queued time; the heap must be non-empty.
-func (h *eventHeap) minAt() sim.Time { return h.keys[0].at }
-
-// before is the heap order: (at, seq) ascending.
-func before(a, b *eventKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// push queues the callback c at (at, seq) and restores the heap
-// invariant.
-func (h *eventHeap) push(at sim.Time, seq uint64, c callback) {
-	var slot int32
-	if k := len(h.free); k > 0 {
-		slot = h.free[k-1]
-		h.free = h.free[:k-1]
-		h.calls[slot] = c
-	} else {
-		slot = int32(len(h.calls))
-		h.calls = append(h.calls, c)
-	}
-	key := eventKey{at: at, seq: seq, slot: slot}
-	h.keys = append(h.keys, key)
-	q := h.keys
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(&key, &q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = key
-}
-
-// pop removes the minimum event, returning its time and callback.
-func (h *eventHeap) pop() (sim.Time, callback) {
-	q := h.keys
-	n := len(q) - 1
-	top := q[0]
-	last := q[n]
-	h.keys = q[:n]
-	if n > 0 {
-		q = q[:n]
-		i := 0
-		for {
-			least := 2*i + 1
-			if least >= n {
-				break
-			}
-			if right := least + 1; right < n && before(&q[right], &q[least]) {
-				least = right
-			}
-			if !before(&q[least], &last) {
-				break
-			}
-			q[i] = q[least]
-			i = least
-		}
-		q[i] = last
-	}
-	c := h.calls[top.slot]
-	h.calls[top.slot] = callback{} // release the callback so the GC can collect it
-	h.free = append(h.free, top.slot)
-	return top.at, c
-}
-
-// Shard is one partition of the event space: a private heap, clock,
-// sequence counter and step count. It implements sim.Engine, so model
-// code written against the sequential scheduler runs unchanged on a
-// shard. A shard's state — and everything its events touch — belongs
-// to exactly one worker goroutine per barrier round; the engine is the
-// only cross-shard channel.
+// Shard is one partition of the event space: a private sim.Queue —
+// heap, clock, sequence counter and step count. It implements
+// sim.Engine, so model code written against the sequential scheduler
+// runs unchanged on a shard. A shard's state — and everything its
+// events touch — belongs to exactly one worker goroutine per barrier
+// round; the engine is the only cross-shard channel.
 type Shard struct {
-	eng    *Engine
-	id     int
-	now    sim.Time
-	seq    uint64
-	queue  eventHeap
-	nsteps uint64
+	sim.Queue[callback]
+	eng *Engine
+	id  int
 	// minSlack is the least (post time − now) of this shard's
 	// cross-shard posts, sim.MaxTime before the first. Only the shard's
 	// own worker writes it: shards post concurrently.
@@ -236,26 +141,11 @@ type Shard struct {
 // ID reports the shard's index within its engine.
 func (s *Shard) ID() int { return s.id }
 
-// Now reports the shard's current simulated time.
-func (s *Shard) Now() sim.Time { return s.now }
-
-// Steps reports how many events this shard has dispatched.
-func (s *Shard) Steps() uint64 { return s.nsteps }
-
-// Pending reports the number of events still queued on this shard.
-func (s *Shard) Pending() int { return s.queue.len() }
-
 // At schedules fn on this shard at absolute simulated time t.
 // Scheduling in the past is a model bug and panics.
 //
 //pmlint:hotpath
-func (s *Shard) At(t sim.Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("psim: shard %d scheduling at %v before now %v", s.id, t, s.now)) //pmlint:allow hotpath cold panic guard for a model bug, never taken per event
-	}
-	s.seq++
-	s.queue.push(t, s.seq, callback{arg: fn})
-}
+func (s *Shard) At(t sim.Time, fn func()) { s.Push(t, callback{arg: fn}) }
 
 // AtPost schedules payload for the handler h on this shard at absolute
 // simulated time t: the shard-local form of Engine.PostPayload, taking
@@ -263,31 +153,24 @@ func (s *Shard) At(t sim.Time, fn func()) {
 // model that schedules one bound handler with pooled payloads instead
 // of a fresh closure per event allocates nothing per event.
 func (s *Shard) AtPost(t sim.Time, h Handler, payload any) {
-	if t < s.now {
-		panic(fmt.Sprintf("psim: shard %d scheduling at %v before now %v", s.id, t, s.now))
-	}
-	s.seq++
-	s.queue.push(t, s.seq, callback{h: h, arg: payload})
+	s.Push(t, callback{h: h, arg: payload})
 }
 
 // After schedules fn to run d after the shard's current time.
 //
 //pmlint:hotpath
-func (s *Shard) After(d sim.Time, fn func()) { s.At(s.now+d, fn) }
+func (s *Shard) After(d sim.Time, fn func()) { s.At(s.Now()+d, fn) }
 
 // Step dispatches the shard's next event, advancing its clock to it.
 // It reports whether an event was dispatched.
 //
 //pmlint:hotpath
 func (s *Shard) Step() bool {
-	if s.queue.len() == 0 {
-		return false
+	c, ok := s.Next()
+	if ok {
+		c.fire(s)
 	}
-	at, c := s.queue.pop()
-	s.now = at
-	s.nsteps++
-	c.fire(s)
-	return true
+	return ok
 }
 
 // Run dispatches the shard's events until its queue is empty. Model
@@ -299,28 +182,6 @@ func (s *Shard) Run() {
 	}
 }
 
-// RunUntil dispatches all shard events at or before t, then advances
-// the shard clock to exactly t.
-func (s *Shard) RunUntil(t sim.Time) {
-	for s.queue.len() > 0 && s.queue.minAt() <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// RunWhile dispatches shard events until cond reports false or the
-// queue drains, reporting whether events remain.
-func (s *Shard) RunWhile(cond func() bool) bool {
-	for cond() {
-		if !s.Step() {
-			return false
-		}
-	}
-	return true
-}
-
 // runWindow is the worker loop of one barrier round: it dispatches
 // every queued callback strictly below the window end. It is the
 // parallel engine's event-handler root — each callback it invokes was
@@ -329,10 +190,8 @@ func (s *Shard) RunWhile(cond func() bool) bool {
 //
 //pmlint:root
 func (s *Shard) runWindow(end sim.Time) {
-	for s.queue.len() > 0 && s.queue.minAt() < end {
-		at, c := s.queue.pop()
-		s.now = at
-		s.nsteps++
+	for active(s, end) {
+		c, _ := s.Next()
 		c.fire(s)
 	}
 }
@@ -466,7 +325,7 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 func (e *Engine) Steps() uint64 {
 	var n uint64
 	for _, s := range e.shards {
-		n += s.nsteps
+		n += s.Steps()
 	}
 	return n
 }
@@ -498,7 +357,7 @@ func (e *Engine) MinPostSlack() sim.Time {
 
 // noteSlack records one post's slack on the posting shard.
 func (s *Shard) noteSlack(t sim.Time) {
-	if d := t - s.now; d < s.minSlack {
+	if d := t - s.Now(); d < s.minSlack {
 		s.minSlack = d
 	}
 }
@@ -540,18 +399,14 @@ func (e *Engine) nextEventTime() (sim.Time, bool) {
 	var min sim.Time
 	found := false
 	for _, s := range e.shards {
-		if s.queue.len() == 0 {
-			continue
+		if at, ok := s.NextAt(); ok && (!found || at < min) {
+			min, found = at, true
 		}
-		if !found || s.queue.minAt() < min {
-			min = s.queue.minAt()
-		}
-		found = true
 	}
 	return min, found
 }
 
-// Run drives barrier rounds until every heap and mailbox is empty.
+// Run drives barrier rounds until every shard queue and mailbox is empty.
 // Each round dispatches the shards with work concurrently and merges
 // the mailboxes single-threaded at the barrier, so the only
 // cross-goroutine data flow is the hand-off at the round start and the
@@ -582,7 +437,10 @@ func (e *Engine) Run() {
 
 // active reports whether shard s has an event in the window ending at
 // end.
-func active(s *Shard, end sim.Time) bool { return s.queue.len() > 0 && s.queue.minAt() < end }
+func active(s *Shard, end sim.Time) bool {
+	at, ok := s.NextAt()
+	return ok && at < end
+}
 
 // round runs one window. A round with at most one active shard — or
 // any round without fanout — runs every shard's window on the calling
@@ -836,14 +694,15 @@ func (e *Engine) stopCrew() {
 	c.done.Wait()
 }
 
-// deliver merges the round's mailboxes into the destination heaps with
-// the deterministic cross-shard tie-break: ascending (time, source
+// deliver merges the round's mailboxes into the destination queues
+// with the deterministic cross-shard tie-break: ascending (time, source
 // shard, post order). Destination sequence numbers are assigned in
 // that merged order, so the (at, seq) heap order downstream — and with
 // it every simulated outcome — is a pure function of the model, never
-// of goroutine timing. Posts enter the heap as they are — payload posts
-// as payload events — through one reused merge buffer, so a round
-// allocates nothing once the buffers have grown.
+// of goroutine timing. Posts enter the queue as they are — payload
+// posts as payload events — through one reused merge buffer, so a round
+// allocates nothing once the buffers have grown, and through Push, so
+// its past-time guard covers every merge.
 func (e *Engine) deliver() {
 	n := len(e.shards)
 	for dst := 0; dst < n; dst++ {
@@ -873,8 +732,7 @@ func (e *Engine) deliver() {
 		})
 		s := e.shards[dst]
 		for _, p := range merged {
-			s.seq++
-			s.queue.push(p.at, s.seq, p.callback)
+			s.Push(p.at, p.callback)
 		}
 		clear(merged)
 		e.merged = merged[:0]

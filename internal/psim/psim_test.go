@@ -188,29 +188,6 @@ func TestEngineStepsAndAccessors(t *testing.T) {
 	}
 }
 
-// TestRunUntilRunWhile covers the remaining sim.Engine methods on a
-// shard against the scheduler's documented semantics.
-func TestRunUntilRunWhile(t *testing.T) {
-	sh := NewEngine(1, 0).Shard(0)
-	var fired int
-	for i := 1; i <= 4; i++ {
-		sh.At(sim.Time(i)*sim.Microsecond, func() { fired++ })
-	}
-	sh.RunUntil(2 * sim.Microsecond)
-	if fired != 2 || sh.Now() != 2*sim.Microsecond {
-		t.Fatalf("after RunUntil: fired %d at %v, want 2 at 2us", fired, sh.Now())
-	}
-	if more := sh.RunWhile(func() bool { return fired < 3 }); !more {
-		t.Fatal("RunWhile drained the queue; one event should remain")
-	}
-	if more := sh.RunWhile(func() bool { return true }); more {
-		t.Fatal("RunWhile reported events remaining on an empty queue")
-	}
-	if fired != 4 {
-		t.Fatalf("fired %d, want 4", fired)
-	}
-}
-
 // TestParseKind pins the flag surface.
 func TestParseKind(t *testing.T) {
 	for _, tc := range []struct {

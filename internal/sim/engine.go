@@ -1,38 +1,24 @@
 package sim
 
-// Engine is the event-queue surface a simulation model schedules
-// against: the sequential Scheduler below and the sharded parallel
-// engine in internal/psim both satisfy it. Models written against
-// Engine instead of *Scheduler run unchanged on either — the contract
-// every implementation must honor is the (time, seq) total order:
-// events fire in ascending time, and events at equal times fire in
-// scheduling order. That order is what makes every simulation in this
-// repository a pure function of its configuration, so an Engine
-// implementation that reorders equal-time events is broken even if no
-// test catches it directly.
+// Engine is the surface a simulation model schedules against: the
+// sequential Scheduler and each shard of the parallel engine in
+// internal/psim satisfy it, both running on the one Queue. Models
+// written against Engine instead of *Scheduler run unchanged on either.
+// The contract is the (time, seq) total order: events fire in ascending
+// time, and events at equal times fire in scheduling order. That order
+// is what makes every simulation in this repository a pure function of
+// its configuration, so an Engine implementation that reorders
+// equal-time events is broken even if no test catches it directly.
 type Engine interface {
 	// Now reports the current simulated time.
 	Now() Time
-	// Steps reports how many events have been dispatched.
-	Steps() uint64
-	// Pending reports the number of events still queued.
-	Pending() int
 	// At schedules fn at absolute simulated time t; scheduling in the
 	// past is a model bug and panics.
 	At(t Time, fn func())
 	// After schedules fn to run d after the current time.
 	After(d Time, fn func())
-	// Step dispatches the next event, advancing time to it, and reports
-	// whether an event was dispatched.
-	Step() bool
 	// Run dispatches events until the queue is empty.
 	Run()
-	// RunUntil dispatches all events at or before t, then advances time
-	// to exactly t.
-	RunUntil(t Time)
-	// RunWhile dispatches events until cond reports false or the queue
-	// drains, reporting whether events remain.
-	RunWhile(cond func() bool) bool
 }
 
 // The sequential scheduler is the reference Engine implementation.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,51 +65,6 @@ func TestSchedulerPastPanics(t *testing.T) {
 	s.At(5, func() {})
 }
 
-func TestSchedulerRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var n int
-	s.At(10, func() { n++ })
-	s.At(20, func() { n++ })
-	s.At(30, func() { n++ })
-	s.RunUntil(20)
-	if n != 2 {
-		t.Errorf("RunUntil(20) dispatched %d events, want 2", n)
-	}
-	if s.Now() != 20 {
-		t.Errorf("Now() = %v, want 20", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending() = %d, want 1", s.Pending())
-	}
-	// RunUntil advances time even past the last event.
-	s.RunUntil(100)
-	if s.Now() != 100 || n != 3 {
-		t.Errorf("after RunUntil(100): now=%v n=%d", s.Now(), n)
-	}
-}
-
-func TestSchedulerRunWhile(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		s.At(i, func() { count++ })
-	}
-	alive := s.RunWhile(func() bool { return count < 4 })
-	if !alive {
-		t.Error("RunWhile reported queue exhausted")
-	}
-	if count != 4 {
-		t.Errorf("count = %d, want 4", count)
-	}
-	// Draining the rest.
-	if s.RunWhile(func() bool { return true }) {
-		t.Error("RunWhile should report exhaustion")
-	}
-	if count != 10 {
-		t.Errorf("count = %d, want 10", count)
-	}
-}
-
 // Property: any batch of events dispatches in nondecreasing time order.
 func TestSchedulerMonotoneProperty(t *testing.T) {
 	f := func(times []uint16) bool {
@@ -127,6 +84,111 @@ func TestSchedulerMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQueueMatchesSortedReference interleaves pushes and pops at
+// random and checks every pop against a sorted reference: the (at, seq)
+// order, the clock, and the callback popped with each key while freed
+// slots are reused.
+func TestQueueMatchesSortedReference(t *testing.T) {
+	type ev struct {
+		at Time
+		id int
+	}
+	f := func(ops []uint16) bool {
+		var q Queue[int]
+		var ref []ev // sorted by (at, id); ids rise with seq
+		for i, op := range ops {
+			if op%3 == 0 {
+				id, ok := q.Next()
+				if ok != (len(ref) > 0) {
+					return false
+				}
+				if ok {
+					if id != ref[0].id || q.Now() != ref[0].at {
+						return false
+					}
+					ref = ref[1:]
+				}
+				continue
+			}
+			at := q.Now() + Time(op%64)
+			q.Push(at, i)
+			j := sort.Search(len(ref), func(k int) bool { return ref[k].at > at })
+			ref = slices.Insert(ref, j, ev{at, i})
+		}
+		return q.Pending() == len(ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSchedulerStepAllocatesNothing pins the sequential queue to zero
+// heap allocations per event once it has grown: At plus Step through
+// slot reuse, and a Run entered from inside an event.
+func TestSchedulerStepAllocatesNothing(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	tick := func() { fired++ }
+	for i := Time(0); i < 64; i++ {
+		s.At(i, tick)
+	}
+	step := func() {
+		s.After(64, tick)
+		s.Step()
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("%v allocations per At+Step, want 0", allocs)
+	}
+	nested := func() {
+		s.After(1, tick)
+		s.After(1, tick)
+		s.Run() // drains the queue from inside this event
+	}
+	reentrant := func() {
+		s.After(1, nested)
+		s.Run()
+	}
+	reentrant()
+	if allocs := testing.AllocsPerRun(100, reentrant); allocs != 0 {
+		t.Errorf("%v allocations per reentrant Run, want 0", allocs)
+	}
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after Run, want 0", s.Pending())
+	}
+	// 64 warm-up steps, 1001 measured ones, the 64 events they left
+	// pending, and two ticks per nested Run.
+	if want := 64 + 1001 + 64 + 2*102; fired != want {
+		t.Errorf("fired %d events, want %d", fired, want)
+	}
+}
+
+// BenchmarkSchedulerStep is one At plus one Step on a scheduler holding
+// 4096 pending events: the per-event cost of the queue, the twin of
+// internal/psim's BenchmarkShardStep.
+func BenchmarkSchedulerStep(b *testing.B) {
+	s := NewScheduler()
+	fn := func() {}
+	x := uint64(1)
+	next := func() Time {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return Time(x % 1_000_000)
+	}
+	for i := 0; i < 4096; i++ {
+		s.At(next(), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.At(s.Now()+next(), fn)
+		s.Step()
 	}
 }
 
