@@ -2,17 +2,16 @@
 # ci.sh — the pre-PR gate (see README.md "Install and run").
 #
 # Runs the whole verification ladder and stops at the first failure:
-# formatting, vet, build, a check that the node model's cache probes
-# inline, race-enabled tests, one iteration of each
-# node-model and route-search benchmark (so the benchmarks keep
-# running), the
-# determinism-contract lint (cmd/pmlint) and a build of every cmd/*
-# binary. Every golden gate
-# runs under go test: the CLI goldens on both engines in golden_test.go
+# formatting, vet (this module and the bench module), build, a check
+# that the node model's cache probes inline, race-enabled tests, one
+# iteration of each node-model, route-search and event-queue benchmark
+# (so the benchmarks keep running), the determinism-contract lint
+# (cmd/pmlint) and a build of every cmd/* binary. Every golden gate
+# runs under go test: the CLI goldens in golden_test.go
 # (TestCampaignGoldens, TestParallelEngineGoldens, TestDatapathGoldens,
-# TestTraceGoldens), the paper figures in internal/experiments
-# (TestNodeFiguresGolden) and the pmlint --report shard-safety audit in
-# internal/analysis (TestReportMatchesGolden).
+# TestTraceGoldens, TestNodeToolGoldens), the paper figures in
+# internal/experiments (TestNodeFiguresGolden) and the pmlint --report
+# shard-safety audit in internal/analysis (TestReportMatchesGolden).
 # A clean exit means the tree is safe to ship.
 set -eu
 
@@ -28,6 +27,11 @@ fi
 
 echo "== go vet =="
 go vet ./...
+
+echo "== go vet (bench module) =="
+# bench/pmperf builds against this tree through `replace powermanna => ../`,
+# so an API change that breaks the benchmark harness fails here.
+(cd bench && go vet ./...)
 
 echo "== go build =="
 go build ./...

@@ -46,20 +46,21 @@ func buildCLI(t *testing.T, name string) string {
 	return exe
 }
 
-// TestCLIShardsRequireParEngine pins the argument contract of the
-// sharding CLIs: a positive shard count without --engine par is a usage
-// error (exit 2), never silently ignored, while the same count under
-// --engine par still runs; a negative count is rejected (exit 1) by the
-// library under either engine, and so are negative sizes — pmfault's
-// --messages, --payload and --window-us, pmtrace's --messages, pmstat's
-// and pmtraffic's --horizon-us and pmstat's --window-us — where zero
-// means the default — and pmtopo's -bytes, as are pmtopo's out-of-range
-// -src and -dst and a -net other than 0 or 1.
-// An unknown --engine or --topo value is rejected (exit 1) with the
-// command's name in front of the message (pmtopo prints the bare
-// message). A positional argument, which no CLI but pmlint takes, is a
-// usage error (exit 2), even after valid flags. A rejected command prints
-// nothing to stdout, and a usage error prints the usage text.
+// TestCLIShardsRequireParEngine pins the argument contract every CLI but
+// pmlint shares through internal/cli: a positive shard count without
+// --engine par is a usage error (exit 2), never silently ignored, while
+// the same count under --engine par still runs; a negative count is
+// rejected (exit 1) by the library under either engine, and so are
+// negative sizes — pmfault's --messages, --payload and --window-us,
+// pmtrace's --messages, pmstat's --horizon-us and --window-us — where
+// zero means the default — and pmtopo's -bytes, as are pmtopo's
+// out-of-range -src and -dst and a -net other than 0 or 1.
+// An unknown --engine, --topo, pmsim -machine, -version or -type value is
+// rejected (exit 1) with the command's name in front of the message. A
+// positional argument, which no CLI but pmlint takes, is a usage error
+// (exit 2), even after valid flags, and so is a flag set explicitly in a
+// mode that ignores it. A rejected command prints nothing to stdout, and
+// a usage error prints the usage text.
 func TestCLIShardsRequireParEngine(t *testing.T) {
 	cases := []struct {
 		cmd      string
@@ -73,12 +74,12 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmstat", []string{"--shards", "4"}, 2, "pmstat: --shards 4 requires --engine par"},
 		{"pmstat", []string{"--engine", "seq", "--shards", "2"}, 2, "pmstat: --shards 2 requires --engine par"},
 		{"pmstat", []string{"--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
-		{"pmtraffic", []string{"--shards", "4"}, 2, "pmtraffic: --shards 4 requires --engine par"},
-		{"pmtraffic", []string{"--engine", "seq", "--shards", "2"}, 2, "pmtraffic: --shards 2 requires --engine par"},
-		{"pmtraffic", []string{"--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
+		{"pmstat", []string{"--format", "report", "--shards", "4"}, 2, "pmstat: --shards 4 requires --engine par"},
+		{"pmstat", []string{"--format", "report", "--engine", "seq", "--shards", "2"}, 2, "pmstat: --shards 2 requires --engine par"},
+		{"pmstat", []string{"--format", "report", "--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
 		{"pmfault", []string{"--engine", "par", "--shards", "-1", "--messages", "10"}, 1, "fault: shard count -1 is negative"},
 		{"pmstat", []string{"--engine", "par", "--shards", "-2", "--horizon-us", "5"}, 1, "traffic: shard count -2 is negative"},
-		{"pmtraffic", []string{"--shards", "-1", "--horizon-us", "5"}, 1, "traffic: shard count -1 is negative"},
+		{"pmstat", []string{"--format", "report", "--shards", "-1", "--horizon-us", "5"}, 1, "traffic: shard count -1 is negative"},
 		{"pmbench", []string{"--engine", "fast", "--exp", "table1"}, 1, `pmbench: psim: unknown engine "fast"`},
 		{"pmfault", []string{"--messages", "-3"}, 1, "pmfault: fault: message count -3 is negative"},
 		{"pmfault", []string{"--payload", "-1"}, 1, "pmfault: fault: payload size -1 is negative"},
@@ -86,14 +87,14 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmfault", []string{"--traffic", "--window-us", "-5"}, 1, "pmfault: fault: window -5us is negative"},
 		{"pmstat", []string{"--horizon-us", "-5"}, 1, "pmstat: traffic: horizon -5us is negative"},
 		{"pmstat", []string{"--horizon-us", "5", "--window-us", "-1"}, 1, "pmstat: traffic: telemetry window -1us is negative"},
-		{"pmtraffic", []string{"--horizon-us", "-5"}, 1, "pmtraffic: traffic: horizon -5us is negative"},
+		{"pmstat", []string{"--format", "report", "--horizon-us", "-5"}, 1, "pmstat: traffic: horizon -5us is negative"},
 		{"pmtrace", []string{"--run", "pingpong", "--messages", "-3"}, 1, "pmtrace: round count -3 is negative"},
 		{"pmtrace", []string{"--campaign", "link-cut", "--messages", "-3"}, 1, "pmtrace: fault: message count -3 is negative"},
 		{"pmfault", []string{"--topo", "mesh"}, 1, `pmfault: unknown topology "mesh"`},
 		{"pmstat", []string{"--topo", "mesh"}, 1, `pmstat: unknown topology "mesh"`},
-		{"pmtraffic", []string{"--topo", "mesh"}, 1, `pmtraffic: unknown topology "mesh"`},
+		{"pmstat", []string{"--format", "report", "--topo", "mesh"}, 1, `pmstat: unknown topology "mesh"`},
 		{"pmtrace", []string{"--topo", "mesh"}, 1, `pmtrace: unknown topology "mesh"`},
-		{"pmtopo", []string{"--topo", "mesh"}, 1, `unknown topology "mesh"`},
+		{"pmtopo", []string{"--topo", "mesh"}, 1, `pmtopo: unknown topology "mesh"`},
 		{"pmtopo", []string{"-bytes", "-5"}, 1, "pmtopo: -bytes -5 is negative"},
 		{"pmtopo", []string{"-src", "999"}, 1, "pmtopo: -src 999 is out of range: cluster8 has nodes 0 to 7"},
 		{"pmtopo", []string{"-topo", "system256", "-dst", "-1"}, 1, "pmtopo: -dst -1 is out of range: system256 has nodes 0 to 127"},
@@ -106,7 +107,40 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmstat", []string{"--horizon-us", "5", "extra"}, 2, `pmstat: unexpected argument "extra"`},
 		{"pmtopo", []string{"-topo", "system256", "extra"}, 2, `pmtopo: unexpected argument "extra"`},
 		{"pmtrace", []string{"pingpong"}, 2, `pmtrace: unexpected argument "pingpong"`},
-		{"pmtraffic", []string{"--list", "extra"}, 2, `pmtraffic: unexpected argument "extra"`},
+		{"pmstat", []string{"--list", "extra"}, 2, `pmstat: unexpected argument "extra"`},
+		// Flags set explicitly in a mode that ignores them.
+		{"pmfault", []string{"--mix", "bursty"}, 2, "pmfault: --mix has no effect without --traffic"},
+		{"pmfault", []string{"--traffic", "--campaign", "link-cut"}, 2, "pmfault: --campaign has no effect with --traffic"},
+		{"pmfault", []string{"--traffic", "--messages", "10"}, 2, "pmfault: --messages has no effect with --traffic"},
+		{"pmfault", []string{"--traffic", "--payload", "64"}, 2, "pmfault: --payload has no effect with --traffic"},
+		{"pmfault", []string{"--list", "--seed", "2"}, 2, "pmfault: --list takes no other flag"},
+		{"pmstat", []string{"--faults", "4"}, 2, "pmstat: --faults has no effect without --campaign"},
+		{"pmstat", []string{"--format", "report", "--window-us", "5"}, 2, "pmstat: --window-us has no effect with --format report"},
+		{"pmstat", []string{"--format", "csv", "--metrics"}, 2, "pmstat: --metrics has no effect with --format csv"},
+		{"pmstat", []string{"--list", "--mix", "bursty"}, 2, "pmstat: --list takes no other flag"},
+		{"pmstat", []string{"--format", "bogus"}, 1, `pmstat: unknown format "bogus"`},
+		{"pmtrace", []string{"--run", "fib", "--campaign", "link-cut"}, 2, "pmtrace: --run has no effect with --campaign"},
+		{"pmtrace", []string{"--engine", "par"}, 2, "pmtrace: --engine has no effect without --campaign"},
+		{"pmtrace", []string{"--seed2", "3"}, 2, "pmtrace: --seed2 has no effect without --format diff"},
+		{"pmtrace", []string{"--format", "profile", "--window-us", "5"}, 2, "pmtrace: --window-us has no effect without --format utilization"},
+		{"pmtrace", []string{"--format", "critpath", "--top", "3"}, 2, "pmtrace: --top has no effect without --format profile"},
+		{"pmsim", []string{"-bench", "hint", "-version", "naive"}, 2, "pmsim: -version has no effect with -bench hint"},
+		{"pmsim", []string{"-bench", "comm", "-cpus", "2"}, 2, "pmsim: -cpus has no effect with -bench comm"},
+		{"pmsim", []string{"-type", "int"}, 2, "pmsim: -type has no effect with -bench matmult"},
+		{"pmsim", []string{"-bench", "comm", "-intervals", "10"}, 2, "pmsim: -intervals has no effect with -bench comm"},
+		{"pmsim", []string{"-bench", "hint", "-n", "5"}, 2, "pmsim: -n has no effect with -bench hint"},
+		{"pmsim", []string{"-n", "9", "-version", "bogus"}, 1, `pmsim: unknown matmult version "bogus" (want naive or transposed)`},
+		{"pmsim", []string{"-bench", "hint", "-type", "bogus"}, 1, `pmsim: unknown hint type "bogus" (want double or int)`},
+		{"pmsim", []string{"-machine", "vax"}, 1, `pmsim: unknown machine "vax"`},
+		{"pmsim", []string{"-machine", "sun", "-bench", "comm"}, 1, "pmsim: comm benchmark measures the PowerMANNA pair"},
+		{"pmsim", []string{"-bench", "fft"}, 1, `pmsim: unknown benchmark "fft"`},
+		{"pmtopo", []string{"-validate", "-src", "1"}, 2, "pmtopo: -src has no effect with -validate"},
+		{"pmtopo", []string{"-validate", "-dst", "2"}, 2, "pmtopo: -dst has no effect with -validate"},
+		{"pmtopo", []string{"-validate", "-net", "1"}, 2, "pmtopo: -net has no effect with -validate"},
+		{"pmtopo", []string{"-validate", "-bytes", "8"}, 2, "pmtopo: -bytes has no effect with -validate"},
+		{"pmbench", []string{"-list", "-full"}, 2, "pmbench: -list takes no other flag"},
+		{"pmbench", []string{"-engine", "par", "-list"}, 2, "pmbench: -list takes no other flag"},
+		{"pmbench", []string{"-list=false", "-exp", "table1"}, 0, ""},
 	}
 	for _, c := range cases {
 		exe := buildCLI(t, c.cmd)

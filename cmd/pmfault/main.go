@@ -28,7 +28,9 @@
 // offers seeded arrival-process load from every node while plane-A
 // links die, and the table reports each tenant's delivered-latency
 // p50/p99/p999 against its SLO per fault count. --window-us, when set,
-// becomes the offered-load horizon.
+// becomes the offered-load horizon. --mix applies only under --traffic,
+// and --campaign, --messages and --payload only without it; setting one
+// where it has no effect is a usage error (exit 2).
 //
 // --metrics appends the highest-rate row's deterministic metrics dump
 // (internal/metrics): send outcome counters, latency and detection
@@ -37,154 +39,91 @@
 //
 // --engine selects the event engine: seq runs every degradation row on
 // the sequential scheduler, par gives each row its own shard of the
-// internal/psim parallel engine. The two are byte-identical by
-// construction — CI runs the goldens under both.
-//
-// stdout is a pure function of the flags: two runs with identical flags
-// are byte-identical. CI pins `--campaign link-cut --seed 1` and
-// `--campaign heat-linkcut --seed 1` against golden tables in testdata/.
+// internal/psim parallel engine. stdout is a pure function of the flags
+// and byte-identical under both engines; CI pins each campaign's seed-1
+// table against testdata/ under both.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
+	"powermanna/internal/cli"
 	"powermanna/internal/fault"
 	"powermanna/internal/metrics"
-	"powermanna/internal/psim"
 	"powermanna/internal/sim"
-	"powermanna/internal/topo"
 	"powermanna/internal/traffic"
 )
 
-// printMetrics appends the registry dump to the campaign output;
-// a nil registry (no --metrics) prints nothing.
-func printMetrics(reg *metrics.Registry) {
-	if reg != nil {
-		fmt.Println()
-		fmt.Print(reg.Render())
-	}
-}
-
 func main() {
+	c := cli.New("pmfault", cli.Seed|cli.Shards|cli.WorkloadTopo)
 	var (
 		campaignFlag = flag.String("campaign", "link-cut", "campaign name (see --list)")
-		seed         = flag.Int64("seed", fault.DefaultSeed, "seed for fault schedule and traffic")
-		topoFlag     = flag.String("topo", "cluster8", "topology: cluster8 or system256")
 		messages     = flag.Int("messages", fault.DefaultMessages, "messages per degradation row")
 		payload      = flag.Int("payload", fault.DefaultPayloadBytes, "payload bytes per message")
 		windowUS     = flag.Int64("window-us", int64(fault.DefaultWindow/sim.Microsecond), "simulated span in microseconds traffic spreads over")
 		metricsFlag  = flag.Bool("metrics", false, "append the highest-rate row's metrics dump (latency/detection histograms, send outcomes, arb waits)")
-		engineFlag   = flag.String("engine", "seq", "event engine: seq (sequential) or par (one psim shard per degradation row; byte-identical output)")
-		shardsFlag   = flag.Int("shards", 0, "psim shard count for partitioned app workloads under --engine par (0 = 1; must align with the topology's leaf groups)")
 		trafficFlag  = flag.Bool("traffic", false, "run the open-loop multi-tenant traffic sweep instead of a campaign (per-tenant SLO percentiles per fault count)")
-		mixFlag      = flag.String("mix", "default", "tenant mix for --traffic (see pmtraffic --list)")
+		mixFlag      = flag.String("mix", "default", "tenant mix for --traffic (see pmstat --list)")
 		listOnly     = flag.Bool("list", false, "list campaign names and exit")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "pmfault: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	engine, err := psim.ParseKind(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-		os.Exit(1)
-	}
-	if *shardsFlag > 0 && engine != psim.Par {
-		fmt.Fprintf(os.Stderr, "pmfault: --shards %d requires --engine par\n", *shardsFlag)
-		flag.Usage()
-		os.Exit(2)
+	c.Parse()
+	if *trafficFlag {
+		c.NoEffect("with --traffic", "--campaign", "--messages", "--payload")
+	} else {
+		c.NoEffect("without --traffic", "--mix")
 	}
 
 	if *listOnly {
-		for _, c := range fault.Campaigns() {
-			fmt.Printf("%-18s  %s\n", c.Name, c.Description)
+		c.Alone("--list")
+		for _, camp := range fault.Campaigns() {
+			fmt.Printf("%-18s  %s\n", camp.Name, camp.Description)
 		}
-		for _, c := range fault.AppCampaigns() {
-			fmt.Printf("%-18s  %s\n", c.Name, c.Description)
+		for _, camp := range fault.AppCampaigns() {
+			fmt.Printf("%-18s  %s\n", camp.Name, camp.Description)
 		}
 		return
 	}
 
 	// An unset --topo stays nil so a campaign's own default topology can
-	// apply (central-cut needs System256's central stage); an explicit
-	// flag always wins.
-	topoSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "topo" {
-			topoSet = true
-		}
-	})
-	var t *topo.Topology
-	if topoSet {
-		if t, err = topo.ByName(*topoFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	// apply (central-cut needs System256's central stage).
 	opt := fault.Options{
-		Seed:         *seed,
-		Topology:     t,
+		Seed:         c.Seed,
+		Topology:     c.Topo,
 		Messages:     *messages,
 		PayloadBytes: *payload,
 		Window:       sim.Time(*windowUS) * sim.Microsecond,
-		Engine:       engine,
-		Shards:       *shardsFlag,
+		Engine:       c.Engine,
+		Shards:       c.Shards,
 	}
-	var reg *metrics.Registry
 	if *metricsFlag {
-		reg = metrics.NewRegistry()
-		opt.Metrics = reg
+		opt.Metrics = metrics.NewRegistry()
+	}
+	// report prints a run's table and, under --metrics, the registry dump.
+	report := func(res interface{ Render() string }, err error) {
+		c.Check(err)
+		fmt.Print(res.Render())
+		if opt.Metrics != nil {
+			fmt.Println()
+			fmt.Print(opt.Metrics.Render())
+		}
 	}
 
 	if *trafficFlag {
 		mix, err := traffic.MixByName(*mixFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		// --window-us, when explicitly set, is the offered-load horizon;
 		// otherwise the traffic engine's default applies.
 		var horizon sim.Time
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "window-us" {
-				horizon = opt.Window
-			}
-		})
-		res, err := fault.RunTraffic(mix, horizon, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
+		if c.Set("window-us") {
+			horizon = opt.Window
 		}
-		fmt.Print(res.Render())
-		printMetrics(reg)
-		return
+		report(fault.RunTraffic(mix, horizon, opt))
+	} else if camp, ok := fault.CampaignByName(*campaignFlag); ok {
+		report(fault.Run(camp, opt))
+	} else if camp, ok := fault.AppCampaignByName(*campaignFlag); ok {
+		report(fault.RunApp(camp, opt))
+	} else {
+		c.Check(fmt.Errorf("unknown campaign %q (try --list)", *campaignFlag))
 	}
-
-	if c, ok := fault.CampaignByName(*campaignFlag); ok {
-		res, err := fault.Run(c, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.Render())
-		printMetrics(reg)
-		return
-	}
-	if c, ok := fault.AppCampaignByName(*campaignFlag); ok {
-		res, err := fault.RunApp(c, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmfault: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.Render())
-		printMetrics(reg)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "pmfault: unknown campaign %q (try --list)\n", *campaignFlag)
-	os.Exit(1)
 }

@@ -7,17 +7,22 @@
 //	pmsim -machine pm -bench matmult -n 201 -version transposed -cpus 2
 //	pmsim -machine sun -bench hint -type int -intervals 100000
 //	pmsim -machine pm -bench comm -n 8
+//
+// -version and -cpus apply to matmult only, -type and -intervals to
+// hint only, and -n to matmult and comm; setting one where the chosen
+// -bench ignores it is a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"powermanna"
+	"powermanna/internal/cli"
 )
 
 func main() {
+	c := cli.New("pmsim", 0)
 	var (
 		machineFlag = flag.String("machine", "pm", "pm, sun, pc180 or pc266")
 		benchFlag   = flag.String("bench", "matmult", "matmult, hint or comm")
@@ -27,35 +32,31 @@ func main() {
 		typeFlag    = flag.String("type", "double", "hint data type: double or int")
 		intervals   = flag.Int("intervals", 100000, "hint interval budget")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "pmsim: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
-	}
+	c.Parse()
 
 	cfg, ok := powermanna.MachineByName(*machineFlag)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown machine %q\n", *machineFlag)
-		os.Exit(1)
+		c.Check(fmt.Errorf("unknown machine %q", *machineFlag))
 	}
 
 	switch *benchFlag {
 	case "matmult":
-		v := powermanna.Transposed
-		if *versionFlag == "naive" {
-			v = powermanna.Naive
+		c.NoEffect("with -bench matmult", "-type", "-intervals")
+		versions := map[string]powermanna.MatMultVersion{"naive": powermanna.Naive, "transposed": powermanna.Transposed}
+		v, ok := versions[*versionFlag]
+		if !ok {
+			c.Check(fmt.Errorf("unknown matmult version %q (want naive or transposed)", *versionFlag))
 		}
-		nd := powermanna.NewNode(cfg)
-		fmt.Println(powermanna.RunMatMult(nd, *n, v, *cpus))
+		fmt.Println(powermanna.RunMatMult(powermanna.NewNode(cfg), *n, v, *cpus))
 
 	case "hint":
-		dt := powermanna.HintDouble
-		if *typeFlag == "int" {
-			dt = powermanna.HintInt
+		c.NoEffect("with -bench hint", "-n", "-version", "-cpus")
+		types := map[string]powermanna.HintDataType{"double": powermanna.HintDouble, "int": powermanna.HintInt}
+		dt, ok := types[*typeFlag]
+		if !ok {
+			c.Check(fmt.Errorf("unknown hint type %q (want double or int)", *typeFlag))
 		}
-		nd := powermanna.NewNode(cfg)
-		r := powermanna.RunHINT(nd, dt, *intervals)
+		r := powermanna.RunHINT(powermanna.NewNode(cfg), dt, *intervals)
 		fmt.Println(r)
 		for _, p := range r.Points {
 			fmt.Printf("  t=%-12v intervals=%-8d quality=%-12.4g QUIPS=%.4g\n",
@@ -63,9 +64,9 @@ func main() {
 		}
 
 	case "comm":
+		c.NoEffect("with -bench comm", "-version", "-cpus", "-type", "-intervals")
 		if *machineFlag != "pm" && *machineFlag != "powermanna" {
-			fmt.Fprintln(os.Stderr, "comm benchmark measures the PowerMANNA pair; use -machine pm")
-			os.Exit(1)
+			c.Check(fmt.Errorf("comm benchmark measures the PowerMANNA pair; use -machine pm"))
 		}
 		pm := powermanna.NewPowerMANNAComm()
 		fmt.Printf("%s message size %d bytes:\n", pm.Name(), *n)
@@ -75,7 +76,6 @@ func main() {
 		fmt.Printf("  bidirectional (total): %.1f MB/s\n", pm.BiBandwidth(*n)/1e6)
 
 	default:
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *benchFlag)
-		os.Exit(1)
+		c.Check(fmt.Errorf("unknown benchmark %q", *benchFlag))
 	}
 }

@@ -8,64 +8,54 @@
 //
 //	pmtopo -topo system256 -src 0 -dst 127 -net 1 -bytes 64
 //	pmtopo -topo system256 -validate
+//
+// -validate checks every pair, so -src, -dst, -net and -bytes with it
+// are a usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"powermanna"
-	"powermanna/internal/topo"
+	"powermanna/internal/cli"
 )
 
 func main() {
+	c := cli.New("pmtopo", cli.Topo)
 	var (
-		topoFlag = flag.String("topo", "cluster8", "topology: cluster8 or system256")
 		src      = flag.Int("src", 0, "source node")
 		dst      = flag.Int("dst", 1, "destination node")
 		network  = flag.Int("net", powermanna.NetworkA, "network plane: 0 (A) or 1 (B)")
 		bytes    = flag.Int("bytes", 64, "payload size for transit timing")
 		validate = flag.Bool("validate", false, "check the max-crossbars bound over all pairs")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "pmtopo: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+	c.Parse()
+	if *validate {
+		c.NoEffect("with -validate", "-src", "-dst", "-net", "-bytes")
 	}
 	if *bytes < 0 {
-		fmt.Fprintf(os.Stderr, "pmtopo: -bytes %d is negative\n", *bytes)
-		os.Exit(1)
+		c.Check(fmt.Errorf("-bytes %d is negative", *bytes))
 	}
 
-	t, err := topo.ByName(*topoFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	t := c.Topo
 	for _, f := range []struct {
 		name string
 		node int
 	}{{"src", *src}, {"dst", *dst}} {
 		if f.node < 0 || f.node >= t.Nodes() {
-			fmt.Fprintf(os.Stderr, "pmtopo: -%s %d is out of range: %s has nodes 0 to %d\n", f.name, f.node, t.Name(), t.Nodes()-1)
-			os.Exit(1)
+			c.Check(fmt.Errorf("-%s %d is out of range: %s has nodes 0 to %d", f.name, f.node, t.Name(), t.Nodes()-1))
 		}
 	}
 	if *network != powermanna.NetworkA && *network != powermanna.NetworkB {
-		fmt.Fprintf(os.Stderr, "pmtopo: -net %d is not a network plane: 0 (A) or 1 (B)\n", *network)
-		os.Exit(1)
+		c.Check(fmt.Errorf("-net %d is not a network plane: 0 (A) or 1 (B)", *network))
 	}
 	fmt.Printf("topology %s: %d nodes (%d processors), %d crossbars\n",
 		t.Name(), t.Nodes(), 2*t.Nodes(), t.Crossbars())
 
 	if *validate {
 		max, err := t.MaxCrossbars()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		fmt.Printf("max crossbars over all %d node pairs and both networks: %d\n",
 			t.Nodes()*(t.Nodes()-1), max)
 		if t.Name() == "system256" && max == 3 {
@@ -75,10 +65,7 @@ func main() {
 	}
 
 	path, err := t.Route(*src, *dst, *network)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	fmt.Printf("route %d -> %d on network %c:\n", *src, *dst, 'A'+rune(*network))
 	for i, h := range path.Hops {
 		async := ""
@@ -93,10 +80,7 @@ func main() {
 	net := powermanna.NewNetwork(t)
 	//pmlint:allow layering pmtopo prints raw single-message transit timing along an explicit path
 	tr, err := net.Send(0, path, *bytes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	fmt.Printf("transit of %d bytes: circuit up at %v, first byte %v, last byte %v (%d on the wire)\n",
 		*bytes, tr.SetupDone, tr.FirstByte, tr.LastByte, tr.WireBytes)
 }

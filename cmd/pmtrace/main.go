@@ -43,6 +43,10 @@
 // --engine selects the event engine for --campaign runs (seq or par,
 // one psim shard per degradation row); the recorded timeline is
 // byte-identical either way, which CI checks against the goldens.
+//
+// A flag the run ignores is a usage error: --run with --campaign,
+// --engine without it, and --seed2, --window-us or --top outside
+// --format diff, utilization or profile.
 package main
 
 import (
@@ -52,6 +56,7 @@ import (
 	"math/rand"
 	"os"
 
+	"powermanna/internal/cli"
 	"powermanna/internal/dispatch"
 	"powermanna/internal/earth"
 	"powermanna/internal/fault"
@@ -68,51 +73,41 @@ import (
 const fibN = 10
 
 func main() {
+	c := cli.New("pmtrace", cli.Seed|cli.Engine|cli.WorkloadTopo)
 	var (
 		runFlag      = flag.String("run", "pingpong", "workload: pingpong, fib or dispatch")
 		campaignFlag = flag.String("campaign", "", "trace a fault campaign's highest rate instead of --run (see pmfault --list)")
 		formatFlag   = flag.String("format", "chrome", "output format: chrome, profile, utilization, critpath or diff")
-		seed         = flag.Int64("seed", 1, "seed for workload schedule and fault placement")
 		seed2        = flag.Int64("seed2", 2, "second seed for --format diff (the B run)")
-		topoFlag     = flag.String("topo", "", "topology: cluster8 or system256 (default per workload)")
 		messages     = flag.Int("messages", 0, "messages per campaign row or ping-pong rounds (0 = default)")
 		topN         = flag.Int("top", trace.DefaultProfileTopN, "span names per track in --format profile")
 		windowUS     = flag.Int64("window-us", 0, "utilization window in microseconds (0 = horizon/16)")
-		engineFlag   = flag.String("engine", "seq", "event engine for --campaign runs: seq or par (byte-identical timelines)")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "pmtrace: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+	c.Parse()
+	if *campaignFlag != "" {
+		c.NoEffect("with --campaign", "--run")
+	} else {
+		c.NoEffect("without --campaign", "--engine")
 	}
-
-	t, err := pickTopology(*topoFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
-	}
-	engine, err := psim.ParseKind(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
-	}
-
-	record := func(rec *trace.Recorder, seed int64) error {
-		if *campaignFlag != "" {
-			return runCampaign(rec, *campaignFlag, seed, t, *messages, engine)
+	for _, f := range [][2]string{{"--seed2", "diff"}, {"--window-us", "utilization"}, {"--top", "profile"}} {
+		if *formatFlag != f[1] {
+			c.NoEffect("without --format "+f[1], f[0])
 		}
-		return runWorkload(rec, *runFlag, seed, t, *messages)
 	}
 
-	rec := trace.NewRecorder()
-	if err := record(rec, *seed); err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
+	record := func(seed int64) *trace.Recorder {
+		rec := trace.NewRecorder()
+		if *campaignFlag != "" {
+			c.Check(runCampaign(rec, *campaignFlag, seed, c.Topo, *messages, c.Engine))
+		} else {
+			c.Check(runWorkload(rec, *runFlag, seed, c.Topo, *messages))
+		}
+		return rec
 	}
+	rec := record(c.Seed)
 
 	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	var err error
 	switch *formatFlag {
 	case "chrome":
 		err = trace.WriteChrome(out, rec)
@@ -123,29 +118,12 @@ func main() {
 	case "critpath":
 		err = trace.WriteCritPath(out, rec)
 	case "diff":
-		rec2 := trace.NewRecorder()
-		if err := record(rec2, *seed2); err != nil {
-			fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-			os.Exit(1)
-		}
-		err = trace.WriteDiff(out, rec, rec2)
+		err = trace.WriteDiff(out, rec, record(*seed2))
 	default:
-		fmt.Fprintf(os.Stderr, "pmtrace: unknown format %q\n", *formatFlag)
-		os.Exit(1)
+		err = fmt.Errorf("unknown format %q", *formatFlag)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtrace: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// pickTopology maps the --topo flag; empty means "workload default" and
-// returns nil so campaigns with their own default topology keep it.
-func pickTopology(name string) (*topo.Topology, error) {
-	if name == "" {
-		return nil, nil
-	}
-	return topo.ByName(name)
+	c.Check(err)
+	c.Check(out.Flush())
 }
 
 // runWorkload records one seeded workload into rec.

@@ -38,11 +38,12 @@ func checkGolden(t *testing.T, c goldenRun, regen []string) {
 }
 
 // TestDatapathGoldens runs the golden CLI runs that exercise the
-// split-phase datapath — System256 traffic under faults, the pmtraffic
-// metrics dump, the windowed pmstat telemetry and the partitioned heat
-// campaign — and compares stdout byte for byte with testdata/, on the
-// sequential engine and partitioned across psim shards (4 on System256;
-// pmtraffic's Cluster8 default runs at the default shard count).
+// split-phase datapath — System256 traffic under faults, the pmstat
+// service report with its metrics dump, the windowed pmstat telemetry
+// and the partitioned heat campaign — and compares stdout byte for byte
+// with testdata/, on the sequential engine and partitioned across psim
+// shards (4 on System256; the Cluster8 report runs at the default shard
+// count).
 func TestDatapathGoldens(t *testing.T) {
 	shards4 := []string{"--engine", "par", "--shards", "4"}
 	cases := []struct {
@@ -50,7 +51,7 @@ func TestDatapathGoldens(t *testing.T) {
 		par []string
 	}{
 		{goldenRun{"pmfault", []string{"--traffic", "--topo", "system256", "--seed", "1"}, "pmfault_traffic_system256_seed1.golden"}, shards4},
-		{goldenRun{"pmtraffic", []string{"--mix", "default", "--seed", "1", "--metrics"}, "pmtraffic_default_metrics_seed1.golden"}, []string{"--engine", "par"}},
+		{goldenRun{"pmstat", []string{"--format", "report", "--mix", "default", "--seed", "1", "--metrics"}, "pmstat_report_default_metrics_seed1.golden"}, []string{"--engine", "par"}},
 		{goldenRun{"pmstat", []string{"--campaign", "link-cut", "--faults", "8", "--topo", "system256", "--seed", "1"}, "pmstat_default_system256_seed1.golden"}, shards4},
 		{goldenRun{"pmfault", []string{"--campaign", "heat-linkcut", "--topo", "system256", "--seed", "1"}, "pmfault_heat-linkcut_system256_seed1.golden"}, shards4},
 	}
@@ -102,6 +103,21 @@ func TestTraceGoldens(t *testing.T) {
 		{"pmtrace", []string{"--run", "pingpong", "--format", "diff", "--seed", "1", "--seed2", "2"}, "pmtrace_pingpong_diff_seed1_seed2.golden"},
 		{"pmtrace", []string{"--run", "fib", "--seed", "1"}, "pmtrace_fib_seed1.golden"},
 		{"pmtrace", []string{"--campaign", "link-cut", "--seed", "1", "--messages", "60"}, "pmtrace_link-cut_seed1.golden"},
+	} {
+		checkGolden(t, c, c.args)
+	}
+}
+
+// TestNodeToolGoldens pins the single-configuration tools: pmsim's
+// MatMult, HINT and communication reports and pmtopo's route listing
+// and three-crossbar validation.
+func TestNodeToolGoldens(t *testing.T) {
+	for _, c := range []goldenRun{
+		{"pmsim", []string{"-machine", "pm", "-bench", "matmult", "-n", "65", "-cpus", "2"}, "pmsim_pm_matmult_n65_cpus2.golden"},
+		{"pmsim", []string{"-machine", "sun", "-bench", "hint", "-type", "int", "-intervals", "2000"}, "pmsim_sun_hint_int_intervals2000.golden"},
+		{"pmsim", []string{"-bench", "comm", "-n", "8"}, "pmsim_comm_n8.golden"},
+		{"pmtopo", []string{"-topo", "system256", "-src", "0", "-dst", "127", "-net", "1", "-bytes", "64"}, "pmtopo_system256_route_0_127_net1.golden"},
+		{"pmtopo", []string{"-topo", "system256", "-validate"}, "pmtopo_system256_validate.golden"},
 	} {
 		checkGolden(t, c, c.args)
 	}

@@ -1,9 +1,6 @@
 package cpu
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CostModel memoizes the steady-state per-iteration cost of a template on
 // a core for homogeneous memory-latency tuples.
@@ -22,9 +19,11 @@ type CostModel struct {
 	cfg  *Config
 	tmpl *Template
 	memo map[uint64]float64
-	// small is an array fast path for two-slot tuples with latencies under
-	// 256 cycles (the overwhelmingly common case); NaN means unset.
-	small []float64
+	// small is the fast path for two-slot tuples with latencies under 256
+	// cycles (the overwhelmingly common case), indexed by lat>>2 of each
+	// slot. An entry keeps the first tuple that lands on it; a different
+	// tuple on a taken entry falls through to memo.
+	small []smallEntry
 	// lastKey/lastCost fast-path long runs of identical tuples.
 	lastKey  uint64
 	lastCost float64
@@ -40,6 +39,13 @@ const (
 	latQuantum = 4
 )
 
+// smallEntry is one tagged slot of CostModel.small: tag is
+// 1<<16 | lat0<<8 | lat1 for the tuple whose cost it holds, 0 if unset.
+type smallEntry struct {
+	tag  uint32
+	cost float64
+}
+
 // NewCostModel builds a memoizing cost model. It panics if the template
 // has more than four memory slots (pack limit) or fails validation.
 func NewCostModel(cfg *Config, tmpl *Template) *CostModel {
@@ -52,17 +58,13 @@ func NewCostModel(cfg *Config, tmpl *Template) *CostModel {
 	if tmpl.MemSlots() > maxMemSlots {
 		panic(fmt.Sprintf("cpu: template %q has %d memory slots, max %d", tmpl.Name, tmpl.MemSlots(), maxMemSlots))
 	}
-	m := &CostModel{cfg: cfg, tmpl: tmpl, memo: make(map[uint64]float64)}
-	m.small = make([]float64, 1<<16)
-	nan := math.NaN()
-	for i := range m.small {
-		m.small[i] = nan
-	}
-	return m
+	return &CostModel{cfg: cfg, tmpl: tmpl, memo: make(map[uint64]float64), small: make([]smallEntry, 1<<12)}
 }
 
 // Quantize buckets a latency to the memo quantum, preserving the L1-hit
-// latency exactly so hits are never confused with near-hits.
+// latency exactly so hits are never confused with near-hits. Every
+// quantized latency above the hit is a multiple of latQuantum, so two
+// quantized tuples never share an entry of the small table.
 func (m *CostModel) Quantize(lat int64) int64 {
 	hit := int64(m.cfg.Timing[Load].Latency)
 	if lat <= hit {
@@ -89,16 +91,18 @@ func packKey(memLat []int64) uint64 {
 // CyclesPerIter returns the steady-state cycles per iteration for the
 // given (already quantized, or exact) memory-latency tuple.
 func (m *CostModel) CyclesPerIter(memLat []int64) float64 {
-	// Array fast path: two slots, both latencies under 256 cycles.
+	// Table fast path: two slots, both latencies under 256 cycles.
 	if len(memLat) == 2 &&
 		memLat[0] >= 0 && memLat[0] < 256 && memLat[1] >= 0 && memLat[1] < 256 {
-		idx := memLat[0]<<8 | memLat[1]
-		if c := m.small[idx]; c == c { // not NaN
-			return c
+		e := &m.small[memLat[0]>>2<<6|memLat[1]>>2]
+		tag := uint32(1<<16 | memLat[0]<<8 | memLat[1])
+		if e.tag == tag {
+			return e.cost
 		}
-		c := m.compute(memLat)
-		m.small[idx] = c
-		return c
+		if e.tag == 0 {
+			e.tag, e.cost = tag, m.compute(memLat)
+			return e.cost
+		}
 	}
 	key := packKey(memLat)
 	if m.hasLast && key == m.lastKey {
@@ -131,8 +135,8 @@ func (m *CostModel) compute(memLat []int64) float64 {
 // Entries reports how many distinct tuples have been evaluated.
 func (m *CostModel) Entries() int {
 	n := len(m.memo)
-	for _, c := range m.small {
-		if c == c {
+	for _, e := range m.small {
+		if e.tag != 0 {
 			n++
 		}
 	}

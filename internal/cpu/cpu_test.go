@@ -411,3 +411,42 @@ func TestCostModelLargeTwoSlotTuple(t *testing.T) {
 		t.Errorf("Entries = %d, want 2", m.Entries())
 	}
 }
+
+// TestCostModelSharedEntryStaysExact drives unquantized two-slot tuples
+// that share an entry of the small table ({5,5} and {6,6} both index
+// 1<<6|1) and checks each against a fresh model, in both orders.
+func TestCostModelSharedEntryStaysExact(t *testing.T) {
+	tmpl := &Template{
+		Name:    "ld2",
+		NumRegs: 3,
+		Instrs: []Instr{
+			{Class: Load, Src1: -1, Src2: -1, Dst: 0, MemSlot: 0},
+			{Class: Load, Src1: -1, Src2: -1, Dst: 1, MemSlot: 1},
+			{Class: FPAdd, Src1: 0, Src2: 1, Dst: 2, MemSlot: -1},
+		},
+	}
+	fresh := func(lat []int64) float64 {
+		return NewCostModel(core620like(1), tmpl).CyclesPerIter(lat)
+	}
+	tuples := [][]int64{{5, 5}, {6, 6}, {7, 4}, {4, 7}}
+	want := make([]float64, len(tuples))
+	for i, lat := range tuples {
+		want[i] = fresh(lat)
+	}
+	if want[0] == want[1] {
+		t.Fatalf("{5,5} and {6,6} cost the same (%g); the test needs tuples that differ", want[0])
+	}
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+		m := NewCostModel(core620like(1), tmpl)
+		for pass := 0; pass < 2; pass++ {
+			for _, i := range order {
+				if got := m.CyclesPerIter(tuples[i]); got != want[i] {
+					t.Errorf("order %v pass %d: %v costs %g, want %g", order, pass, tuples[i], got, want[i])
+				}
+			}
+		}
+		if m.Entries() != len(tuples) {
+			t.Errorf("order %v: Entries = %d, want %d", order, m.Entries(), len(tuples))
+		}
+	}
+}
