@@ -70,14 +70,14 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 	}{
 		{"pmfault", []string{"--shards", "4"}, 2, "pmfault: --shards 4 requires --engine par"},
 		{"pmfault", []string{"--engine", "seq", "--shards", "1"}, 2, "pmfault: --shards 1 requires --engine par"},
-		{"pmfault", []string{"--engine", "par", "--shards", "1", "--messages", "10"}, 0, ""},
+		{"pmfault", []string{"--campaign", "heat-linkcut", "--engine", "par", "--shards", "1"}, 0, ""},
 		{"pmstat", []string{"--shards", "4"}, 2, "pmstat: --shards 4 requires --engine par"},
 		{"pmstat", []string{"--engine", "seq", "--shards", "2"}, 2, "pmstat: --shards 2 requires --engine par"},
 		{"pmstat", []string{"--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
 		{"pmstat", []string{"--format", "report", "--shards", "4"}, 2, "pmstat: --shards 4 requires --engine par"},
 		{"pmstat", []string{"--format", "report", "--engine", "seq", "--shards", "2"}, 2, "pmstat: --shards 2 requires --engine par"},
 		{"pmstat", []string{"--format", "report", "--engine", "par", "--shards", "2", "--topo", "system256", "--horizon-us", "5"}, 0, ""},
-		{"pmfault", []string{"--engine", "par", "--shards", "-1", "--messages", "10"}, 1, "fault: shard count -1 is negative"},
+		{"pmfault", []string{"--campaign", "heat-linkcut", "--engine", "par", "--shards", "-1"}, 1, "fault: shard count -1 is negative"},
 		{"pmstat", []string{"--engine", "par", "--shards", "-2", "--horizon-us", "5"}, 1, "traffic: shard count -2 is negative"},
 		{"pmstat", []string{"--format", "report", "--shards", "-1", "--horizon-us", "5"}, 1, "traffic: shard count -1 is negative"},
 		{"pmbench", []string{"--engine", "fast", "--exp", "table1"}, 1, `pmbench: psim: unknown engine "fast"`},
@@ -114,6 +114,10 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmfault", []string{"--traffic", "--messages", "10"}, 2, "pmfault: --messages has no effect with --traffic"},
 		{"pmfault", []string{"--traffic", "--payload", "64"}, 2, "pmfault: --payload has no effect with --traffic"},
 		{"pmfault", []string{"--list", "--seed", "2"}, 2, "pmfault: --list takes no other flag"},
+		{"pmfault", []string{"--campaign", "heat-linkcut", "--messages", "5"}, 2, "pmfault: --messages has no effect with --campaign heat-linkcut"},
+		{"pmfault", []string{"--campaign", "allreduce-linkcut", "--payload", "8"}, 2, "pmfault: --payload has no effect with --campaign allreduce-linkcut"},
+		{"pmfault", []string{"--campaign", "fib-linkcut", "--window-us", "7"}, 2, "pmfault: --window-us has no effect with --campaign fib-linkcut"},
+		{"pmfault", []string{"--campaign", "link-cut", "--engine", "par", "--shards", "4"}, 2, "pmfault: --shards has no effect with --campaign link-cut"},
 		{"pmstat", []string{"--faults", "4"}, 2, "pmstat: --faults has no effect without --campaign"},
 		{"pmstat", []string{"--format", "report", "--window-us", "5"}, 2, "pmstat: --window-us has no effect with --format report"},
 		{"pmstat", []string{"--format", "csv", "--metrics"}, 2, "pmstat: --metrics has no effect with --format csv"},
@@ -124,6 +128,9 @@ func TestCLIShardsRequireParEngine(t *testing.T) {
 		{"pmtrace", []string{"--seed2", "3"}, 2, "pmtrace: --seed2 has no effect without --format diff"},
 		{"pmtrace", []string{"--format", "profile", "--window-us", "5"}, 2, "pmtrace: --window-us has no effect without --format utilization"},
 		{"pmtrace", []string{"--format", "critpath", "--top", "3"}, 2, "pmtrace: --top has no effect without --format profile"},
+		{"pmtrace", []string{"--run", "fib", "--messages", "3"}, 2, "pmtrace: --messages has no effect with --run fib"},
+		{"pmtrace", []string{"--run", "dispatch", "--messages", "3"}, 2, "pmtrace: --messages has no effect with --run dispatch"},
+		{"pmtrace", []string{"--run", "dispatch", "--topo", "system256"}, 2, "pmtrace: --topo has no effect with --run dispatch"},
 		{"pmsim", []string{"-bench", "hint", "-version", "naive"}, 2, "pmsim: -version has no effect with -bench hint"},
 		{"pmsim", []string{"-bench", "comm", "-cpus", "2"}, 2, "pmsim: -cpus has no effect with -bench comm"},
 		{"pmsim", []string{"-type", "int"}, 2, "pmsim: -type has no effect with -bench matmult"},

@@ -29,8 +29,11 @@
 // links die, and the table reports each tenant's delivered-latency
 // p50/p99/p999 against its SLO per fault count. --window-us, when set,
 // becomes the offered-load horizon. --mix applies only under --traffic,
-// and --campaign, --messages and --payload only without it; setting one
-// where it has no effect is a usage error (exit 2).
+// and --campaign, --messages and --payload only without it. The
+// application campaigns take no --messages, --payload or --window-us
+// (the workload sets its own message schedule), and the synthetic
+// campaigns no --shards (each degradation row is one shard). Setting a
+// flag where it has no effect is a usage error (exit 2).
 //
 // --metrics appends the highest-rate row's deterministic metrics dump
 // (internal/metrics): send outcome counters, latency and detection
@@ -120,8 +123,12 @@ func main() {
 		}
 		report(fault.RunTraffic(mix, horizon, opt))
 	} else if camp, ok := fault.CampaignByName(*campaignFlag); ok {
+		// Each degradation row is one shard under --engine par.
+		c.NoEffect("with --campaign "+*campaignFlag, "--shards")
 		report(fault.Run(camp, opt))
 	} else if camp, ok := fault.AppCampaignByName(*campaignFlag); ok {
+		// The workload sets its own message schedule.
+		c.NoEffect("with --campaign "+*campaignFlag, "--messages", "--payload", "--window-us")
 		report(fault.RunApp(camp, opt))
 	} else {
 		c.Check(fmt.Errorf("unknown campaign %q (try --list)", *campaignFlag))

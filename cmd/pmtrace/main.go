@@ -45,7 +45,8 @@
 // byte-identical either way, which CI checks against the goldens.
 //
 // A flag the run ignores is a usage error: --run with --campaign,
-// --engine without it, and --seed2, --window-us or --top outside
+// --engine without it, --messages under --run fib or dispatch, --topo
+// under --run dispatch, and --seed2, --window-us or --top outside
 // --format diff, utilization or profile.
 package main
 
@@ -88,6 +89,12 @@ func main() {
 		c.NoEffect("with --campaign", "--run")
 	} else {
 		c.NoEffect("without --campaign", "--engine")
+		switch *runFlag {
+		case "fib":
+			c.NoEffect("with --run fib", "--messages")
+		case "dispatch":
+			c.NoEffect("with --run dispatch", "--messages", "--topo")
+		}
 	}
 	for _, f := range [][2]string{{"--seed2", "diff"}, {"--window-us", "utilization"}, {"--top", "profile"}} {
 		if *formatFlag != f[1] {

@@ -10,10 +10,12 @@
 // beyond the clock-synchronous reach (between cabinets, up to 30 m),
 // asynchronous transceivers with 2-Kbyte FIFOs bridge the link.
 //
-// The package also implements the CRC the link-interface ASIC generates
-// and checks (Section 3.3: "the link-interface chip performs generation
-// and checking of a CRC check sum"), as a real CRC-16/CCITT over message
-// bytes — messages in this reproduction carry actual payloads.
+// The CRC the link-interface ASIC generates and checks (Section 3.3: "the
+// link-interface chip performs generation and checking of a CRC check
+// sum") is modelled at timing level: messages carry sizes, not payload
+// bytes, and a wire's corruption window or mid-stream cut (fault.go) is
+// what makes the receive-side check fail. The destination then NACKs the
+// message; no byte codec exists.
 package link
 
 import (
@@ -68,25 +70,19 @@ func Default(name string) Config {
 	}
 }
 
-// BytesPerSecond reports the direction's raw bandwidth.
-func (c Config) BytesPerSecond() float64 {
-	return float64(c.WidthBytes) / c.Clock.Period.Seconds()
-}
-
 // TransferTime reports the wire occupancy of n bytes.
 func (c Config) TransferTime(n int) sim.Time {
 	cycles := (n + c.WidthBytes - 1) / c.WidthBytes
 	return c.Clock.Cycles(int64(cycles))
 }
 
-// Wire is one direction of a link: an occupancy timeline at the link rate
-// plus propagation delay. Flow control (the stop signal) is exercised by
-// the FIFO models on either side — a transfer is only scheduled when the
-// receiving FIFO has space, which is exactly what the stop wire enforces.
+// Wire is one direction of a link: an occupancy timeline that wormhole
+// circuits claim (Hold) and headers peek at (FreeAt). Transfer and
+// propagation times come from the Config the network walks with; flow
+// control (the stop signal) is the driver model's concern.
 type Wire struct {
 	cfg    Config
 	res    sim.Resource
-	sent   int64
 	faults wireFaults
 	// rec, when non-nil, records occupancy spans and fault instants on
 	// track (trace.WireTrack of the owning network position).
@@ -102,9 +98,6 @@ func NewWire(cfg Config) *Wire {
 	return &Wire{cfg: cfg}
 }
 
-// Config returns the wire's configuration.
-func (w *Wire) Config() Config { return w.cfg }
-
 // Trace attaches a recorder to the wire under the given track identity;
 // a nil recorder detaches. Occupancy holds and injected faults are then
 // recorded as trace events.
@@ -112,43 +105,25 @@ func (w *Wire) Trace(rec *trace.Recorder, track trace.TrackID) {
 	w.rec, w.track = rec, track
 }
 
-// Send schedules n bytes onto the wire no earlier than at, returning when
-// the first and last byte arrive at the far end.
-func (w *Wire) Send(at sim.Time, n int) (first, last sim.Time) {
-	dur := w.cfg.TransferTime(n)
-	start := w.res.Acquire(at, dur)
-	w.sent += int64(n)
-	first = start + w.cfg.PropagationDelay + w.cfg.Clock.Cycles(1)
-	return first, start + dur + w.cfg.PropagationDelay
-}
-
 // FreeAt reports when the wire next becomes free.
 func (w *Wire) FreeAt() sim.Time { return w.res.FreeAt() }
 
 // Hold claims the wire for a wormhole circuit from start until `until`
-// (the close command passing) and accounts n bytes of traffic. Used by
-// the network's two-pass circuit setup; Send remains the one-shot API.
-func (w *Wire) Hold(start, until sim.Time, n int) {
+// (the close command passing). The network's wormhole walk peeks FreeAt
+// to find start before it claims.
+func (w *Wire) Hold(start, until sim.Time) {
 	if until < start {
 		panic(fmt.Sprintf("link %s: hold window [%v, %v) inverted", w.cfg.Name, start, until))
 	}
 	w.res.Acquire(start, until-start)
-	w.sent += int64(n)
 	if w.rec.Enabled() {
 		w.rec.Span(w.track, "link", "hold", start, until)
 	}
 }
 
-// BytesSent reports the cumulative traffic.
-func (w *Wire) BytesSent() int64 { return w.sent }
-
-// Busy reports accumulated wire occupancy.
-func (w *Wire) Busy() sim.Time { return w.res.Busy() }
-
-// Reset clears the timeline, counters and injected fault state.
+// Reset clears the timeline and injected fault state.
 func (w *Wire) Reset() {
 	w.res.Reset()
-	w.sent = 0
 	w.faults = wireFaults{}
 }
 

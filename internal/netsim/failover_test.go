@@ -114,9 +114,6 @@ func TestFailoverOnCorruption(t *testing.T) {
 	// The corruption window outlasts the send, so the same-plane CRC
 	// retry (CRCRetries budget) is NACKed too before the failover: two
 	// CRC errors on plane A, one spent retry, one real failover.
-	if n.NI(1).Links[topo.NetworkA].CRCErrors() != 2 {
-		t.Error("destination NI did not count both CRC failures")
-	}
 	a := n.Plane(topo.NetworkA)
 	if a.CRCErrors != 2 || a.CRCRetries != 1 || a.FailedOver != 1 {
 		t.Errorf("plane A counters = %+v", a)

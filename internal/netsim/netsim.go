@@ -48,8 +48,7 @@ type Network struct {
 	// is the one leaving the previous device toward this crossbar. Nil
 	// until first used; NewPartitioned creates every wired slot up front.
 	wires []*link.Wire
-	nis   []*ni.NI
-	sent  int64
+	nis   []ni.NI
 	// planes accumulates per-plane degraded-mode counters for the
 	// failover protocol (failover.go).
 	planes [ni.LinksPerNode]PlaneCounters
@@ -90,12 +89,10 @@ func New(t *topo.Topology) *Network {
 		linkCfg: link.Default("wire"),
 		trans:   link.DefaultTransceiver(),
 		wires:   make([]*link.Wire, (t.Nodes()+t.Crossbars())*xbar.Ports),
+		nis:     make([]ni.NI, t.Nodes()),
 	}
 	for i := 0; i < t.Crossbars(); i++ {
 		n.xbars = append(n.xbars, xbar.New(t.CrossbarName(i)))
-	}
-	for i := 0; i < t.Nodes(); i++ {
-		n.nis = append(n.nis, ni.New())
 	}
 	return n
 }
@@ -107,10 +104,7 @@ func (n *Network) Topology() *topo.Topology { return n.topo }
 func (n *Network) Crossbar(i int) *xbar.Crossbar { return n.xbars[i] }
 
 // NI returns node i's network interface.
-func (n *Network) NI(i int) *ni.NI { return n.nis[i] }
-
-// MessagesSent reports how many transits have been computed.
-func (n *Network) MessagesSent() int64 { return n.sent }
+func (n *Network) NI(i int) *ni.NI { return &n.nis[i] }
 
 // wire returns the directed wire leaving (dev, port), creating it on
 // first use.
@@ -249,7 +243,6 @@ func (n *Network) Send(at sim.Time, path topo.Path, payloadBytes int) (Transit, 
 //
 //pmlint:hotpath
 func (n *Network) send(at sim.Time, path *topo.Path, payloadBytes int, setupTimeout, failHold sim.Time) (Transit, walkRes) {
-	n.sent++
 	if len(path.Hops) == 0 {
 		// Self-delivery: no network involved.
 		return Transit{SetupDone: at, FirstByte: at, LastByte: at}, walkRes{}
@@ -304,7 +297,6 @@ type partWireClaim struct {
 	w     *link.Wire
 	key   resKey
 	start sim.Time
-	bytes int
 }
 
 type partHopClaim struct {
@@ -347,13 +339,12 @@ func (n *Network) walk(l *pleg, open []*openHold, path *topo.Path, split int, ds
 		// crossbar; this leg starts at its output arbitration.
 		fromDev, fromPort = n.topo.Nodes()+path.Hops[split].Xbar, path.Hops[split].Out
 	}
-	remaining := wireBytes - lo
 	res := walkRes{outcome: walkOK, wires: wires[:0], hops: hops[:0]}
 
 	for i := lo; i < hi; i++ {
 		hop := path.Hops[i]
 		if !(dstLeg && i == lo) {
-			wStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, i == 0, remaining)
+			wStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, i == 0)
 			if !ok {
 				return res
 			}
@@ -376,14 +367,13 @@ func (n *Network) walk(l *pleg, open []*openHold, path *topo.Path, split int, ds
 		res.hops = append(res.hops, partHopClaim{ord: hop.Xbar, out: hop.Out, key: key, requested: head, start: setupStart})
 		head = setupStart + xbar.RouteSetup
 		fromDev, fromPort = n.topo.Nodes()+hop.Xbar, hop.Out
-		remaining-- // the crossbar consumed one route byte
 	}
 
 	if !dstLeg && split < k {
 		// Source leg of a split send: walk the wire into the boundary
 		// crossbar (source-owned, per the up/down ownership rule) and stop
 		// with the header's arrival there.
-		wStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, false, remaining)
+		wStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, false)
 		if !ok {
 			return res
 		}
@@ -397,7 +387,7 @@ func (n *Network) walk(l *pleg, open []*openHold, path *topo.Path, split int, ds
 
 	// Complete walk (full path or destination leg): the last wire to the
 	// destination node.
-	lwStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, false, remaining)
+	lwStart, ok := n.peekWire(&res, l, open, fromDev, fromPort, head, setupTimeout, false)
 	if !ok {
 		return res
 	}
@@ -417,7 +407,7 @@ func (n *Network) walk(l *pleg, open []*openHold, path *topo.Path, split int, ds
 // plane dead; a wedged NI shows up in ReadyAt's stall windows instead.
 //
 //pmlint:hotpath
-func (n *Network) peekWire(res *walkRes, l *pleg, open []*openHold, dev, port int, head, setupTimeout sim.Time, first bool, bytes int) (sim.Time, bool) {
+func (n *Network) peekWire(res *walkRes, l *pleg, open []*openHold, dev, port int, head, setupTimeout sim.Time, first bool) (sim.Time, bool) {
 	key := wireRes(dev, port)
 	if park(open, key, l) {
 		res.outcome = walkParked
@@ -433,7 +423,7 @@ func (n *Network) peekWire(res *walkRes, l *pleg, open []*openHold, dev, port in
 		res.outcome, res.at = walkFailed, head+setupTimeout
 		return 0, false
 	}
-	res.wires = append(res.wires, partWireClaim{w: w, key: key, start: wStart, bytes: bytes})
+	res.wires = append(res.wires, partWireClaim{w: w, key: key, start: wStart})
 	return wStart, true
 }
 
@@ -447,7 +437,7 @@ func (n *Network) peekWire(res *walkRes, l *pleg, open []*openHold, dev, port in
 func (n *Network) hold(wires []partWireClaim, hops []partHopClaim, until sim.Time, ps *partShard, plane int) {
 	for _, c := range wires {
 		if c.start < until {
-			c.w.Hold(c.start, until, c.bytes)
+			c.w.Hold(c.start, until)
 		}
 	}
 	for _, c := range hops {
@@ -477,16 +467,13 @@ func corrupted(claims []partWireClaim, last sim.Time) bool {
 	return false
 }
 
-// arrived renders a completed circuit's CRC verdict at the destination
-// link interface and counts it in planes: a CRC error or a delivery.
-func (n *Network) arrived(planes *[ni.LinksPerNode]PlaneCounters, dst, plane int, bad bool) {
-	lif := n.nis[dst].Links[plane]
+// arrived counts a completed circuit's CRC verdict, as the destination
+// link interface renders it, in planes: a CRC error or a delivery.
+func arrived(planes *[ni.LinksPerNode]PlaneCounters, plane int, bad bool) {
 	if bad {
-		lif.RecordCRCError()
 		planes[plane].CRCErrors++
 		return
 	}
-	lif.RecordFrame()
 	planes[plane].Delivered++
 }
 
@@ -560,10 +547,9 @@ func (n *Network) Reset() {
 			w.Reset()
 		}
 	}
-	for _, d := range n.nis {
-		d.Reset()
+	for i := range n.nis {
+		n.nis[i].Reset()
 	}
-	n.sent = 0
 	n.planes = [ni.LinksPerNode]PlaneCounters{}
 	for _, t := range n.transports {
 		t.resetFaultState()

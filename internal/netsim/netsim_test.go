@@ -129,8 +129,10 @@ func TestReset(t *testing.T) {
 	path, _ := n.Topology().Route(0, 1, topo.NetworkA)
 	n.Send(0, path, 64)
 	n.Reset()
-	if n.MessagesSent() != 0 {
-		t.Error("Reset incomplete")
+	for i := 0; i < n.Topology().Crossbars(); i++ {
+		if n.Crossbar(i).Stats().Opened != 0 {
+			t.Error("Reset incomplete")
+		}
 	}
 	tr, _ := n.Send(0, path, 64)
 	if tr.SetupDone > xbar.RouteSetup+100*sim.Nanosecond {

@@ -5,19 +5,19 @@
 // network" while applications own the other. For fault campaigns this
 // matters because a failover retry lands on plane B — and a realistic
 // plane B is not idle, it carries OS traffic. The OS stream models that
-// load as a deterministic message train: every Interval, a CtrlBytes-
-// sized message between a rotating node pair enters plane B and claims
-// its circuits like any other send, so application retries queue behind
-// it exactly where the hardware would make them queue.
+// load as a deterministic message train: every DefaultOSInterval, a
+// DefaultOSBytes message between a rotating node pair enters plane B and
+// claims its circuits like any other send, so application retries queue
+// behind it exactly where the hardware would make them queue.
 //
 // Two schedules exist:
 //
-//   - the fixed train: one small message every Interval — steady kernel
-//     bookkeeping traffic;
+//   - the fixed train: one small message every DefaultOSInterval from
+//     time zero — steady kernel bookkeeping traffic;
 //   - the bursty schedule (Bursty): the same timer-tick train plus a
-//     periodic page-daemon burst — every BurstEvery, a run of
-//     BurstMessages back-to-back BurstBytes-sized messages from a
-//     seed-chosen node, jittered within one tick interval. The burst
+//     periodic page-daemon burst — every DefaultBurstEvery, a run of
+//     DefaultBurstMessages back-to-back DefaultBurstBytes messages from
+//     a seed-chosen node, jittered within one tick interval. The burst
 //     start and source are a pure function of (Seed, burst ordinal), so
 //     the schedule is deterministic per seed with no math/rand in the
 //     simulation core.
@@ -54,44 +54,25 @@ const (
 	DefaultBurstBytes = 1024
 )
 
-// OSStreamConfig describes the background system-software load on plane
-// B of the duplicated network.
+// OSStreamConfig selects the background system-software load on plane
+// B of the duplicated network. The train and burst shapes are the
+// Default* constants above.
 type OSStreamConfig struct {
-	// Interval is the simulated time between OS messages.
-	Interval sim.Time
-	// Bytes is the payload size of each OS message.
-	Bytes int
-	// Start delays the first OS message.
-	Start sim.Time
 	// Bursty layers periodic page-daemon bursts over the timer-tick
-	// train. The remaining fields apply only when set.
+	// train.
 	Bursty bool
 	// Seed positions each burst (start jitter and source node)
 	// deterministically; same seed, same schedule.
 	Seed int64
-	// BurstEvery spaces the bursts.
-	BurstEvery sim.Time
-	// BurstMessages is the number of back-to-back messages per burst.
-	BurstMessages int
-	// BurstBytes is the payload of each burst message.
-	BurstBytes int
 }
 
 // DefaultOSStream returns the calibrated background load.
-func DefaultOSStream() OSStreamConfig {
-	return OSStreamConfig{Interval: DefaultOSInterval, Bytes: DefaultOSBytes}
-}
+func DefaultOSStream() OSStreamConfig { return OSStreamConfig{} }
 
 // BurstyOSStream returns the bursty schedule: the default timer-tick
 // train plus seed-positioned page-daemon bursts.
 func BurstyOSStream(seed int64) OSStreamConfig {
-	cfg := DefaultOSStream()
-	cfg.Bursty = true
-	cfg.Seed = seed
-	cfg.BurstEvery = DefaultBurstEvery
-	cfg.BurstMessages = DefaultBurstMessages
-	cfg.BurstBytes = DefaultBurstBytes
-	return cfg
+	return OSStreamConfig{Bursty: true, Seed: seed}
 }
 
 // osStream is the lazily-advanced injection state.
@@ -112,34 +93,14 @@ type osStream struct {
 // On topologies without a plane-B route between the chosen pair the
 // message is dropped and counted, not silently ignored.
 func (n *Network) AttachOSStream(cfg OSStreamConfig) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultOSInterval
-	}
-	if cfg.Bytes <= 0 {
-		cfg.Bytes = DefaultOSBytes
-	}
-	if cfg.Bursty {
-		if cfg.BurstEvery <= 0 {
-			cfg.BurstEvery = DefaultBurstEvery
-		}
-		if cfg.BurstMessages <= 0 {
-			cfg.BurstMessages = DefaultBurstMessages
-		}
-		if cfg.BurstBytes <= 0 {
-			cfg.BurstBytes = DefaultBurstBytes
-		}
-	}
 	n.os = &osStream{cfg: cfg}
 	n.os.rearm()
 }
 
-// OSStreamAttached reports whether a background OS stream is active.
-func (n *Network) OSStreamAttached() bool { return n.os != nil }
-
-// rearm resets the stream to its start: tick train at Start, first burst
-// armed from ordinal zero.
+// rearm resets the stream to its start: tick train at time zero, first
+// burst armed from ordinal zero.
 func (os *osStream) rearm() {
-	os.next = os.cfg.Start
+	os.next = 0
 	os.idx = 0
 	os.burstK = 0
 	os.burstLeft = 0
@@ -149,15 +110,15 @@ func (os *osStream) rearm() {
 }
 
 // armBurst positions burst number burstK: its start jitters within one
-// tick interval of the nominal k*BurstEvery mark and its source node
+// tick interval of the nominal k*DefaultBurstEvery mark and its source node
 // follows the seed, both via the same multiplicative xorshift mix the
 // topology uses for deterministic port shuffling (no math/rand in the
 // simulation core).
 func (os *osStream) armBurst() {
 	j := osJitter(os.cfg.Seed, os.burstK)
-	os.burstAt = os.cfg.Start + sim.Time(os.burstK)*os.cfg.BurstEvery + sim.Time(j%int64(os.cfg.Interval))
+	os.burstAt = sim.Time(os.burstK)*DefaultBurstEvery + sim.Time(j%int64(DefaultOSInterval))
 	os.burstSrc = int(osJitter(os.cfg.Seed, os.burstK+1) >> 8)
-	os.burstLeft = os.cfg.BurstMessages
+	os.burstLeft = DefaultBurstMessages
 	os.burstK++
 }
 
@@ -195,11 +156,11 @@ func (n *Network) advanceOS(now sim.Time) {
 	for {
 		// The earliest pending event: the next timer tick, or the next
 		// burst message if it comes first.
-		at, bytes := os.next, os.cfg.Bytes
+		at, bytes := os.next, DefaultOSBytes
 		src := int(os.idx % int64(nodes))
 		burst := os.cfg.Bursty && os.burstLeft > 0 && os.burstAt < at
 		if burst {
-			at, bytes = os.burstAt, os.cfg.BurstBytes
+			at, bytes = os.burstAt, DefaultBurstBytes
 			src = os.burstSrc % nodes
 		}
 		if at > now {
@@ -215,7 +176,7 @@ func (n *Network) advanceOS(now sim.Time) {
 			}
 		} else {
 			os.idx++
-			os.next += os.cfg.Interval
+			os.next += DefaultOSInterval
 		}
 		dst := (src + nodes/2) % nodes
 		if dst == src {

@@ -130,10 +130,9 @@ type partShard struct {
 	freeLegs     freeList[remoteLeg]
 	freeHolds    freeList[openHold]
 	freeArrivals freeList[arrival]
-	// planes/sent are this shard's slice of the degraded-mode counters;
-	// summed across shards at Finish (commutative, so placement-free).
+	// planes is this shard's slice of the degraded-mode counters,
+	// summed across shards by Plane (commutative, so placement-free).
 	planes [ni.LinksPerNode]PlaneCounters
-	sent   int64
 	reg    *metrics.Registry
 	met    netInstruments
 	// arbWait and planeWait mirror the crossbar's arbitration instruments
@@ -280,10 +279,6 @@ func lookaheadFor(t *topo.Topology, grain *topo.Partition, n *Network, nackLaten
 // partitioned run, which is what makes reading them cross-shard safe).
 func (pn *PartNetwork) Network() *Network { return pn.net }
 
-// Partition reports the placement partition (node and resource
-// ownership per shard).
-func (pn *PartNetwork) Partition() *topo.Partition { return pn.part }
-
 // Engine exposes the psim engine driving the shards.
 func (pn *PartNetwork) Engine() *psim.Engine { return pn.eng }
 
@@ -375,9 +370,6 @@ func (pn *PartNetwork) SetRecorder(r *trace.Recorder) {
 	}
 }
 
-// ShardRecorder exposes shard i's private recorder (nil when off).
-func (pn *PartNetwork) ShardRecorder(i int) *trace.Recorder { return pn.shards[i].rec }
-
 // Run drives the engine until every shard drains, then folds the
 // per-shard observability state into the attached registry/recorder.
 func (pn *PartNetwork) Run() {
@@ -429,15 +421,6 @@ func (pn *PartNetwork) Plane(p int) PlaneCounters {
 // of cmd/pmfault. The OS-stream rows are always zero: the partitioned
 // datapath carries no background OS stream.
 func (pn *PartNetwork) PlaneCounterSet(p int) stats.CounterSet { return pn.Plane(p).counterSet(p) }
-
-// MessagesSent reports network attempts across all shards.
-func (pn *PartNetwork) MessagesSent() int64 {
-	var n int64
-	for _, ps := range pn.shards {
-		n += ps.sent
-	}
-	return n
-}
 
 // OnPost implements psim.Handler: every payload event of the datapath —
 // a remote leg (header reached this shard's half of a route), a
@@ -721,7 +704,7 @@ func (ps *partShard) processDst(l *pleg) {
 	// crc-retries counters land there (psend.finish).
 	bad := corrupted(rl.srcChecks, res.last) || corrupted(res.wires, res.last)
 	n.hold(res.wires, res.hops, res.last, ps, rl.plane)
-	n.arrived(&ps.planes, rl.dst, rl.plane, bad)
+	arrived(&ps.planes, rl.plane, bad)
 	rl.fin = finalizeMsg{
 		rl: rl, msgID: rl.msgID, kind: finOK,
 		last: res.last, firstByte: res.first, setupDone: res.head,

@@ -114,7 +114,6 @@ func (p *psend) step() {
 		if !p.st.begin(plane) {
 			continue
 		}
-		p.ps.sent++
 		p.curSplit = p.pn.grain.Boundary(p.st.path)
 		p.curWireBytes = wireBytesFor(p.st.path, p.st.payloadBytes)
 		p.ps.buffer(&p.leg)
@@ -206,7 +205,7 @@ func (p *psend) srcComplete(res walkRes) {
 	bad := corrupted(res.wires, res.last)
 	n.hold(res.wires, res.hops, res.last, ps, st.plane)
 	recordMsg(ps.rec, false, st.path, st.payloadBytes, st.entry, res.head, res.last, bad)
-	n.arrived(&ps.planes, st.dst, st.plane, bad)
+	arrived(&ps.planes, st.plane, bad)
 	if bad {
 		st.nack(res.last + st.tp.cfg.NackLatency)
 		p.step()

@@ -87,9 +87,6 @@ func (n *Network) MustTransport(src int, cfg FailoverConfig) *Transport {
 	return t
 }
 
-// Src reports the node this transport sends from.
-func (t *Transport) Src() int { return t.src }
-
 // SetTenant labels this transport's delivered sends: latencies and
 // their decomposition additionally land in the tenant's own histograms
 // (MetricSendLatencyTenantPrefix + name and the per-tenant wait
@@ -175,7 +172,7 @@ func (t *Transport) Send(at sim.Time, dst, payloadBytes int) (Delivery, error) {
 			st.lost(res.cut, st.entry+t.cfg.AckTimeout)
 			continue
 		}
-		n.arrived(&n.planes, dst, plane, tr.Corrupted)
+		arrived(&n.planes, plane, tr.Corrupted)
 		if tr.Corrupted {
 			st.nack(tr.LastByte + t.cfg.NackLatency)
 			continue

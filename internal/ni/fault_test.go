@@ -7,7 +7,7 @@ import (
 )
 
 func TestStallDefersSends(t *testing.T) {
-	l := NewLinkIF()
+	var l LinkIF
 	l.Stall(10*sim.Microsecond, 20*sim.Microsecond)
 	if got := l.ReadyAt(5 * sim.Microsecond); got != 5*sim.Microsecond {
 		t.Errorf("ReadyAt before window = %v, want unchanged", got)
@@ -21,7 +21,7 @@ func TestStallDefersSends(t *testing.T) {
 }
 
 func TestStallAbuttingWindowsChain(t *testing.T) {
-	l := NewLinkIF()
+	var l LinkIF
 	// Deliberately out of order: ReadyAt must chain across both.
 	l.Stall(20*sim.Microsecond, 30*sim.Microsecond)
 	l.Stall(10*sim.Microsecond, 20*sim.Microsecond)
@@ -30,20 +30,18 @@ func TestStallAbuttingWindowsChain(t *testing.T) {
 	}
 }
 
+// The per-message CRC verdicts are counted by the network planes; what a
+// link interface keeps at timing level is its stall state, and Reset
+// must return it to a healthy interface.
 func TestTimingLevelCounters(t *testing.T) {
-	l := NewLinkIF()
-	l.RecordFrame()
-	l.RecordCRCError()
-	l.RecordCRCError()
-	if l.FramesReceived() != 1 || l.CRCErrors() != 2 {
-		t.Errorf("counters = %d frames, %d crc errors; want 1, 2",
-			l.FramesReceived(), l.CRCErrors())
-	}
-	l.Reset()
-	if l.ReadyAt(0) != 0 || l.CRCErrors() != 0 || l.FramesReceived() != 0 {
-		t.Error("Reset incomplete")
+	var l LinkIF
+	if l.ReadyAt(0) != 0 {
+		t.Error("zero-value interface defers sends")
 	}
 	l.Stall(0, 1*sim.Microsecond)
+	if l.ReadyAt(0) != 1*sim.Microsecond {
+		t.Error("stall window not applied")
+	}
 	l.Reset()
 	if l.ReadyAt(0) != 0 {
 		t.Error("Reset kept stall windows")

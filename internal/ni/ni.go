@@ -15,15 +15,16 @@
 // bandwidth (Figure 12) to the driver having to turn around between
 // filling at most four lines of the send FIFO and draining at most four
 // lines of the receive FIFO.
+//
+// This package keeps what the wormhole walk in internal/netsim drives:
+// the geometry, the on-wire message length and the injected stall
+// windows. The CRC check is modelled at timing level, not as a byte
+// codec: a message whose circuit crossed a corruption window, or lost
+// its tail to a mid-stream cut, arrives corrupt, the destination counts
+// a CRC error and the sender sees a NACK.
 package ni
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"powermanna/internal/link"
-	"powermanna/internal/sim"
-)
+import "powermanna/internal/sim"
 
 // Default geometry from Section 3.3.
 const (
@@ -37,108 +38,18 @@ const (
 	LinksPerNode = 2
 )
 
-// Queue is a byte-counted FIFO with fixed capacity. The bandwidth
-// simulations track occupancy only; functional payloads travel in Frames.
-type Queue struct {
-	capBytes       int
-	used           int
-	pushed, popped int64
-}
-
-// NewQueue builds a queue of the given capacity.
-func NewQueue(capBytes int) *Queue {
-	if capBytes <= 0 {
-		panic(fmt.Sprintf("ni: queue capacity %d", capBytes))
-	}
-	return &Queue{capBytes: capBytes}
-}
-
-// Cap reports the capacity in bytes.
-func (q *Queue) Cap() int { return q.capBytes }
-
-// Len reports current occupancy in bytes.
-func (q *Queue) Len() int { return q.used }
-
-// Space reports free bytes.
-func (q *Queue) Space() int { return q.capBytes - q.used }
-
-// Push adds n bytes; it returns an error on overflow — the hardware's
-// stop-signal flow control makes overflow impossible, so hitting this in
-// simulation means a model bug.
-func (q *Queue) Push(n int) error {
-	if n < 0 || n > q.Space() {
-		return fmt.Errorf("ni: push %d into %d free bytes", n, q.Space())
-	}
-	q.used += n
-	q.pushed += int64(n)
-	return nil
-}
-
-// Pop removes n bytes; errors on underflow.
-func (q *Queue) Pop(n int) error {
-	if n < 0 || n > q.used {
-		return fmt.Errorf("ni: pop %d of %d bytes", n, q.used)
-	}
-	q.used -= n
-	q.popped += int64(n)
-	return nil
-}
-
-// Pushed reports the cumulative words enqueued.
-func (q *Queue) Pushed() int64 { return q.pushed }
-
-// Popped reports the cumulative words dequeued.
-func (q *Queue) Popped() int64 { return q.popped }
-
-// Reset empties the queue and clears counters.
-func (q *Queue) Reset() { q.used, q.pushed, q.popped = 0, 0, 0 }
-
 // stallWindow is one injected interval [from, until) during which the
 // link interface accepts no new sends (internal/fault's NI-stall fault).
 type stallWindow struct {
 	from, until sim.Time
 }
 
-// LinkIF is one link interface: a send and a receive FIFO. Sending and
-// receiving operate simultaneously (Section 3.3).
+// LinkIF is one link interface. Its FIFO occupancy belongs to the driver
+// model in internal/comm, so it keeps only the injected stall state; the
+// zero value is a healthy interface.
 type LinkIF struct {
-	Send, Recv *Queue
-	crcErrors  int64
-	received   int64
-	stalls     []stallWindow
+	stalls []stallWindow
 }
-
-// NewLinkIF builds a link interface with the default FIFO geometry.
-func NewLinkIF() *LinkIF {
-	return &LinkIF{Send: NewQueue(FIFOBytes), Recv: NewQueue(FIFOBytes)}
-}
-
-// CRCErrors reports how many received frames failed the check.
-func (l *LinkIF) CRCErrors() int64 { return l.crcErrors }
-
-// FramesReceived reports delivered frames.
-func (l *LinkIF) FramesReceived() int64 { return l.received }
-
-// AcceptFrame runs the receive-side CRC check on a decoded frame,
-// returning the payload. Corrupt frames are counted and rejected.
-func (l *LinkIF) AcceptFrame(body []byte) ([]byte, error) {
-	payload, err := DecodeBody(body)
-	if err != nil {
-		l.crcErrors++
-		return nil, err
-	}
-	l.received++
-	return payload, nil
-}
-
-// RecordCRCError counts a receive-side CRC failure observed on the
-// timing-level path (internal/netsim), where messages carry sizes rather
-// than functional bytes; the functional path counts through AcceptFrame.
-func (l *LinkIF) RecordCRCError() { l.crcErrors++ }
-
-// RecordFrame counts a message delivered intact on the timing-level path,
-// mirroring what AcceptFrame does for functional frames.
-func (l *LinkIF) RecordFrame() { l.received++ }
 
 // Stall injects a fault window [from, until) during which the interface
 // accepts no new sends — a wedged interface ASIC or a driver that stopped
@@ -169,84 +80,26 @@ func (l *LinkIF) ReadyAt(at sim.Time) sim.Time {
 	return at
 }
 
-// Reset clears FIFOs, counters and injected stall windows.
-func (l *LinkIF) Reset() {
-	l.Send.Reset()
-	l.Recv.Reset()
-	l.crcErrors, l.received = 0, 0
-	l.stalls = nil
-}
+// Reset clears the injected stall windows.
+func (l *LinkIF) Reset() { l.stalls = nil }
 
 // NI is a node's full network interface: two link interfaces, one per
-// network plane.
+// network plane. The zero value is ready to use.
 type NI struct {
-	Links [LinksPerNode]*LinkIF
-}
-
-// New builds a node NI.
-func New() *NI {
-	n := &NI{}
-	for i := range n.Links {
-		n.Links[i] = NewLinkIF()
-	}
-	return n
+	Links [LinksPerNode]LinkIF
 }
 
 // Reset clears both link interfaces.
 func (n *NI) Reset() {
-	for _, l := range n.Links {
-		l.Reset()
+	for i := range n.Links {
+		n.Links[i].Reset()
 	}
-}
-
-// StatusWord encodes the memory-mapped status register a polling CPU
-// reads: send-FIFO free bytes in the low half, receive-FIFO available
-// bytes in the high half.
-func StatusWord(sendSpace, recvAvail int) uint64 {
-	return uint64(uint32(sendSpace)) | uint64(uint32(recvAvail))<<32
-}
-
-// DecodeStatus splits a status word.
-func DecodeStatus(w uint64) (sendSpace, recvAvail int) {
-	return int(uint32(w)), int(uint32(w >> 32))
 }
 
 // Frame layout after the route bytes (which the crossbars consume):
-// 2-byte big-endian payload length, payload, 2-byte CRC-16 over the
-// payload. The route prefix varies per path; WireBytes accounts for it.
+// 2-byte payload length, payload, 2-byte CRC-16 over the payload. The
+// route prefix varies per path; WireBytes accounts for it.
 const frameOverhead = 4 // length + CRC
-
-// EncodeFrame builds the on-wire message: route prefix, length, payload,
-// CRC. The CRC is the real link checksum over the payload.
-func EncodeFrame(route, payload []byte) []byte {
-	out := make([]byte, 0, len(route)+2+len(payload)+2)
-	out = append(out, route...)
-	var lenB [2]byte
-	binary.BigEndian.PutUint16(lenB[:], uint16(len(payload)))
-	out = append(out, lenB[:]...)
-	out = append(out, payload...)
-	var crcB [2]byte
-	binary.BigEndian.PutUint16(crcB[:], link.CRC16(payload))
-	return append(out, crcB[:]...)
-}
-
-// DecodeBody parses a frame body (after the crossbars consumed the route
-// bytes) and verifies the CRC.
-func DecodeBody(body []byte) ([]byte, error) {
-	if len(body) < frameOverhead {
-		return nil, fmt.Errorf("ni: frame body %d bytes too short", len(body))
-	}
-	n := int(binary.BigEndian.Uint16(body[:2]))
-	if len(body) != frameOverhead+n {
-		return nil, fmt.Errorf("ni: frame body %d bytes, want %d", len(body), frameOverhead+n)
-	}
-	payload := body[2 : 2+n]
-	want := binary.BigEndian.Uint16(body[2+n:])
-	if !link.CheckCRC16(payload, want) {
-		return nil, fmt.Errorf("ni: CRC mismatch")
-	}
-	return payload, nil
-}
 
 // WireBytes reports the total on-wire length of a message with the given
 // route prefix and payload sizes, including the close command byte that

@@ -12,7 +12,6 @@ package sim
 type Resource struct {
 	free Time // earliest time the next request can start
 	busy Time // accumulated busy time
-	uses int64
 }
 
 // Acquire reserves the resource for dur starting no earlier than at,
@@ -24,13 +23,7 @@ func (r *Resource) Acquire(at, dur Time) (start Time) {
 	start = Max(at, r.free)
 	r.free = start + dur
 	r.busy += dur
-	r.uses++
 	return start
-}
-
-// AcquireWait is Acquire returning the queuing delay instead of the start.
-func (r *Resource) AcquireWait(at, dur Time) (wait Time) {
-	return r.Acquire(at, dur) - at
 }
 
 // FreeAt reports when the resource next becomes free.
@@ -38,9 +31,6 @@ func (r *Resource) FreeAt() Time { return r.free }
 
 // Busy reports total accumulated busy time.
 func (r *Resource) Busy() Time { return r.busy }
-
-// Uses reports how many acquisitions have been made.
-func (r *Resource) Uses() int64 { return r.uses }
 
 // Utilization reports busy time as a fraction of the elapsed window.
 // A window of zero yields zero.
@@ -70,12 +60,6 @@ func (p *Pipelined) Acquire(at Time) (done Time) {
 	start := p.res.Acquire(at, p.Interval)
 	return start + p.Latency
 }
-
-// Busy reports accumulated initiation-slot time.
-func (p *Pipelined) Busy() Time { return p.res.Busy() }
-
-// Uses reports how many acquisitions have been made.
-func (p *Pipelined) Uses() int64 { return p.res.Uses() }
 
 // Reset clears the timeline, keeping the configuration.
 func (p *Pipelined) Reset() { p.res.Reset() }

@@ -208,14 +208,11 @@ func TestResourceQueuing(t *testing.T) {
 	if r.Busy() != 30 {
 		t.Errorf("Busy() = %v, want 30", r.Busy())
 	}
-	if r.Uses() != 3 {
-		t.Errorf("Uses() = %d, want 3", r.Uses())
-	}
 	if got := r.Utilization(110); got < 0.272 || got > 0.273 {
 		t.Errorf("Utilization = %g, want ~0.2727", got)
 	}
-	if w := r.AcquireWait(100, 5); w != 10 {
-		t.Errorf("AcquireWait = %v, want 10 (resource busy until 110)", w)
+	if start := r.Acquire(100, 5); start != 110 {
+		t.Errorf("queued start = %v, want 110 (resource busy until 110)", start)
 	}
 	r.Reset()
 	if r.Busy() != 0 || r.FreeAt() != 0 {
@@ -232,9 +229,6 @@ func TestPipelinedOverlap(t *testing.T) {
 	d3 := p.Acquire(0)
 	if d1 != 20 || d2 != 22 || d3 != 24 {
 		t.Errorf("pipelined completions = %v %v %v, want 20 22 24", d1, d2, d3)
-	}
-	if p.Uses() != 3 {
-		t.Errorf("Uses = %d", p.Uses())
 	}
 	p.Reset()
 	if got := p.Acquire(100); got != 120 {

@@ -1,7 +1,7 @@
 // Package telemetry is the windowed time-series layer over the
 // deterministic metrics registry: where internal/metrics answers "how
 // much, how often, how spread" for a whole run, this package answers
-// *when* — per-window counts, levels and distribution snapshots on a
+// *when* — per-window counts and distribution snapshots on a
 // fixed simulated-time grid, the view that turns "p999 blew the SLO"
 // into "p999 blew the SLO in windows 11–14, right after the link cut".
 //
@@ -37,7 +37,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"powermanna/internal/sim"
 )
@@ -70,7 +69,6 @@ type Sampler struct {
 	width   sim.Time
 	windows int
 	series  map[string]*Series
-	gauges  map[string]*GaugeSeries
 	hists   map[string]*HistSeries
 }
 
@@ -89,7 +87,6 @@ func NewSampler(horizon, width sim.Time) *Sampler {
 		width:   width,
 		windows: n,
 		series:  make(map[string]*Series),
-		gauges:  make(map[string]*GaugeSeries),
 		hists:   make(map[string]*HistSeries),
 	}
 }
@@ -111,9 +108,6 @@ func (s *Sampler) Windows() int {
 	return s.windows
 }
 
-// Enabled reports whether the sampler records anything; safe on nil.
-func (s *Sampler) Enabled() bool { return s != nil }
-
 // cellIndex maps an observation instant onto the grid: its window, or
 // the tail cell (index windows) past the grid; instants before time
 // zero clamp into window 0 (they cannot occur in a well-formed model,
@@ -134,7 +128,6 @@ func cellIndex(at, width sim.Time, windows int) int {
 // Series is a windowed counter: one int64 accumulator per grid cell.
 // The zero value of *Series — nil — no-ops.
 type Series struct {
-	name  string
 	width sim.Time
 	cells []int64
 }
@@ -164,55 +157,6 @@ func (c *Series) Cell(i int) int64 {
 	return c.cells[i]
 }
 
-// Total sums every cell including the tail (0 on a nil series).
-func (c *Series) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	var t int64
-	for _, v := range c.cells {
-		t += v
-	}
-	return t
-}
-
-// GaugeSeries is a windowed high-water mark: one maximum per grid cell.
-// Maxima (unlike last-value gauges) fold commutatively across shards,
-// which is why this is the windowed gauge shape. The zero value of
-// *GaugeSeries — nil — no-ops.
-type GaugeSeries struct {
-	name  string
-	width sim.Time
-	// set marks cells that saw at least one observation, so a recorded
-	// zero is distinguishable from an empty cell.
-	set   []bool
-	cells []int64
-}
-
-// Max raises the window containing at to v if v exceeds the cell's
-// current maximum. No-op on nil.
-//
-//pmlint:hotpath
-func (g *GaugeSeries) Max(at sim.Time, v int64) {
-	if g == nil {
-		return
-	}
-	i := cellIndex(at, g.width, len(g.cells)-1)
-	if !g.set[i] || v > g.cells[i] {
-		g.set[i] = true
-		g.cells[i] = v
-	}
-}
-
-// Cell reports window i's maximum and whether the cell saw any
-// observation. Zero/false on a nil series or out-of-range index.
-func (g *GaugeSeries) Cell(i int) (int64, bool) {
-	if g == nil || i < 0 || i >= len(g.cells) {
-		return 0, false
-	}
-	return g.cells[i], g.set[i]
-}
-
 // HistCell is one window's distribution snapshot: exact count, sum and
 // extrema of the observations that landed in the window. Every field
 // folds commutatively (sums and extrema), so merged snapshots are
@@ -232,12 +176,8 @@ func (c HistCell) Mean() int64 {
 // HistSeries is a windowed distribution: one HistCell per grid cell.
 // The zero value of *HistSeries — nil — no-ops.
 type HistSeries struct {
-	name  string
 	width sim.Time
-	// timeValued marks observations as sim.Time picoseconds (rendered
-	// as microseconds).
-	timeValued bool
-	cells      []HistCell
+	cells []HistCell
 }
 
 // Observe tallies one value into the window containing at. No-op on
@@ -281,53 +221,29 @@ func (s *Sampler) Series(name string) *Series {
 	}
 	c, ok := s.series[name]
 	if !ok {
-		c = &Series{name: name, width: s.width, cells: make([]int64, s.windows+1)}
+		c = &Series{width: s.width, cells: make([]int64, s.windows+1)}
 		s.series[name] = c
 	}
 	return c
 }
 
-// Gauge returns the named windowed high-water mark, creating it on
-// first use. A nil sampler returns a nil (no-op) series.
-func (s *Sampler) Gauge(name string) *GaugeSeries {
-	if s == nil {
-		return nil
-	}
-	g, ok := s.gauges[name]
-	if !ok {
-		g = &GaugeSeries{name: name, width: s.width, set: make([]bool, s.windows+1), cells: make([]int64, s.windows+1)}
-		s.gauges[name] = g
-	}
-	return g
-}
-
-// Hist returns the named windowed distribution, creating it on first
-// use. A nil sampler returns a nil (no-op) series.
-func (s *Sampler) Hist(name string) *HistSeries {
+// TimeHist returns the named windowed distribution of simulated
+// durations, creating it on first use. A nil sampler returns a nil
+// (no-op) series.
+func (s *Sampler) TimeHist(name string) *HistSeries {
 	if s == nil {
 		return nil
 	}
 	h, ok := s.hists[name]
 	if !ok {
-		h = &HistSeries{name: name, width: s.width, cells: make([]HistCell, s.windows+1)}
+		h = &HistSeries{width: s.width, cells: make([]HistCell, s.windows+1)}
 		s.hists[name] = h
 	}
 	return h
 }
 
-// TimeHist is Hist with simulated-time observations, rendered as
-// microseconds in the dump. A nil sampler returns a nil series.
-func (s *Sampler) TimeHist(name string) *HistSeries {
-	if s == nil {
-		return nil
-	}
-	h := s.Hist(name)
-	h.timeValued = true
-	return h
-}
-
 // MergeFrom folds another sampler's cells into this one: counters and
-// histogram snapshots add, gauges keep cell-wise maxima. Both samplers
+// histogram counts and sums add, histogram extrema keep the wider one. Both samplers
 // must share the grid (width and window count) — a mismatch panics,
 // because silently re-bucketing would corrupt the series. Instruments
 // missing on the destination are created. Merging is the single-
@@ -348,18 +264,8 @@ func (s *Sampler) MergeFrom(src *Sampler) {
 			dst.cells[i] += v
 		}
 	}
-	for _, name := range sortedKeys(src.gauges) {
-		dst, sg := s.Gauge(name), src.gauges[name]
-		for i, v := range sg.cells {
-			if sg.set[i] && (!dst.set[i] || v > dst.cells[i]) {
-				dst.set[i] = true
-				dst.cells[i] = v
-			}
-		}
-	}
 	for _, name := range sortedKeys(src.hists) {
-		dst, sh := s.Hist(name), src.hists[name]
-		dst.timeValued = dst.timeValued || sh.timeValued
+		dst, sh := s.TimeHist(name), src.hists[name]
 		for i, c := range sh.cells {
 			d := &dst.cells[i]
 			if c.Count == 0 {
@@ -399,62 +305,4 @@ func (s *Sampler) WindowLabel(i int) string {
 		return fmt.Sprintf(">=%dus", int64(s.windows)*us)
 	}
 	return fmt.Sprintf("[%d,%d)us", int64(i)*us, int64(i+1)*us)
-}
-
-// Render produces the sampler's stable text dump: one block per
-// instrument, sorted by name within each kind, one line per non-empty
-// cell. A pure function of the recorded observations; a nil sampler
-// renders the empty string. Layer-specific reports (internal/traffic's
-// per-tenant series tables) render richer views off the same cells.
-func (s *Sampler) Render() string {
-	if s == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- telemetry (window %dus, %d windows + tail) --\n",
-		int64(s.width/sim.Microsecond), s.windows)
-	for _, name := range sortedKeys(s.series) {
-		c := s.series[name]
-		fmt.Fprintf(&b, "series     %s  total=%d\n", name, c.Total())
-		for i, v := range c.cells {
-			if v != 0 {
-				fmt.Fprintf(&b, "  %s  %d\n", s.WindowLabel(i), v)
-			}
-		}
-	}
-	for _, name := range sortedKeys(s.gauges) {
-		g := s.gauges[name]
-		fmt.Fprintf(&b, "gauge      %s\n", name)
-		for i := range g.cells {
-			if g.set[i] {
-				fmt.Fprintf(&b, "  %s  %d\n", s.WindowLabel(i), g.cells[i])
-			}
-		}
-	}
-	for _, name := range sortedKeys(s.hists) {
-		h := s.hists[name]
-		fmt.Fprintf(&b, "hist       %s\n", name)
-		for i, c := range h.cells {
-			if c.Count != 0 {
-				fmt.Fprintf(&b, "  %s  count=%d mean=%s min=%s max=%s\n",
-					s.WindowLabel(i), c.Count, h.renderValue(c.Mean()), h.renderValue(c.Min), h.renderValue(c.Max))
-			}
-		}
-	}
-	return b.String()
-}
-
-// renderValue formats one observation-domain value: exact decimal
-// microseconds for time-valued series (1 ps = 1e-6 µs, float-free),
-// the raw integer otherwise.
-func (h *HistSeries) renderValue(v int64) string {
-	if !h.timeValued {
-		return fmt.Sprintf("%d", v)
-	}
-	neg := ""
-	if v < 0 {
-		neg = "-"
-		v = -v
-	}
-	return fmt.Sprintf("%s%d.%06dus", neg, v/1_000_000, v%1_000_000)
 }

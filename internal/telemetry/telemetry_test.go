@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,32 +47,14 @@ func TestWindowIndexing(t *testing.T) {
 			t.Errorf("cell %d = %d, want %d", i, got, want)
 		}
 	}
-	if c.Total() != 7 {
-		t.Errorf("Total() = %d, want 7", c.Total())
-	}
 }
 
-func TestGaugeAndHistCells(t *testing.T) {
+func TestHistCells(t *testing.T) {
 	s := NewSampler(50*sim.Microsecond, 25*sim.Microsecond)
-	g := s.Gauge("depth")
-	g.Max(0, 3)
-	g.Max(sim.Microsecond, 1) // lower: window 0 keeps 3
-	g.Max(30*sim.Microsecond, 0)
-	if v, ok := g.Cell(0); !ok || v != 3 {
-		t.Errorf("gauge cell 0 = %d,%v, want 3,true", v, ok)
-	}
-	// A recorded zero is distinguishable from an empty cell.
-	if v, ok := g.Cell(1); !ok || v != 0 {
-		t.Errorf("gauge cell 1 = %d,%v, want 0,true", v, ok)
-	}
-	if _, ok := g.Cell(2); ok {
-		t.Error("gauge tail cell should be empty")
-	}
-
-	h := s.Hist("lat")
+	h := s.TimeHist("lat")
 	h.Observe(0, 10)
 	h.Observe(sim.Microsecond, 4)
-	h.Observe(2*sim.Microsecond, 7)
+	h.ObserveTime(2*sim.Microsecond, 7)
 	c := h.Cell(0)
 	if c.Count != 3 || c.Sum != 21 || c.Min != 4 || c.Max != 10 || c.Mean() != 7 {
 		t.Errorf("hist cell 0 = %+v, want count=3 sum=21 min=4 max=10 mean=7", c)
@@ -83,33 +66,36 @@ func TestGaugeAndHistCells(t *testing.T) {
 
 func TestNilSamplerNoOps(t *testing.T) {
 	var s *Sampler
-	if s.Enabled() {
-		t.Error("nil sampler reports enabled")
-	}
-	if s.Window() != 0 || s.Windows() != 0 || s.WindowLabel(0) != "" || s.Render() != "" {
+	if s.Window() != 0 || s.Windows() != 0 || s.WindowLabel(0) != "" {
 		t.Error("nil sampler accessors should be zero-valued")
 	}
 	// Nil instruments from a nil sampler must all no-op.
 	s.Series("x").Add(0, 1)
 	s.Series("x").Inc(0)
-	s.Gauge("x").Max(0, 1)
-	s.Hist("x").Observe(0, 1)
+	s.TimeHist("x").Observe(0, 1)
 	s.TimeHist("x").ObserveTime(0, sim.Microsecond)
 	s.MergeFrom(NewSampler(sim.Microsecond, 0))
 	NewSampler(sim.Microsecond, 0).MergeFrom(s)
-	if s.Series("x").Total() != 0 || s.Series("x").Cell(0) != 0 {
+	if s.Series("x").Cell(0) != 0 {
 		t.Error("nil series should read zero")
 	}
-	if _, ok := s.Gauge("x").Cell(0); ok {
-		t.Error("nil gauge should read empty")
-	}
-	if (s.Hist("x").Cell(0) != HistCell{}) {
+	if (s.TimeHist("x").Cell(0) != HistCell{}) {
 		t.Error("nil hist should read zero cells")
 	}
 }
 
+// dump renders every cell of the instruments TestMergeCommutes creates.
+func dump(s *Sampler) string {
+	var b strings.Builder
+	for i := 0; i <= s.Windows(); i++ {
+		fmt.Fprintf(&b, "%s sent=%d viol=%d lat=%+v\n", s.WindowLabel(i),
+			s.Series("sent").Cell(i), s.Series("viol").Cell(i), s.TimeHist("lat").Cell(i))
+	}
+	return b.String()
+}
+
 // TestMergeCommutes folds three shard samplers in both orders and
-// demands identical renders — the property that makes the rendered
+// demands identical cells — the property that makes the rendered
 // series independent of shard count and merge order.
 func TestMergeCommutes(t *testing.T) {
 	build := func(obs ...func(*Sampler)) *Sampler {
@@ -121,17 +107,14 @@ func TestMergeCommutes(t *testing.T) {
 	}
 	a := func(s *Sampler) {
 		s.Series("sent").Add(10*sim.Microsecond, 5)
-		s.Gauge("depth").Max(30*sim.Microsecond, 2)
 		s.TimeHist("lat").ObserveTime(40*sim.Microsecond, 3*sim.Microsecond)
 	}
 	b := func(s *Sampler) {
 		s.Series("sent").Add(10*sim.Microsecond, 7)
 		s.Series("viol").Inc(60 * sim.Microsecond)
-		s.Gauge("depth").Max(30*sim.Microsecond, 9)
 		s.TimeHist("lat").ObserveTime(40*sim.Microsecond, sim.Microsecond)
 	}
 	c := func(s *Sampler) {
-		s.Gauge("depth").Max(80*sim.Microsecond, 1)
 		s.TimeHist("lat").ObserveTime(140*sim.Microsecond, 9*sim.Microsecond)
 	}
 
@@ -140,9 +123,9 @@ func TestMergeCommutes(t *testing.T) {
 		for _, p := range parts {
 			dst.MergeFrom(build(p))
 		}
-		return dst.Render()
+		return dump(dst)
 	}
-	seq := build(a, b, c).Render()
+	seq := dump(build(a, b, c))
 	if got := fold(a, b, c); got != seq {
 		t.Errorf("fold(a,b,c) != sequential:\n%s\nvs\n%s", got, seq)
 	}
@@ -161,43 +144,17 @@ func TestMergeGridMismatchPanics(t *testing.T) {
 		MergeFrom(NewSampler(100*sim.Microsecond, 50*sim.Microsecond))
 }
 
-func TestRenderStable(t *testing.T) {
-	s := NewSampler(50*sim.Microsecond, 25*sim.Microsecond)
-	s.Series("b.sent").Add(0, 2)
-	s.Series("a.sent").Add(30*sim.Microsecond, 1)
-	s.TimeHist("lat").ObserveTime(60*sim.Microsecond, 1500*sim.Nanosecond)
-	got := s.Render()
-	want := strings.Join([]string{
-		"-- telemetry (window 25us, 2 windows + tail) --",
-		"series     a.sent  total=1",
-		"  [25,50)us  1",
-		"series     b.sent  total=2",
-		"  [0,25)us  2",
-		"hist       lat",
-		"  >=50us  count=1 mean=1.500000us min=1.500000us max=1.500000us",
-		"",
-	}, "\n")
-	if got != want {
-		t.Errorf("Render mismatch:\n got: %q\nwant: %q", got, want)
-	}
-	if got2 := s.Render(); got2 != got {
-		t.Error("Render not stable across calls")
-	}
-}
-
-// TestZeroAllocObserve pins the window-roll hot path — counter add,
-// gauge max, histogram observe — at zero allocations per operation,
+// TestZeroAllocObserve pins the window-roll hot path — counter add and
+// histogram observe — at zero allocations per operation,
 // the contract the //pmlint:hotpath annotations declare.
 func TestZeroAllocObserve(t *testing.T) {
 	s := NewSampler(800*sim.Microsecond, 0)
 	c := s.Series("sent")
-	g := s.Gauge("depth")
 	h := s.TimeHist("lat")
 	at := sim.Time(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(at, 3)
 		c.Inc(at + 40*sim.Microsecond)
-		g.Max(at, int64(at/1000)+1)
 		h.Observe(at, int64(at%977))
 		h.ObserveTime(at, sim.Microsecond+at%1000)
 		at += 1337 * sim.Nanosecond

@@ -1,11 +1,13 @@
 package traffic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"powermanna/internal/psim"
 	"powermanna/internal/sim"
+	"powermanna/internal/telemetry"
 	"powermanna/internal/topo"
 )
 
@@ -30,10 +32,51 @@ func telemetryRun(t *testing.T, kind psim.Kind, shards int, seed int64, faultAt 
 	return res
 }
 
-// telemetryViews joins every rendered telemetry surface into one string
-// so a single comparison pins them all.
+// rawSeries dumps every cell of every tenant's windowed instruments:
+// one line per non-empty cell, counters as values, histograms as exact
+// count, sum and extrema.
+func rawSeries(r *Result) string {
+	var b strings.Builder
+	tel := r.Telemetry
+	for _, tn := range r.Mix.Tenants {
+		ts := resolveTenantSeries(tel, tn.Name)
+		counters := []struct {
+			name string
+			s    *telemetry.Series
+		}{
+			{SeriesOfferedPrefix, ts.offered}, {SeriesDeliveredPrefix, ts.delivered},
+			{SeriesFailedPrefix, ts.failed}, {SeriesViolationsPrefix, ts.violations},
+		}
+		hists := []*telemetry.HistSeries{ts.lat, ts.wait[0], ts.wait[1], ts.wait[2], ts.wait[3]}
+		for w := 0; w <= tel.Windows(); w++ {
+			for _, c := range counters {
+				if v := c.s.Cell(w); v != 0 {
+					fmt.Fprintf(&b, "series %s%s %s %d\n", c.name, tn.Name, tel.WindowLabel(w), v)
+				}
+			}
+			for i, h := range hists {
+				if c := h.Cell(w); c.Count != 0 {
+					fmt.Fprintf(&b, "hist %d.%s %s %+v\n", i, tn.Name, tel.WindowLabel(w), c)
+				}
+			}
+		}
+	}
+	return b.String()
+}
+
+// total sums every cell of a series, the tail included.
+func total(s *telemetry.Series, tel *telemetry.Sampler) int64 {
+	var n int64
+	for w := 0; w <= tel.Windows(); w++ {
+		n += s.Cell(w)
+	}
+	return n
+}
+
+// telemetryViews joins every telemetry surface into one string so a
+// single comparison pins them all.
 func telemetryViews(r *Result) string {
-	return r.Telemetry.Render() + "\n" + r.BurnTable().Render() + "\n" +
+	return rawSeries(r) + "\n" + r.BurnTable().Render() + "\n" +
 		r.DecompTable().Render() + "\n" + r.SeriesCSV()
 }
 
@@ -55,7 +98,7 @@ func TestTelemetryByteIdenticalAcrossShards(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		ref := telemetryViews(telemetryRun(t, cfgs[0].kind, cfgs[0].shards, seed, 0))
-		if !strings.Contains(ref, "series     offered.") {
+		if !strings.Contains(ref, "series offered.") {
 			t.Fatalf("seed %d: reference run recorded no offered series:\n%s", seed, ref)
 		}
 		for _, c := range cfgs[1:] {
@@ -106,16 +149,16 @@ func TestTelemetryDecompSumsExact(t *testing.T) {
 				st = cand
 			}
 		}
-		if got := ts.offered.Total(); got != st.Offered {
+		if got := total(ts.offered, tel); got != st.Offered {
 			t.Errorf("%s: series offered %d != counter %d", tn.Name, got, st.Offered)
 		}
-		if got := ts.delivered.Total(); got != st.Delivered {
+		if got := total(ts.delivered, tel); got != st.Delivered {
 			t.Errorf("%s: series delivered %d != counter %d", tn.Name, got, st.Delivered)
 		}
-		if got := ts.failed.Total(); got != st.Failed {
+		if got := total(ts.failed, tel); got != st.Failed {
 			t.Errorf("%s: series failed %d != counter %d", tn.Name, got, st.Failed)
 		}
-		if got := ts.violations.Total(); got != st.Violations {
+		if got := total(ts.violations, tel); got != st.Violations {
 			t.Errorf("%s: series violations %d != counter %d", tn.Name, got, st.Violations)
 		}
 	}

@@ -143,7 +143,8 @@ func TestServiceAccounting(t *testing.T) {
 	}
 	// The datapath counts launched attempts: at least one per offered
 	// message, more when open-loop FIFO stalls force a failover retry.
-	if sent := eng.PartNetwork().MessagesSent(); sent < offered {
+	pn := eng.PartNetwork()
+	if sent := pn.Plane(topo.NetworkA).Attempts + pn.Plane(topo.NetworkB).Attempts; sent < offered {
 		t.Errorf("datapath launched %d attempts, below %d offered messages", sent, offered)
 	}
 	if _, err := eng.Run(); err == nil {

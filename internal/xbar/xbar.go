@@ -43,10 +43,6 @@ const Ports = 16
 // "this through-routing takes only 0.2 microseconds").
 const RouteSetup = 200 * sim.Nanosecond
 
-// InputFIFOBytes is the per-input buffering integrated on the ASIC.
-// Calibrated: enough for a burst of a few lines under soft flow control.
-const InputFIFOBytes = 256
-
 // Crossbar is one 16×16 crossbar instance.
 type Crossbar struct {
 	name    string
@@ -68,9 +64,6 @@ type Crossbar struct {
 
 // New builds a crossbar.
 func New(name string) *Crossbar { return &Crossbar{name: name} }
-
-// Name returns the crossbar's label.
-func (x *Crossbar) Name() string { return x.name }
 
 // Trace attaches a recorder under the given crossbar ordinal (its index
 // in the owning network); a nil recorder detaches. Circuit holds,
@@ -96,42 +89,13 @@ func (x *Crossbar) Metrics(m *metrics.Registry, plane string) {
 	}
 }
 
-// DecodeRoute interprets a route command byte as an output channel.
-// The crossbar consumes this byte from the header.
-func DecodeRoute(b byte) (int, error) {
-	if int(b) >= Ports {
-		return 0, fmt.Errorf("xbar: route byte %d exceeds %d ports", b, Ports)
-	}
-	return int(b), nil
-}
-
-// EncodeRoute builds the route command byte for an output channel.
+// EncodeRoute builds the route command byte for an output channel; the
+// crossbar consumes it from the header.
 func EncodeRoute(out int) byte {
 	if out < 0 || out >= Ports {
 		panic(fmt.Sprintf("xbar: output %d out of range", out))
 	}
 	return byte(out)
-}
-
-// Connect opens a wormhole circuit from an input to output channel out,
-// starting no earlier than at, holding the output for hold (the time the
-// message body needs to stream through, up to the close command).
-// It returns when the circuit is established (route command decoded,
-// arbitration won, crosspoint set): data bytes behind the route byte flow
-// from setup onwards. Contention for a busy output delays setup.
-//
-//pmlint:hotpath
-func (x *Crossbar) Connect(at sim.Time, out int, hold sim.Time) (setup sim.Time) {
-	if out < 0 || out >= Ports {
-		panic(fmt.Sprintf("xbar %s: output %d out of range", x.name, out)) //pmlint:allow hotpath cold panic guard for a routing bug, never taken per message
-	}
-	start := x.outputs[out].Acquire(at, RouteSetup+hold)
-	if start > at {
-		x.blocked++
-	}
-	x.opened++
-	x.traceHold(at, start, start+RouteSetup+hold, out)
-	return start + RouteSetup
 }
 
 // traceHold records one circuit's arbitration wait (if any) and its
@@ -239,9 +203,6 @@ type Stats struct {
 func (x *Crossbar) Stats() Stats {
 	return Stats{Opened: x.opened, Blocked: x.blocked, Stuck: x.stuck}
 }
-
-// OutputBusy reports the accumulated busy time of one output channel.
-func (x *Crossbar) OutputBusy(out int) sim.Time { return x.outputs[out].Busy() }
 
 // Reset clears all circuit timelines and counters.
 func (x *Crossbar) Reset() {

@@ -13,16 +13,13 @@ func TestRouteSetupTime(t *testing.T) {
 	}
 }
 
+// The route command byte is the output index itself: the crossbar reads
+// it straight off the header as the channel to claim.
 func TestEncodeDecodeRoute(t *testing.T) {
 	for out := 0; out < Ports; out++ {
-		b := EncodeRoute(out)
-		got, err := DecodeRoute(b)
-		if err != nil || got != out {
-			t.Errorf("round trip %d -> %d (%v)", out, got, err)
+		if b := EncodeRoute(out); int(b) != out {
+			t.Errorf("EncodeRoute(%d) = %d", out, b)
 		}
-	}
-	if _, err := DecodeRoute(16); err == nil {
-		t.Error("route byte 16 accepted")
 	}
 }
 
@@ -35,9 +32,19 @@ func TestEncodeRoutePanicsOutOfRange(t *testing.T) {
 	EncodeRoute(Ports)
 }
 
+// connect opens a circuit the way the network's wormhole walk does: the
+// route command arrives at at, arbitration waits for the output to free
+// up, and the output stays claimed for the route setup plus hold. It
+// returns when the circuit stands.
+func connect(x *Crossbar, at sim.Time, out int, hold sim.Time) (setup sim.Time) {
+	start := sim.Max(at, x.OutputFreeAt(out))
+	x.HoldOutput(at, start, start+RouteSetup+hold, out)
+	return start + RouteSetup
+}
+
 func TestCollisionFreeSetup(t *testing.T) {
 	x := New("x0")
-	setup := x.Connect(0, 3, sim.Microsecond)
+	setup := connect(x, 0, 3, sim.Microsecond)
 	if setup != RouteSetup {
 		t.Errorf("collision-free setup = %v, want %v", setup, RouteSetup)
 	}
@@ -49,8 +56,8 @@ func TestCollisionFreeSetup(t *testing.T) {
 func TestOutputContentionSerializes(t *testing.T) {
 	x := New("x0")
 	hold := 2 * sim.Microsecond
-	s1 := x.Connect(0, 5, hold)
-	s2 := x.Connect(0, 5, hold)
+	s1 := connect(x, 0, 5, hold)
+	s2 := connect(x, 0, 5, hold)
 	// Second circuit waits for the first's hold plus its own setup.
 	want := RouteSetup + hold + RouteSetup
 	if s2 != want {
@@ -66,22 +73,22 @@ func TestOutputContentionSerializes(t *testing.T) {
 
 func TestDistinctOutputsIndependent(t *testing.T) {
 	x := New("x0")
-	s1 := x.Connect(0, 1, sim.Microsecond)
-	s2 := x.Connect(0, 2, sim.Microsecond)
+	s1 := connect(x, 0, 1, sim.Microsecond)
+	s2 := connect(x, 0, 2, sim.Microsecond)
 	if s1 != s2 {
 		t.Errorf("independent outputs interfered: %v vs %v", s1, s2)
 	}
 }
 
-func TestOutputBusyAccounting(t *testing.T) {
+func TestOutputHoldAccounting(t *testing.T) {
 	x := New("x0")
-	x.Connect(0, 7, sim.Microsecond)
+	connect(x, 0, 7, sim.Microsecond)
 	want := RouteSetup + sim.Microsecond
-	if got := x.OutputBusy(7); got != want {
-		t.Errorf("OutputBusy = %v, want %v", got, want)
+	if got := x.OutputFreeAt(7); got != want {
+		t.Errorf("OutputFreeAt = %v, want %v", got, want)
 	}
 	x.Reset()
-	if x.OutputBusy(7) != 0 || x.Stats().Opened != 0 {
+	if x.OutputFreeAt(7) != 0 || x.Stats().Opened != 0 {
 		t.Error("Reset incomplete")
 	}
 }
@@ -90,10 +97,10 @@ func TestConnectPanicsOutOfRange(t *testing.T) {
 	x := New("x0")
 	defer func() {
 		if recover() == nil {
-			t.Error("Connect(-1) did not panic")
+			t.Error("connect to output -1 did not panic")
 		}
 	}()
-	x.Connect(0, -1, 0)
+	connect(x, 0, -1, 0)
 }
 
 // Property: setup is never before at+RouteSetup, and circuits on one
@@ -104,7 +111,7 @@ func TestCircuitNonOverlapProperty(t *testing.T) {
 		var prevEnd sim.Time
 		for _, h := range holds {
 			hold := sim.Time(h) * sim.Nanosecond
-			setup := x.Connect(0, 0, hold)
+			setup := connect(x, 0, 0, hold)
 			start := setup - RouteSetup
 			if start < prevEnd {
 				return false
@@ -143,6 +150,8 @@ func TestHoldOutputPanics(t *testing.T) {
 	cases := []func(){
 		func() { x.HoldOutput(0, 10, 5, 0) }, // inverted window
 		func() { x.HoldOutput(0, 0, 1, 16) }, // port out of range
+		func() { x.HoldOutput(0, 0, 1, -1) },
+		func() { x.ClaimOutput(0, 1, Ports) },
 		func() { x.OutputFreeAt(-1) },
 	}
 	for i, fn := range cases {
