@@ -147,11 +147,13 @@ type Fabric interface {
 // address and data phases of different transactions overlap, but all
 // devices still arbitrate for each group.
 type SharedBus struct {
-	cfg   Config
-	mem   *mem.Memory
-	addr  sim.Resource // shared address/snoop wires
-	data  sim.Resource // shared data wires
-	stats Stats
+	cfg  Config
+	mem  *mem.Memory
+	addr sim.Resource // shared address/snoop wires
+	data sim.Resource // shared data wires
+	// dataBusy sums the data wires' occupancy for Utilization.
+	dataBusy sim.Time
+	stats    Stats
 }
 
 // NewShared builds a shared-bus fabric over m. Panics on invalid config.
@@ -178,7 +180,7 @@ func (b *SharedBus) FillLine(at sim.Time, lineAddr uint64, src Source) sim.Time 
 		ready = b.mem.ReadLine(at, lineAddr*uint64(b.cfg.LineBytes))
 	}
 	dur := b.cfg.lineTime()
-	start := b.data.Acquire(ready, dur)
+	start := b.acquireData(ready, dur)
 	b.stats.DataPhases++
 	b.stats.DataWait += start - ready
 	b.stats.LinesMoved++
@@ -189,13 +191,19 @@ func (b *SharedBus) FillLine(at sim.Time, lineAddr uint64, src Source) sim.Time 
 func (b *SharedBus) WritebackLine(at sim.Time, lineAddr uint64) sim.Time {
 	grant := b.GrantAddress(at)
 	dur := b.cfg.lineTime()
-	start := b.data.Acquire(grant, dur)
+	start := b.acquireData(grant, dur)
 	b.stats.DataPhases++
 	b.stats.DataWait += start - grant
 	b.stats.LinesMoved++
 	done := start + dur
 	b.mem.WriteLine(done, lineAddr*uint64(b.cfg.LineBytes))
 	return done
+}
+
+// acquireData claims the shared data wires, counting their busy time.
+func (b *SharedBus) acquireData(at, dur sim.Time) sim.Time {
+	b.dataBusy += dur
+	return b.data.Acquire(at, dur)
 }
 
 // Upgrade implements Fabric.
@@ -206,7 +214,7 @@ func (b *SharedBus) PIO(at sim.Time, bytes int) sim.Time {
 	b.stats.PIOs++
 	grant := b.GrantAddress(at)
 	dur := b.cfg.beatTime(bytes)
-	start := b.data.Acquire(grant, dur)
+	start := b.acquireData(grant, dur)
 	b.stats.DataWait += start - grant
 	return start + dur
 }
@@ -221,11 +229,12 @@ func (b *SharedBus) Stats() Stats { return b.stats }
 func (b *SharedBus) Reset() {
 	b.addr.Reset()
 	b.data.Reset()
+	b.dataBusy = 0
 	b.stats = Stats{}
 }
 
 // Utilization reports the shared data wires' busy fraction over a window.
-func (b *SharedBus) Utilization(window sim.Time) float64 { return b.data.Utilization(window) }
+func (b *SharedBus) Utilization(window sim.Time) float64 { return utilization(b.dataBusy, window) }
 
 // SwitchedFabric is the PowerMANNA node interconnect: the ADSP bus switch
 // gives every device a private point-to-point data path, and the central
@@ -238,7 +247,9 @@ type SwitchedFabric struct {
 	cfg   Config
 	mem   *mem.Memory
 	snoop sim.Resource // dispatcher-serialized address/snoop phases
-	stats Stats
+	// snoopBusy sums the address phases for SnoopUtilization.
+	snoopBusy sim.Time
+	stats     Stats
 }
 
 // NewSwitched builds the switched fabric over m. Panics on invalid config.
@@ -253,6 +264,7 @@ func NewSwitched(cfg Config, m *mem.Memory) *SwitchedFabric {
 func (f *SwitchedFabric) GrantAddress(at sim.Time) sim.Time {
 	f.stats.AddressPhases++
 	start := f.snoop.Acquire(at, f.cfg.addressTime())
+	f.snoopBusy += f.cfg.addressTime()
 	f.stats.AddressWait += start - at
 	return start + f.cfg.addressTime()
 }
@@ -299,13 +311,23 @@ func (f *SwitchedFabric) Stats() Stats { return f.stats }
 // Reset implements Fabric.
 func (f *SwitchedFabric) Reset() {
 	f.snoop.Reset()
+	f.snoopBusy = 0
 	f.stats = Stats{}
 }
 
 // SnoopUtilization reports the dispatcher address-phase busy fraction —
 // the quantity the paper identifies as the node's scaling limit.
 func (f *SwitchedFabric) SnoopUtilization(window sim.Time) float64 {
-	return f.snoop.Utilization(window)
+	return utilization(f.snoopBusy, window)
+}
+
+// utilization reports busy as a fraction of the elapsed window; a
+// window of zero yields zero.
+func utilization(busy, window sim.Time) float64 {
+	if window <= 0 {
+		return 0
+	}
+	return float64(busy) / float64(window)
 }
 
 var (

@@ -137,10 +137,9 @@ func RunPart(w *mpl.PWorld, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("heat: %d cells across %d ranks leaves blocks under 3 cells", cfg.Cells, p)
 	}
 
-	encode := func(v float64) []byte {
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-		return b
+	encode := func(b *[8]byte, v float64) []byte {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		return b[:]
 	}
 	decode := func(b []byte) float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(b))
@@ -156,16 +155,18 @@ func RunPart(w *mpl.PWorld, cfg Config) (Result, error) {
 		cur := make([]float64, n+2)
 		next := make([]float64, n+2)
 		initialBlock(cur[1:n+1], cfg.Cells, lo)
+		// Send copies the halo value, so one buffer serves every send.
+		var halo [8]byte
 
 		for s := 0; s < cfg.Steps; s++ {
 			tagL, tagR := 2*s, 2*s+1
 			if rank > 0 {
-				if err := r.Send(rank-1, tagR, encode(cur[1])); err != nil {
+				if err := r.Send(rank-1, tagR, encode(&halo, cur[1])); err != nil {
 					return err
 				}
 			}
 			if rank < p-1 {
-				if err := r.Send(rank+1, tagL, encode(cur[n])); err != nil {
+				if err := r.Send(rank+1, tagL, encode(&halo, cur[n])); err != nil {
 					return err
 				}
 			}

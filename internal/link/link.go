@@ -128,19 +128,17 @@ func (w *Wire) Reset() {
 }
 
 // Transceiver models the asynchronous inter-cabinet transceiver pair
-// (Section 3.2): extra latency for the asynchronous crossing and a
-// 2-Kbyte input FIFO that preserves soft flow control over the longer
-// stop-signal round trip.
+// (Section 3.2) as latency only: the extra delay of the asynchronous
+// crossing. The hardware's 2-Kbyte input FIFO, which keeps soft flow
+// control working over the longer stop-signal round trip, changes no
+// timing in the model and is not represented.
 type Transceiver struct {
 	// Latency is the added crossing delay per direction.
 	Latency sim.Time
-	// FIFOBytes is the async input FIFO (2 KB entries in the hardware).
-	FIFOBytes int
 }
 
 // DefaultTransceiver returns the PowerMANNA inter-cabinet transceiver:
-// 2 KB FIFOs; latency calibrated for tens-of-metres cabling plus
-// synchronization.
+// latency calibrated for tens-of-metres cabling plus synchronization.
 func DefaultTransceiver() Transceiver {
-	return Transceiver{Latency: 300 * sim.Nanosecond, FIFOBytes: 2048}
+	return Transceiver{Latency: 300 * sim.Nanosecond}
 }

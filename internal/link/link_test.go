@@ -117,9 +117,6 @@ func TestWireRateProperty(t *testing.T) {
 
 func TestDefaultTransceiver(t *testing.T) {
 	tr := DefaultTransceiver()
-	if tr.FIFOBytes != 2048 {
-		t.Errorf("transceiver FIFO = %d, want 2048 (Section 3.2)", tr.FIFOBytes)
-	}
 	if tr.Latency <= 0 {
 		t.Error("transceiver must add latency")
 	}

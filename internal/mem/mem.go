@@ -67,8 +67,10 @@ type Memory struct {
 	cfg      Config
 	banks    []sim.Pipelined
 	datapath sim.Resource
-	reads    int64
-	writes   int64
+	// datapathBusy sums the datapath occupancy for Stats.
+	datapathBusy sim.Time
+	reads        int64
+	writes       int64
 }
 
 // New builds a Memory from cfg. It panics on invalid configuration, which
@@ -100,6 +102,7 @@ func (m *Memory) ReadLine(at sim.Time, addr uint64) (done sim.Time) {
 	bankDone := m.bank(addr).Acquire(at)
 	// The datapath streams the line out after the bank produced it.
 	start := m.datapath.Acquire(bankDone, m.cfg.LineTransfer)
+	m.datapathBusy += m.cfg.LineTransfer
 	return start + m.cfg.LineTransfer
 }
 
@@ -109,6 +112,7 @@ func (m *Memory) ReadLine(at sim.Time, addr uint64) (done sim.Time) {
 func (m *Memory) WriteLine(at sim.Time, addr uint64) (accepted sim.Time) {
 	m.writes++
 	start := m.datapath.Acquire(at, m.cfg.LineTransfer)
+	m.datapathBusy += m.cfg.LineTransfer
 	m.bank(addr).Acquire(start + m.cfg.LineTransfer)
 	return start + m.cfg.LineTransfer
 }
@@ -121,7 +125,7 @@ type Stats struct {
 
 // Stats returns the accumulated counters.
 func (m *Memory) Stats() Stats {
-	return Stats{Reads: m.reads, Writes: m.writes, DatapathBusy: m.datapath.Busy()}
+	return Stats{Reads: m.reads, Writes: m.writes, DatapathBusy: m.datapathBusy}
 }
 
 // Reset clears all timelines and counters, keeping the configuration.
@@ -130,5 +134,5 @@ func (m *Memory) Reset() {
 		m.banks[i].Reset()
 	}
 	m.datapath.Reset()
-	m.reads, m.writes = 0, 0
+	m.datapathBusy, m.reads, m.writes = 0, 0, 0
 }

@@ -28,12 +28,15 @@ const (
 	tagGather  = 1 << 23
 )
 
-func encodeVec(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
+// sendVec sends v's little-endian bytes to dst, encoded into the
+// rank's scratch buffer (Send copies it into the message record).
+func (r *PRank) sendVec(dst, tag int, v []float64) error {
+	b := r.vecBuf[:0]
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
-	return out
+	r.vecBuf = b
+	return r.Send(dst, tag, b)
 }
 
 func decodeVec(b []byte) []float64 {
@@ -107,7 +110,7 @@ func (r *PRank) Bcast(vec []float64, tag int) ([]float64, error) {
 			data = decodeVec(b)
 			has = true
 		case rank%span == 0 && rank+1<<k < p && has:
-			if err := r.Send(rank+1<<k, tagBcast+tag, encodeVec(data)); err != nil {
+			if err := r.sendVec(rank+1<<k, tagBcast+tag, data); err != nil {
 				return nil, err
 			}
 		}
@@ -127,7 +130,7 @@ func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
 		span := 1 << (k + 1)
 		switch {
 		case rank%span == 1<<k:
-			if err := r.Send(rank-1<<k, tagReduce+tag+k, encodeVec(acc)); err != nil {
+			if err := r.sendVec(rank-1<<k, tagReduce+tag+k, acc); err != nil {
 				return nil, err
 			}
 		case rank%span == 0 && rank+1<<k < p:
@@ -135,12 +138,11 @@ func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			v := decodeVec(b)
-			if len(v) != n {
-				return nil, fmt.Errorf("mpl: rank %d reduce level %d got %d elements, want %d", rank, k, len(v), n)
+			if len(b) != 8*n {
+				return nil, fmt.Errorf("mpl: rank %d reduce level %d got %d elements, want %d", rank, k, len(b)/8, n)
 			}
 			for i := range acc {
-				acc[i] += v[i]
+				acc[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 			}
 			r.Compute(r.w.cycles(int64(n * reduceOpCyclesPerElement)))
 		}
@@ -154,7 +156,7 @@ func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
 func (r *PRank) Gather(vec []float64, tag int) ([][]float64, error) {
 	p, rank := r.Ranks(), r.rank
 	if rank != 0 {
-		if err := r.Send(0, tagGather+tag+rank, encodeVec(vec)); err != nil {
+		if err := r.sendVec(0, tagGather+tag+rank, vec); err != nil {
 			return nil, err
 		}
 		return nil, nil

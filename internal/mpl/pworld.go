@@ -27,6 +27,18 @@
 // ranks were stuck. A panic in a rank body propagates through next to
 // Run's caller.
 //
+// Message records — each message is one record with one owner at a
+// time: the sending rank fills it in Send (taken from its own free
+// list, or new), netsim carries the pointer through the split-phase
+// protocol and the psim mailboxes, the delivery hook queues it on the
+// receiving rank, and Recv hands out its payload and puts the record
+// on the receiving rank's free list at that rank's next Recv. A free
+// list is touched only by its rank's shard and a record crosses shards
+// only inside a mailbox payload. Sends and receives balance over a
+// halo exchange, so a steady-state send/recv allocates nothing. The
+// price is Recv's contract: the returned slice is valid until the
+// rank's next Recv, as with bufio.Scanner.Bytes.
+//
 // The build constraint raises this file's language version to go1.23,
 // the first with iter.Pull, while the module's go line stays at go1.22.
 //
@@ -66,19 +78,14 @@ const (
 	prRecvWait
 )
 
-// ptag is the cross-shard cargo of one mpl message: the user tag plus
-// the payload copy. It crosses psim mailboxes as immutable data.
-type ptag struct {
-	tag  int
-	data []byte
-}
-
-// pmessage is one delivered message in a rank's receive queue.
-type pmessage struct {
-	src, tag  int
-	payload   []byte
-	arrival   sim.Time
-	firstByte sim.Time
+// pcargo is one mpl message record: the sender fills it, it crosses
+// the network as SendAsync's payload (a pointer, so nothing is boxed)
+// and waits in the receiver's queue. Records are recycled per rank, so
+// payload keeps its capacity from one message to the next.
+type pcargo struct {
+	src, tag int
+	payload  []byte
+	arrival  sim.Time
 }
 
 // PWorld is one SPMD program run over a partitioned network: one rank
@@ -102,8 +109,14 @@ type PRank struct {
 	// clock is the rank's virtual CPU time, advanced only by its own
 	// sends, receives and computation.
 	clock sim.Time
-	queue []pmessage
-	state prState
+	queue []*pcargo
+	// free holds recycled records for Send; held is the record whose
+	// payload the last Recv returned, freed by the next Recv.
+	free []*pcargo
+	held *pcargo
+	// vecBuf is the collectives' encoding scratch.
+	vecBuf []byte
+	state  prState
 	// next, yield and stop are the rank coroutine's handles: the shard
 	// side resumes the rank with next, the rank parks with yield, and
 	// stop aborts a parked rank.
@@ -143,13 +156,11 @@ func NewPWorld(t *topo.Topology, shards int) (*PWorld, error) {
 		r.verdictFn = r.onVerdict
 		w.ranks = append(w.ranks, r)
 	}
-	pn.OnDeliver(func(src, dst int, payload any, first, last sim.Time) {
-		pt := payload.(ptag)
+	pn.OnDeliver(func(_, dst int, payload any, _, last sim.Time) {
+		c := payload.(*pcargo)
+		c.arrival = last
 		r := w.ranks[dst]
-		r.queue = append(r.queue, pmessage{
-			src: src, tag: pt.tag, payload: pt.data,
-			arrival: last, firstByte: first,
-		})
+		r.queue = append(r.queue, c)
 		if r.state == prRecvWait {
 			r.state = prRun
 			r.wake()
@@ -302,10 +313,16 @@ func (r *PRank) Send(dst, tag int, payload []byte) error {
 	}
 	start := r.clock + w.cycles(w.params.SendSetupCycles)
 	start += w.params.PIOWriteLine
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
+	var c *pcargo
+	if n := len(r.free); n > 0 {
+		c, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		c = new(pcargo)
+	}
+	c.src, c.tag = r.rank, tag
+	c.payload = append(c.payload[:0], payload...)
 	r.got = false
-	if err := w.pn.SendAsync(r.rank, dst, len(payload), ptag{tag: tag, data: cp}, start, r.verdictFn); err != nil {
+	if err := w.pn.SendAsync(r.rank, dst, len(payload), c, start, r.verdictFn); err != nil {
 		return err
 	}
 	if !r.got {
@@ -350,9 +367,15 @@ func (r *PRank) onVerdict(d netsim.Delivery) {
 // Recv blocks the rank until a message from src with the tag has fully
 // arrived, drains it from the receive FIFO and returns the payload.
 // Matching is FIFO within (src, tag), over the deterministic delivery
-// order of the partitioned network.
+// order of the partitioned network. The returned slice is valid until
+// this rank's next Recv, which recycles its record; the rank's own
+// Sends leave it intact, so it may be forwarded as is.
 func (r *PRank) Recv(src, tag int) ([]byte, error) {
 	w := r.w
+	if r.held != nil {
+		r.free = append(r.free, r.held)
+		r.held = nil
+	}
 	for {
 		for i, m := range r.queue {
 			if m.src != src || m.tag != tag {
@@ -362,8 +385,9 @@ func (r *PRank) Recv(src, tag int) ([]byte, error) {
 			// the hook's next append reuses it instead of reallocating.
 			last := len(r.queue) - 1
 			copy(r.queue[i:], r.queue[i+1:])
-			r.queue[last] = pmessage{}
+			r.queue[last] = nil
 			r.queue = r.queue[:last]
+			r.held = m
 			t := r.clock + w.cycles(w.params.PollCycles)
 			var wait sim.Time
 			if m.arrival > t {

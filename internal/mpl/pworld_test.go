@@ -370,6 +370,7 @@ func BenchmarkPWorldPingPong(b *testing.B) {
 			}
 			msg := make([]byte, 8)
 			n := b.N
+			b.ReportAllocs()
 			b.ResetTimer()
 			err = w.Run(func(r *PRank) error {
 				switch r.Rank() {
@@ -684,9 +685,9 @@ func TestCollectiveErrorPaths(t *testing.T) {
 
 // TestSendTracingOffAddsNoAllocs pins the nil-Recorder contract on the
 // send path: with no recorder attached, a steady-state 256-byte
-// send/recv round trip between System256 nodes 0 and 61 allocates only
-// the two payload copies and the two boxed message cargos that cross
-// the network.
+// send/recv round trip between System256 nodes 0 and 61 allocates
+// nothing, because each rank recycles the message records it receives
+// for its next sends.
 func TestSendTracingOffAddsNoAllocs(t *testing.T) {
 	const src, dst, warm, runs = 0, 61, 16, 200
 	w, err := NewPWorld(topo.System256(), 1)
@@ -736,9 +737,77 @@ func TestSendTracingOffAddsNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if allocs > 4 {
-		t.Errorf("send/recv round trip with tracing off = %.1f allocs, want <= 4", allocs)
+	if allocs != 0 {
+		t.Errorf("send/recv round trip with tracing off = %.1f allocs, want 0", allocs)
 	}
+}
+
+// TestRecvPayloadValidUntilNextRecv pins Recv's contract over recycled
+// records: a payload returned by Recv stays intact across the rank's
+// own Sends, which reuse the records of its earlier receives, and a
+// forwarded payload arrives intact even after the forwarder's next
+// Recv has recycled the record it came in.
+func TestRecvPayloadValidUntilNextRecv(t *testing.T) {
+	const warm = 4
+	fill := func(c byte) []byte { return bytes.Repeat([]byte{c}, 100) }
+	want := fill('k')
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		switch r.Rank() {
+		case 0:
+			// Rank 1's warm-up receives stock its free list.
+			for i := 0; i < warm; i++ {
+				if err := r.Send(1, i, fill('a'+byte(i))); err != nil {
+					return err
+				}
+			}
+			if err := r.Send(1, warm, want); err != nil {
+				return err
+			}
+			for i := 0; i < warm; i++ {
+				if _, err := r.Recv(1, i); err != nil {
+					return err
+				}
+			}
+			return r.Send(1, warm+1, fill('z'))
+		case 1:
+			for i := 0; i < warm; i++ {
+				if _, err := r.Recv(0, i); err != nil {
+					return err
+				}
+			}
+			b, err := r.Recv(0, warm)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < warm; i++ {
+				if err := r.Send(0, i, fill('x')); err != nil {
+					return err
+				}
+			}
+			if !bytes.Equal(b, want) {
+				return fmt.Errorf("payload changed by the rank's own sends: %q", b)
+			}
+			if err := r.Send(2, 0, b); err != nil {
+				return err
+			}
+			// Recycle b's record, then overwrite it with the next send.
+			if _, err := r.Recv(0, warm+1); err != nil {
+				return err
+			}
+			return r.Send(2, 1, fill('y'))
+		case 2:
+			b, err := r.Recv(1, 0)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(b, want) {
+				return fmt.Errorf("forwarded payload = %q, want %q", b, want)
+			}
+			_, err = r.Recv(1, 1)
+			return err
+		}
+		return nil
+	})
 }
 
 // TestPerRankRecvWaitViews checks the per-rank receive-wait breakout:

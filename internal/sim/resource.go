@@ -5,13 +5,13 @@ package sim
 // (bus address phases, data paths, memory banks, execution units).
 //
 // A Resource answers the question "if a request arrives at time t and needs
-// the unit for d, when does it actually start?" while accumulating total
-// busy time for utilization accounting. Requests must be presented in
-// non-decreasing arrival order per timeline, which the node models
-// guarantee by merging CPU streams by local time.
+// the unit for d, when does it actually start?". It keeps no busy total:
+// a model that reports utilization sums the durations it acquires.
+// Requests must be presented in non-decreasing arrival order per
+// timeline, which the node models guarantee by merging CPU streams by
+// local time.
 type Resource struct {
 	free Time // earliest time the next request can start
-	busy Time // accumulated busy time
 }
 
 // Acquire reserves the resource for dur starting no earlier than at,
@@ -22,24 +22,11 @@ type Resource struct {
 func (r *Resource) Acquire(at, dur Time) (start Time) {
 	start = Max(at, r.free)
 	r.free = start + dur
-	r.busy += dur
 	return start
 }
 
 // FreeAt reports when the resource next becomes free.
 func (r *Resource) FreeAt() Time { return r.free }
-
-// Busy reports total accumulated busy time.
-func (r *Resource) Busy() Time { return r.busy }
-
-// Utilization reports busy time as a fraction of the elapsed window.
-// A window of zero yields zero.
-func (r *Resource) Utilization(window Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(window)
-}
 
 // Reset clears the timeline.
 func (r *Resource) Reset() { *r = Resource{} }

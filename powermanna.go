@@ -197,7 +197,9 @@ type (
 
 var (
 	// NewWorld builds a message-passing world, one rank per node, over
-	// the given number of simulation shards (1 runs it serially).
+	// the given number of simulation shards (1 runs it serially). A
+	// payload returned by Rank.Recv is valid until that rank's next
+	// Recv, which recycles its buffer.
 	NewWorld = mpl.NewPWorld
 	// CollectiveDepth reports the binomial-tree depth over p ranks.
 	CollectiveDepth = mpl.CriticalDepth
