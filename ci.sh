@@ -4,9 +4,10 @@
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet (this module and the bench module), build, a check
 # that the node model's cache probes inline, race-enabled tests, one
-# iteration of each node-model, route-search, event-queue and
-# message-layer (internal/mpl, internal/heat) benchmark (so the
-# benchmarks keep running), the determinism-contract lint
+# iteration of each node-model, route-search, event-queue, network
+# (internal/netsim), EARTH-runtime (internal/earth) and message-layer
+# (internal/mpl, internal/heat) benchmark (so the benchmarks keep
+# running), the determinism-contract lint
 # (cmd/pmlint) and a build of every cmd/* binary. Every golden gate
 # runs under go test: the CLI goldens in golden_test.go
 # (TestCampaignGoldens, TestParallelEngineGoldens, TestDatapathGoldens,
@@ -51,8 +52,8 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
-echo "== node-model, route, event-queue and message-layer benchmarks =="
-go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim ./internal/mpl ./internal/heat
+echo "== node-model, route, event-queue, network, runtime and message-layer benchmarks =="
+go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim ./internal/netsim ./internal/earth ./internal/mpl ./internal/heat
 
 echo "== pmlint =="
 go run ./cmd/pmlint ./...

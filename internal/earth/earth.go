@@ -87,8 +87,31 @@ func DefaultParams() Params {
 type ProcID int
 
 // Proc is a threaded-procedure body: a fiber that runs to completion,
-// issuing split-phase operations through the context.
+// issuing split-phase operations through the context. ctx and args
+// belong to the runtime and are valid only while the fiber runs: the
+// node reuses both for its next fiber, so a Proc must not keep them.
 type Proc func(ctx *Ctx, args []int64)
+
+// maxArgs bounds the arguments of a fiber (Invoke, SyncSlot): they are
+// stored inline in the ready queue, sync slots and tokens, so spawning
+// a fiber allocates nothing. Fib passes five.
+const maxArgs = 5
+
+// fiberArgs are a fiber's arguments, stored inline.
+type fiberArgs struct {
+	n int
+	v [maxArgs]int64
+}
+
+// packArgs copies args inline; more than maxArgs is a program bug.
+func packArgs(args []int64) fiberArgs {
+	if len(args) > maxArgs {
+		panic(fmt.Sprintf("earth: %d fiber arguments, at most %d", len(args), maxArgs))
+	}
+	var a fiberArgs
+	a.n = copy(a.v[:], args)
+	return a
+}
 
 // SlotRef names a sync slot on a node.
 type SlotRef struct {
@@ -105,9 +128,25 @@ type System struct {
 	sched  sim.Engine
 	net    *netsim.Network
 	topo   *topo.Topology
-	nodes  []*nodeState
-	tps    []*netsim.Transport
+	nodes  []nodeState
+	tps    []netsim.Transport
 	procs  []Proc
+	// mem holds every node's memory words; slots every node's live sync
+	// slots, by value.
+	mem   map[memAddr]int64
+	slots map[SlotRef]syncSlot
+	// ready holds every node's ready fibers: a node's FIFO is linked
+	// through next from its head to its tail, and popped entries form
+	// the free list from freeReady, so the pool grows only with the
+	// machine's peak count of ready fibers. Index -1 ends a list.
+	ready     []readyEntry
+	freeReady int32
+	// events holds the runtime's scheduled events in the engine's
+	// (time, seq) order: at pushes each one here as it schedules fireFn,
+	// which is bound once, so every firing pops exactly its own event
+	// and rescheduling allocates nothing.
+	events sim.Queue[event]
+	fireFn func()
 
 	fibersRun int64
 	tokens    int64
@@ -134,7 +173,7 @@ type earthInstruments struct {
 
 type fiberInst struct {
 	proc ProcID
-	args []int64
+	args fiberArgs
 	// readyAt is when the fiber entered the ready queue; runFiber
 	// observes dequeue time minus readyAt as the dwell.
 	readyAt sim.Time
@@ -145,16 +184,69 @@ type syncSlot struct {
 	cont  fiberInst
 }
 
+// readyEntry is one fiber in the ready pool (System.ready).
+type readyEntry struct {
+	f    fiberInst
+	next int32
+}
+
+// memAddr names a word of one node's memory.
+type memAddr struct {
+	node int
+	addr uint64
+}
+
+// event is one scheduled runtime event: a run of node's EU or, when
+// deliver is set, token tk arriving at node's SU.
+type event struct {
+	node    int
+	deliver bool
+	tk      token
+}
+
 type nodeState struct {
-	id      int
-	euFree  sim.Time
-	suFree  sim.Time
-	euIdle  bool
-	ready   []fiberInst
-	mem     map[uint64]int64
-	slots   map[uint64]*syncSlot
-	nextSlt uint64
-	nextBuf uint64
+	euFree sim.Time
+	suFree sim.Time
+	euIdle bool
+	// head and tail index the node's ready FIFO of n fibers in
+	// System.ready.
+	head, tail int32
+	n          int
+	nextSlt    uint64
+	nextBuf    uint64
+	// ctx is the handle of every fiber the node's EU runs, reused from
+	// one fiber to the next.
+	ctx Ctx
+}
+
+// push appends f to ns's ready FIFO, reusing a free pool entry if one
+// is left.
+func (s *System) push(ns *nodeState, f fiberInst) {
+	i := s.freeReady
+	if i >= 0 {
+		s.freeReady = s.ready[i].next
+		s.ready[i] = readyEntry{f: f, next: -1}
+	} else {
+		i = int32(len(s.ready))
+		s.ready = append(s.ready, readyEntry{f: f, next: -1})
+	}
+	if ns.n == 0 {
+		ns.head = i
+	} else {
+		s.ready[ns.tail].next = i
+	}
+	ns.tail = i
+	ns.n++
+}
+
+// pop removes the oldest fiber of ns's ready FIFO.
+func (s *System) pop(ns *nodeState) fiberInst {
+	i := ns.head
+	e := &s.ready[i]
+	ns.head = e.next
+	ns.n--
+	e.next, s.freeReady = s.freeReady, i
+	return e.f
 }
 
 // New builds an EARTH system over a topology with the default failover
@@ -174,18 +266,22 @@ func NewWithEngine(t *topo.Topology, p Params, eng sim.Engine) *System {
 		sched:  eng,
 		net:    netsim.New(t),
 		topo:   t,
+		nodes:  make([]nodeState, t.Nodes()),
+		mem:    make(map[memAddr]int64),
+		slots:  make(map[SlotRef]syncSlot),
+		// No pool entry is free yet.
+		freeReady: -1,
 	}
-	for i := 0; i < t.Nodes(); i++ {
-		s.nodes = append(s.nodes, &nodeState{
-			id:     i,
+	s.tps = s.net.Transports(netsim.DefaultFailover())
+	s.fireFn = s.fire
+	for i := range s.nodes {
+		s.nodes[i] = nodeState{
 			euIdle: true,
-			mem:    make(map[uint64]int64),
-			slots:  make(map[uint64]*syncSlot),
 			// Buffers allocate downward from a high watermark so they
 			// never collide with program addresses.
 			nextBuf: 1 << 40,
-		})
-		s.tps = append(s.tps, s.net.MustTransport(i, netsim.DefaultFailover()))
+			ctx:     Ctx{sys: s, node: i},
+		}
 	}
 	return s
 }
@@ -223,8 +319,8 @@ func (s *System) SetMetrics(m *metrics.Registry) {
 	s.net.SetMetrics(m)
 	// Label the runtime's token traffic so its delivered latencies read
 	// separately from any co-tenant traffic sharing the network.
-	for _, tp := range s.tps {
-		tp.SetTenant("earth")
+	for i := range s.tps {
+		s.tps[i].SetTenant("earth")
 	}
 }
 
@@ -242,20 +338,18 @@ func (s *System) fail(err error) {
 }
 
 // Register adds a threaded procedure and returns its ID. All procedures
-// must be registered before Run.
+// must be registered before Run. Each fiber of the procedure gets a Ctx
+// and args valid only while it runs (Proc).
 func (s *System) Register(p Proc) ProcID {
 	s.procs = append(s.procs, p)
 	return ProcID(len(s.procs) - 1)
 }
 
-// Nodes reports the node count.
-func (s *System) Nodes() int { return len(s.nodes) }
-
 // Mem reads a word of node n's memory after (or during) a run.
-func (s *System) Mem(n int, addr uint64) int64 { return s.nodes[n].mem[addr] }
+func (s *System) Mem(n int, addr uint64) int64 { return s.mem[memAddr{n, addr}] }
 
 // SetMem initializes node memory before a run.
-func (s *System) SetMem(n int, addr uint64, v int64) { s.nodes[n].mem[addr] = v }
+func (s *System) SetMem(n int, addr uint64, v int64) { s.mem[memAddr{n, addr}] = v }
 
 // Stats reports execution counters.
 type Stats struct {
@@ -277,9 +371,10 @@ func (s *System) Stats() Stats {
 
 func (s *System) cycles(n int64) sim.Time { return s.params.CPUClock.Cycles(n) }
 
-// Invoke posts the initial token: proc runs on node with args at t=0.
+// Invoke posts the initial token: proc runs on node with args (at most
+// five) at t=0.
 func (s *System) Invoke(node int, proc ProcID, args ...int64) {
-	s.enqueueFiber(node, fiberInst{proc: proc, args: args}, 0)
+	s.enqueueFiber(node, fiberInst{proc: proc, args: packArgs(args)}, 0)
 }
 
 // Run drains the event queue and returns the simulated makespan: the
@@ -292,57 +387,65 @@ func (s *System) Run() sim.Time {
 
 func (s *System) makespan() sim.Time {
 	var m sim.Time
-	for _, ns := range s.nodes {
-		m = sim.Max(m, sim.Max(ns.euFree, ns.suFree))
+	for i := range s.nodes {
+		m = sim.Max(m, sim.Max(s.nodes[i].euFree, s.nodes[i].suFree))
 	}
 	return m
+}
+
+// at schedules ev at t. Every runtime event goes through here, so the
+// engine's (time, seq) order over fireFn matches s.events' order.
+func (s *System) at(t sim.Time, ev event) {
+	s.events.Push(t, ev)
+	s.sched.At(t, s.fireFn)
+}
+
+// fire runs the runtime's next event: an EU run or a token's arrival.
+//
+//pmlint:root
+func (s *System) fire() {
+	ev, _ := s.events.Next()
+	if ev.deliver {
+		s.suService(ev.node, ev.tk, s.sched.Now())
+		return
+	}
+	s.runFiber(ev.node)
 }
 
 // enqueueFiber makes a fiber ready on a node at time t and kicks the EU
 // if it is idle.
 func (s *System) enqueueFiber(node int, f fiberInst, t sim.Time) {
-	ns := s.nodes[node]
+	ns := &s.nodes[node]
 	f.readyAt = t
-	ns.ready = append(ns.ready, f)
-	s.met.readyPeak.Max(int64(len(ns.ready)))
-	s.kickEU(node, t)
-}
-
-func (s *System) kickEU(node int, t sim.Time) {
-	ns := s.nodes[node]
-	if !ns.euIdle || len(ns.ready) == 0 {
-		return
+	s.push(ns, f)
+	s.met.readyPeak.Max(int64(ns.n))
+	if ns.euIdle {
+		ns.euIdle = false
+		s.at(sim.Max(t, ns.euFree), event{node: node})
 	}
-	ns.euIdle = false
-	start := sim.Max(t, ns.euFree)
-	s.sched.At(start, func() { s.runFiber(node) })
 }
 
 // runFiber pops and executes one ready fiber on the node's EU.
 func (s *System) runFiber(node int) {
-	ns := s.nodes[node]
-	if len(ns.ready) == 0 {
-		ns.euIdle = true
-		return
-	}
-	f := ns.ready[0]
-	ns.ready = ns.ready[1:]
+	ns := &s.nodes[node]
+	f := s.pop(ns)
 	s.fibersRun++
 
 	start := sim.Max(s.sched.Now(), ns.euFree)
 	// A fiber enqueued with a future ready time can be popped earlier by
 	// the EU's self-requeue loop; its dwell is zero, not negative.
 	s.met.fiberDwell.ObserveTime(sim.Max(0, start-f.readyAt))
-	ctx := &Ctx{sys: s, node: node, now: start}
-	ctx.now += s.cycles(s.params.FiberDispatchCycles)
-	s.procs[f.proc](ctx, f.args)
+	ctx := &ns.ctx
+	ctx.now = start + s.cycles(s.params.FiberDispatchCycles)
+	ctx.args = f.args
+	s.procs[f.proc](ctx, ctx.args.v[:ctx.args.n])
 	ns.euFree = ctx.now
 	if s.rec.Enabled() {
 		s.rec.Span(trace.CPUTrack(node, 0), "earth", "fiber", start, ctx.now)
 	}
 
-	if len(ns.ready) > 0 {
-		s.sched.At(ns.euFree, func() { s.runFiber(node) })
+	if ns.n > 0 {
+		s.at(ns.euFree, event{node: node})
 	} else {
 		ns.euIdle = true
 	}
@@ -375,7 +478,7 @@ type token struct {
 	kind tokenKind
 	// invoke
 	proc ProcID
-	args []int64
+	args fiberArgs
 	// data_sync / get reply target
 	addr  uint64
 	value int64
@@ -419,12 +522,12 @@ func (s *System) post(src, dst int, tk token, t sim.Time) {
 		s.rec.SpanArg(trace.NodeTrack(dst), "earth", "token "+tk.kind.String(), t, d.Done,
 			fmt.Sprintf("%d->%d", src, dst))
 	}
-	s.sched.At(d.Done, func() { s.suService(dst, tk, s.sched.Now()) })
+	s.at(d.Done, event{node: dst, deliver: true, tk: tk})
 }
 
 // suService processes a token on the destination node's SU.
 func (s *System) suService(node int, tk token, t sim.Time) {
-	ns := s.nodes[node]
+	ns := &s.nodes[node]
 	start := sim.Max(t, ns.suFree)
 	done := start + s.cycles(s.params.SUOpCycles)
 	ns.suFree = done
@@ -436,10 +539,10 @@ func (s *System) suService(node int, tk token, t sim.Time) {
 	case tokInvoke:
 		s.enqueueFiber(node, fiberInst{proc: tk.proc, args: tk.args}, done)
 	case tokDataSync:
-		ns.mem[tk.addr] = tk.value
+		s.mem[memAddr{node, tk.addr}] = tk.value
 		s.decSlot(tk.slot, done)
 	case tokGetReq:
-		v := ns.mem[tk.addr]
+		v := s.mem[memAddr{node, tk.addr}]
 		s.post(node, tk.replyTo.Node, token{
 			kind:  tokDataSync,
 			addr:  tk.reply,
@@ -450,32 +553,36 @@ func (s *System) suService(node int, tk token, t sim.Time) {
 }
 
 // decSlot decrements a sync slot, firing its continuation at zero.
+// A slot leaves the table when it fires, so decrementing a fired slot
+// finds nothing and panics.
 func (s *System) decSlot(ref SlotRef, t sim.Time) {
-	ns := s.nodes[ref.Node]
-	slot, ok := ns.slots[ref.ID]
+	slot, ok := s.slots[ref]
 	if !ok {
 		panic(fmt.Sprintf("earth: node %d slot %d does not exist", ref.Node, ref.ID))
 	}
 	slot.count--
-	if slot.count < 0 {
-		panic(fmt.Sprintf("earth: node %d slot %d over-decremented", ref.Node, ref.ID))
+	if slot.count > 0 {
+		s.slots[ref] = slot
+		return
 	}
-	if slot.count == 0 {
-		delete(ns.slots, ref.ID)
-		s.enqueueFiber(ref.Node, slot.cont, t)
-	}
+	delete(s.slots, ref)
+	s.enqueueFiber(ref.Node, slot.cont, t)
 }
 
 // Ctx is a fiber's handle on the runtime. A fiber runs on one node's EU;
-// its operations advance the fiber-local clock and post tokens.
+// its operations advance the fiber-local clock and post tokens. Each
+// node reuses one Ctx for all its fibers: a Ctx is valid only while its
+// fiber runs, and a Proc must not keep it.
 type Ctx struct {
 	sys  *System
 	node int
 	now  sim.Time
+	// args holds the running fiber's arguments (the Proc's args).
+	args fiberArgs
 }
 
 // Node reports the executing node.
-func (c *Ctx) Node() int { return c.sys.nodes[c.node].id }
+func (c *Ctx) Node() int { return c.node }
 
 // Nodes reports the machine size.
 func (c *Ctx) Nodes() int { return len(c.sys.nodes) }
@@ -489,40 +596,41 @@ func (c *Ctx) Charge(cycles int64) { c.now += c.sys.cycles(cycles) }
 // Read reads a word of the local node memory (EU-local, no token).
 func (c *Ctx) Read(addr uint64) int64 {
 	c.Charge(2)
-	return c.sys.nodes[c.node].mem[addr]
+	return c.sys.mem[memAddr{c.node, addr}]
 }
 
 // Write writes a word of local node memory (EU-local, no token).
 func (c *Ctx) Write(addr uint64, v int64) {
 	c.Charge(1)
-	c.sys.nodes[c.node].mem[addr] = v
+	c.sys.mem[memAddr{c.node, addr}] = v
 }
 
 // AllocBuf reserves a fresh local buffer address.
 func (c *Ctx) AllocBuf() uint64 {
-	ns := c.sys.nodes[c.node]
+	ns := &c.sys.nodes[c.node]
 	ns.nextBuf--
 	return ns.nextBuf
 }
 
 // SyncSlot creates a sync slot on this node that, after count
-// decrements, enables proc with args.
+// decrements, enables proc with args (at most five).
 func (c *Ctx) SyncSlot(count int, proc ProcID, args ...int64) SlotRef {
 	if count <= 0 {
 		panic(fmt.Sprintf("earth: sync slot count %d", count))
 	}
 	c.Charge(6)
-	ns := c.sys.nodes[c.node]
+	ns := &c.sys.nodes[c.node]
 	ns.nextSlt++
-	ns.slots[ns.nextSlt] = &syncSlot{count: count, cont: fiberInst{proc: proc, args: args}}
-	return SlotRef{Node: c.node, ID: ns.nextSlt}
+	ref := SlotRef{Node: c.node, ID: ns.nextSlt}
+	c.sys.slots[ref] = syncSlot{count: count, cont: fiberInst{proc: proc, args: packArgs(args)}}
+	return ref
 }
 
-// Invoke spawns a threaded procedure on a node (split-phase; the fiber
-// continues immediately).
+// Invoke spawns a threaded procedure on a node with args (at most
+// five; split-phase, the fiber continues immediately).
 func (c *Ctx) Invoke(node int, proc ProcID, args ...int64) {
 	c.Charge(c.sys.params.SpawnCycles)
-	c.sys.post(c.node, node, token{kind: tokInvoke, proc: proc, args: args}, c.now)
+	c.sys.post(c.node, node, token{kind: tokInvoke, proc: proc, args: packArgs(args)}, c.now)
 }
 
 // DataSync writes value to (node, addr) and decrements slot when the

@@ -143,7 +143,7 @@ func TestLostTokenDegradesToError(t *testing.T) {
 	// first remote token fails over, exhausts its attempts, and is lost.
 	// The run must degrade to an error — not panic — so fault campaigns
 	// can sweep fib under link cuts.
-	for n := 0; n < s.Nodes(); n++ {
+	for n := 0; n < s.Network().Topology().Nodes(); n++ {
 		s.Network().CutWire(n, topo.NetworkA, 0)
 		s.Network().CutWire(n, topo.NetworkB, 0)
 	}
@@ -169,6 +169,9 @@ func TestSlotMisusePanics(t *testing.T) {
 		},
 		"foreign GetSync slot": func(ctx *Ctx, args []int64) {
 			ctx.GetSync(1, 10, 20, SlotRef{Node: 1, ID: 1})
+		},
+		"six fiber args": func(ctx *Ctx, args []int64) {
+			ctx.Invoke(0, cont, 1, 2, 3, 4, 5, 6)
 		},
 	}
 	for name, body := range cases {

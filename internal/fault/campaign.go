@@ -351,10 +351,7 @@ func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, obser
 				net.SetMetrics(opt.Metrics)
 			}
 		}
-		tps := make([]*netsim.Transport, opt.Topology.Nodes())
-		for i := range tps {
-			tps[i] = net.MustTransport(i, cfg)
-		}
+		tps := net.Transports(cfg)
 		msgs := genTraffic(opt.Topology, opt, rand.New(rand.NewSource(opt.Seed)))
 		events := schedule(c, opt.Topology, rate,
 			opt.Window, rand.New(rand.NewSource(opt.Seed+faultSeedStride*int64(rate))))

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCutAtEarliestWins(t *testing.T) {
-	w := NewWire(Default("w"))
+	w := new(Wire)
 	if _, cut := w.CutTime(); cut {
 		t.Fatal("fresh wire reports a cut")
 	}
@@ -27,7 +27,7 @@ func TestCutAtEarliestWins(t *testing.T) {
 }
 
 func TestCorruptWindowOverlap(t *testing.T) {
-	w := NewWire(Default("w"))
+	w := new(Wire)
 	w.CorruptBetween(10*sim.Microsecond, 20*sim.Microsecond)
 	w.CorruptBetween(30*sim.Microsecond, 30*sim.Microsecond) // empty, ignored
 	cases := []struct {
@@ -49,7 +49,7 @@ func TestCorruptWindowOverlap(t *testing.T) {
 }
 
 func TestResetClearsFaults(t *testing.T) {
-	w := NewWire(Default("w"))
+	w := new(Wire)
 	w.CutAt(1 * sim.Microsecond)
 	w.CorruptBetween(0, 1*sim.Microsecond)
 	w.Reset()

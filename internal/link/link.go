@@ -78,24 +78,17 @@ func (c Config) TransferTime(n int) sim.Time {
 
 // Wire is one direction of a link: an occupancy timeline that wormhole
 // circuits claim (Hold) and headers peek at (FreeAt). Transfer and
-// propagation times come from the Config the network walks with; flow
-// control (the stop signal) is the driver model's concern.
+// propagation times come from the Config the owning network walks with
+// and validates once, so a wire carries no copy of it; flow control (the
+// stop signal) is the driver model's concern. The zero value is an idle,
+// healthy wire, so a network builds its wires in slices of many.
 type Wire struct {
-	cfg    Config
 	res    sim.Resource
 	faults wireFaults
 	// rec, when non-nil, records occupancy spans and fault instants on
 	// track (trace.WireTrack of the owning network position).
 	rec   *trace.Recorder
 	track trace.TrackID
-}
-
-// NewWire builds a wire. It panics on invalid configuration.
-func NewWire(cfg Config) *Wire {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Wire{cfg: cfg}
 }
 
 // Trace attaches a recorder to the wire under the given track identity;
@@ -113,7 +106,7 @@ func (w *Wire) FreeAt() sim.Time { return w.res.FreeAt() }
 // to find start before it claims.
 func (w *Wire) Hold(start, until sim.Time) {
 	if until < start {
-		panic(fmt.Sprintf("link %s: hold window [%v, %v) inverted", w.cfg.Name, start, until))
+		panic(fmt.Sprintf("link: hold window [%v, %v) inverted", start, until))
 	}
 	w.res.Acquire(start, until-start)
 	if w.rec.Enabled() {

@@ -49,7 +49,7 @@ func stream(w *Wire, cfg Config, at sim.Time, n int) (first, last sim.Time) {
 
 func TestWireCutThrough(t *testing.T) {
 	cfg := Default("t")
-	w := NewWire(cfg)
+	w := new(Wire)
 	first, last := stream(w, cfg, 0, 64)
 	if first >= last {
 		t.Fatal("first byte must precede last")
@@ -66,7 +66,7 @@ func TestWireCutThrough(t *testing.T) {
 
 func TestWireSerializesTransfers(t *testing.T) {
 	cfg := Default("t")
-	w := NewWire(cfg)
+	w := new(Wire)
 	_, last1 := stream(w, cfg, 0, 64)
 	first2, _ := stream(w, cfg, 0, 64)
 	if first2 <= last1-cfg.TransferTime(64) {
@@ -87,7 +87,7 @@ func TestHoldPanicsOnInvertedWindow(t *testing.T) {
 			t.Error("inverted hold window accepted")
 		}
 	}()
-	NewWire(Default("t")).Hold(10, 5)
+	new(Wire).Hold(10, 5)
 }
 
 // Property: wire times are monotone and rate-respecting for any request
@@ -95,7 +95,7 @@ func TestHoldPanicsOnInvertedWindow(t *testing.T) {
 func TestWireRateProperty(t *testing.T) {
 	cfg := Default("p")
 	f := func(sizes []uint8) bool {
-		w := NewWire(cfg)
+		w := new(Wire)
 		var total int
 		var lastEnd sim.Time
 		for _, s := range sizes {

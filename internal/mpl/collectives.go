@@ -39,12 +39,21 @@ func (r *PRank) sendVec(dst, tag int, v []float64) error {
 	return r.Send(dst, tag, b)
 }
 
-func decodeVec(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+// recvVec receives a vector from src into dst[:0] and returns it. A
+// payload that is not a whole number of float64s is an error.
+func (r *PRank) recvVec(dst []float64, src, tag int) ([]float64, error) {
+	b, err := r.Recv(src, tag)
+	if err != nil {
+		return nil, err
 	}
-	return v
+	if len(b)%8 != 0 {
+		return nil, fmt.Errorf("mpl: rank %d got %d bytes from rank %d on tag %d, not a whole vector", r.rank, len(b), src, tag)
+	}
+	dst = dst[:0]
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+	}
+	return dst, nil
 }
 
 // bits reports how many tree levels cover p ranks.
@@ -94,7 +103,9 @@ func (r *PRank) Barrier(round int) error {
 
 // Bcast distributes vec from rank 0 to all ranks and returns this
 // rank's copy (rank 0 returns vec itself). Non-root ranks may pass
-// nil.
+// nil. A non-root rank decodes into a vector it owns, so the result is
+// valid until the rank's next collective (Bcast or AllReduce), which
+// reuses it.
 func (r *PRank) Bcast(vec []float64, tag int) ([]float64, error) {
 	p, rank := r.Ranks(), r.rank
 	data := vec
@@ -103,11 +114,11 @@ func (r *PRank) Bcast(vec []float64, tag int) ([]float64, error) {
 		span := 1 << (k + 1)
 		switch {
 		case rank%span == 1<<k:
-			b, err := r.Recv(rank-1<<k, tagBcast+tag)
+			v, err := r.recvVec(r.vec, rank-1<<k, tagBcast+tag)
 			if err != nil {
 				return nil, err
 			}
-			data = decodeVec(b)
+			data, r.vec = v, v
 			has = true
 		case rank%span == 0 && rank+1<<k < p && has:
 			if err := r.sendVec(rank+1<<k, tagBcast+tag, data); err != nil {
@@ -121,11 +132,14 @@ func (r *PRank) Bcast(vec []float64, tag int) ([]float64, error) {
 // AllReduce sums each rank's vector element-wise and returns the
 // global sum on every rank: binomial reduction to rank 0, one tag per
 // level and reduceOpCyclesPerElement per combined element, then
-// broadcast.
+// broadcast. The sum accumulates in a vector the rank owns: the result
+// is valid until the rank's next collective (Bcast or AllReduce), which
+// reuses it, and vec itself is left untouched.
 func (r *PRank) AllReduce(vec []float64, tag int) ([]float64, error) {
 	p, rank := r.Ranks(), r.rank
 	n := len(vec)
-	acc := append([]float64(nil), vec...)
+	acc := append(r.vec[:0], vec...)
+	r.vec = acc
 	for k := 0; 1<<k < p; k++ {
 		span := 1 << (k + 1)
 		switch {
@@ -164,11 +178,11 @@ func (r *PRank) Gather(vec []float64, tag int) ([][]float64, error) {
 	out := make([][]float64, p)
 	out[0] = vec
 	for q := 1; q < p; q++ {
-		b, err := r.Recv(q, tagGather+tag+q)
+		v, err := r.recvVec(nil, q, tagGather+tag+q)
 		if err != nil {
 			return nil, err
 		}
-		out[q] = decodeVec(b)
+		out[q] = v
 	}
 	return out, nil
 }

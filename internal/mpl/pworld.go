@@ -93,7 +93,7 @@ type pcargo struct {
 type PWorld struct {
 	pn     *netsim.PartNetwork
 	params comm.PMParams
-	ranks  []*PRank
+	ranks  []PRank
 	// sends and bytes are per-rank so each is written only from its
 	// rank's shard; Stats sums them after the engine has drained.
 	sends []int64
@@ -114,8 +114,10 @@ type PRank struct {
 	// payload the last Recv returned, freed by the next Recv.
 	free []*pcargo
 	held *pcargo
-	// vecBuf is the collectives' encoding scratch.
+	// vecBuf is the collectives' encoding scratch; vec holds the result
+	// of the rank's last AllReduce or non-root Bcast.
 	vecBuf []byte
+	vec    []float64
 	state  prState
 	// next, yield and stop are the rank coroutine's handles: the shard
 	// side resumes the rank with next, the rank parks with yield, and
@@ -150,16 +152,17 @@ func NewPWorld(t *topo.Topology, shards int) (*PWorld, error) {
 		params: comm.DefaultPMParams(),
 		sends:  make([]int64, t.Nodes()),
 		bytes:  make([]int64, t.Nodes()),
+		ranks:  make([]PRank, t.Nodes()),
 	}
-	for i := 0; i < t.Nodes(); i++ {
-		r := &PRank{w: w, rank: i}
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		r.w, r.rank = w, i
 		r.verdictFn = r.onVerdict
-		w.ranks = append(w.ranks, r)
 	}
 	pn.OnDeliver(func(_, dst int, payload any, _, last sim.Time) {
 		c := payload.(*pcargo)
 		c.arrival = last
-		r := w.ranks[dst]
+		r := &w.ranks[dst]
 		r.queue = append(r.queue, c)
 		if r.state == prRecvWait {
 			r.state = prRun
@@ -183,7 +186,8 @@ func (w *PWorld) Network() *netsim.Network { return w.pn.Network() }
 // into each rank's own shard registry and folded after the run.
 func (w *PWorld) SetMetrics(m *metrics.Registry) {
 	w.pn.SetMetrics(m)
-	for _, r := range w.ranks {
+	for i := range w.ranks {
+		r := &w.ranks[i]
 		reg := w.pn.ShardRegistry(w.pn.ShardOf(r.rank))
 		r.recvWait = reg.TimeHistogram(MetricRecvWait, recvWaitBuckets())
 		r.rankWait = reg.TimeHistogram(recvWaitRankName(r.rank), recvWaitBuckets())
@@ -201,10 +205,8 @@ func (w *PWorld) Ranks() int { return len(w.ranks) }
 // Run has returned.
 func (w *PWorld) MaxTime() sim.Time {
 	var max sim.Time
-	for _, r := range w.ranks {
-		if r.clock > max {
-			max = r.clock
-		}
+	for i := range w.ranks {
+		max = sim.Max(max, w.ranks[i].clock)
 	}
 	return max
 }
@@ -233,7 +235,8 @@ func (w *PWorld) Run(fn func(r *PRank) error) error {
 		return fmt.Errorf("mpl: PWorld.Run called twice")
 	}
 	w.ran = true
-	for _, r := range w.ranks {
+	for i := range w.ranks {
+		r := &w.ranks[i]
 		r.next, r.stop = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
 				if p := recover(); p != nil && p != (abortRank{}) {
@@ -249,15 +252,16 @@ func (w *PWorld) Run(fn func(r *PRank) error) error {
 	// Stopping every rank, on return or on a panic unwinding through
 	// Run, aborts the parked ones and ends every coroutine.
 	defer func() {
-		for _, r := range w.ranks {
-			r.stop()
+		for i := range w.ranks {
+			w.ranks[i].stop()
 		}
 	}()
 	w.pn.Run()
 	// A rank error comes first: a rank that returned early usually
 	// strands the partners still waiting on it.
 	var stuck []int
-	for _, r := range w.ranks {
+	for i := range w.ranks {
+		r := &w.ranks[i]
 		if r.err != nil {
 			return fmt.Errorf("mpl: rank %d: %w", r.rank, r.err)
 		}

@@ -234,9 +234,6 @@ type Decomp struct {
 	Arb, Wire, Detect, Retry sim.Time
 }
 
-// Total is the decomposition's sum — equal to Delivery.Latency().
-func (c Decomp) Total() sim.Time { return c.Arb + c.Wire + c.Detect + c.Retry }
-
 // Delivery describes the outcome of one reliable send.
 type Delivery struct {
 	// Transit is the successful attempt's timing (zero if Failed).

@@ -148,7 +148,7 @@ func TestCRCRetrySamePlane(t *testing.T) {
 	if b.Attempts != 0 {
 		t.Errorf("plane B counters = %+v, want untouched", b)
 	}
-	if down, _ := tp.PlaneDown(topo.NetworkA); down {
+	if down, _ := cachedDown(tp, topo.NetworkA); down {
 		t.Error("CRC retry poisoned the plane-down cache")
 	}
 	// A zero budget restores the old immediate-failover behaviour.

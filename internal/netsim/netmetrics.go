@@ -176,12 +176,12 @@ func (n *Network) SetMetrics(m *metrics.Registry) {
 	n.mreg = m
 	n.met = newNetInstruments(m, n.tenants)
 	planes := n.topo.CrossbarPlanes()
-	for i, x := range n.xbars {
+	for i := range n.xbars {
 		label := ""
 		if planes[i] >= 0 {
 			label = planeName(planes[i])
 		}
-		x.Metrics(m, label)
+		n.xbars[i].Metrics(m, label)
 	}
 }
 

@@ -39,22 +39,28 @@ import (
 
 // Network is an instantiated interconnect.
 type Network struct {
-	topo    *topo.Topology
-	xbars   []*xbar.Crossbar
+	topo  *topo.Topology
+	xbars []xbar.Crossbar
+	// linkCfg is every wire's link configuration, validated once by New.
 	linkCfg link.Config
 	trans   link.Transceiver
 	// wires are directed, indexed by the upstream end at
 	// dev*xbar.Ports+port (topo's port-table stride): for hop i the wire
 	// is the one leaving the previous device toward this crossbar. Nil
 	// until first used; NewPartitioned creates every wired slot up front.
+	// Wires are carved from slabs the network owns, never allocated one
+	// by one.
 	wires []*link.Wire
+	// spare is the unused tail of the current wire slab (wire).
+	spare []link.Wire
 	nis   []ni.NI
 	// planes accumulates per-plane degraded-mode counters for the
 	// failover protocol (failover.go).
 	planes [ni.LinksPerNode]PlaneCounters
 	// transports are the registered per-source send handles
-	// (transport.go); Reset clears their plane-down caches.
-	transports []*Transport
+	// (transport.go), in the slabs Transport and Transports carved them
+	// from; Reset clears their plane-down caches.
+	transports [][]Transport
 	// os is the optional background system-software stream on plane B
 	// (osstream.go); nil when no stream is attached.
 	os *osStream
@@ -86,35 +92,49 @@ func New(t *topo.Topology) *Network {
 	t.Seal()
 	n := &Network{
 		topo:    t,
+		xbars:   make([]xbar.Crossbar, t.Crossbars()),
 		linkCfg: link.Default("wire"),
 		trans:   link.DefaultTransceiver(),
 		wires:   make([]*link.Wire, (t.Nodes()+t.Crossbars())*xbar.Ports),
 		nis:     make([]ni.NI, t.Nodes()),
 	}
-	for i := 0; i < t.Crossbars(); i++ {
-		n.xbars = append(n.xbars, xbar.New(t.CrossbarName(i)))
+	if err := n.linkCfg.Validate(); err != nil {
+		panic(err)
+	}
+	for i := range n.xbars {
+		n.xbars[i] = xbar.New(t.CrossbarName(i))
 	}
 	return n
 }
+
+// wireChunk is the size of the slabs a lazily wired network carves its
+// wires from: a run that touches only part of the fabric (a System256
+// campaign row reaches 280 to 550 of its 1,024 wires) allocates a few
+// chunks instead of one wire per touched port or a slab for every port.
+const wireChunk = 64
 
 // Topology returns the underlying topology.
 func (n *Network) Topology() *topo.Topology { return n.topo }
 
 // Crossbar returns crossbar ordinal i (for stats).
-func (n *Network) Crossbar(i int) *xbar.Crossbar { return n.xbars[i] }
+func (n *Network) Crossbar(i int) *xbar.Crossbar { return &n.xbars[i] }
 
 // NI returns node i's network interface.
 func (n *Network) NI(i int) *ni.NI { return &n.nis[i] }
 
-// wire returns the directed wire leaving (dev, port), creating it on
-// first use.
+// wire returns the directed wire leaving (dev, port), carving it from
+// the current slab on first use (a fresh wireChunk slab once spare runs
+// out).
 //
 //pmlint:hotpath
 func (n *Network) wire(dev, port int) *link.Wire {
 	slot := dev*xbar.Ports + port
 	w := n.wires[slot]
 	if w == nil {
-		w = link.NewWire(n.linkCfg)
+		if len(n.spare) == 0 {
+			n.spare = make([]link.Wire, wireChunk)
+		}
+		w, n.spare = &n.spare[0], n.spare[1:]
 		if n.rec.Enabled() {
 			w.Trace(n.rec, trace.WireTrack(dev, port, 0))
 		}
@@ -137,8 +157,8 @@ func (n *Network) checkWire(dev, port int) {
 // the default state, costing instrumented paths one nil check.
 func (n *Network) SetRecorder(r *trace.Recorder) {
 	n.rec = r
-	for i, x := range n.xbars {
-		x.Trace(r, i)
+	for i := range n.xbars {
+		n.xbars[i].Trace(r, i)
 	}
 	for slot, w := range n.wires {
 		if w != nil {
@@ -146,9 +166,6 @@ func (n *Network) SetRecorder(r *trace.Recorder) {
 		}
 	}
 }
-
-// Recorder returns the attached trace recorder (nil when tracing is off).
-func (n *Network) Recorder() *trace.Recorder { return n.rec }
 
 // Transit describes the timing of one message.
 type Transit struct {
@@ -539,8 +556,8 @@ func (n *Network) idealTransit(path *topo.Path, payloadBytes int) sim.Time {
 // re-renders byte-identically for the same send sequence, faulted
 // history or not.
 func (n *Network) Reset() {
-	for _, x := range n.xbars {
-		x.Reset()
+	for i := range n.xbars {
+		n.xbars[i].Reset()
 	}
 	for _, w := range n.wires {
 		if w != nil {
@@ -551,8 +568,10 @@ func (n *Network) Reset() {
 		n.nis[i].Reset()
 	}
 	n.planes = [ni.LinksPerNode]PlaneCounters{}
-	for _, t := range n.transports {
-		t.resetFaultState()
+	for _, ts := range n.transports {
+		for i := range ts {
+			ts[i].resetFaultState()
+		}
 	}
 	if n.os != nil {
 		n.os.rearm()

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"slices"
 
+	"powermanna/internal/link"
 	"powermanna/internal/metrics"
 	"powermanna/internal/ni"
 	"powermanna/internal/psim"
@@ -81,7 +82,7 @@ type PartNetwork struct {
 	part, grain *topo.Partition
 	eng         *psim.Engine
 	shards      []*partShard
-	tps         []*Transport
+	tps         []Transport
 	// msgSeq numbers each source node's sends; msgID = src<<32|seq is the
 	// canonical drain sort key. Each entry is written only by its node's
 	// shard.
@@ -182,11 +183,11 @@ func park(open []*openHold, key resKey, l *pleg) bool {
 
 // NewPartitioned assembles a partitioned network over the topology:
 // shards contiguous node groups (topo.Partition), one psim shard each,
-// with every directed wire pre-created (lazy creation would write the
-// shared wire table from concurrent shards) and one fault-aware
-// transport per node for route and plane-down caching on the node's
-// shard. The engine's window width is derived from the topology
-// (lookaheadFor).
+// with every directed wire pre-created from one slab (lazy creation
+// would write the shared wire table from concurrent shards) and one
+// fault-aware transport per node for route and plane-down caching on
+// the node's shard. The engine's window width is derived from the
+// topology (lookaheadFor).
 func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetwork, error) {
 	part, err := t.Partition(shards)
 	if err != nil {
@@ -197,24 +198,16 @@ func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetw
 		return nil, err
 	}
 	n := New(t)
-	devs := t.Nodes() + t.Crossbars()
-	for dev := 0; dev < devs; dev++ {
-		ports := ni.LinksPerNode
-		if dev >= t.Nodes() {
-			ports = xbar.Ports
-		}
-		for p := 0; p < ports; p++ {
-			if t.Wired(dev, p) {
-				n.wire(dev, p)
-			}
-		}
-	}
+	wired := 0
+	eachWired(t, func(int, int) { wired++ })
+	n.spare = make([]link.Wire, wired)
+	eachWired(t, func(dev, port int) { n.wire(dev, port) })
 	pn := &PartNetwork{
 		net:    n,
 		part:   part,
 		grain:  grain,
 		eng:    psim.NewEngine(shards, lookaheadFor(t, grain, n, cfg.NackLatency)),
-		tps:    make([]*Transport, t.Nodes()),
+		tps:    n.Transports(cfg),
 		msgSeq: make([]uint32, t.Nodes()),
 	}
 	resources := n.hopRes(t.Crossbars(), 0)
@@ -228,10 +221,23 @@ func NewPartitioned(t *topo.Topology, shards int, cfg FailoverConfig) (*PartNetw
 		ps.drainFn = ps.drain
 		pn.shards = append(pn.shards, ps)
 	}
-	for node := range pn.tps {
-		pn.tps[node] = n.MustTransport(node, cfg)
-	}
 	return pn, nil
+}
+
+// eachWired calls f on every wired port of t: the node uplinks, then
+// the crossbar outputs.
+func eachWired(t *topo.Topology, f func(dev, port int)) {
+	for dev := 0; dev < t.Nodes()+t.Crossbars(); dev++ {
+		ports := ni.LinksPerNode
+		if dev >= t.Nodes() {
+			ports = xbar.Ports
+		}
+		for p := 0; p < ports; p++ {
+			if t.Wired(dev, p) {
+				f(dev, p)
+			}
+		}
+	}
 }
 
 // lookaheadFor derives the engine's conservative window width from the

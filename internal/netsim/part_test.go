@@ -194,8 +194,8 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 			t.Errorf("%s: legacy run missed its branch: %+v, plane A %+v", tc.name, want, wantPlanes[topo.NetworkA])
 		}
 		for i, d := range want {
-			if d.Decomp.Total() != d.Latency() {
-				t.Errorf("%s send %d: legacy decomposition %v != latency %v", tc.name, i, d.Decomp.Total(), d.Latency())
+			if decompSum(d.Decomp) != d.Latency() {
+				t.Errorf("%s send %d: legacy decomposition %v != latency %v", tc.name, i, decompSum(d.Decomp), d.Latency())
 			}
 		}
 		for _, shards := range system256Shards {
@@ -206,9 +206,9 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 						t.Errorf("%s shards=%d serial=%v send %d:\n got %+v\nwant %+v",
 							tc.name, shards, serial, i, got[i], want[i])
 					}
-					if got[i].Decomp.Total() != got[i].Latency() {
+					if decompSum(got[i].Decomp) != got[i].Latency() {
 						t.Errorf("%s shards=%d serial=%v send %d: decomposition %v != latency %v",
-							tc.name, shards, serial, i, got[i].Decomp.Total(), got[i].Latency())
+							tc.name, shards, serial, i, decompSum(got[i].Decomp), got[i].Latency())
 					}
 				}
 				if planes != wantPlanes {

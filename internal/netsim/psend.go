@@ -84,7 +84,7 @@ func (pn *PartNetwork) sendAsync(tenant, src, dst, payloadBytes int, payload any
 	p.msgID = uint64(src)<<32 | uint64(pn.msgSeq[src])
 	p.onDone = onDone
 	p.leg = pleg{msgID: p.msgID, p: p}
-	p.st.start(pn.tps[src], at, dst, payloadBytes, tenant, &ps.planes, &ps.met, ps.rec)
+	p.st.start(&pn.tps[src], at, dst, payloadBytes, tenant, &ps.planes, &ps.met, ps.rec)
 	p.step()
 	return nil
 }

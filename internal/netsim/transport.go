@@ -42,7 +42,8 @@ type planeDown struct {
 
 // Transport is one node's fault-aware handle over the network: the send
 // path internal/comm, internal/mpl and internal/earth go through. Create
-// one per source node with Network.Transport. A Transport is bound to
+// one per source node with Network.Transport, or one for every node at
+// once with Network.Transports. A Transport is bound to
 // its network's lifetime; Network.Reset clears its fault state (plane-
 // down cache). Its routes live in the topology and outlive it.
 type Transport struct {
@@ -66,15 +67,26 @@ func (n *Network) Transport(src int, cfg FailoverConfig) (*Transport, error) {
 	if src < 0 || src >= n.topo.Nodes() {
 		return nil, fmt.Errorf("netsim: transport source %d out of range", src)
 	}
-	t := &Transport{
-		net:    n,
-		src:    src,
-		cfg:    cfg,
-		routes: n.topo.RoutesFrom(src),
-		tenant: -1,
+	return &n.newTransports(src, 1, cfg)[0], nil
+}
+
+// Transports returns one fault-aware send handle per node, indexed by
+// source, all with the given failover configuration. They come from
+// one slab, registered with the network like Transport's handles.
+func (n *Network) Transports(cfg FailoverConfig) []Transport {
+	return n.newTransports(0, n.topo.Nodes(), cfg)
+}
+
+// newTransports carves the transports of sources first to first+k-1
+// from one slab and registers it.
+func (n *Network) newTransports(first, k int, cfg FailoverConfig) []Transport {
+	ts := make([]Transport, k)
+	for i := range ts {
+		src := first + i
+		ts[i] = Transport{net: n, src: src, cfg: cfg, routes: n.topo.RoutesFrom(src), tenant: -1}
 	}
-	n.transports = append(n.transports, t)
-	return t, nil
+	n.transports = append(n.transports, ts)
+	return ts
 }
 
 // MustTransport is Transport for callers that construct over a validated
@@ -105,15 +117,6 @@ func (t *Transport) SetTenant(name string) {
 		n.tenants = append(n.tenants, name)
 		n.met.setTenants(n.mreg, n.tenants)
 	}
-}
-
-// PlaneDown reports whether the driver's plane-down cache currently
-// marks the plane dead, and until when sends skip it.
-func (t *Transport) PlaneDown(plane int) (down bool, reprobeAt sim.Time) {
-	if plane < 0 || plane >= len(t.down) {
-		return false, 0
-	}
-	return t.down[plane].down, t.down[plane].reprobeAt
 }
 
 // Route returns the route from the transport's source to dst on the

@@ -83,7 +83,7 @@ func TestPlaneDownCacheSkipsDetection(t *testing.T) {
 	if first.Latency() < cfg.AckTimeout {
 		t.Errorf("first latency %v did not pay the ack timeout %v", first.Latency(), cfg.AckTimeout)
 	}
-	if down, until := tp.PlaneDown(topo.NetworkA); !down || until <= 0 {
+	if down, until := cachedDown(tp, topo.NetworkA); !down || until <= 0 {
 		t.Fatalf("plane A not cached down after detection (down=%v until=%v)", down, until)
 	}
 
@@ -125,7 +125,7 @@ func TestPlaneDownReprobe(t *testing.T) {
 	if _, err := tp.Send(0, 1, 64); err != nil {
 		t.Fatal(err)
 	}
-	_, reprobeAt := tp.PlaneDown(topo.NetworkA)
+	_, reprobeAt := cachedDown(tp, topo.NetworkA)
 	d, err := tp.Send(reprobeAt, 1, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestPlaneDownReprobe(t *testing.T) {
 	if d.Latency() < cfg.AckTimeout {
 		t.Errorf("reprobe latency %v did not re-pay the detection window", d.Latency())
 	}
-	if down, until := tp.PlaneDown(topo.NetworkA); !down || until <= reprobeAt {
+	if down, until := cachedDown(tp, topo.NetworkA); !down || until <= reprobeAt {
 		t.Errorf("failed reprobe did not re-arm the cache (down=%v until=%v)", down, until)
 	}
 }
@@ -157,7 +157,7 @@ func TestPlaneDownRecovery(t *testing.T) {
 	if d.Plane != topo.NetworkB {
 		t.Fatalf("stalled plane A still delivered: %+v", d)
 	}
-	_, reprobeAt := tp.PlaneDown(topo.NetworkA)
+	_, reprobeAt := cachedDown(tp, topo.NetworkA)
 	after, err := tp.Send(reprobeAt+stallEnd, 1, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestPlaneDownRecovery(t *testing.T) {
 	if after.Plane != topo.NetworkA || after.Retried {
 		t.Fatalf("healed plane A not reused: %+v", after)
 	}
-	if down, _ := tp.PlaneDown(topo.NetworkA); down {
+	if down, _ := cachedDown(tp, topo.NetworkA); down {
 		t.Error("successful delivery did not clear the plane-down cache")
 	}
 }
@@ -193,7 +193,7 @@ func TestPlaneDownCacheNeverLosesMessages(t *testing.T) {
 	if d.SkippedDown != 2 || d.Attempts != 1 || d.Plane != topo.NetworkA {
 		t.Errorf("delivery = %+v, want both planes skipped then a real plane-A probe", d)
 	}
-	if down, _ := tp.PlaneDown(topo.NetworkA); down {
+	if down, _ := cachedDown(tp, topo.NetworkA); down {
 		t.Error("successful probe did not clear the stale plane-A entry")
 	}
 }
@@ -298,7 +298,7 @@ func TestResetRestoresByteIdenticalRun(t *testing.T) {
 	}
 
 	n.Reset()
-	if down, _ := tp.PlaneDown(topo.NetworkA); down {
+	if down, _ := cachedDown(tp, topo.NetworkA); down {
 		t.Error("Reset kept the plane-down cache")
 	}
 	for _, p := range []int{topo.NetworkA, topo.NetworkB} {
@@ -318,17 +318,18 @@ var (
 	sinkPath *topo.Path
 )
 
-// BenchmarkNewNetwork builds a System256 network and its 128 per-node
-// transports over one topology, as every fault-campaign row does.
+// BenchmarkNewNetwork builds a System256 network and the transports of
+// its 128 nodes (the 256 processors are two per node) over one
+// topology, as every fault-campaign row does: one Transports slab, and
+// no wires, which a lazily wired network carves only once a send
+// touches them.
 func BenchmarkNewNetwork(b *testing.B) {
 	top := topo.System256()
 	cfg := DefaultFailover()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := New(top)
-		for src := 0; src < top.Nodes(); src++ {
-			n.MustTransport(src, cfg)
-		}
+		n.Transports(cfg)
 		sinkNet = n
 	}
 }
@@ -404,4 +405,10 @@ func TestTransportSendAllocatesNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cachedDown reads the transport's plane-down cache entry for plane:
+// whether sends currently skip it, and until when.
+func cachedDown(tp *Transport, plane int) (down bool, reprobeAt sim.Time) {
+	return tp.down[plane].down, tp.down[plane].reprobeAt
 }

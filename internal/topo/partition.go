@@ -45,10 +45,10 @@ type Partition struct {
 	// leafGroup maps a crossbar ordinal to its leaf group (-1 for a
 	// central-stage crossbar adjacent to no node).
 	leafGroup []int
-	// outOwner maps (crossbar ordinal, output port) to the shard owning
-	// both the output channel and the directed wire leaving it (-1 for an
-	// unwired port).
-	outOwner [][]int
+	// outOwner maps (crossbar ordinal, output port), at
+	// ordinal*xbar.Ports+port, to the shard owning both the output
+	// channel and the directed wire leaving it (-1 for an unwired port).
+	outOwner []int
 }
 
 // Partition carves the topology into shards contiguous node groups of
@@ -110,7 +110,7 @@ func (t *Topology) derivePartition(nodeShard []int, shards int) (*Partition, err
 		shards:    shards,
 		nodeShard: nodeShard,
 		leafGroup: make([]int, len(t.xbarName)),
-		outOwner:  make([][]int, len(t.xbarName)),
+		outOwner:  make([]int, len(t.xbarName)*xbar.Ports),
 	}
 
 	// Classify crossbars: a leaf is adjacent to at least one node, and its
@@ -136,22 +136,22 @@ func (t *Topology) derivePartition(nodeShard []int, shards int) (*Partition, err
 	}
 
 	// Ownership of output channels and the directed wires leaving them.
-	for x := range p.outOwner {
-		p.outOwner[x] = make([]int, xbar.Ports)
+	for x := range p.leafGroup {
+		owner := p.outOwner[x*xbar.Ports : (x+1)*xbar.Ports]
 		dev := t.nodes + x
-		for o := range p.outOwner[x] {
+		for o := range owner {
 			e := t.link(dev, o)
 			switch {
 			case !e.wired:
-				p.outOwner[x][o] = -1
+				owner[o] = -1
 			case p.leafGroup[x] >= 0:
 				// Leaf crossbar: both node-facing and central-facing outputs
 				// originate in the leaf's group.
-				p.outOwner[x][o] = p.leafGroup[x]
+				owner[o] = p.leafGroup[x]
 			case t.isNode(e.peerDev):
 				// A central crossbar wired straight to a node cannot happen
 				// (it would be a leaf); keep the case for clarity.
-				p.outOwner[x][o] = p.nodeShard[e.peerDev]
+				owner[o] = p.nodeShard[e.peerDev]
 			default:
 				// Central crossbar output: owned by the leaf group it feeds.
 				peer := t.xbarIndex(e.peerDev)
@@ -161,10 +161,10 @@ func (t *Topology) derivePartition(nodeShard []int, shards int) (*Partition, err
 							"topo %s: crossbar %s-%s is a central-to-central link; partitioning supports two-level hierarchies only",
 							t.name, t.xbarName[x], t.xbarName[peer])
 					}
-					p.outOwner[x][o] = 0
+					owner[o] = 0
 					continue
 				}
-				p.outOwner[x][o] = p.leafGroup[peer]
+				owner[o] = p.leafGroup[peer]
 			}
 		}
 	}
@@ -180,7 +180,7 @@ func (p *Partition) NodeShard(n int) int { return p.nodeShard[n] }
 
 // XbarOutOwner reports the shard owning crossbar x's output channel out
 // and the directed wire leaving it (-1 if the port is unwired).
-func (p *Partition) XbarOutOwner(x, out int) int { return p.outOwner[x][out] }
+func (p *Partition) XbarOutOwner(x, out int) int { return p.outOwner[x*xbar.Ports+out] }
 
 // Wired reports whether device dev drives a link out of port p — the
 // wire-existence query internal/netsim uses to pre-create every directed
@@ -197,7 +197,7 @@ func (t *Topology) Wired(dev, p int) bool {
 func (p *Partition) Boundary(path *Path) int {
 	src := p.nodeShard[path.Src]
 	for i, h := range path.Hops {
-		if p.outOwner[h.Xbar][h.Out] != src {
+		if p.XbarOutOwner(h.Xbar, h.Out) != src {
 			return i
 		}
 	}

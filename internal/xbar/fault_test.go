@@ -13,7 +13,7 @@ func TestStickOutputBlocksWindow(t *testing.T) {
 		t.Errorf("OutputFreeAt = %v, want 5us", got)
 	}
 	// A circuit requesting the stuck channel waits out the window.
-	setup := connect(x, 2*sim.Microsecond, 3, 100*sim.Nanosecond)
+	setup := connect(&x, 2*sim.Microsecond, 3, 100*sim.Nanosecond)
 	if setup != 5*sim.Microsecond+RouteSetup {
 		t.Errorf("setup = %v, want window end + route setup", setup)
 	}

@@ -62,8 +62,9 @@ type Crossbar struct {
 	planeWait *metrics.Histogram
 }
 
-// New builds a crossbar.
-func New(name string) *Crossbar { return &Crossbar{name: name} }
+// New builds an idle crossbar. It returns the crossbar by value, so a
+// network keeps all of its crossbars in one slice.
+func New(name string) Crossbar { return Crossbar{name: name} }
 
 // Trace attaches a recorder under the given crossbar ordinal (its index
 // in the owning network); a nil recorder detaches. Circuit holds,

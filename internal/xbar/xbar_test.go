@@ -44,7 +44,7 @@ func connect(x *Crossbar, at sim.Time, out int, hold sim.Time) (setup sim.Time) 
 
 func TestCollisionFreeSetup(t *testing.T) {
 	x := New("x0")
-	setup := connect(x, 0, 3, sim.Microsecond)
+	setup := connect(&x, 0, 3, sim.Microsecond)
 	if setup != RouteSetup {
 		t.Errorf("collision-free setup = %v, want %v", setup, RouteSetup)
 	}
@@ -56,8 +56,8 @@ func TestCollisionFreeSetup(t *testing.T) {
 func TestOutputContentionSerializes(t *testing.T) {
 	x := New("x0")
 	hold := 2 * sim.Microsecond
-	s1 := connect(x, 0, 5, hold)
-	s2 := connect(x, 0, 5, hold)
+	s1 := connect(&x, 0, 5, hold)
+	s2 := connect(&x, 0, 5, hold)
 	// Second circuit waits for the first's hold plus its own setup.
 	want := RouteSetup + hold + RouteSetup
 	if s2 != want {
@@ -73,8 +73,8 @@ func TestOutputContentionSerializes(t *testing.T) {
 
 func TestDistinctOutputsIndependent(t *testing.T) {
 	x := New("x0")
-	s1 := connect(x, 0, 1, sim.Microsecond)
-	s2 := connect(x, 0, 2, sim.Microsecond)
+	s1 := connect(&x, 0, 1, sim.Microsecond)
+	s2 := connect(&x, 0, 2, sim.Microsecond)
 	if s1 != s2 {
 		t.Errorf("independent outputs interfered: %v vs %v", s1, s2)
 	}
@@ -82,7 +82,7 @@ func TestDistinctOutputsIndependent(t *testing.T) {
 
 func TestOutputHoldAccounting(t *testing.T) {
 	x := New("x0")
-	connect(x, 0, 7, sim.Microsecond)
+	connect(&x, 0, 7, sim.Microsecond)
 	want := RouteSetup + sim.Microsecond
 	if got := x.OutputFreeAt(7); got != want {
 		t.Errorf("OutputFreeAt = %v, want %v", got, want)
@@ -100,7 +100,7 @@ func TestConnectPanicsOutOfRange(t *testing.T) {
 			t.Error("connect to output -1 did not panic")
 		}
 	}()
-	connect(x, 0, -1, 0)
+	connect(&x, 0, -1, 0)
 }
 
 // Property: setup is never before at+RouteSetup, and circuits on one
@@ -111,7 +111,7 @@ func TestCircuitNonOverlapProperty(t *testing.T) {
 		var prevEnd sim.Time
 		for _, h := range holds {
 			hold := sim.Time(h) * sim.Nanosecond
-			setup := connect(x, 0, 0, hold)
+			setup := connect(&x, 0, 0, hold)
 			start := setup - RouteSetup
 			if start < prevEnd {
 				return false

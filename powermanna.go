@@ -199,7 +199,9 @@ var (
 	// NewWorld builds a message-passing world, one rank per node, over
 	// the given number of simulation shards (1 runs it serially). A
 	// payload returned by Rank.Recv is valid until that rank's next
-	// Recv, which recycles its buffer.
+	// Recv, which recycles its buffer; a vector returned by
+	// Rank.AllReduce or Rank.Bcast is valid until that rank's next
+	// collective, which reuses it.
 	NewWorld = mpl.NewPWorld
 	// CollectiveDepth reports the binomial-tree depth over p ranks.
 	CollectiveDepth = mpl.CriticalDepth
@@ -212,7 +214,9 @@ type (
 	EarthSystem = earth.System
 	// EarthParams are the runtime's calibrated cost constants.
 	EarthParams = earth.Params
-	// EarthCtx is a fiber's handle on the runtime.
+	// EarthCtx is a fiber's handle on the runtime. A node reuses one
+	// for all its fibers, so a procedure's ctx and args are valid only
+	// while its fiber runs.
 	EarthCtx = earth.Ctx
 )
 
