@@ -3,7 +3,8 @@
 #
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet (this module and the bench module), build, a check
-# that the node model's cache probes inline, race-enabled tests, one
+# that the node model's cache probes inline, race-enabled tests, ten
+# seconds of event-queue fuzzing (internal/sim FuzzQueue), one
 # iteration of each node-model, route-search, event-queue, network
 # (internal/netsim), EARTH-runtime (internal/earth) and message-layer
 # (internal/mpl, internal/heat) benchmark (so the benchmarks keep
@@ -51,6 +52,11 @@ fi
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== event-queue fuzz =="
+# FuzzQueue checks random push/peek/pop strings against a sorted
+# reference; ten seconds covers far, equal-time and near-MaxTime pushes.
+go test -run '^$' -fuzz '^FuzzQueue$' -fuzztime 10s ./internal/sim
 
 echo "== node-model, route, event-queue, network, runtime and message-layer benchmarks =="
 go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim ./internal/netsim ./internal/earth ./internal/mpl ./internal/heat

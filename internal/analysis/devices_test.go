@@ -10,13 +10,14 @@ import (
 )
 
 // devicePackages are the interconnect device packages, their observer,
-// the network that drives them and the runtimes over it: the wormhole
-// walk in internal/netsim drives the devices, internal/earth and
-// internal/mpl send through it, and none keeps API beside what the
-// model and the tools call.
+// the network that drives them, the runtimes over it and the event
+// kernel under all of them: the wormhole walk in internal/netsim drives
+// the devices, internal/earth and internal/mpl send through it,
+// internal/sim schedules every event, and none keeps API beside what
+// the model and the tools call.
 var devicePackages = []string{
 	"internal/ni", "internal/xbar", "internal/link", "internal/telemetry",
-	"internal/netsim", "internal/earth", "internal/mpl",
+	"internal/netsim", "internal/earth", "internal/mpl", "internal/sim",
 }
 
 // deviceExemptFiles are device files whose exported names may lack a
@@ -25,8 +26,9 @@ var devicePackages = []string{
 var deviceExemptFiles = map[string]bool{"internal/link/flit.go": true}
 
 // deviceExemptNames are exported names kept without a non-test caller,
-// each with its reason and the runnable example (example_test.go at the
-// module root) that calls it through the powermanna facade.
+// each with its reason and, for API a model may call, the runnable
+// example (example_test.go at the module root) that calls it through
+// the powermanna facade.
 var deviceExemptNames = map[string]string{
 	"internal/earth.Ctx.GetSync":   "EARTH's split-phase remote load; fib needs only DATA_SYNC (Example_earthGetSync)",
 	"internal/earth.Ctx.Now":       "a fiber's clock, for programs that time their own operations (Example_earthGetSync)",
@@ -35,6 +37,7 @@ var deviceExemptNames = map[string]string{
 	"internal/mpl.PRank.Barrier":   "the MPI-role barrier; the shipped workloads synchronize through data (Example_worldGather)",
 	"internal/mpl.PRank.Gather":    "the MPI-role gather; the shipped workloads reduce instead (Example_worldGather)",
 	"internal/mpl.PRank.Now":       "a rank's clock, for programs that time their own phases (Example_worldGather)",
+	"internal/sim.Scheduler.Queue": "the embedded event queue: callers reach its methods promoted through Scheduler, never by the field name",
 }
 
 // TestDeviceExportsAreUsed requires every exported name declared in the

@@ -142,9 +142,9 @@ type System struct {
 	ready     []readyEntry
 	freeReady int32
 	// events holds the runtime's scheduled events in the engine's
-	// (time, seq) order: at pushes each one here as it schedules fireFn,
-	// which is bound once, so every firing pops exactly its own event
-	// and rescheduling allocates nothing.
+	// order, by time and then push order: at pushes each one here as it
+	// schedules fireFn, which is bound once, so every firing pops
+	// exactly its own event and rescheduling allocates nothing.
 	events sim.Queue[event]
 	fireFn func()
 
@@ -257,9 +257,9 @@ func New(t *topo.Topology, p Params) *System {
 
 // NewWithEngine builds an EARTH system over an explicit event engine —
 // the hook the parallel campaigns use to run a whole EARTH machine on
-// one psim shard, where the shard's heap is the runtime's event queue.
-// The engine must honor sim.Engine's (time, seq) dispatch order; both
-// the sequential scheduler and a psim shard do.
+// one psim shard, where the shard's queue is the runtime's event queue.
+// The engine must honor sim.Engine's dispatch order, by time and then
+// scheduling order; both the sequential scheduler and a psim shard do.
 func NewWithEngine(t *topo.Topology, p Params, eng sim.Engine) *System {
 	s := &System{
 		params: p,
@@ -394,7 +394,7 @@ func (s *System) makespan() sim.Time {
 }
 
 // at schedules ev at t. Every runtime event goes through here, so the
-// engine's (time, seq) order over fireFn matches s.events' order.
+// engine's order over fireFn matches s.events' order.
 func (s *System) at(t sim.Time, ev event) {
 	s.events.Push(t, ev)
 	s.sched.At(t, s.fireFn)

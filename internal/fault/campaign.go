@@ -389,8 +389,8 @@ func runRate(c Campaign, opt Options, cfg netsim.FailoverConfig, rate int, obser
 				}
 			})
 		}
-		// Finalize shares the last message's time; the (time, seq) order
-		// runs it after every send.
+		// Finalize shares the last message's time; equal times fire in
+		// push order, so it runs after every send.
 		eng.At(last, func() {
 			if out.row.Delivered > 0 {
 				out.row.MeanLatency = latSum / sim.Time(out.row.Delivered)

@@ -35,9 +35,12 @@
 // on the receiving rank's free list at that rank's next Recv. A free
 // list is touched only by its rank's shard and a record crosses shards
 // only inside a mailbox payload. Sends and receives balance over a
-// halo exchange, so a steady-state send/recv allocates nothing. The
-// price is Recv's contract: the returned slice is valid until the
-// rank's next Recv, as with bufio.Scanner.Bytes.
+// halo exchange, so a steady-state send/recv allocates nothing. Each
+// rank's first records, their first payload bytes and its queue and
+// free-list capacity are carved from world-owned slabs at build, so a
+// fresh world's first messages allocate nothing either. The price is
+// Recv's contract: the returned slice is valid until the rank's next
+// Recv, as with bufio.Scanner.Bytes.
 //
 // The build constraint raises this file's language version to go1.23,
 // the first with iter.Pull, while the module's go line stays at go1.22.
@@ -87,6 +90,18 @@ type pcargo struct {
 	payload  []byte
 	arrival  sim.Time
 }
+
+// Per-rank capacities carved from the world's slabs: the records a
+// halo exchange or a binomial-tree collective keeps in flight, the
+// first payload bytes of each (a halo value or a two-element vector),
+// and the queue and free-list lengths those workloads reach on
+// System256. A rank that outgrows one grows it alone.
+const (
+	slabRecords = 3
+	slabPayload = 16
+	slabQueue   = 4
+	slabFree    = 4
+)
 
 // PWorld is one SPMD program run over a partitioned network: one rank
 // per node, each a coroutine resumed by its node's shard.
@@ -147,17 +162,30 @@ func NewPWorld(t *topo.Topology, shards int) (*PWorld, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := t.Nodes()
 	w := &PWorld{
 		pn:     pn,
 		params: comm.DefaultPMParams(),
-		sends:  make([]int64, t.Nodes()),
-		bytes:  make([]int64, t.Nodes()),
-		ranks:  make([]PRank, t.Nodes()),
+		sends:  make([]int64, n),
+		bytes:  make([]int64, n),
+		ranks:  make([]PRank, n),
 	}
+	recs := make([]pcargo, n*slabRecords)
+	payloads := make([]byte, len(recs)*slabPayload)
+	lists := make([]*pcargo, n*(slabQueue+slabFree))
 	for i := range w.ranks {
 		r := &w.ranks[i]
 		r.w, r.rank = w, i
 		r.verdictFn = r.onVerdict
+		r.queue = lists[:0:slabQueue]
+		r.free = lists[slabQueue : slabQueue : slabQueue+slabFree]
+		lists = lists[slabQueue+slabFree:]
+		for j := range slabRecords {
+			c := &recs[i*slabRecords+j]
+			c.payload = payloads[:0:slabPayload]
+			payloads = payloads[slabPayload:]
+			r.free = append(r.free, c)
+		}
 	}
 	pn.OnDeliver(func(_, dst int, payload any, _, last sim.Time) {
 		c := payload.(*pcargo)

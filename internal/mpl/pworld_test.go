@@ -455,6 +455,65 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRanksOutgrowTheirSlabs grows one rank's free list past its slab
+// share while the next rank's queue still holds messages in its own
+// share: rank 0 receives more messages than slabFree from rank 7, then
+// releases rank 1, whose queue has meanwhile held slabQueue-1 messages
+// from rank 2 in its slab share. Payloads run past slabPayload, so the
+// records' payload buffers grow too. Every payload must arrive intact.
+func TestRanksOutgrowTheirSlabs(t *testing.T) {
+	const m = 2 * (slabFree + slabRecords)
+	const tagGo = 1000
+	body := func(src, k int) []byte {
+		b := make([]byte, k%(2*slabPayload)+1)
+		for i := range b {
+			b[i] = byte(src*31 + k + i)
+		}
+		return b
+	}
+	recv := func(r *PRank, src, k int) error {
+		got, err := r.Recv(src, k)
+		if err != nil {
+			return err
+		}
+		if want := body(src, k); k != tagGo && !bytes.Equal(got, want) {
+			return fmt.Errorf("rank %d: message %d from %d = %v, want %v", r.Rank(), k, src, got, want)
+		}
+		return nil
+	}
+	runPWorld(t, topo.Cluster8(), func(r *PRank) error {
+		switch r.Rank() {
+		case 7, 2:
+			n, dst := m, 0
+			if r.Rank() == 2 {
+				n, dst = slabQueue-1, 1
+			}
+			for k := 0; k < n; k++ {
+				if err := r.Send(dst, k, body(r.Rank(), k)); err != nil {
+					return err
+				}
+			}
+		case 0:
+			for k := m - 1; k >= 0; k-- {
+				if err := recv(r, 7, k); err != nil {
+					return err
+				}
+			}
+			return r.Send(1, tagGo, nil)
+		case 1:
+			if err := recv(r, 0, tagGo); err != nil {
+				return err
+			}
+			for k := 0; k < slabQueue-1; k++ {
+				if err := recv(r, 2, k); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
 func TestSelfSendRejected(t *testing.T) {
 	w, err := NewPWorld(topo.Cluster8(), 1)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package psim is the parallel discrete-event engine: the event space
 // is split into shards, each running on its own sim.Queue — the one
-// event queue internal/sim's sequential Scheduler also runs on — and
-// synchronized through conservative lookahead windows
+// event queue internal/sim's sequential Scheduler also runs on, a
+// monotone radix queue with O(1) pushes that fires equal times in push
+// order — and synchronized through conservative lookahead windows
 // (null-message-free barrier rounds). Cross-shard events travel through
 // per-pair mailboxes and are merged at each barrier with a
 // deterministic (time, source shard, post order) tie-break, so a
@@ -123,7 +124,7 @@ func (c callback) fire(s *Shard) {
 }
 
 // Shard is one partition of the event space: a private sim.Queue —
-// heap, clock, sequence counter and step count. It implements
+// radix queue, clock and step count. It implements
 // sim.Engine, so model code written against the sequential scheduler
 // runs unchanged on a shard. A shard's state — and everything its
 // events touch — belongs to exactly one worker goroutine per barrier
@@ -149,9 +150,10 @@ func (s *Shard) At(t sim.Time, fn func()) { s.Push(t, callback{arg: fn}) }
 
 // AtPost schedules payload for the handler h on this shard at absolute
 // simulated time t: the shard-local form of Engine.PostPayload, taking
-// the same sequence number At would, so event order is unchanged. A
-// model that schedules one bound handler with pooled payloads instead
-// of a fresh closure per event allocates nothing per event.
+// the same place in the queue's push order At would, so event order is
+// unchanged. A model that schedules one bound handler with pooled
+// payloads instead of a fresh closure per event allocates nothing per
+// event.
 func (s *Shard) AtPost(t sim.Time, h Handler, payload any) {
 	s.Push(t, callback{h: h, arg: payload})
 }
@@ -202,7 +204,7 @@ var _ sim.Engine = (*Shard)(nil)
 
 // post is one cross-shard event waiting in a mailbox: its time, source
 // shard and callback. Mailbox order within a (src, dst) pair extends
-// the (time, seq) tie-break across shards.
+// the (time, push order) tie-break across shards.
 type post struct {
 	at  sim.Time
 	src int
@@ -233,7 +235,7 @@ type Engine struct {
 	lookahead sim.Time
 	// serial dispatches every round on the calling goroutine, shard 0
 	// first — the --engine seq execution of a partitioned model. The
-	// event program (window ends, mailbox merges, sequence numbers) is
+	// event program (window ends, mailbox merges, push order) is
 	// identical to the parallel dispatch, so serial and parallel runs of
 	// a shard-confined model produce byte-identical histories; serial is
 	// also safe to drive from inside another engine's event (nested
@@ -696,10 +698,10 @@ func (e *Engine) stopCrew() {
 
 // deliver merges the round's mailboxes into the destination queues
 // with the deterministic cross-shard tie-break: ascending (time, source
-// shard, post order). Destination sequence numbers are assigned in
-// that merged order, so the (at, seq) heap order downstream — and with
-// it every simulated outcome — is a pure function of the model, never
-// of goroutine timing. Posts enter the queue as they are — payload
+// shard, post order). Posts are pushed in that merged order, so the
+// (time, push order) queue order downstream — and with it every
+// simulated outcome — is a pure function of the model, never of
+// goroutine timing. Posts enter the queue as they are — payload
 // posts as payload events — through one reused merge buffer, so a round
 // allocates nothing once the buffers have grown, and through Push, so
 // its past-time guard covers every merge.

@@ -179,8 +179,8 @@ func TestEngineStepsAndAccessors(t *testing.T) {
 		}
 		sh.At(sim.Time(i+1)*sim.Nanosecond, func() {})
 	}
-	if eng.Shard(0).Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", eng.Shard(0).Pending())
+	if at, ok := eng.Shard(0).NextAt(); !ok || at != sim.Nanosecond {
+		t.Fatalf("NextAt() = %v, %v, want 1ns, true", at, ok)
 	}
 	eng.Run()
 	if eng.Steps() != 3 {
@@ -211,7 +211,7 @@ type tagHandler struct{ got *[]string }
 func (h tagHandler) OnPost(_ *Shard, payload any) { *h.got = append(*h.got, *payload.(*string)) }
 
 // TestPayloadEventsKeepOrder pins that payload events take the same
-// sequence numbers as closures: AtPost interleaves with At in call
+// places in push order as closures: AtPost interleaves with At in call
 // order, and PostPayload with Post in posting order per source.
 func TestPayloadEventsKeepOrder(t *testing.T) {
 	eng := NewEngine(3, sim.Microsecond)

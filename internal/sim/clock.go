@@ -41,8 +41,5 @@ func (c Clock) ToCycles(t Time) int64 {
 	return int64((t + c.Period - 1) / c.Period)
 }
 
-// Align rounds t up to the next cycle boundary of this clock.
-func (c Clock) Align(t Time) Time { return c.Cycles(c.ToCycles(t)) }
-
 // String renders the clock's frequency.
 func (c Clock) String() string { return fmt.Sprintf("%.4gMHz", c.MHz()) }

@@ -4,11 +4,11 @@ package sim
 // sequential Scheduler and each shard of the parallel engine in
 // internal/psim satisfy it, both running on the one Queue. Models
 // written against Engine instead of *Scheduler run unchanged on either.
-// The contract is the (time, seq) total order: events fire in ascending
-// time, and events at equal times fire in scheduling order. That order
-// is what makes every simulation in this repository a pure function of
-// its configuration, so an Engine implementation that reorders
-// equal-time events is broken even if no test catches it directly.
+// The contract is a total order: events fire in ascending time, and
+// events at equal times fire in scheduling order. That order is what
+// makes every simulation in this repository a pure function of its
+// configuration, so an Engine implementation that reorders equal-time
+// events is broken even if no test catches it directly.
 type Engine interface {
 	// Now reports the current simulated time.
 	Now() Time

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -87,44 +85,6 @@ func TestSchedulerMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestQueueMatchesSortedReference interleaves pushes and pops at
-// random and checks every pop against a sorted reference: the (at, seq)
-// order, the clock, and the callback popped with each key while freed
-// slots are reused.
-func TestQueueMatchesSortedReference(t *testing.T) {
-	type ev struct {
-		at Time
-		id int
-	}
-	f := func(ops []uint16) bool {
-		var q Queue[int]
-		var ref []ev // sorted by (at, id); ids rise with seq
-		for i, op := range ops {
-			if op%3 == 0 {
-				id, ok := q.Next()
-				if ok != (len(ref) > 0) {
-					return false
-				}
-				if ok {
-					if id != ref[0].id || q.Now() != ref[0].at {
-						return false
-					}
-					ref = ref[1:]
-				}
-				continue
-			}
-			at := q.Now() + Time(op%64)
-			q.Push(at, i)
-			j := sort.Search(len(ref), func(k int) bool { return ref[k].at > at })
-			ref = slices.Insert(ref, j, ev{at, i})
-		}
-		return q.Pending() == len(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSchedulerStepAllocatesNothing pins the sequential queue to zero
 // heap allocations per event once it has grown: At plus Step through
 // slot reuse, and a Run entered from inside an event.
@@ -158,8 +118,8 @@ func TestSchedulerStepAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, reentrant); allocs != 0 {
 		t.Errorf("%v allocations per reentrant Run, want 0", allocs)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending() = %d after Run, want 0", s.Pending())
+	if at, ok := s.NextAt(); ok {
+		t.Errorf("an event at %v is still queued after Run", at)
 	}
 	// 64 warm-up steps, 1001 measured ones, the 64 events they left
 	// pending, and two ticks per nested Run.

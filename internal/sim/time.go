@@ -13,10 +13,7 @@
 // seeded explicitly.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in (or duration of) simulated time, in picoseconds.
 type Time int64
@@ -38,16 +35,6 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // Nanos converts t to floating-point nanoseconds.
 func (t Time) Nanos() float64 { return float64(t) / float64(Nanosecond) }
-
-// FromSeconds converts floating-point seconds to simulated Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// FromMicros converts floating-point microseconds to simulated Time.
-func FromMicros(us float64) Time { return Time(us * float64(Microsecond)) }
-
-// Std converts simulated time to a time.Duration for display purposes.
-// Sub-nanosecond precision is truncated.
-func (t Time) Std() time.Duration { return time.Duration(t / Nanosecond) }
 
 // String renders the time with an adaptive unit, e.g. "2.75us".
 func (t Time) String() string {

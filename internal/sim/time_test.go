@@ -23,12 +23,6 @@ func TestTimeConversions(t *testing.T) {
 			t.Errorf("(%d).Seconds() = %g, want %g", int64(c.in), got, c.secs)
 		}
 	}
-	if got := FromSeconds(1.5); got != 1500*Millisecond {
-		t.Errorf("FromSeconds(1.5) = %v, want 1.5s", got)
-	}
-	if got := FromMicros(2.75); got != 2750*Nanosecond {
-		t.Errorf("FromMicros(2.75) = %v, want 2.75us", got)
-	}
 }
 
 func TestTimeString(t *testing.T) {
@@ -92,13 +86,15 @@ func TestClockToCyclesRoundsUp(t *testing.T) {
 	}
 }
 
+// TestClockAlign checks that Cycles(ToCycles(t)) rounds t up to the
+// next cycle boundary.
 func TestClockAlign(t *testing.T) {
 	c := ClockMHz(100)
-	if got := c.Align(10001); got != 20000 {
-		t.Errorf("Align(10001) = %d, want 20000", got)
+	if got := c.Cycles(c.ToCycles(10001)); got != 20000 {
+		t.Errorf("Cycles(ToCycles(10001)) = %d, want 20000", got)
 	}
-	if got := c.Align(20000); got != 20000 {
-		t.Errorf("Align(20000) = %d, want 20000", got)
+	if got := c.Cycles(c.ToCycles(20000)); got != 20000 {
+		t.Errorf("Cycles(ToCycles(20000)) = %d, want 20000", got)
 	}
 }
 
