@@ -36,9 +36,16 @@ func seriesMax(r experiments.Result, name string) float64 {
 		return 0
 	}
 	for _, s := range r.Figure.Series {
-		if s.Name == name {
-			return s.Max()
+		if s.Name != name {
+			continue
 		}
+		max := 0.0
+		for _, p := range s.Points {
+			if p.Y > max {
+				max = p.Y
+			}
+		}
+		return max
 	}
 	return 0
 }

@@ -5,10 +5,12 @@
 # formatting, vet (this module and the bench module), build, a check
 # that the node model's cache probes inline, race-enabled tests, ten
 # seconds of event-queue fuzzing (internal/sim FuzzQueue), one
-# iteration of each node-model, route-search, event-queue, network
-# (internal/netsim), EARTH-runtime (internal/earth) and message-layer
-# (internal/mpl, internal/heat) benchmark (so the benchmarks keep
-# running), the determinism-contract lint
+# iteration of each paper-figure facade benchmark (the root package's
+# BenchmarkFig*, BenchmarkAblation* and BenchmarkKernel*) and of each
+# node-model, route-search, event-queue, network (internal/netsim),
+# EARTH-runtime (internal/earth) and message-layer (internal/mpl,
+# internal/heat) benchmark (so the benchmarks keep running), the
+# determinism-contract lint
 # (cmd/pmlint) and a build of every cmd/* binary. Every golden gate
 # runs under go test: the CLI goldens in golden_test.go
 # (TestCampaignGoldens, TestParallelEngineGoldens, TestDatapathGoldens,
@@ -58,8 +60,8 @@ echo "== event-queue fuzz =="
 # reference; ten seconds covers far, equal-time and near-MaxTime pushes.
 go test -run '^$' -fuzz '^FuzzQueue$' -fuzztime 10s ./internal/sim
 
-echo "== node-model, route, event-queue, network, runtime and message-layer benchmarks =="
-go test -run '^$' -bench . -benchtime 1x ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim ./internal/netsim ./internal/earth ./internal/mpl ./internal/heat
+echo "== facade, node-model, route, event-queue, network, runtime and message-layer benchmarks =="
+go test -run '^$' -bench . -benchtime 1x . ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim ./internal/netsim ./internal/earth ./internal/mpl ./internal/heat
 
 echo "== pmlint =="
 go run ./cmd/pmlint ./...

@@ -173,11 +173,33 @@ func sharedModule(t *testing.T) []*Package {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	moduleOnce.Do(func() { modulePkgs, moduleErr = LoadModule(".") })
+	moduleOnce.Do(func() { modulePkgs, moduleErr = loadModule(".") })
 	if moduleErr != nil {
 		t.Fatalf("loading module: %v", moduleErr)
 	}
 	return modulePkgs
+}
+
+// loadModule loads every package of the module rooted at (or above) dir.
+func loadModule(dir string) ([]*Package, error) {
+	root, modpath, err := ModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	rels, err := PackageDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	l := NewLoader()
+	var pkgs []*Package
+	for _, rel := range rels {
+		pkg, err := l.LoadPackage(root, modpath, rel)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // TestRepositoryIsClean runs the full suite over this repository itself:

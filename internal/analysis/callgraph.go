@@ -16,9 +16,8 @@ import (
 // the sim event-handler entry points: every function or function literal
 // scheduled through a sim event queue — internal/sim's Scheduler.At /
 // After (directly or via the sim.Engine interface) and the Queue.Push
-// beneath them, internal/psim's per-shard At / After and cross-shard
-// Engine.Post — plus any declared
-// function carrying the //pmlint:root directive.
+// beneath them, and internal/psim's per-shard At / After — plus any
+// declared function carrying the //pmlint:root directive.
 // The edge from the scheduling site to the scheduled callback is
 // deliberately *not* in the graph — crossing the event queue is the one
 // sanctioned way for state to flow between handlers, so reachability
@@ -84,9 +83,6 @@ type VarAccess struct {
 	Pos token.Position
 }
 
-// Calls returns the node's outgoing edges in source order.
-func (n *CGNode) Calls() []*CGNode { return n.calls }
-
 // Reads returns the package-level variables the body reads directly.
 func (n *CGNode) Reads() []*VarAccess { return n.reads }
 
@@ -103,9 +99,6 @@ type CallGraph struct {
 	byFn  map[*types.Func]*CGNode
 	byLit map[*ast.FuncLit]*CGNode
 }
-
-// Nodes returns every function of the package in source-position order.
-func (g *CallGraph) Nodes() []*CGNode { return g.nodes }
 
 // HandlerRoots returns the event-handler entry points in source order:
 // everything scheduled through internal/sim's queue.
@@ -383,11 +376,10 @@ func (g *CallGraph) collectCaptures(node *CGNode, lit *ast.FuncLit) {
 	})
 }
 
-// scheduleQueues lists the event-queue owners whose At / After / Post /
-// Push methods enqueue work: the sequential scheduler, the Engine
-// interface it satisfies and the Queue both engines embed in
-// internal/sim, and the parallel engine's shard plus its cross-shard
-// mailbox in internal/psim.
+// scheduleQueues lists the event-queue owners whose At / After / Push
+// methods enqueue work: the sequential scheduler, the Engine interface
+// it satisfies and the Queue both engines embed in internal/sim, and
+// the parallel engine's shard in internal/psim.
 var scheduleQueues = []struct {
 	pkgSuffix string
 	typeName  string
@@ -396,13 +388,11 @@ var scheduleQueues = []struct {
 	{"internal/sim", "Engine"},
 	{"internal/sim", "Queue"},
 	{"internal/psim", "Shard"},
-	{"internal/psim", "Engine"},
 }
 
 // scheduleCallback returns the callback argument of a call that enqueues
-// work on a sim event queue (Scheduler/Engine/Shard At and After,
-// Queue.Push, plus the parallel engine's cross-shard Post), or nil for
-// any other call.
+// work on a sim event queue (Scheduler/Engine/Shard At and After, and
+// Queue.Push), or nil for any other call.
 // The callback is the final func() argument.
 func scheduleCallback(pkg *Package, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -410,7 +400,7 @@ func scheduleCallback(pkg *Package, call *ast.CallExpr) ast.Expr {
 		return nil
 	}
 	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || (fn.Name() != "At" && fn.Name() != "After" && fn.Name() != "Post" && fn.Name() != "Push") {
+	if !ok || (fn.Name() != "At" && fn.Name() != "After" && fn.Name() != "Push") {
 		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)

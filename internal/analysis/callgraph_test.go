@@ -33,7 +33,7 @@ func TestCallGraphRoots(t *testing.T) {
 			t.Errorf("root %s is not a literal; all scheduled callbacks in the fixture are closures", r.Name)
 		}
 	}
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		if n.Fn != nil && n.HandlerRoot {
 			t.Errorf("declared function %s marked as root; only scheduled callbacks should be", n.Name)
 		}
@@ -42,8 +42,7 @@ func TestCallGraphRoots(t *testing.T) {
 
 // TestCallGraphEngineRoots checks the parallel-engine schedule sites:
 // callbacks scheduled through the sim.Engine interface, the sim.Queue
-// a scheduler embeds, a psim shard and the cross-shard Post mailbox all
-// root; the //pmlint:root
+// a scheduler embeds and a psim shard all root; the //pmlint:root
 // directive promotes a declared worker loop; a lookalike At method on
 // an unrelated type roots nothing.
 func TestCallGraphEngineRoots(t *testing.T) {
@@ -56,7 +55,7 @@ func TestCallGraphEngineRoots(t *testing.T) {
 	for _, r := range g.HandlerRoots() {
 		roots[r.Name] = true
 	}
-	for _, want := range []string{"ifaceHandler", "queueHandler", "shardHandler", "postHandler", "drain"} {
+	for _, want := range []string{"ifaceHandler", "queueHandler", "shardHandler", "drain"} {
 		if !roots[want] {
 			t.Errorf("%s is not a handler root; roots = %v", want, roots)
 		}
@@ -64,8 +63,8 @@ func TestCallGraphEngineRoots(t *testing.T) {
 	if roots["notAHandler"] {
 		t.Errorf("lookalike At callback notAHandler rooted; the matcher must check the receiver's package")
 	}
-	if len(roots) != 5 {
-		t.Errorf("got %d roots (%v), want 5", len(roots), roots)
+	if len(roots) != 4 {
+		t.Errorf("got %d roots (%v), want 4", len(roots), roots)
 	}
 }
 
@@ -75,7 +74,7 @@ func TestCallGraphEngineRoots(t *testing.T) {
 func TestCallGraphReachability(t *testing.T) {
 	g := BuildCallGraph(loadShardFixture(t))
 	var setup *CGNode
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		if n.Name == "setup" {
 			setup = n
 		}
@@ -119,9 +118,9 @@ func TestCallGraphDeterministic(t *testing.T) {
 	pkg := loadShardFixture(t)
 	render := func(g *CallGraph) string {
 		var b strings.Builder
-		for _, n := range g.Nodes() {
+		for _, n := range g.nodes {
 			b.WriteString(n.Name)
-			for _, c := range n.Calls() {
+			for _, c := range n.calls {
 				b.WriteString(" ->" + c.Name)
 			}
 			if n.HandlerRoot {

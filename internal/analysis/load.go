@@ -161,28 +161,6 @@ func PackageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// LoadModule loads every package of the module rooted at (or above) dir.
-func LoadModule(dir string) ([]*Package, error) {
-	root, modpath, err := ModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	rels, err := PackageDirs(root)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLoader()
-	var pkgs []*Package
-	for _, rel := range rels {
-		pkg, err := l.LoadPackage(root, modpath, rel)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
 // LoadPackage loads one module package by its root-relative path ("." or
 // "" for the root package itself).
 func (l *Loader) LoadPackage(root, modpath, rel string) (*Package, error) {

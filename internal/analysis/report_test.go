@@ -29,7 +29,7 @@ func TestReportMatchesGolden(t *testing.T) {
 // so any map-order or position nondeterminism would make the golden flaky.
 func TestReportDeterministic(t *testing.T) {
 	a := RenderReport(AuditPackages(sharedModule(t)))
-	pkgs, err := LoadModule(".")
+	pkgs, err := loadModule(".")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

@@ -1,8 +1,7 @@
 // Package pqueue exercises the schedule-site matcher's parallel-engine
 // cases: callbacks scheduled through the sim.Engine interface, through
-// the sim.Queue a scheduler embeds, through a psim shard, through the
-// cross-shard Post mailbox, and a worker loop
-// promoted to handler root by directive. The lookalike type at the
+// the sim.Queue a scheduler embeds, through a psim shard, and a worker
+// loop promoted to handler root by directive. The lookalike type at the
 // bottom must stay invisible.
 package pqueue
 
@@ -26,15 +25,12 @@ func viaQueue(s *sim.Scheduler) {
 
 func queueHandler() {}
 
-// viaShard schedules on a psim shard and posts across shards.
+// viaShard schedules on a psim shard.
 func viaShard(e *psim.Engine) {
 	e.Shard(0).After(sim.Time(5), shardHandler)
-	e.Post(0, 1, sim.Time(10), postHandler)
 }
 
 func shardHandler() {}
-
-func postHandler() {}
 
 // drain is the directive case: never passed to At/After, yet it runs
 // handler bodies directly and must be audited as a root.

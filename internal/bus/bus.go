@@ -147,13 +147,11 @@ type Fabric interface {
 // address and data phases of different transactions overlap, but all
 // devices still arbitrate for each group.
 type SharedBus struct {
-	cfg  Config
-	mem  *mem.Memory
-	addr sim.Resource // shared address/snoop wires
-	data sim.Resource // shared data wires
-	// dataBusy sums the data wires' occupancy for Utilization.
-	dataBusy sim.Time
-	stats    Stats
+	cfg   Config
+	mem   *mem.Memory
+	addr  sim.Resource // shared address/snoop wires
+	data  sim.Resource // shared data wires
+	stats Stats
 }
 
 // NewShared builds a shared-bus fabric over m. Panics on invalid config.
@@ -180,7 +178,7 @@ func (b *SharedBus) FillLine(at sim.Time, lineAddr uint64, src Source) sim.Time 
 		ready = b.mem.ReadLine(at, lineAddr*uint64(b.cfg.LineBytes))
 	}
 	dur := b.cfg.lineTime()
-	start := b.acquireData(ready, dur)
+	start := b.data.Acquire(ready, dur)
 	b.stats.DataPhases++
 	b.stats.DataWait += start - ready
 	b.stats.LinesMoved++
@@ -191,19 +189,13 @@ func (b *SharedBus) FillLine(at sim.Time, lineAddr uint64, src Source) sim.Time 
 func (b *SharedBus) WritebackLine(at sim.Time, lineAddr uint64) sim.Time {
 	grant := b.GrantAddress(at)
 	dur := b.cfg.lineTime()
-	start := b.acquireData(grant, dur)
+	start := b.data.Acquire(grant, dur)
 	b.stats.DataPhases++
 	b.stats.DataWait += start - grant
 	b.stats.LinesMoved++
 	done := start + dur
 	b.mem.WriteLine(done, lineAddr*uint64(b.cfg.LineBytes))
 	return done
-}
-
-// acquireData claims the shared data wires, counting their busy time.
-func (b *SharedBus) acquireData(at, dur sim.Time) sim.Time {
-	b.dataBusy += dur
-	return b.data.Acquire(at, dur)
 }
 
 // Upgrade implements Fabric.
@@ -214,7 +206,7 @@ func (b *SharedBus) PIO(at sim.Time, bytes int) sim.Time {
 	b.stats.PIOs++
 	grant := b.GrantAddress(at)
 	dur := b.cfg.beatTime(bytes)
-	start := b.acquireData(grant, dur)
+	start := b.data.Acquire(grant, dur)
 	b.stats.DataWait += start - grant
 	return start + dur
 }
@@ -229,12 +221,8 @@ func (b *SharedBus) Stats() Stats { return b.stats }
 func (b *SharedBus) Reset() {
 	b.addr.Reset()
 	b.data.Reset()
-	b.dataBusy = 0
 	b.stats = Stats{}
 }
-
-// Utilization reports the shared data wires' busy fraction over a window.
-func (b *SharedBus) Utilization(window sim.Time) float64 { return utilization(b.dataBusy, window) }
 
 // SwitchedFabric is the PowerMANNA node interconnect: the ADSP bus switch
 // gives every device a private point-to-point data path, and the central
@@ -316,18 +304,13 @@ func (f *SwitchedFabric) Reset() {
 }
 
 // SnoopUtilization reports the dispatcher address-phase busy fraction —
-// the quantity the paper identifies as the node's scaling limit.
-func (f *SwitchedFabric) SnoopUtilization(window sim.Time) float64 {
-	return utilization(f.snoopBusy, window)
-}
-
-// utilization reports busy as a fraction of the elapsed window; a
+// the quantity the paper identifies as the node's scaling limit. A
 // window of zero yields zero.
-func utilization(busy, window sim.Time) float64 {
+func (f *SwitchedFabric) SnoopUtilization(window sim.Time) float64 {
 	if window <= 0 {
 		return 0
 	}
-	return float64(busy) / float64(window)
+	return float64(f.snoopBusy) / float64(window)
 }
 
 var (

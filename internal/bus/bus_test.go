@@ -269,16 +269,6 @@ func TestSharedBusWritebackAndUpgrade(t *testing.T) {
 	}
 }
 
-func TestSharedBusUtilization(t *testing.T) {
-	b := NewShared(testCfg(), testMem())
-	grant := b.GrantAddress(0)
-	done := b.FillLine(grant, 0, FromPeer)
-	u := b.Utilization(done)
-	if u <= 0 || u > 1 {
-		t.Errorf("Utilization = %g", u)
-	}
-}
-
 func TestConstructorsPanicOnBadConfig(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"shared":   func() { NewShared(Config{}, testMem()) },

@@ -100,15 +100,6 @@ type Stats struct {
 	InvalidationsReceived   int64 // lines killed by remote writes
 }
 
-// HitRate reports combined read+write hit rate; 0 if no accesses.
-func (s Stats) HitRate() float64 {
-	total := s.Reads + s.Writes
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(s.ReadMisses+s.WriteMisses)/float64(total)
-}
-
 // noTag is the tag of every Invalid way. A line address can equal it only
 // in a cache of 1-byte lines, so a tag match on noTag is confirmed against
 // lastUse before it counts.
@@ -543,14 +534,3 @@ func (c *Cache) InvalidateAll() {
 
 // ResetStats zeroes the counters without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Occupancy reports how many lines are currently valid.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, u := range c.lastUse {
-		if u != 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -246,7 +246,7 @@ func (o *oracle) check(op string, got, want any) {
 	if g, w := o.c.Stats(), o.ref.stats; g != w {
 		fail("Stats after "+op, g, w)
 	}
-	if g, w := o.c.Occupancy(), o.ref.Occupancy(); g != w {
+	if g, w := occupancy(o.c), o.ref.Occupancy(); g != w {
 		fail("Occupancy after "+op, g, w)
 	}
 	if g, w := o.c.clock, o.ref.clock; g != w {

@@ -15,11 +15,7 @@
 // the constants here encode those published curves.
 package comm
 
-import (
-	"fmt"
-
-	"powermanna/internal/sim"
-)
+import "powermanna/internal/sim"
 
 // System is a communication system under measurement. Sizes are payload
 // bytes; bandwidths are payload bytes per second.
@@ -46,30 +42,4 @@ func Sizes(lo, hi int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// Check validates a System's basic sanity (used by tests and the
-// harness): positive latencies, monotone non-decreasing latency in n.
-func Check(s System) error {
-	prev := sim.Time(0)
-	for _, n := range Sizes(4, 4096) {
-		l := s.OneWayLatency(n)
-		if l <= 0 {
-			return fmt.Errorf("comm %s: latency(%d) = %v", s.Name(), n, l)
-		}
-		if l < prev {
-			return fmt.Errorf("comm %s: latency(%d) = %v below latency of smaller message %v", s.Name(), n, l, prev)
-		}
-		prev = l
-		if g := s.Gap(n); g <= 0 {
-			return fmt.Errorf("comm %s: gap(%d) = %v", s.Name(), n, g)
-		}
-		if bw := s.UniBandwidth(n); bw <= 0 {
-			return fmt.Errorf("comm %s: uni(%d) = %g", s.Name(), n, bw)
-		}
-		if bw := s.BiBandwidth(n); bw <= 0 {
-			return fmt.Errorf("comm %s: bi(%d) = %g", s.Name(), n, bw)
-		}
-	}
-	return nil
 }

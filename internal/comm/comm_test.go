@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"testing"
 
 	"powermanna/internal/sim"
@@ -8,10 +9,36 @@ import (
 
 func TestAllSystemsSane(t *testing.T) {
 	for _, s := range []System{NewPowerMANNA(), BIP(), FM()} {
-		if err := Check(s); err != nil {
+		if err := check(s); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
 		}
 	}
+}
+
+// check validates a System's basic sanity: positive latencies,
+// monotone non-decreasing latency in n.
+func check(s System) error {
+	prev := sim.Time(0)
+	for _, n := range Sizes(4, 4096) {
+		l := s.OneWayLatency(n)
+		if l <= 0 {
+			return fmt.Errorf("comm %s: latency(%d) = %v", s.Name(), n, l)
+		}
+		if l < prev {
+			return fmt.Errorf("comm %s: latency(%d) = %v below latency of smaller message %v", s.Name(), n, l, prev)
+		}
+		prev = l
+		if g := s.Gap(n); g <= 0 {
+			return fmt.Errorf("comm %s: gap(%d) = %v", s.Name(), n, g)
+		}
+		if bw := s.UniBandwidth(n); bw <= 0 {
+			return fmt.Errorf("comm %s: uni(%d) = %g", s.Name(), n, bw)
+		}
+		if bw := s.BiBandwidth(n); bw <= 0 {
+			return fmt.Errorf("comm %s: bi(%d) = %g", s.Name(), n, bw)
+		}
+	}
+	return nil
 }
 
 func TestSizes(t *testing.T) {

@@ -105,9 +105,6 @@ func (s *PMSystem) Name() string {
 	return "PowerMANNA"
 }
 
-// Params returns the parameter set in use.
-func (s *PMSystem) Params() PMParams { return s.params }
-
 func (s *PMSystem) cycles(n int64) sim.Time { return s.params.CPUClock.Cycles(n) }
 
 // lines reports the FIFO lines an n-byte transfer occupies.

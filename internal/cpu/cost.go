@@ -131,14 +131,3 @@ func (m *CostModel) compute(memLat []int64) float64 {
 	}
 	return float64(r.Cycles()-before) / costMeasure
 }
-
-// Entries reports how many distinct tuples have been evaluated.
-func (m *CostModel) Entries() int {
-	n := len(m.memo)
-	for _, e := range m.small {
-		if e.tag != 0 {
-			n++
-		}
-	}
-	return n
-}

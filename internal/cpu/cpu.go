@@ -53,18 +53,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
-// Flops reports how many floating-point operations the class performs.
-func (c Class) Flops() int {
-	switch c {
-	case FPAdd, FPMul, FPDiv:
-		return 1
-	case FPMAdd:
-		return 2
-	default:
-		return 0
-	}
-}
-
 // Unit identifies an execution-unit kind.
 type Unit uint8
 
@@ -197,15 +185,6 @@ func (t *Template) MemSlots() int {
 	return n
 }
 
-// Flops reports floating-point operations per iteration.
-func (t *Template) Flops() int {
-	n := 0
-	for _, in := range t.Instrs {
-		n += in.Class.Flops()
-	}
-	return n
-}
-
 // Runner executes a template iteration-by-iteration on a core,
 // maintaining scoreboard state across iterations so that independent work
 // from successive iterations overlaps exactly as far as the core's issue
@@ -221,7 +200,6 @@ type Runner struct {
 	issuedIn int   // instructions dispatched in issueCyc
 	lastExec int64 // last execution start (for InOrderExec)
 	now      int64 // high-water completion cycle
-	iters    int64
 }
 
 // NewRunner builds a runner. It panics on invalid config or template —
@@ -343,40 +321,8 @@ func (r *Runner) Iterate(memLat []int64) int64 {
 			r.now = done
 		}
 	}
-	r.iters++
 	return r.now
 }
 
 // Cycles reports the completion high-water mark.
 func (r *Runner) Cycles() int64 { return r.now }
-
-// Iterations reports how many iterations have run.
-func (r *Runner) Iterations() int64 { return r.iters }
-
-// Reset clears all scoreboard state.
-func (r *Runner) Reset() {
-	for i := range r.regReady {
-		r.regReady[i] = 0
-	}
-	for _, u := range r.unitFree {
-		for i := range u {
-			u[i] = 0
-		}
-	}
-	for i := range r.missRing {
-		r.missRing[i] = 0
-	}
-	r.missPos, r.issuedIn = 0, 0
-	r.issueCyc, r.lastExec, r.now, r.iters = 0, 0, 0, 0
-}
-
-// RunLoop runs iters iterations with constant memory latencies and
-// returns total cycles. Convenience for tests and calibration.
-func RunLoop(cfg *Config, tmpl *Template, memLat []int64, iters int) int64 {
-	r := NewRunner(cfg, tmpl)
-	var last int64
-	for i := 0; i < iters; i++ {
-		last = r.Iterate(memLat)
-	}
-	return last
-}

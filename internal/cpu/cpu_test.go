@@ -61,6 +61,28 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// runLoop runs iters iterations with constant memory latencies and
+// returns total cycles.
+func runLoop(cfg *Config, tmpl *Template, memLat []int64, iters int) int64 {
+	r := NewRunner(cfg, tmpl)
+	var last int64
+	for i := 0; i < iters; i++ {
+		last = r.Iterate(memLat)
+	}
+	return last
+}
+
+// entries counts the distinct latency tuples m has evaluated.
+func entries(m *CostModel) int {
+	n := len(m.memo)
+	for _, e := range m.small {
+		if e.tag != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTemplateValidate(t *testing.T) {
 	good := &Template{
 		Name:    "ok",
@@ -75,9 +97,6 @@ func TestTemplateValidate(t *testing.T) {
 	}
 	if good.MemSlots() != 1 {
 		t.Errorf("MemSlots = %d, want 1", good.MemSlots())
-	}
-	if good.Flops() != 1 {
-		t.Errorf("Flops = %d, want 1", good.Flops())
 	}
 	bad := &Template{
 		Name:    "bad",
@@ -97,12 +116,6 @@ func TestTemplateValidate(t *testing.T) {
 	}
 }
 
-func TestClassFlops(t *testing.T) {
-	if FPMAdd.Flops() != 2 || FPAdd.Flops() != 1 || Load.Flops() != 0 {
-		t.Error("Class.Flops wrong")
-	}
-}
-
 // fmaTemplate: an FMA stream with no loop-carried dependency (distinct
 // accumulators) should sustain 1 FMA/cycle on a pipelined FPU.
 func TestPipelinedFPUThroughput(t *testing.T) {
@@ -116,7 +129,7 @@ func TestPipelinedFPUThroughput(t *testing.T) {
 			{Class: FPMAdd, Src1: 0, Src2: 1, Dst: 7, MemSlot: -1},
 		},
 	}
-	cycles := RunLoop(core620like(1), tmpl, nil, 256)
+	cycles := runLoop(core620like(1), tmpl, nil, 256)
 	// 1024 FMAs on one pipelined FPU: ~1024 cycles (+pipeline fill).
 	perFMA := float64(cycles) / 1024
 	if perFMA < 0.99 || perFMA > 1.1 {
@@ -131,7 +144,7 @@ func TestLoopCarriedDependency(t *testing.T) {
 		NumRegs: 2,
 		Instrs:  []Instr{{Class: FPAdd, Src1: 0, Src2: 1, Dst: 0, MemSlot: -1}},
 	}
-	cycles := RunLoop(core620like(1), tmpl, nil, 200)
+	cycles := runLoop(core620like(1), tmpl, nil, 200)
 	perIter := float64(cycles) / 200
 	// FPAdd latency 3: the chain forces ~3 cycles/iteration.
 	if perIter < 2.9 || perIter > 3.1 {
@@ -147,7 +160,7 @@ func TestIssueAndUnitBound(t *testing.T) {
 		instrs[i] = Instr{Class: IntALU, Src1: -1, Src2: -1, Dst: i, MemSlot: -1}
 	}
 	tmpl := &Template{Name: "alu8", NumRegs: 8, Instrs: instrs}
-	cycles := RunLoop(core620like(1), tmpl, nil, 100)
+	cycles := runLoop(core620like(1), tmpl, nil, 100)
 	perIter := float64(cycles) / 100
 	if perIter < 3.9 || perIter > 4.2 {
 		t.Errorf("cycles/iter = %g, want ~4 (2 ALUs, 8 ops)", perIter)
@@ -167,8 +180,8 @@ func TestMissQueueSerializesOrOverlaps(t *testing.T) {
 		},
 	}
 	miss := []int64{40, 40}
-	blocking := RunLoop(core620like(1), tmpl, miss, 100)
-	overlapped := RunLoop(core620like(8), tmpl, miss, 100)
+	blocking := runLoop(core620like(1), tmpl, miss, 100)
+	overlapped := runLoop(core620like(8), tmpl, miss, 100)
 	perBlock := float64(blocking) / 100
 	perOver := float64(overlapped) / 100
 	// Blocking: two serialized 40-cycle misses ≈ 80 cycles/iter.
@@ -190,7 +203,7 @@ func TestHitsIgnoreMissQueue(t *testing.T) {
 		Instrs:  []Instr{{Class: Load, Src1: -1, Src2: -1, Dst: 0, MemSlot: 0}},
 	}
 	hit := []int64{2} // == L1 hit latency
-	cycles := RunLoop(core620like(1), tmpl, hit, 100)
+	cycles := runLoop(core620like(1), tmpl, hit, 100)
 	perIter := float64(cycles) / 100
 	if perIter > 1.2 {
 		t.Errorf("hit loads = %g cycles/iter, want ~1 (pipelined LS)", perIter)
@@ -204,7 +217,7 @@ func TestStoresDoNotBlock(t *testing.T) {
 		NumRegs: 1,
 		Instrs:  []Instr{{Class: Store, Src1: 0, Src2: -1, Dst: -1, MemSlot: 0}},
 	}
-	cycles := RunLoop(core620like(1), tmpl, []int64{500}, 100)
+	cycles := runLoop(core620like(1), tmpl, []int64{500}, 100)
 	perIter := float64(cycles) / 100
 	if perIter > 1.5 {
 		t.Errorf("stores = %g cycles/iter, want ~1 (buffered)", perIter)
@@ -226,8 +239,8 @@ func TestInOrderExec(t *testing.T) {
 	ino := core620like(4)
 	ino.InOrderExec = true
 	miss := []int64{40}
-	oooCycles := RunLoop(ooo, tmpl, miss, 50)
-	inoCycles := RunLoop(ino, tmpl, miss, 50)
+	oooCycles := runLoop(ooo, tmpl, miss, 50)
+	inoCycles := runLoop(ino, tmpl, miss, 50)
 	if inoCycles < oooCycles {
 		t.Errorf("in-order (%d) beat out-of-order (%d)", inoCycles, oooCycles)
 	}
@@ -242,15 +255,8 @@ func TestRunnerResetAndCounters(t *testing.T) {
 	r := NewRunner(core620like(1), tmpl)
 	r.Iterate(nil)
 	r.Iterate(nil)
-	if r.Iterations() != 2 {
-		t.Errorf("Iterations = %d, want 2", r.Iterations())
-	}
 	if r.Cycles() <= 0 {
 		t.Error("Cycles not advancing")
-	}
-	r.Reset()
-	if r.Iterations() != 0 || r.Cycles() != 0 {
-		t.Error("Reset incomplete")
 	}
 }
 
@@ -269,15 +275,15 @@ func TestCostModelMemoizes(t *testing.T) {
 	if c1 != c2 {
 		t.Error("memoized result differs")
 	}
-	if m.Entries() != 1 {
-		t.Errorf("Entries = %d, want 1", m.Entries())
+	if entries(m) != 1 {
+		t.Errorf("entries = %d, want 1", entries(m))
 	}
 	cMiss := m.CyclesPerIter([]int64{40})
 	if cMiss <= c1 {
 		t.Errorf("miss cost %g not above hit cost %g", cMiss, c1)
 	}
-	if m.Entries() != 2 {
-		t.Errorf("Entries = %d, want 2", m.Entries())
+	if entries(m) != 2 {
+		t.Errorf("entries = %d, want 2", entries(m))
 	}
 }
 
@@ -388,8 +394,8 @@ func TestCostModelWideTuples(t *testing.T) {
 	if big <= a {
 		t.Error("clamped huge latency lost")
 	}
-	if m.Entries() != 3 {
-		t.Errorf("Entries = %d, want 3", m.Entries())
+	if entries(m) != 3 {
+		t.Errorf("entries = %d, want 3", entries(m))
 	}
 	// Negative latencies clamp to zero rather than corrupting the key.
 	_ = m.CyclesPerIter([]int64{-5, 2, 2})
@@ -407,8 +413,8 @@ func TestCostModelLargeTwoSlotTuple(t *testing.T) {
 	if huge <= small {
 		t.Error("map-path tuple lost ordering")
 	}
-	if m.Entries() != 2 {
-		t.Errorf("Entries = %d, want 2", m.Entries())
+	if entries(m) != 2 {
+		t.Errorf("entries = %d, want 2", entries(m))
 	}
 }
 
@@ -445,8 +451,8 @@ func TestCostModelSharedEntryStaysExact(t *testing.T) {
 				}
 			}
 		}
-		if m.Entries() != len(tuples) {
-			t.Errorf("order %v: Entries = %d, want %d", order, m.Entries(), len(tuples))
+		if entries(m) != len(tuples) {
+			t.Errorf("order %v: entries = %d, want %d", order, entries(m), len(tuples))
 		}
 	}
 }

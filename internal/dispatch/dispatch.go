@@ -150,23 +150,14 @@ type Txn struct {
 	Intervention bool
 
 	phase     phaseState
-	issued    int64 // cycle the master presented it
-	addrDone  int64
 	dataReady int64
-	done      int64
+	done      int64 // cycle the transaction completed
 }
 
 type phaseState struct {
 	p     phase
 	until int64
 }
-
-// Done reports whether the transaction completed, and when.
-func (t *Txn) Done() (bool, int64) { return t.phase.p == phaseDone, t.done }
-
-// AddressDone reports when the address/snoop tenure finished (0 if not
-// yet).
-func (t *Txn) AddressDone() int64 { return t.addrDone }
 
 // SnoopFunc lets the environment answer the snoop for a transaction:
 // it returns whether a peer cache will intervene (supply Modified data).
@@ -222,9 +213,6 @@ func New(cfg Config, snoop SnoopFunc) *Dispatcher {
 	}
 }
 
-// Cycle reports the current bus cycle.
-func (d *Dispatcher) Cycle() int64 { return d.cycle }
-
 // Trace attaches a recorder; cyclePeriod is the bus-cycle length used to
 // place tenures on the simulated timeline (e.g. the 60 MHz bus clock's
 // period). A nil recorder detaches.
@@ -270,7 +258,7 @@ func (d *Dispatcher) Submit(master int, kind Kind, lineAddr uint64) *Txn {
 		panic(fmt.Sprintf("dispatch: master %d out of range", master))
 	}
 	d.nextTag++
-	t := &Txn{Tag: d.nextTag, Master: master, Kind: kind, LineAddr: lineAddr, issued: d.cycle}
+	t := &Txn{Tag: d.nextTag, Master: master, Kind: kind, LineAddr: lineAddr}
 	t.phase.p = phaseQueued
 	d.queued[master] = append(d.queued[master], t)
 	d.stats.Issued++
@@ -324,7 +312,6 @@ func (d *Dispatcher) Step() {
 			if c < t.phase.until {
 				continue
 			}
-			t.addrDone = c
 			t.Intervention = d.snoop(t)
 			if t.Intervention {
 				d.stats.Interventions++

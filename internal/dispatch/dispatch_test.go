@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// txnDone reports whether t completed, and at which cycle.
+func txnDone(t *Txn) (bool, int64) { return t.phase.p == phaseDone, t.done }
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
@@ -37,7 +40,7 @@ func TestSingleReadLifecycle(t *testing.T) {
 	if !drained {
 		t.Fatal("engine did not drain")
 	}
-	done, at := txn.Done()
+	done, at := txnDone(txn)
 	if !done {
 		t.Fatal("transaction incomplete")
 	}
@@ -58,7 +61,7 @@ func TestUpgradeIsAddressOnly(t *testing.T) {
 	d := New(DefaultConfig(), nil)
 	txn := d.Submit(0, Upgrade, 0x40)
 	d.RunUntilIdle(100)
-	done, at := txn.Done()
+	done, at := txnDone(txn)
 	if !done {
 		t.Fatal("upgrade incomplete")
 	}
@@ -75,7 +78,7 @@ func TestInterventionIsFasterThanMemory(t *testing.T) {
 		d := New(DefaultConfig(), func(*Txn) bool { return intervene })
 		txn := d.Submit(0, Read, 0x80)
 		d.RunUntilIdle(1000)
-		_, at := txn.Done()
+		_, at := txnDone(txn)
 		return at
 	}
 	mem, c2c := run(false), run(true)
@@ -97,8 +100,8 @@ func TestAddressTenuresSerialized(t *testing.T) {
 	a := d.Submit(0, Upgrade, 0x40)
 	b := d.Submit(1, Upgrade, 0x80)
 	d.RunUntilIdle(100)
-	_, atA := a.Done()
-	_, atB := b.Done()
+	_, atA := txnDone(a)
+	_, atB := txnDone(b)
 	gap := atA - atB
 	if gap < 0 {
 		gap = -gap
@@ -120,8 +123,8 @@ func TestOutOfOrderCompletion(t *testing.T) {
 	slow := d.Submit(0, Read, 0x100) // memory: 14 cycles
 	fast := d.Submit(0, Read, 0x200) // intervention: 4 cycles
 	d.RunUntilIdle(1000)
-	_, atSlow := slow.Done()
-	_, atFast := fast.Done()
+	_, atSlow := txnDone(slow)
+	_, atFast := txnDone(fast)
 	if atFast >= atSlow {
 		t.Errorf("expected reordering: fast at %d, slow at %d", atFast, atSlow)
 	}
@@ -142,8 +145,8 @@ func TestInOrderAblation(t *testing.T) {
 	slow := d.Submit(0, Read, 0x100)
 	fast := d.Submit(0, Read, 0x200)
 	d.RunUntilIdle(1000)
-	_, atSlow := slow.Done()
-	_, atFast := fast.Done()
+	_, atSlow := txnDone(slow)
+	_, atFast := txnDone(fast)
 	if atFast < atSlow {
 		t.Errorf("in-order mode reordered: fast %d before slow %d", atFast, atSlow)
 	}
@@ -219,7 +222,7 @@ func TestDrainProperty(t *testing.T) {
 			return false
 		}
 		for _, tx := range txns {
-			if done, _ := tx.Done(); !done {
+			if done, _ := txnDone(tx); !done {
 				return false
 			}
 		}

@@ -127,7 +127,6 @@ type System struct {
 	params Params
 	sched  sim.Engine
 	net    *netsim.Network
-	topo   *topo.Topology
 	nodes  []nodeState
 	tps    []netsim.Transport
 	procs  []Proc
@@ -265,7 +264,6 @@ func NewWithEngine(t *topo.Topology, p Params, eng sim.Engine) *System {
 		params: p,
 		sched:  eng,
 		net:    netsim.New(t),
-		topo:   t,
 		nodes:  make([]nodeState, t.Nodes()),
 		mem:    make(map[memAddr]int64),
 		slots:  make(map[SlotRef]syncSlot),
@@ -353,19 +351,17 @@ func (s *System) SetMem(n int, addr uint64, v int64) { s.mem[memAddr{n, addr}] =
 
 // Stats reports execution counters.
 type Stats struct {
-	FibersRun     int64
-	Tokens        int64
-	RemoteTokens  int64
-	SimulatedTime sim.Time
+	FibersRun    int64
+	Tokens       int64
+	RemoteTokens int64
 }
 
 // Stats returns the accumulated counters.
 func (s *System) Stats() Stats {
 	return Stats{
-		FibersRun:     s.fibersRun,
-		Tokens:        s.tokens,
-		RemoteTokens:  s.remote,
-		SimulatedTime: s.makespan(),
+		FibersRun:    s.fibersRun,
+		Tokens:       s.tokens,
+		RemoteTokens: s.remote,
 	}
 }
 

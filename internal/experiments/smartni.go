@@ -19,6 +19,9 @@ func SmartNI(Options) Result {
 	const n = 8
 	pm := comm.NewPowerMANNA()
 	myri := nic.MyrinetPPro()
+	if err := myri.Validate(); err != nil {
+		panic(err)
+	}
 
 	tbl := &stats.Table{
 		Title:   fmt.Sprintf("Latency budget for a %d-byte message (one way)", n),

@@ -130,9 +130,6 @@ func (in *Injector) ApplyUntil(now sim.Time) int {
 	return fired
 }
 
-// Pending reports how many events have not fired yet.
-func (in *Injector) Pending() int { return len(in.events) - in.next }
-
 // Events returns the sorted schedule (shared slice; do not mutate).
 func (in *Injector) Events() []Event { return in.events }
 

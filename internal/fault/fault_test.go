@@ -257,8 +257,8 @@ func TestInjectorAppliesInTimeOrder(t *testing.T) {
 		{Kind: NIStall, At: 20 * sim.Microsecond, Until: 25 * sim.Microsecond, Plane: topo.NetworkA, Node: 2},
 	}
 	inj := NewInjector(net, events)
-	if inj.Pending() != 3 {
-		t.Fatalf("Pending = %d", inj.Pending())
+	if pending := len(inj.events) - inj.next; pending != 3 {
+		t.Fatalf("pending = %d", pending)
 	}
 	if got := inj.Events()[0].Node; got != 0 {
 		t.Errorf("schedule not sorted by time: first event node %d", got)
@@ -284,8 +284,8 @@ func TestInjectorAppliesInTimeOrder(t *testing.T) {
 	if fired := inj.ApplyUntil(1 * sim.Millisecond); fired != 2 {
 		t.Errorf("second ApplyUntil fired %d, want 2", fired)
 	}
-	if inj.Pending() != 0 {
-		t.Errorf("Pending = %d after full apply", inj.Pending())
+	if pending := len(inj.events) - inj.next; pending != 0 {
+		t.Errorf("pending = %d after full apply", pending)
 	}
 }
 

@@ -112,12 +112,11 @@ func RunSerial(cfg Config) ([]float64, error) {
 
 // Result reports a parallel solve.
 type Result struct {
-	Field     []float64
-	Makespan  sim.Time
-	Ranks     int
-	Messages  int64
-	MsgBytes  int64
-	CellsEach int
+	Field    []float64
+	Makespan sim.Time
+	Ranks    int
+	Messages int64
+	MsgBytes int64
 }
 
 // RunPart solves the equation across all ranks of a message-passing
@@ -218,11 +217,10 @@ func RunPart(w *mpl.PWorld, cfg Config) (Result, error) {
 	out[0], out[cfg.Cells-1] = 0, 0
 	msgs, bytes := w.Stats()
 	return Result{
-		Field:     out,
-		Makespan:  w.MaxTime(),
-		Ranks:     p,
-		Messages:  msgs,
-		MsgBytes:  bytes,
-		CellsEach: cfg.Cells / p,
+		Field:    out,
+		Makespan: w.MaxTime(),
+		Ranks:    p,
+		Messages: msgs,
+		MsgBytes: bytes,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"powermanna/internal/machine"
 	"powermanna/internal/node"
@@ -12,6 +13,16 @@ import (
 func TestVersionString(t *testing.T) {
 	if Naive.String() != "naive" || Transposed.String() != "transposed" {
 		t.Error("Version.String wrong")
+	}
+}
+
+// TestKernelFillsWholeCacheLines pins the kernel's size to a multiple of
+// a 64-byte cache line: a kernel that ends inside a line shares it with
+// the next object of its size class, which may be a kernel stepping on
+// another psim worker. Adjust the pad when a field is added or removed.
+func TestKernelFillsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(kernel{}); size%64 != 0 {
+		t.Errorf("kernel is %d bytes, not a multiple of 64", size)
 	}
 }
 

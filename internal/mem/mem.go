@@ -52,16 +52,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// StreamBandwidth reports the theoretical sequential-stream bandwidth in
-// bytes/second implied by the datapath occupancy, assuming lines of the
-// interleave width.
-func (c Config) StreamBandwidth() float64 {
-	if c.LineTransfer <= 0 {
-		return 0
-	}
-	return float64(c.InterleaveBytes) / c.LineTransfer.Seconds()
-}
-
 // Memory is the timing model instance.
 type Memory struct {
 	cfg      Config
@@ -85,9 +75,6 @@ func New(cfg Config) *Memory {
 	}
 	return m
 }
-
-// Config returns the configuration the memory was built with.
-func (m *Memory) Config() Config { return m.cfg }
 
 func (m *Memory) bank(addr uint64) *sim.Pipelined {
 	stripe := addr / uint64(m.cfg.InterleaveBytes)

@@ -29,7 +29,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -39,8 +38,7 @@ import (
 // Counter is a monotonically accumulating count (messages sent, cache
 // hits). The zero value of *Counter — nil — no-ops.
 type Counter struct {
-	name string
-	v    int64
+	v int64
 }
 
 // Add accumulates d. No-op on a nil counter.
@@ -66,8 +64,7 @@ func (c *Counter) Value() int64 {
 // levels and configuration facts: a queue's peak depth, the fault rate a
 // campaign ran at. The zero value of *Gauge — nil — no-ops.
 type Gauge struct {
-	name string
-	v    int64
+	v int64
 }
 
 // Set records the current level. No-op on a nil gauge.
@@ -237,10 +234,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Enabled reports whether the registry records anything; instrumented
-// layers use it to skip optional setup. Safe on a nil receiver.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
@@ -249,7 +242,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -263,7 +256,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -306,19 +299,9 @@ func (r *Registry) TimeHistogram(name string, bounds []sim.Time) *Histogram {
 	return h
 }
 
-// ExpBuckets builds n ascending bucket bounds starting at lo, each
-// factor times the previous — the shape latency distributions want.
-func ExpBuckets(lo, factor int64, n int) []int64 {
-	bounds := make([]int64, n)
-	b := lo
-	for i := 0; i < n; i++ {
-		bounds[i] = b
-		b *= factor
-	}
-	return bounds
-}
-
-// TimeBuckets is ExpBuckets over simulated time.
+// TimeBuckets builds n ascending simulated-time bucket bounds starting
+// at lo, each factor times the previous — the shape latency
+// distributions want.
 func TimeBuckets(lo sim.Time, factor int64, n int) []sim.Time {
 	bounds := make([]sim.Time, n)
 	b := lo
@@ -428,12 +411,6 @@ func (r *Registry) Render() string {
 		r.hists[n].render(&b)
 	}
 	return b.String()
-}
-
-// Write writes Render to w, the usual dump shape.
-func (r *Registry) Write(w io.Writer) error {
-	_, err := io.WriteString(w, r.Render())
-	return err
 }
 
 // nameWidth is the alignment width for a name column.

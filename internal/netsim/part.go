@@ -267,8 +267,8 @@ func eachWired(t *topo.Topology, f func(dev, port int)) {
 // aligned shard count, one included, runs the same window program. A
 // one-group grain, a synchronous boundary wire or a topology that is
 // not a leaf/central hierarchy falls back to psim.DefaultLookahead, as
-// does a bound that would not widen the window; the Post panic stays
-// the runtime guard.
+// does a bound that would not widen the window; the PostPayload panic
+// stays the runtime guard.
 func lookaheadFor(t *topo.Topology, grain *topo.Partition, n *Network, nackLatency sim.Time) sim.Time {
 	floor := psim.DefaultLookahead()
 	links, sync, err := t.BoundaryLinks(grain)
@@ -529,7 +529,6 @@ type remoteLeg struct {
 	head         sim.Time // header arrival at the boundary crossbar
 	entry        sim.Time // network entry time (for the message spans)
 	wireBytes    int
-	payloadBytes int
 	setupTimeout sim.Time
 	ackTimeout   sim.Time
 	nackLatency  sim.Time

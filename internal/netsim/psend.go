@@ -180,7 +180,7 @@ func (p *psend) srcSplit(res walkRes) {
 		msgID: p.msgID, src: st.tp.src, dst: st.dst, plane: st.plane,
 		path: st.path, split: p.curSplit,
 		head: res.head, entry: st.entry,
-		wireBytes: p.curWireBytes, payloadBytes: st.payloadBytes,
+		wireBytes:    p.curWireBytes,
 		setupTimeout: cfg.SetupTimeout, ackTimeout: cfg.AckTimeout,
 		nackLatency: cfg.NackLatency,
 		srcChecks:   append(rl.srcChecks[:0], res.wires...),

@@ -140,16 +140,3 @@ func (c Config) OneWayLatency(n int) sim.Time {
 	}
 	return t
 }
-
-// UniBandwidth is the streaming rate: per-message costs pipelined away,
-// the stream is bound by the slowest of PCI (crossed twice but on
-// different buses at the two hosts) and the wire.
-func (c Config) UniBandwidth(n int) float64 {
-	perMsg := c.NICProcNs + c.DMASetupNs
-	slowest := c.PCIBandwidth
-	if c.WireBandwidth < slowest {
-		slowest = c.WireBandwidth
-	}
-	streamTime := sim.Time(float64(n)/slowest*1e12) + perMsg
-	return float64(n) / streamTime.Seconds()
-}

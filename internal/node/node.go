@@ -139,7 +139,6 @@ func New(cfg Config) *Node {
 		tlbcfg.Name = fmt.Sprintf("%s/cpu%d/DTLB", cfg.Name, i)
 		n.procs = append(n.procs, &Proc{
 			node:       n,
-			id:         i,
 			l1:         cache.New(l1cfg),
 			l2:         cache.New(l2cfg),
 			tlb:        cache.New(tlbcfg),
@@ -192,7 +191,6 @@ const storeBufferDepth = 8
 // Proc is one processor's view of the node.
 type Proc struct {
 	node *Node
-	id   int
 	l1   *cache.Cache
 	l2   *cache.Cache
 	tlb  *cache.Cache
@@ -207,22 +205,13 @@ type Proc struct {
 	storePos  int
 }
 
-// ID returns the processor index within the node.
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the processor's local simulated time.
 func (p *Proc) Now() sim.Time { return p.now }
-
-// SetNow sets the local time (used when a kernel starts mid-simulation).
-func (p *Proc) SetNow(t sim.Time) { p.now = t }
 
 // AdvanceCycles moves local time forward by a fractional core-cycle count.
 func (p *Proc) AdvanceCycles(c float64) {
 	p.now += p.clock.CyclesF(c)
 }
-
-// Advance moves local time forward by d.
-func (p *Proc) Advance(d sim.Time) { p.now += d }
 
 // Core returns the processor core description.
 func (p *Proc) Core() *cpu.Config { return &p.node.cfg.Core }
@@ -419,13 +408,6 @@ func (p *Proc) fillL1(addr uint64, st cache.State) {
 			p.l2.Fill(victimByte, cache.Modified)
 		}
 	}
-}
-
-// PIO performs an uncached transfer of n bytes to a memory-mapped device
-// and advances local time to its completion. It returns the new local time.
-func (p *Proc) PIO(bytes int) sim.Time {
-	p.now = p.node.fabric.PIO(p.now, bytes)
-	return p.now
 }
 
 // Kernel is a workload stream bound to one processor. Step advances the

@@ -102,7 +102,7 @@ func tickEngine(shards, active, rounds int) *psim.Engine {
 				return
 			}
 			if dst != i {
-				eng.Post(i, dst, sh.Now()+la, noop)
+				eng.PostPayload(i, dst, sh.Now()+la, psim.RunFunc, noop)
 			}
 			sh.At(sh.Now()+la, tick)
 		}

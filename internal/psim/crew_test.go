@@ -220,12 +220,12 @@ func TestRunRows(t *testing.T) {
 
 	seq, par := make([]uint64, n), make([]uint64, n)
 	psim.RunRows(psim.Seq, n, func(i int, e sim.Engine) { rowProgram(i, e, seq) })
-	shards := map[int]bool{}
+	shards := map[*psim.Shard]bool{}
 	psim.RunRows(psim.Par, n, func(i int, e sim.Engine) {
-		if sh, ok := e.(*psim.Shard); !ok || sh.ID() != i {
-			t.Errorf("par row %d runs on %T %v, want shard %d", i, e, e, i)
+		if sh, ok := e.(*psim.Shard); !ok {
+			t.Errorf("par row %d runs on %T, want *psim.Shard", i, e)
 		} else {
-			shards[sh.ID()] = true
+			shards[sh] = true
 		}
 		rowProgram(i, e, par)
 	})

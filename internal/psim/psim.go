@@ -106,7 +106,7 @@ func DefaultLookahead() sim.Time {
 }
 
 // callback is what a scheduled event runs. A payload event (AtPost,
-// PostPayload) runs h.OnPost(shard, arg); a plain event (At, Post) has
+// PostPayload) runs h.OnPost(shard, arg); a plain event (At) has
 // a nil h and carries its func() in arg — a func value is
 // pointer-shaped, so storing it in an interface does not allocate.
 type callback struct {
@@ -131,16 +131,11 @@ func (c callback) fire(s *Shard) {
 // round; the engine is the only cross-shard channel.
 type Shard struct {
 	sim.Queue[callback]
-	eng *Engine
-	id  int
 	// minSlack is the least (post time − now) of this shard's
 	// cross-shard posts, sim.MaxTime before the first. Only the shard's
 	// own worker writes it: shards post concurrently.
 	minSlack sim.Time
 }
-
-// ID reports the shard's index within its engine.
-func (s *Shard) ID() int { return s.id }
 
 // At schedules fn on this shard at absolute simulated time t.
 // Scheduling in the past is a model bug and panics.
@@ -242,7 +237,7 @@ type Engine struct {
 	// engines), because it never starts a crew.
 	serial bool
 	// horizon is the current round's window end (sim.MaxTime when the
-	// window is unbounded); Post enforces the conservative contract
+	// window is unbounded); PostPayload enforces the conservative contract
 	// against it.
 	horizon sim.Time
 	// mail[src*len(shards)+dst] buffers the posts src made for dst
@@ -274,7 +269,7 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 		mail:      make([][]post, n*n),
 	}
 	for i := range e.shards {
-		e.shards[i] = &Shard{eng: e, id: i, minSlack: sim.MaxTime}
+		e.shards[i] = &Shard{minSlack: sim.MaxTime}
 	}
 	return e
 }
@@ -340,11 +335,11 @@ func (e *Engine) Rounds() uint64 { return e.rounds }
 func (e *Engine) SoloRounds() uint64 { return e.solo }
 
 // MinPostSlack reports the least slack of any cross-shard post so far:
-// the post time minus the posting shard's clock, minimized over Post
-// and PostPayload on every shard (sim.MaxTime when nothing was posted).
+// the post time minus the posting shard's clock, minimized over
+// PostPayload on every shard (sim.MaxTime when nothing was posted).
 // It is a pure function of the model, like the post times themselves.
 // A model whose cross-shard latency really is at least the lookahead
-// keeps it at or above Lookahead; the Post panic catches only the
+// keeps it at or above Lookahead; the PostPayload panic catches only the
 // posts that land inside the current window, so the slack is the
 // stronger check.
 func (e *Engine) MinPostSlack() sim.Time {
@@ -364,27 +359,13 @@ func (s *Shard) noteSlack(t sim.Time) {
 	}
 }
 
-// Post schedules fn on shard dst at absolute time t, from model code
-// running on shard src during a round. The conservative contract: t
-// must lie at or beyond the current window's end, because dst may
-// already have dispatched past any earlier time — violating it is a
-// lookahead bug in the model (its cross-shard latency is smaller than
-// the engine's lookahead) and panics.
-//
-//pmlint:hotpath
-func (e *Engine) Post(src, dst int, t sim.Time, fn func()) {
-	if t < e.horizon {
-		panic(fmt.Sprintf("psim: shard %d posting to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, e.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
-	}
-	e.shards[src].noteSlack(t)
-	box := &e.mail[src*len(e.shards)+dst]
-	*box = append(*box, post{at: t, src: src, callback: callback{arg: fn}})
-}
-
 // PostPayload schedules payload for delivery to the destination-owned
-// handler h on shard dst at absolute time t — the data-not-closures
-// variant of Post for cross-shard messages that carry model state. The
-// same conservative contract applies: t at or beyond the window end.
+// handler h on shard dst at absolute time t, from model code running on
+// shard src during a round. The conservative contract: t must lie at or
+// beyond the current window's end, because dst may already have
+// dispatched past any earlier time — violating it is a lookahead bug in
+// the model (its cross-shard latency is smaller than the engine's
+// lookahead) and panics.
 //
 //pmlint:hotpath
 func (e *Engine) PostPayload(src, dst int, t sim.Time, h Handler, payload any) {

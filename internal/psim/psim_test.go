@@ -38,6 +38,11 @@ func TestShardMatchesSchedulerOrder(t *testing.T) {
 	}
 }
 
+// runFunc is the handler of a posted func(): it calls its payload.
+type runFunc struct{}
+
+func (runFunc) OnPost(_ *Shard, payload any) { payload.(func())() }
+
 // ringLog runs a token-passing ring on eng — nodes spread round-robin
 // over its shards, each hop between shards a cross-shard post at
 // hopLat — and returns the per-node logs merged in (time, node) order.
@@ -59,7 +64,7 @@ func ringLog(eng *Engine, nodes, laps int, hopLat sim.Time) []string {
 			if next%shards == node%shards {
 				sh.At(at, hop(next, count+1))
 			} else {
-				eng.Post(node%shards, next%shards, at, hop(next, count+1))
+				eng.PostPayload(node%shards, next%shards, at, runFunc{}, hop(next, count+1))
 			}
 		}
 	}
@@ -103,7 +108,7 @@ func TestMailboxMergeTieBreak(t *testing.T) {
 		eng.Shard(src).At(0, func() {
 			for k := 0; k < 2; k++ {
 				tag := fmt.Sprintf("s%d.%d", src, k)
-				eng.Post(src, 0, at, func() { got = append(got, tag) })
+				eng.PostPayload(src, 0, at, runFunc{}, func() { got = append(got, tag) })
 			}
 		})
 	}
@@ -125,13 +130,13 @@ func TestPostInsideWindowPanics(t *testing.T) {
 				t.Error("post inside the window did not panic")
 			}
 		}()
-		eng.Post(0, 1, 500*sim.Nanosecond, func() {})
+		eng.PostPayload(0, 1, 500*sim.Nanosecond, runFunc{}, func() {})
 	})
 	eng.Run()
 }
 
 // TestMinPostSlack pins the runtime slack record: the least post time
-// minus posting-shard clock over Post and PostPayload on every shard,
+// minus posting-shard clock over PostPayload on every shard,
 // sim.MaxTime before any post, and unchanged by local scheduling.
 func TestMinPostSlack(t *testing.T) {
 	eng := NewEngine(3, sim.Microsecond)
@@ -141,7 +146,7 @@ func TestMinPostSlack(t *testing.T) {
 	h := &countHandler{}
 	one := 1
 	eng.Shard(1).At(3*sim.Microsecond, func() {
-		eng.Post(1, 0, 7*sim.Microsecond, func() {})
+		eng.PostPayload(1, 0, 7*sim.Microsecond, runFunc{}, func() {})
 		eng.Shard(1).At(3*sim.Microsecond, func() {}) // local: no slack
 	})
 	eng.Shard(2).At(5*sim.Microsecond, func() {
@@ -173,11 +178,7 @@ func TestEngineStepsAndAccessors(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 3", eng.Shards())
 	}
 	for i := 0; i < 3; i++ {
-		sh := eng.Shard(i)
-		if sh.ID() != i {
-			t.Fatalf("shard %d reports ID %d", i, sh.ID())
-		}
-		sh.At(sim.Time(i+1)*sim.Nanosecond, func() {})
+		eng.Shard(i).At(sim.Time(i+1)*sim.Nanosecond, func() {})
 	}
 	if at, ok := eng.Shard(0).NextAt(); !ok || at != sim.Nanosecond {
 		t.Fatalf("NextAt() = %v, %v, want 1ns, true", at, ok)
@@ -212,7 +213,7 @@ func (h tagHandler) OnPost(_ *Shard, payload any) { *h.got = append(*h.got, *pay
 
 // TestPayloadEventsKeepOrder pins that payload events take the same
 // places in push order as closures: AtPost interleaves with At in call
-// order, and PostPayload with Post in posting order per source.
+// order, and posts to different handlers keep posting order per source.
 func TestPayloadEventsKeepOrder(t *testing.T) {
 	eng := NewEngine(3, sim.Microsecond)
 	var got []string
@@ -227,12 +228,12 @@ func TestPayloadEventsKeepOrder(t *testing.T) {
 		sh.AtPost(at, h, &tags[3])
 	})
 	eng.Shard(1).At(0, func() {
-		eng.Post(1, 0, 3*sim.Microsecond, func() { got = append(got, tags[4]) })
+		eng.PostPayload(1, 0, 3*sim.Microsecond, runFunc{}, func() { got = append(got, tags[4]) })
 		eng.PostPayload(1, 0, 3*sim.Microsecond, h, &tags[5])
 	})
 	eng.Shard(2).At(0, func() {
 		eng.PostPayload(2, 0, 3*sim.Microsecond, h, &tags[6])
-		eng.Post(2, 0, 3*sim.Microsecond, func() { got = append(got, tags[7]) })
+		eng.PostPayload(2, 0, 3*sim.Microsecond, runFunc{}, func() { got = append(got, tags[7]) })
 	})
 	eng.Run()
 	if fmt.Sprint(got) != fmt.Sprint(tags) {
@@ -246,8 +247,9 @@ type countHandler struct{ n int }
 func (h *countHandler) OnPost(_ *Shard, payload any) { h.n += *payload.(*int) }
 
 // TestPostDeliverAllocatesNothing pins the mailbox path to zero heap
-// allocations per event once its buffers have grown: closure posts,
-// payload posts, the barrier merge and local payload events.
+// allocations per event once its buffers have grown: payload posts of
+// a closure and of a pointer, the barrier merge and local payload
+// events.
 func TestPostDeliverAllocatesNothing(t *testing.T) {
 	eng := NewEngine(2, DefaultLookahead())
 	// Serial: a parallel Run allocates its crew once per Run, and this
@@ -261,7 +263,7 @@ func TestPostDeliverAllocatesNothing(t *testing.T) {
 	fire := func() {
 		at := src.Now() + eng.Lookahead()
 		eng.PostPayload(0, 1, at, h, &one)
-		eng.Post(0, 1, at, bump)
+		eng.PostPayload(0, 1, at, runFunc{}, bump)
 		eng.PostPayload(0, 1, at+1, h, &one)
 		src.AtPost(src.Now()+1, h, &one)
 	}

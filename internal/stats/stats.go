@@ -26,17 +26,6 @@ func (s *Series) Add(x, y float64) {
 	s.Points = append(s.Points, Point{X: x, Y: y})
 }
 
-// Max returns the maximum Y value (0 for an empty series).
-func (s *Series) Max() float64 {
-	max := 0.0
-	for _, p := range s.Points {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
-}
-
 // Figure groups series over a shared X axis, mirroring one figure of the
 // paper.
 type Figure struct {

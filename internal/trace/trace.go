@@ -26,7 +26,7 @@ package trace
 
 import "powermanna/internal/sim"
 
-// TrackID identifies one resource timeline. The class (node, CPU, plane,
+// TrackID identifies one resource timeline. The class (node, CPU,
 // crossbar port, wire, dispatcher, OS stream) lives in the high bits and
 // an index derived from topology coordinates in the low bits; the Chrome
 // exporter maps class to pid and index to tid.
@@ -38,8 +38,8 @@ const (
 	ClassNode = 1 + iota
 	// ClassCPU groups per-CPU timelines: EU and SU of the dual-CPU node.
 	ClassCPU
-	// ClassPlane groups per-network-plane timelines.
-	ClassPlane
+	// Class 3 is unused, so the later classes keep their exported pids.
+	_
 	// ClassXbarPort groups crossbar output-channel timelines.
 	ClassXbarPort
 	// ClassWire groups directed-wire occupancy timelines.
@@ -78,9 +78,6 @@ func NodeTrack(node int) TrackID { return tid(ClassNode, node) }
 // CPUTrack is one CPU of a node: cpu 0 is the Execution Unit, cpu 1 the
 // Synchronization Unit of the EARTH split.
 func CPUTrack(node, cpu int) TrackID { return tid(ClassCPU, node*CPUsPerNode+cpu) }
-
-// PlaneTrack is one network plane of the duplicated interconnect.
-func PlaneTrack(plane int) TrackID { return tid(ClassPlane, plane) }
 
 // XbarPortTrack is one output channel of one crossbar.
 func XbarPortTrack(xbar, out int) TrackID {
@@ -210,12 +207,4 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// Reset drops all recorded events, keeping capacity. No-op when nil.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.events = r.events[:0]
 }

@@ -15,9 +15,8 @@ func TestNilRecorderNoOpsAndAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Span(NodeTrack(3), "netsim", "msg", 0, 10)
 		r.SpanArg(NodeTrack(3), "netsim", "msg", 0, 10, "detail")
-		r.Instant(PlaneTrack(0), "failover", "hit", 5)
-		r.InstantArg(PlaneTrack(0), "failover", "hit", 5, "detail")
-		r.Reset()
+		r.Instant(NodeTrack(3), "failover", "hit", 5)
+		r.InstantArg(NodeTrack(3), "failover", "hit", 5, "detail")
 	})
 	if allocs != 0 {
 		t.Errorf("nil recorder allocated %.1f times per run, want 0", allocs)
@@ -31,7 +30,6 @@ func TestTrackIDsStableAndDisjoint(t *testing.T) {
 	ids := []TrackID{
 		NodeTrack(0), NodeTrack(127),
 		CPUTrack(0, 0), CPUTrack(0, 1), CPUTrack(127, 1),
-		PlaneTrack(0), PlaneTrack(1),
 		XbarPortTrack(0, 0), XbarPortTrack(47, 15),
 		WireTrack(0, 0, 0), WireTrack(0, 0, 1), WireTrack(175, 15, 0),
 		DispatchTrack(0), DispatchTrack(2),
@@ -53,7 +51,6 @@ func TestTrackIDsStableAndDisjoint(t *testing.T) {
 		NodeTrack(5):        "node 5",
 		CPUTrack(3, 0):      "node 3 EU",
 		CPUTrack(3, 1):      "node 3 SU",
-		PlaneTrack(1):       "plane B",
 		XbarPortTrack(2, 9): "xbar 2 out 9",
 		WireTrack(10, 1, 0): "wire 10.1 out",
 		WireTrack(10, 1, 1): "wire 10.1 in",
@@ -155,9 +152,5 @@ func TestEnabledRecorderRecords(t *testing.T) {
 	r.Instant(NodeTrack(0), "c", "i", 3)
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Error("Reset did not clear events")
 	}
 }
