@@ -3,7 +3,8 @@
 #
 # Runs the whole verification ladder and stops at the first failure:
 # formatting, vet (this module and the bench module), build, a check
-# that the node model's cache probes inline, race-enabled tests, ten
+# that the node model's cache probes inline, race-enabled tests, a
+# race stress of psim's barrier (twenty passes at -cpu 1,2,4), ten
 # seconds of event-queue fuzzing (internal/sim FuzzQueue), one
 # iteration of each paper-figure facade benchmark (the root package's
 # BenchmarkFig*, BenchmarkAblation* and BenchmarkKernel*) and of each
@@ -54,6 +55,12 @@ fi
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== psim barrier race stress =="
+# Twenty race-enabled passes of the barrier's contract tests at one, two
+# and four processors: panics, worker joins, round counts and
+# serial/parallel equivalence under varied interleavings (~1 min).
+go test -race -count=20 -cpu 1,2,4 -run 'TestParallel|TestRunRows' ./internal/psim
 
 echo "== event-queue fuzz =="
 # FuzzQueue checks random push/peek/pop strings against a sorted

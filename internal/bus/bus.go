@@ -91,15 +91,6 @@ func (c Config) lineTime() sim.Time {
 	return c.Clock.Cycles(int64(beats))
 }
 
-// beatTime is the duration of a single-beat (PIO) transfer.
-func (c Config) beatTime(bytes int) sim.Time {
-	beats := (bytes + c.DataBeatBytes - 1) / c.DataBeatBytes
-	if beats < 1 {
-		beats = 1
-	}
-	return c.Clock.Cycles(int64(beats))
-}
-
 // Stats counts fabric activity.
 type Stats struct {
 	AddressPhases int64
@@ -107,7 +98,6 @@ type Stats struct {
 	DataPhases    int64
 	DataWait      sim.Time // total queuing on shared data resources
 	LinesMoved    int64
-	PIOs          int64
 }
 
 // Fabric is the timing interface the node model drives. A coherent miss is
@@ -130,9 +120,6 @@ type Fabric interface {
 	// Upgrade performs an address-only invalidating transaction (write hit
 	// on a Shared line). Returns when ownership is granted.
 	Upgrade(at sim.Time) sim.Time
-	// PIO performs an uncached transfer of n bytes between a CPU and a
-	// memory-mapped device (the network interface). Returns completion.
-	PIO(at sim.Time, bytes int) sim.Time
 	// Config returns the fabric configuration.
 	Config() Config
 	// Stats returns accumulated counters.
@@ -201,16 +188,6 @@ func (b *SharedBus) WritebackLine(at sim.Time, lineAddr uint64) sim.Time {
 // Upgrade implements Fabric.
 func (b *SharedBus) Upgrade(at sim.Time) sim.Time { return b.GrantAddress(at) }
 
-// PIO implements Fabric.
-func (b *SharedBus) PIO(at sim.Time, bytes int) sim.Time {
-	b.stats.PIOs++
-	grant := b.GrantAddress(at)
-	dur := b.cfg.beatTime(bytes)
-	start := b.data.Acquire(grant, dur)
-	b.stats.DataWait += start - grant
-	return start + dur
-}
-
 // Config implements Fabric.
 func (b *SharedBus) Config() Config { return b.cfg }
 
@@ -229,8 +206,8 @@ func (b *SharedBus) Reset() {
 // dispatcher serializes only the address/snoop phases (the MPC620 snoop
 // protocol's requirement). Data transfers from memory still share the
 // memory's own datapath — that constraint lives in the mem model — but
-// cache-to-cache transfers and PIO to the network interface proceed
-// without touching other devices' paths.
+// cache-to-cache transfers proceed without touching other devices'
+// paths.
 type SwitchedFabric struct {
 	cfg   Config
 	mem   *mem.Memory
@@ -282,13 +259,6 @@ func (f *SwitchedFabric) WritebackLine(at sim.Time, lineAddr uint64) sim.Time {
 
 // Upgrade implements Fabric.
 func (f *SwitchedFabric) Upgrade(at sim.Time) sim.Time { return f.GrantAddress(at) }
-
-// PIO implements Fabric. The CPU↔NI path is point-to-point through the
-// switch; it costs switch time but contends with nothing else.
-func (f *SwitchedFabric) PIO(at sim.Time, bytes int) sim.Time {
-	f.stats.PIOs++
-	return at + f.cfg.addressTime() + f.cfg.beatTime(bytes)
-}
 
 // Config implements Fabric.
 func (f *SwitchedFabric) Config() Config { return f.cfg }

@@ -54,12 +54,6 @@ func TestConfigDurations(t *testing.T) {
 	if got := c.lineTime(); got != 4*period {
 		t.Errorf("lineTime = %v, want 4 cycles", got)
 	}
-	if got := c.beatTime(8); got != period {
-		t.Errorf("beatTime(8) = %v, want 1 cycle", got)
-	}
-	if got := c.beatTime(0); got != period {
-		t.Errorf("beatTime(0) = %v, want 1 cycle minimum", got)
-	}
 }
 
 func TestSharedBusSerializesEverything(t *testing.T) {
@@ -135,20 +129,20 @@ func TestSharedBusContention(t *testing.T) {
 
 func TestSwitchedFabricConcurrentData(t *testing.T) {
 	cfg := testCfg()
-	// Peer-to-peer fills on the switched fabric contend only on the c2c
-	// path; memory fills ride memory. Two CPUs doing PIO simultaneously
-	// don't contend at all.
+	// Peer-to-peer fills on the switched fabric ride private
+	// point-to-point paths: two at once don't contend at all. On the
+	// shared bus they serialize on the data wires.
 	f := NewSwitched(cfg, testMem())
-	d1 := f.PIO(0, 8)
-	d2 := f.PIO(0, 8)
+	d1 := f.FillLine(0, 1, FromPeer)
+	d2 := f.FillLine(0, 2, FromPeer)
 	if d1 != d2 {
-		t.Errorf("concurrent PIO times differ: %v vs %v (switched paths are private)", d1, d2)
+		t.Errorf("concurrent peer fill times differ: %v vs %v (switched paths are private)", d1, d2)
 	}
 	b := NewShared(cfg, testMem())
-	s1 := b.PIO(0, 8)
-	s2 := b.PIO(0, 8)
+	s1 := b.FillLine(0, 1, FromPeer)
+	s2 := b.FillLine(0, 2, FromPeer)
 	if s2 <= s1 {
-		t.Errorf("shared-bus PIO did not serialize: %v, %v", s1, s2)
+		t.Errorf("shared-bus peer fills did not serialize: %v, %v", s1, s2)
 	}
 }
 
@@ -205,10 +199,10 @@ func TestResetClearsState(t *testing.T) {
 		NewSwitched(testCfg(), testMem()),
 	} {
 		f.GrantAddress(0)
-		f.PIO(0, 8)
+		f.FillLine(0, 1, FromPeer)
 		f.Reset()
 		s := f.Stats()
-		if s.AddressPhases != 0 || s.PIOs != 0 {
+		if s.AddressPhases != 0 || s.DataPhases != 0 {
 			t.Errorf("%s: stats not reset: %+v", f.Config().Name, s)
 		}
 		if g := f.GrantAddress(0); g != f.Config().addressTime() {
@@ -228,19 +222,6 @@ func TestSharedBusAddressDataOverlap(t *testing.T) {
 	g1 := b.GrantAddress(g0)
 	if g1 >= done0 {
 		t.Errorf("address phase at %v waited for data phase ending %v", g1, done0)
-	}
-}
-
-// PIO serializes on both wire groups in order: address grant then data.
-func TestSharedBusPIOUsesBothGroups(t *testing.T) {
-	b := NewShared(testCfg(), testMem())
-	done := b.PIO(0, 8)
-	want := testCfg().addressTime() + testCfg().Clock.Cycles(1)
-	if done != want {
-		t.Errorf("PIO done = %v, want %v", done, want)
-	}
-	if b.Stats().AddressPhases != 1 {
-		t.Error("PIO did not take an address phase")
 	}
 }
 

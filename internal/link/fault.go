@@ -51,6 +51,10 @@ func (w *Wire) CutAt(t sim.Time) {
 // CutTime reports when the wire was severed and whether it was cut at all.
 func (w *Wire) CutTime() (sim.Time, bool) { return w.faults.cut, w.faults.cutSet }
 
+// Faulted reports whether the wire has a cut or a corruption window at
+// all: a wire without one never fails a CRC check.
+func (w *Wire) Faulted() bool { return w.faults.cutSet || len(w.faults.corrupt) > 0 }
+
 // DeadAt reports whether the wire is already severed at time t.
 func (w *Wire) DeadAt(t sim.Time) bool { return w.faults.cutSet && w.faults.cut <= t }
 

@@ -18,10 +18,11 @@
 // a direct coroutine transfer on the shard's own goroutine, with no
 // scheduler or channel in between, so rank code has exclusive access
 // to everything its shard owns and every rank step is anchored to a
-// deterministic event. Successive resumes may come from different
-// goroutines (the engine's caller in solo rounds, a crew worker
-// otherwise) but never overlap; iter.Pull's race annotations order
-// them for the race detector. A rank that is still parked when the
+// deterministic event. Resumes come from whichever goroutine drives
+// the shard (the engine's caller for shard 0 and in serial runs, a
+// worker goroutine otherwise), not always the one that started the
+// coroutine, but never overlap; iter.Pull's race annotations order them
+// for the race detector. A rank that is still parked when the
 // engine drains is deadlocked (a receive nothing will match); Run
 // stops its coroutine, which unwinds the rank body, and reports which
 // ranks were stuck. A panic in a rank body propagates through next to

@@ -286,8 +286,8 @@ func allreduceTrial(t *testing.T, shards int, serial bool) allreduceRun {
 
 // TestPWorldCrossWorkerResume runs the AllReduce loop under parallel
 // dispatch at GOMAXPROCS 1 and 2, where a rank coroutine is resumed by
-// whichever goroutine runs its shard's round — the engine's caller in
-// solo rounds, a crew worker otherwise. Every run must equal the
+// whichever goroutine drives its shard — the engine's caller for shard
+// 0, a worker goroutine for the others. Every run must equal the
 // 1-shard serial run: sums, makespan, messages and engine rounds.
 func TestPWorldCrossWorkerResume(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -532,9 +532,9 @@ type remoteLeg struct {
 	setupTimeout sim.Time
 	ackTimeout   sim.Time
 	nackLatency  sim.Time
-	// srcChecks are the source leg's wire claims, for the CRC verdict.
-	// The wire pointers are read-only there: fault windows are immutable
-	// during a run.
+	// srcChecks are the source leg's claims on wires with a fault
+	// window, for the CRC verdict. The wire pointers are read-only there:
+	// fault windows are immutable during a run.
 	srcChecks []partWireClaim
 	payload   any
 	// p is the source shard's protocol driver awaiting the verdict; only

@@ -94,10 +94,10 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 		// its entry check: failover to plane B after one ack timeout.
 		n.CutWire(0, topo.NetworkA, 100*sim.Nanosecond)
 	}
-	// hop returns the i-th crossbar hop (negative: from the end) of
-	// 0->13 on a plane.
-	hop := func(n *Network, plane, i int) topo.Hop {
-		path, err := n.Topology().Route(0, 13, plane)
+	// hopTo returns the i-th crossbar hop (negative: from the end) of
+	// 0->dst on a plane; hop is the one of 0->13.
+	hopTo := func(n *Network, dst, plane, i int) topo.Hop {
+		path, err := n.Topology().Route(0, dst, plane)
 		if err != nil {
 			t.Fatalf("route: %v", err)
 		}
@@ -106,6 +106,7 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 		}
 		return path.Hops[i]
 	}
+	hop := func(n *Network, plane, i int) topo.Hop { return hopTo(n, 13, plane, i) }
 	farSide := func(n *Network, plane int) (dev, port int) {
 		last := hop(n, plane, -1)
 		return n.Topology().Nodes() + last.Xbar, last.Out
@@ -124,6 +125,14 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 		// Garble only the first crossing: the same-plane retry delivers.
 		dev, port := farSide(n, topo.NetworkA)
 		n.CorruptWire(dev, port, 0, 5*sim.Microsecond)
+	}
+	corruptNearSide := func(n *Network) {
+		// Garble the first crossing of the source leaf's wire to the
+		// central stage on 0->100, plane A: the destination half, on
+		// another shard from 2 shards up, renders the CRC verdict from the
+		// source leg's faulted wire, and the same-plane retry delivers.
+		h := hopTo(n, 100, topo.NetworkA, 0)
+		n.CorruptWire(n.Topology().Nodes()+h.Xbar, h.Out, 0, 5*sim.Microsecond)
 	}
 	corruptBoth := func(n *Network) {
 		// Every crossing on both planes is garbled: the CRC budget runs
@@ -168,6 +177,10 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 		{"dst-crc-retry", 0, one(13, 256), corruptFarSide,
 			func(d []Delivery, a PlaneCounters) bool { return a.CRCRetries == 1 && a.FailedOver == 1 }},
 		{"crc-retry-delivers", 0, one(13, 256), corruptOnce,
+			func(d []Delivery, a PlaneCounters) bool {
+				return a.CRCRetries == 1 && a.FailedOver == 0 && d[0].Plane == topo.NetworkA && d[0].Attempts == 2
+			}},
+		{"corrupt-near-side", 0, one(100, 256), corruptNearSide,
 			func(d []Delivery, a PlaneCounters) bool {
 				return a.CRCRetries == 1 && a.FailedOver == 0 && d[0].Plane == topo.NetworkA && d[0].Attempts == 2
 			}},

@@ -170,7 +170,11 @@ func (p *psend) srcFailed(res walkRes) {
 // there. That is at least a route setup at the source leaf plus the
 // leaf-to-central wire past the drain that walked it, on a re-walk
 // after an open hold too — at or beyond the engine's lookahead by
-// construction (lookaheadFor).
+// construction (lookaheadFor). The leg carries only the source wires
+// with a fault window for the destination's CRC verdict: the windows
+// are fixed for the run, so a healthy wire cannot change the verdict,
+// and leaving it out keeps the destination off the source shard's
+// wires.
 func (p *psend) srcSplit(res walkRes) {
 	ps, st := p.ps, &p.st
 	cfg := &st.tp.cfg
@@ -183,9 +187,14 @@ func (p *psend) srcSplit(res walkRes) {
 		wireBytes:    p.curWireBytes,
 		setupTimeout: cfg.SetupTimeout, ackTimeout: cfg.AckTimeout,
 		nackLatency: cfg.NackLatency,
-		srcChecks:   append(rl.srcChecks[:0], res.wires...),
+		srcChecks:   rl.srcChecks[:0],
 		payload:     p.payload,
 		p:           p,
+	}
+	for _, c := range res.wires {
+		if c.w.Faulted() {
+			rl.srcChecks = append(rl.srcChecks, c)
+		}
 	}
 	p.rl = rl
 	dstShard := p.pn.part.NodeShard(st.dst)

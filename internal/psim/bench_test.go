@@ -112,10 +112,12 @@ func tickEngine(shards, active, rounds int) *psim.Engine {
 }
 
 // BenchmarkParallelRound is the cost of one barrier round of a parallel
-// 2-shard Run — window pick, dispatch, barrier and mailbox merge — with
-// one event per active shard, so the round's synchronisation dominates.
-// both-active hands shard 1 to the crew worker every round; one-active
-// has nothing to hand off and runs inline on the caller.
+// 2-shard Run — status publish, barrier, window pick, inbox merge and
+// dispatch — with one event per active shard, so the round's
+// synchronisation dominates. In both-active each shard's event posts to
+// the other, so both goroutines merge and dispatch every round; in
+// one-active shard 1 is idle, and its goroutine only meets shard 0 at
+// the barrier.
 func BenchmarkParallelRound(b *testing.B) {
 	for _, bc := range []struct {
 		name   string

@@ -1,6 +1,6 @@
-// Crew lifecycle tests: a parallel Run's persistent workers never
-// outlive it, never allocate per round, and never change the history —
-// whether the host gives them one processor or two.
+// Barrier contract tests: a parallel Run's workers never outlive it,
+// never allocate per round, and never change the history — whether the
+// host gives them one processor or two.
 package psim_test
 
 import (
@@ -29,7 +29,7 @@ func settleGoroutines(want int) int {
 
 // stableGoroutines waits until the goroutine count has held still for
 // ten consecutive millisecond polls (about a second at most) and
-// returns it. A joined crew worker has called Done but may not have
+// returns it. A joined worker has called Done but may not have
 // exited yet, so a baseline read at once can count a goroutine an
 // earlier test is still tearing down.
 func stableGoroutines() int {
@@ -45,9 +45,11 @@ func stableGoroutines() int {
 	return n
 }
 
-// TestParallelRunLeavesNoWorkers pins the crew's lifetime: every worker
-// a parallel Run starts is joined before Run returns, also when a
-// shard-0 event panics mid-round and the panic is recovered outside Run.
+// TestParallelRunLeavesNoWorkers pins the workers' lifetime: every
+// worker a parallel Run starts is joined before Run returns, also when
+// an event panics mid-round — on the caller's shard 0 or on a worker's
+// shard — and the panic, which must reach Run's caller with its own
+// value, is recovered outside Run.
 func TestParallelRunLeavesNoWorkers(t *testing.T) {
 	base := stableGoroutines()
 	eng := tickEngine(4, 4, 500)
@@ -59,22 +61,60 @@ func TestParallelRunLeavesNoWorkers(t *testing.T) {
 		t.Fatalf("%d goroutines after Run, want the baseline %d", n, base)
 	}
 
-	eng = tickEngine(4, 4, 500)
-	sh := eng.Shard(0)
-	sh.At(100*psim.DefaultLookahead(), func() { panic("shard 0 event failed") })
-	func() {
-		defer func() {
-			if r := recover(); r != "shard 0 event failed" {
-				t.Errorf("recovered %v, want the shard-0 panic", r)
-			}
+	for _, bad := range []int{0, 1, 3} {
+		want := fmt.Sprintf("shard %d event failed", bad)
+		eng = tickEngine(4, 4, 500)
+		eng.Shard(bad).At(100*psim.DefaultLookahead(), func() { panic(want) })
+		func() {
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("recovered %v, want %q", r, want)
+				}
+			}()
+			eng.Run()
 		}()
-		eng.Run()
-	}()
-	if eng.Rounds() <= 1 || eng.SoloRounds() != 0 {
-		t.Fatalf("panic round %d (%d solo): the crew was never started", eng.Rounds(), eng.SoloRounds())
+		if eng.Rounds() != 101 || eng.SoloRounds() != 0 {
+			t.Errorf("shard %d panic: %d rounds (%d solo), want 101 (0 solo)", bad, eng.Rounds(), eng.SoloRounds())
+		}
+		if n := settleGoroutines(base); n != base {
+			t.Fatalf("%d goroutines after a Run panicking on shard %d, want the baseline %d", n, bad, base)
+		}
 	}
-	if n := settleGoroutines(base); n != base {
-		t.Fatalf("%d goroutines after a panicking Run, want the baseline %d", n, base)
+}
+
+// TestParallelRoundCounts pins what a round counts as active: a shard
+// with an event in the window, queued or still in its inbox. Each row
+// runs serial and parallel and must give the same counts.
+func TestParallelRoundCounts(t *testing.T) {
+	la := psim.DefaultLookahead()
+	for _, tc := range []struct {
+		name         string
+		build        func() *psim.Engine
+		rounds, solo uint64
+	}{
+		// Shard 1 is idle throughout, yet meets shard 0 at every barrier.
+		{"one-ticking", func() *psim.Engine { return tickEngine(2, 1, 50) }, 50, 50},
+		// Shard 0 posts to shard 1 at the window end and ticks there
+		// itself. Shard 1's queue stays empty until it merges the post,
+		// but the second round is shared: only the first is solo.
+		{"inbox-only-shard-active", func() *psim.Engine {
+			eng := psim.NewEngine(2, la)
+			sh := eng.Shard(0)
+			sh.At(0, func() {
+				eng.PostPayload(0, 1, la, psim.RunFunc, func() {})
+				sh.At(la, func() {})
+			})
+			return eng
+		}, 2, 1},
+	} {
+		for _, serial := range []bool{true, false} {
+			eng := tc.build()
+			eng.SetSerial(serial)
+			eng.Run()
+			if eng.Rounds() != tc.rounds || eng.SoloRounds() != tc.solo {
+				t.Errorf("%s serial=%v: %d rounds, %d solo; want %d, %d", tc.name, serial, eng.Rounds(), eng.SoloRounds(), tc.rounds, tc.solo)
+			}
+		}
 	}
 }
 
@@ -123,7 +163,7 @@ func burstLog(t *testing.T, shards int, serial bool) (history, rounds string) {
 
 // TestParallelMatchesSerialGOMAXPROCS1 runs the token ring and the
 // send burst in parallel and serial dispatch at GOMAXPROCS 1 (every
-// round inline on the caller) and 2 (the crew), and requires one
+// shard on the caller) and 2 (one goroutine per shard), and requires one
 // history throughout and one round count per shard count.
 func TestParallelMatchesSerialGOMAXPROCS1(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -159,10 +199,10 @@ func TestParallelMatchesSerialGOMAXPROCS1(t *testing.T) {
 
 // TestParallelRoundsAllocateNothing pins the barrier to zero heap
 // allocations per round: a parallel Run of 10 rounds and one of 10,000
-// rounds, every round handing off to the crew, allocate the same.
+// rounds, both shards active in every round, allocate the same.
 func TestParallelRoundsAllocateNothing(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("the crew needs GOMAXPROCS >= 2")
+		t.Skip("parallel dispatch needs GOMAXPROCS >= 2")
 	}
 	allocs := func(rounds int) float64 {
 		return testing.AllocsPerRun(20, func() {
@@ -245,7 +285,7 @@ func TestRunRows(t *testing.T) {
 
 // TestRunRowsPanicReachesCaller requires a panicking row to unwind to
 // RunRows' caller under either engine — under Par also from a row on a
-// crew worker — with its own panic value, and to leave no worker
+// worker goroutine — with its own panic value, and to leave no worker
 // running.
 func TestRunRowsPanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))

@@ -4,18 +4,24 @@
 // monotone radix queue with O(1) pushes that fires equal times in push
 // order — and synchronized through conservative lookahead windows
 // (null-message-free barrier rounds). Cross-shard events travel through
-// per-pair mailboxes and are merged at each barrier with a
-// deterministic (time, source shard, post order) tie-break, so a
-// sharded run dispatches exactly the events a sequential run would —
-// trace, metrics and stdout stay byte-identical to a sequential
-// Scheduler run. The root package's golden tests pin that equivalence
-// by running the pmfault/pmtrace goldens through both engines.
+// source-owned outboxes, one per shard pair, and each destination
+// merges its inbox after the barrier with a deterministic (time, source
+// shard, post order) tie-break, so a sharded run dispatches exactly the
+// events a sequential run would — trace, metrics and stdout stay
+// byte-identical to a sequential Scheduler run. The root package's
+// golden tests pin that equivalence by running the pmfault/pmtrace
+// goldens through both engines.
 //
-// A parallel Run keeps a crew of persistent workers for its whole
-// duration: worker i owns shard i, the calling goroutine runs shard 0,
-// and every round hands off through a reusable spin-then-park barrier
-// instead of starting goroutines. Rounds with at most one active shard
-// run inline on the caller. The crew is joined before Run returns.
+// Rounds are symmetric: no goroutine coordinates the others. A parallel
+// Run gives every shard beyond shard 0 a worker goroutine for its whole
+// duration, and the caller drives shard 0. At the end of its window
+// each shard publishes its next event time into a cache-line-padded
+// status slot of its own, beside the outbox row it filled, and waits,
+// spinning then parking, until every shard has published the round.
+// Every shard then computes the same next window from the slots,
+// merges its own inbox and runs. Serial and single-shard engines, and
+// GOMAXPROCS 1, run the same loop with every shard on the caller. The
+// workers are joined before Run returns.
 //
 // The conservative contract: during a barrier round every shard may
 // freely execute events before the round's window end, because no
@@ -35,8 +41,9 @@
 // paper figures' per-machine series — go through RunRows, the single
 // entry point for independent partitions: a fresh sequential scheduler
 // per row under Seq, one shard per row of an unbounded-window
-// (lookahead 0) engine under Par, which degenerates to one round with
-// no barriers: the embarrassingly-parallel fast path.
+// (lookahead 0) engine under Par, which degenerates to one round
+// between the start and end barriers: the embarrassingly-parallel fast
+// path.
 //
 // Each Shard implements sim.Engine (Now, At, After, Run), so models
 // written against the sequential scheduler (EARTH, the campaign
@@ -51,7 +58,6 @@ package psim
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,14 +133,20 @@ func (c callback) fire(s *Shard) {
 // radix queue, clock and step count. It implements
 // sim.Engine, so model code written against the sequential scheduler
 // runs unchanged on a shard. A shard's state — and everything its
-// events touch — belongs to exactly one worker goroutine per barrier
-// round; the engine is the only cross-shard channel.
+// events touch — belongs to the one goroutine that drives the shard
+// for a whole Run; the engine is the only cross-shard channel.
 type Shard struct {
 	sim.Queue[callback]
 	// minSlack is the least (post time − now) of this shard's
 	// cross-shard posts, sim.MaxTime before the first. Only the shard's
-	// own worker writes it: shards post concurrently.
+	// own goroutine writes it: shards post concurrently.
 	minSlack sim.Time
+	// horizon is the end of the window the shard is running, sim.MaxTime
+	// outside one; PostPayload checks the shard's posts against it.
+	horizon sim.Time
+	// out is the outbox row the shard's posts go to in this window: one
+	// box per destination shard.
+	out []box
 }
 
 // At schedules fn on this shard at absolute simulated time t.
@@ -179,32 +191,9 @@ func (s *Shard) Run() {
 	}
 }
 
-// runWindow is the worker loop of one barrier round: it dispatches
-// every queued callback strictly below the window end. It is the
-// parallel engine's event-handler root — each callback it invokes was
-// scheduled through At/After or posted through a mailbox — and runs on
-// at most one goroutine per shard per round.
-//
-//pmlint:root
-func (s *Shard) runWindow(end sim.Time) {
-	for active(s, end) {
-		c, _ := s.Next()
-		c.fire(s)
-	}
-}
-
 // Shards cannot exist outside an engine, so the interface check lives
 // here: every shard is a drop-in sequential scheduler.
 var _ sim.Engine = (*Shard)(nil)
-
-// post is one cross-shard event waiting in a mailbox: its time, source
-// shard and callback. Mailbox order within a (src, dst) pair extends
-// the (time, push order) tie-break across shards.
-type post struct {
-	at  sim.Time
-	src int
-	callback
-}
 
 // Handler consumes cross-shard payloads on the destination shard: the
 // data-not-closures discipline for models whose cross-shard messages
@@ -218,39 +207,77 @@ type Handler interface {
 	OnPost(s *Shard, payload any)
 }
 
+// post is one cross-shard event waiting in an outbox: its time and
+// callback.
+type post struct {
+	at sim.Time
+	callback
+}
+
+// box holds the posts one shard made for one destination in one
+// window, in post order, and the least of their times (sim.MaxTime
+// while it is empty).
+type box struct {
+	posts []post
+	least sim.Time
+}
+
+// slot is what one shard publishes at the barriers of one round parity:
+// the time of its earliest queued event (sim.MaxTime when it has none),
+// whether one of its events panicked, and the outbox row it filled in
+// the window before, one box per destination. Only the shard writes a
+// slot, and only before it stores round; the others read it only after
+// loading round. Two slots per shard, by round parity, let a fast shard
+// publish round k+1 while a slow one still reads round k. The pad keeps
+// every slot on a cache line of its own.
+type slot struct {
+	round  atomic.Uint64
+	next   sim.Time
+	failed bool
+	out    []box
+	_      [16]byte
+}
+
+// waiter is the park state of the goroutine that drives one shard, on a
+// cache line of its own: parked is set only while it sleeps on wake,
+// and every publishing shard reads it.
+type waiter struct {
+	parked atomic.Bool
+	wake   chan struct{}
+	// failure is the panic value of an event on a worker's shard, set
+	// before the worker publishes its failed status.
+	failure any
+	_       [32]byte
+}
+
 // Engine coordinates shards through conservative barrier rounds. One
-// round: pick the globally earliest pending event, extend it by the
-// lookahead into a window, let every shard dispatch its sub-window
-// events concurrently, then merge the mailboxes deterministically and
-// repeat. With lookahead 0 the window is unbounded — a single round
-// with no barriers, the right mode for partitions that exchange no
-// events (campaign rate rows).
+// round: every shard publishes its status, waits for the others, opens
+// the same window — the globally earliest pending event plus the
+// lookahead — merges its own inbox and dispatches its sub-window
+// events, concurrently with the others. With lookahead 0 the window is
+// unbounded — a single round, the right mode for partitions that
+// exchange no events (campaign rate rows).
 type Engine struct {
 	shards    []*Shard
 	lookahead sim.Time
-	// serial dispatches every round on the calling goroutine, shard 0
-	// first — the --engine seq execution of a partitioned model. The
-	// event program (window ends, mailbox merges, push order) is
-	// identical to the parallel dispatch, so serial and parallel runs of
-	// a shard-confined model produce byte-identical histories; serial is
-	// also safe to drive from inside another engine's event (nested
-	// engines), because it never starts a crew.
+	// serial drives every shard on the calling goroutine, shard 0 first
+	// — the --engine seq execution of a partitioned model. The event
+	// program (window ends, inbox merges, push order) is identical to
+	// the parallel one, so serial and parallel runs of a shard-confined
+	// model produce byte-identical histories; serial is also safe to
+	// drive from inside another engine's event (nested engines), because
+	// it starts no goroutine.
 	serial bool
-	// horizon is the current round's window end (sim.MaxTime when the
-	// window is unbounded); PostPayload enforces the conservative contract
-	// against it.
-	horizon sim.Time
-	// mail[src*len(shards)+dst] buffers the posts src made for dst
-	// during the current round; only src's worker appends to it, so
-	// rounds need no locks — the barrier is the synchronization.
-	mail [][]post
-	// merged is deliver's reused merge buffer.
-	merged []post
+	// slots[2*i+p] is shard i's status for rounds of parity p.
+	slots []slot
+	// waiters[i] parks the goroutine driving shard i.
+	waiters []waiter
 	// rounds counts windows; solo counts those with at most one active
-	// shard. Both are pure functions of the model.
+	// shard. Both are pure functions of the model; only the goroutine
+	// driving shard 0 writes them.
 	rounds, solo uint64
-	// crew is the current parallel Run's worker crew, nil outside one.
-	crew *crew
+	// done joins a parallel Run's workers.
+	done sync.WaitGroup
 }
 
 // NewEngine builds an engine with n shards. A lookahead > 0 sets the
@@ -265,11 +292,22 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 	e := &Engine{
 		shards:    make([]*Shard, n),
 		lookahead: lookahead,
-		horizon:   sim.MaxTime,
-		mail:      make([][]post, n*n),
+		slots:     make([]slot, 2*n),
+		waiters:   make([]waiter, n),
+	}
+	// One slab holds every outbox row, each padded to an even box count:
+	// two 32-byte boxes fill a 64-byte line, so no two rows share one.
+	stride := n + n%2
+	boxes := make([]box, len(e.slots)*stride)
+	for i := range boxes {
+		boxes[i].least = sim.MaxTime
+	}
+	for i := range e.slots {
+		e.slots[i].out = boxes[i*stride : i*stride+n : i*stride+n]
 	}
 	for i := range e.shards {
-		e.shards[i] = &Shard{minSlack: sim.MaxTime}
+		e.shards[i] = &Shard{minSlack: sim.MaxTime, horizon: sim.MaxTime}
+		e.waiters[i].wake = make(chan struct{}, 1)
 	}
 	return e
 }
@@ -281,7 +319,7 @@ func NewEngine(n int, lookahead sim.Time) *Engine {
 // (and for a single row) each row gets a fresh sim.Scheduler, set up
 // and run to completion in row order on the calling goroutine. Under
 // Par row i is shard i of one lookahead-0 engine: every row is set up,
-// then one barrier-free round runs them concurrently. A row's events
+// then one unbounded round runs them concurrently. A row's events
 // may touch only row-confined state, which the caller reads after the
 // join. A panic in any row reaches the caller, and no worker outlives
 // the call.
@@ -302,11 +340,11 @@ func RunRows(k Kind, n int, setup func(i int, e sim.Engine)) {
 }
 
 // SetSerial switches the engine between parallel dispatch (the
-// default: a crew of persistent workers, one per shard, for each Run)
-// and serial dispatch (every shard's window run on the calling
-// goroutine, shard order). Both produce the same history; serial is the
-// sequential execution of a partitioned model and the only safe mode
-// inside another engine's event.
+// default: one goroutine per shard for each Run) and serial dispatch
+// (every shard driven by the calling goroutine, in shard order). Both
+// produce the same history; serial is the sequential execution of a
+// partitioned model and the only safe mode inside another engine's
+// event.
 func (e *Engine) SetSerial(on bool) { e.serial = on }
 
 // Lookahead reports the engine's conservative window width.
@@ -331,7 +369,7 @@ func (e *Engine) Steps() uint64 {
 func (e *Engine) Rounds() uint64 { return e.rounds }
 
 // SoloRounds reports how many of those rounds had at most one shard
-// with an event in the window: rounds with nothing to hand off.
+// with an event in the window, queued or in its inbox.
 func (e *Engine) SoloRounds() uint64 { return e.solo }
 
 // MinPostSlack reports the least slack of any cross-shard post so far:
@@ -362,120 +400,262 @@ func (s *Shard) noteSlack(t sim.Time) {
 // PostPayload schedules payload for delivery to the destination-owned
 // handler h on shard dst at absolute time t, from model code running on
 // shard src during a round. The conservative contract: t must lie at or
-// beyond the current window's end, because dst may already have
+// beyond the end of src's current window, because dst may already have
 // dispatched past any earlier time — violating it is a lookahead bug in
 // the model (its cross-shard latency is smaller than the engine's
 // lookahead) and panics.
 //
 //pmlint:hotpath
 func (e *Engine) PostPayload(src, dst int, t sim.Time, h Handler, payload any) {
-	if t < e.horizon {
-		panic(fmt.Sprintf("psim: shard %d posting payload to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, e.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
+	s := e.shards[src]
+	if t < s.horizon {
+		panic(fmt.Sprintf("psim: shard %d posting payload to shard %d at %v inside the window ending %v: model latency below the configured lookahead", src, dst, t, s.horizon)) //pmlint:allow hotpath cold panic guard for a lookahead violation, never taken per event
 	}
-	e.shards[src].noteSlack(t)
-	box := &e.mail[src*len(e.shards)+dst]
-	*box = append(*box, post{at: t, src: src, callback: callback{h: h, arg: payload}})
+	s.noteSlack(t)
+	b := &s.out[dst]
+	b.posts = append(b.posts, post{at: t, callback: callback{h: h, arg: payload}})
+	b.least = min(b.least, t)
 }
 
-// nextEventTime reports the earliest pending event across shards.
-func (e *Engine) nextEventTime() (sim.Time, bool) {
-	var min sim.Time
-	found := false
-	for _, s := range e.shards {
-		if at, ok := s.NextAt(); ok && (!found || at < min) {
-			min, found = at, true
+// Run drives barrier rounds until every shard queue and inbox is
+// empty. A parallel Run starts one worker goroutine per shard beyond
+// shard 0, which the caller drives, and every goroutine runs the same
+// round loop (drive); the only cross-goroutine data flow is the status
+// slots and the outboxes they publish. Serial and single-shard engines,
+// and hosts with GOMAXPROCS 1, drive every shard on the caller and
+// start no goroutine. Run joins its workers before it returns, a panic
+// unwinding through it included. A panic in an event on a worker's
+// shard ends every shard's loop at the next barrier and is re-raised on
+// the caller.
+func (e *Engine) Run() {
+	var k uint64 // the last round published, by a Run before this one
+	for i := range e.slots {
+		k = max(k, e.slots[i].round.Load())
+	}
+	n := len(e.shards)
+	if e.serial || n == 1 || runtime.GOMAXPROCS(0) == 1 {
+		e.drive(0, n, k)
+		return
+	}
+	e.done.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go e.work(i, k)
+	}
+	unwinding := true
+	defer func() {
+		if unwinding {
+			e.fail(0)
+			e.done.Wait()
+		}
+	}()
+	e.drive(0, 1, k)
+	unwinding = false
+	e.done.Wait()
+	for i := range e.waiters {
+		if r := e.waiters[i].failure; r != nil {
+			e.waiters[i].failure = nil
+			panic(r)
 		}
 	}
-	return min, found
 }
 
-// Run drives barrier rounds until every shard queue and mailbox is empty.
-// Each round dispatches the shards with work concurrently and merges
-// the mailboxes single-threaded at the barrier, so the only
-// cross-goroutine data flow is the hand-off at the round start and the
-// countdown at the barrier. The first round with two or more active
-// shards starts the crew; Run stops and joins it on return, a panic
-// unwinding through Run included, so no worker outlives it. A panic in
-// an event on a worker's shard is re-raised on the caller at the end of
-// its round. Serial and single-shard engines, and hosts with
-// GOMAXPROCS 1, never start one.
-func (e *Engine) Run() {
-	defer e.stopCrew()
-	fanout := !e.serial && len(e.shards) > 1 && runtime.GOMAXPROCS(0) > 1
+// work drives shard i on a worker goroutine for one parallel Run. A
+// panicking event ends it: it records the panic value and publishes a
+// failed status, so every shard leaves its loop at the next barrier and
+// the caller re-raises the panic once it has joined the workers.
+func (e *Engine) work(i int, k uint64) {
+	defer e.done.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			e.waiters[i].failure = r
+			e.fail(i)
+		}
+	}()
+	e.drive(i, i+1, k)
+}
+
+// drive is the round loop of the goroutine that owns shards [lo, hi),
+// after round k: one shard per goroutine in a parallel Run, every shard
+// on the caller otherwise. A round publishes each owned shard's status,
+// waits until every shard has published the round, and plans the
+// window from the slots — every goroutine computes the same one. Then
+// each owned shard merges its inbox, empties the outbox row it is about
+// to fill and runs its window. The loop ends in the first round whose
+// slots show no pending event or a failed shard, leaving both outbox
+// rows of every owned shard empty. It is the parallel engine's
+// event-handler root beside runWindow: every callback runs below it.
+//
+//pmlint:root
+func (e *Engine) drive(lo, hi int, k uint64) {
 	for {
-		next, ok := e.nextEventTime()
+		k++
+		p := int(k & 1)
+		for i := lo; i < hi; i++ {
+			e.publish(i, k, false)
+		}
+		e.await(lo, k)
+		end, active, ok := e.plan(p)
+		for i := lo; i < hi; i++ {
+			empty(e.slots[2*i+1-p].out)
+		}
 		if !ok {
 			return
 		}
-		end := sim.MaxTime
-		if e.lookahead > 0 {
-			end = next + e.lookahead
+		if lo == 0 {
+			e.rounds++
+			if active <= 1 {
+				e.solo++
+			}
 		}
-		e.horizon = end
-		e.round(end, fanout)
-		e.horizon = sim.MaxTime
-		e.deliver()
+		for i := lo; i < hi; i++ {
+			e.merge(i, p)
+			e.shards[i].runWindow(end, e.slots[2*i+1-p].out)
+		}
 	}
 }
 
-// active reports whether shard s has an event in the window ending at
-// end.
-func active(s *Shard, end sim.Time) bool {
-	at, ok := s.NextAt()
-	return ok && at < end
+// publish writes shard i's status for round k, then the round number
+// that releases it, then wakes every parked goroutine: the Dekker
+// store-then-load against await's park.
+func (e *Engine) publish(i int, k uint64, failed bool) {
+	sl := &e.slots[2*i+int(k&1)]
+	sl.next = sim.MaxTime
+	if at, ok := e.shards[i].NextAt(); ok {
+		sl.next = at
+	}
+	sl.failed = failed
+	sl.round.Store(k)
+	for j := range e.waiters {
+		if w := &e.waiters[j]; j != i && w.parked.Load() {
+			kick(w.wake)
+		}
+	}
 }
 
-// round runs one window. A round with at most one active shard — or
-// any round without fanout — runs every shard's window on the calling
-// goroutine in shard order. Otherwise each active shard i > 0 is handed
-// to its crew worker, the caller runs shard 0 itself, and the round
-// ends when the last worker counts down. Which goroutine runs a shard
-// never changes what it dispatches, so the history is the same either
-// way.
-func (e *Engine) round(end sim.Time, fanout bool) {
-	e.rounds++
-	n := 0
-	for _, s := range e.shards {
-		if active(s, end) {
-			n++
-		}
-	}
-	if n <= 1 {
-		e.solo++
-	}
-	if n <= 1 || !fanout {
-		for _, s := range e.shards {
-			s.runWindow(end)
-		}
-		return
-	}
-	c := e.crew
-	if c == nil {
-		c = e.startCrew()
-	}
-	c.end = end
-	c.gen++
-	if active(e.shards[0], end) {
-		n--
-	}
-	c.pending.Store(int32(n))
-	for i, s := range e.shards[1:] {
-		if active(s, end) {
-			c.workers[i].hand(c.gen)
-		}
-	}
-	e.shards[0].runWindow(end)
-	c.await()
-	c.rethrow()
+// fail publishes a failed status for shard i in the round after the
+// last one it published, the barrier every other shard meets next.
+func (e *Engine) fail(i int) {
+	k := max(e.slots[2*i].round.Load(), e.slots[2*i+1].round.Load())
+	e.publish(i, k+1, true)
 }
 
-// spinBudget bounds every busy-wait of the barrier: a worker waiting
-// for its next round and the caller waiting for the round's end each
-// poll for at most this long before parking. It spans the gap between
-// the back-to-back rounds of a busy run without holding a processor
-// through a long idle stretch. A fixed poll count does not: polls are
-// so cheap that any count small enough to bound the wait parks between
-// rounds of the same burst.
+// await blocks the goroutine driving shard i until every shard has
+// published round k: a bounded spin, then a park.
+func (e *Engine) await(i int, k uint64) {
+	var sp spinner
+	w := &e.waiters[i]
+	for !e.published(k) {
+		if sp.spin() {
+			continue
+		}
+		w.parked.Store(true)
+		if !e.published(k) {
+			<-w.wake
+		}
+		w.parked.Store(false)
+	}
+}
+
+// published reports whether every shard has published round k.
+func (e *Engine) published(k uint64) bool {
+	for i := int(k & 1); i < len(e.slots); i += 2 {
+		if e.slots[i].round.Load() < k {
+			return false
+		}
+	}
+	return true
+}
+
+// plan reads the slots of round parity p and returns the round's
+// window end: the earliest pending event, queued on a shard or posted
+// to it, plus the lookahead (sim.MaxTime when the lookahead is 0).
+// active counts the shards with an event in the window. ok is false
+// when no event is pending or a shard failed: the run is over.
+func (e *Engine) plan(p int) (end sim.Time, active int, ok bool) {
+	first := sim.MaxTime
+	for j := range e.shards {
+		if e.slots[2*j+p].failed {
+			return 0, 0, false
+		}
+		first = min(first, e.due(j, p))
+	}
+	if first == sim.MaxTime {
+		return 0, 0, false
+	}
+	end = sim.MaxTime
+	if e.lookahead > 0 {
+		end = first + e.lookahead
+	}
+	for j := range e.shards {
+		if e.due(j, p) < end {
+			active++
+		}
+	}
+	return end, active, true
+}
+
+// due is shard j's earliest pending event in round parity p: the least
+// of its queue's next time and the posts every shard made for it.
+func (e *Engine) due(j, p int) sim.Time {
+	t := e.slots[2*j+p].next
+	for i := range e.shards {
+		t = min(t, e.slots[2*i+p].out[j].least)
+	}
+	return t
+}
+
+// merge pushes shard i's inbox of round parity p into its queue: every
+// source's box in shard order, each in post order. The queue fires
+// equal times in push order, so the posts dispatch in the deterministic
+// cross-shard tie-break — ascending (time, source shard, post order) —
+// a pure function of the model, never of goroutine timing. Posts enter
+// the queue as they are, payload posts as payload events, and through
+// Push, so its past-time guard covers every merge.
+func (e *Engine) merge(i, p int) {
+	s := e.shards[i]
+	for src := range e.shards {
+		for _, q := range e.slots[2*src+p].out[i].posts {
+			s.Push(q.at, q.callback)
+		}
+	}
+}
+
+// empty resets an outbox row whose destinations have merged it,
+// dropping the callbacks so the GC can collect them; a row keeps its
+// buffers, so a round allocates nothing once they have grown.
+func empty(row []box) {
+	for j := range row {
+		if b := &row[j]; b.least != sim.MaxTime {
+			clear(b.posts)
+			b.posts, b.least = b.posts[:0], sim.MaxTime
+		}
+	}
+}
+
+// runWindow dispatches every queued callback strictly below the window
+// end, with the shard's posts going to out. It is the parallel engine's
+// event-handler root — each callback it invokes was scheduled through
+// At/After or posted through an outbox.
+//
+//pmlint:root
+func (s *Shard) runWindow(end sim.Time, out []box) {
+	s.horizon, s.out = end, out
+	for {
+		if at, ok := s.NextAt(); !ok || at >= end {
+			break
+		}
+		c, _ := s.Next()
+		c.fire(s)
+	}
+	s.horizon = sim.MaxTime
+}
+
+// spinBudget bounds every busy-wait of the barrier: a shard waiting
+// for the others polls for at most this long before parking. It spans
+// the gap between the back-to-back rounds of a busy run without holding
+// a processor through a long idle stretch. A fixed poll count does not:
+// polls are so cheap that any count small enough to bound the wait
+// parks between rounds of the same burst.
 const spinBudget = 50 * time.Microsecond
 
 // spinYield is how many polls a spinning waiter makes between
@@ -519,205 +699,5 @@ func kick(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
 	default:
-	}
-}
-
-// worker is one crew member's hand-off state.
-type worker struct {
-	// start is the generation of the last round handed to this worker;
-	// storing it publishes the round's window end and the stop flag.
-	start atomic.Uint64
-	// parked is set while the worker sleeps on wake.
-	parked atomic.Bool
-	wake   chan struct{}
-	// failure is the panic value of an event on the worker's shard,
-	// stored before the worker's last countdown; nil while it runs.
-	failure any
-}
-
-// hand starts round gen on the worker. Dekker order with await: store
-// the generation, then load parked — either the worker sees the new
-// generation before it sleeps, or this sees it parked and wakes it.
-func (w *worker) hand(gen uint64) {
-	w.start.Store(gen)
-	if w.parked.Load() {
-		kick(w.wake)
-	}
-}
-
-// await blocks until the worker is handed a round other than seen and
-// returns its generation: a bounded spin, then a park.
-func (w *worker) await(seen uint64) uint64 {
-	var sp spinner
-	for {
-		if g := w.start.Load(); g != seen {
-			return g
-		}
-		if sp.spin() {
-			continue
-		}
-		w.parked.Store(true)
-		if w.start.Load() == seen {
-			<-w.wake
-		}
-		w.parked.Store(false)
-	}
-}
-
-// crew is a parallel Run's set of persistent shard workers. Worker i
-// drives shard i for the whole Run (workers[i-1]; the caller runs
-// shard 0). end and stop are written by the caller before it hands a
-// round out and read by a worker only after it sees the hand-off; the
-// caller writes them again only after the round's countdown reaches
-// zero, so the barrier orders every access.
-type crew struct {
-	workers []worker
-	gen     uint64
-	end     sim.Time
-	stop    bool
-	// pending counts the workers still running the current round.
-	pending atomic.Int32
-	// parked is set while the caller sleeps on wake.
-	parked atomic.Bool
-	wake   chan struct{}
-	done   sync.WaitGroup
-}
-
-// startCrew starts one worker per shard beyond shard 0.
-func (e *Engine) startCrew() *crew {
-	c := &crew{workers: make([]worker, len(e.shards)-1), wake: make(chan struct{}, 1)}
-	c.done.Add(len(c.workers))
-	for i := range c.workers {
-		c.workers[i].wake = make(chan struct{}, 1)
-		go c.work(e.shards[i+1], &c.workers[i])
-	}
-	e.crew = c
-	return c
-}
-
-// work is a crew worker's loop: wait for a round, run the shard's
-// window, count down, until the caller stops the crew. It is the
-// parallel engine's second event-handler root beside runWindow: every
-// callback a worker dispatches runs in event-handler context. A
-// panicking event ends the worker: it records the panic value and
-// counts down, and the caller re-raises the panic once the round has
-// joined, so it reaches Run's caller as a shard-0 panic does.
-//
-//pmlint:root
-func (c *crew) work(s *Shard, w *worker) {
-	defer c.done.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			w.failure = r
-			c.countDown()
-		}
-	}()
-	var seen uint64
-	for {
-		seen = w.await(seen)
-		if c.stop {
-			return
-		}
-		s.runWindow(c.end)
-		c.countDown()
-	}
-}
-
-// countDown marks one worker's share of the round done and wakes the
-// caller if it parked waiting for the last one.
-func (c *crew) countDown() {
-	if c.pending.Add(-1) == 0 && c.parked.Load() {
-		kick(c.wake)
-	}
-}
-
-// rethrow re-raises on the caller the panic of the lowest-numbered
-// worker whose shard panicked in the round just joined. The countdown
-// orders the worker's store of failure before this read.
-func (c *crew) rethrow() {
-	for i := range c.workers {
-		if r := c.workers[i].failure; r != nil {
-			panic(r)
-		}
-	}
-}
-
-// await blocks the caller until every worker of the current round has
-// counted down: a bounded spin, then a park, in the same Dekker order
-// as worker.await against work's countdown.
-func (c *crew) await() {
-	var sp spinner
-	for c.pending.Load() != 0 {
-		if sp.spin() {
-			continue
-		}
-		c.parked.Store(true)
-		if c.pending.Load() != 0 {
-			<-c.wake
-		}
-		c.parked.Store(false)
-	}
-}
-
-// stopCrew ends the crew, if one is running, and joins its workers. A
-// panic on the caller can leave a round in flight, so it first waits
-// for the round's countdown, then hands every worker the stop round.
-func (e *Engine) stopCrew() {
-	c := e.crew
-	if c == nil {
-		return
-	}
-	e.crew = nil
-	c.await()
-	c.stop = true
-	c.gen++
-	for i := range c.workers {
-		c.workers[i].hand(c.gen)
-	}
-	c.done.Wait()
-}
-
-// deliver merges the round's mailboxes into the destination queues
-// with the deterministic cross-shard tie-break: ascending (time, source
-// shard, post order). Posts are pushed in that merged order, so the
-// (time, push order) queue order downstream — and with it every
-// simulated outcome — is a pure function of the model, never of
-// goroutine timing. Posts enter the queue as they are — payload
-// posts as payload events — through one reused merge buffer, so a round
-// allocates nothing once the buffers have grown, and through Push, so
-// its past-time guard covers every merge.
-func (e *Engine) deliver() {
-	n := len(e.shards)
-	for dst := 0; dst < n; dst++ {
-		merged := e.merged[:0]
-		for src := 0; src < n; src++ {
-			box := &e.mail[src*n+dst]
-			if len(*box) == 0 {
-				continue
-			}
-			merged = append(merged, *box...)
-			clear(*box) // drop the callbacks so the GC can collect them
-			*box = (*box)[:0]
-		}
-		if len(merged) == 0 {
-			continue
-		}
-		// Stable sort: posts from one source stay in posting order, the
-		// third key of the tie-break.
-		slices.SortStableFunc(merged, func(a, b post) int {
-			if a.at != b.at {
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			}
-			return a.src - b.src
-		})
-		s := e.shards[dst]
-		for _, p := range merged {
-			s.Push(p.at, p.callback)
-		}
-		clear(merged)
-		e.merged = merged[:0]
 	}
 }

@@ -3,6 +3,7 @@ package psim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"powermanna/internal/sim"
 )
@@ -119,20 +120,33 @@ func TestMailboxMergeTieBreak(t *testing.T) {
 	}
 }
 
-// TestPostInsideWindowPanics pins the conservative guard: posting below
-// the current window end is a lookahead violation and must panic, not
-// silently corrupt the order.
+// TestPostInsideWindowPanics pins the conservative guard on every
+// shard: posting below the posting shard's window end is a lookahead
+// violation and must panic in the posting event — on the caller's
+// shard and on a worker's — not silently corrupt the order. A post at
+// the window end or beyond is legal.
 func TestPostInsideWindowPanics(t *testing.T) {
-	eng := NewEngine(2, sim.Microsecond)
-	eng.Shard(0).At(0, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("post inside the window did not panic")
-			}
-		}()
-		eng.PostPayload(0, 1, 500*sim.Nanosecond, runFunc{}, func() {})
-	})
-	eng.Run()
+	for _, tc := range []struct {
+		src, dst int
+		at       sim.Time // post time, the window being [0, 1us)
+		panics   bool
+	}{
+		{0, 1, 500 * sim.Nanosecond, true},
+		{1, 0, sim.Microsecond - 1, true},
+		{2, 1, sim.Microsecond, false},
+		{1, 2, 3 * sim.Microsecond, false},
+	} {
+		eng := NewEngine(3, sim.Microsecond)
+		eng.Shard(tc.src).At(0, func() {
+			defer func() {
+				if r := recover(); (r != nil) != tc.panics {
+					t.Errorf("shard %d posting at %v: recovered %v, want a panic: %v", tc.src, tc.at, r, tc.panics)
+				}
+			}()
+			eng.PostPayload(tc.src, tc.dst, tc.at, runFunc{}, func() {})
+		})
+		eng.Run()
+	}
 }
 
 // TestMinPostSlack pins the runtime slack record: the least post time
@@ -248,13 +262,14 @@ func (h *countHandler) OnPost(_ *Shard, payload any) { h.n += *payload.(*int) }
 
 // TestPostDeliverAllocatesNothing pins the mailbox path to zero heap
 // allocations per event once its buffers have grown: payload posts of
-// a closure and of a pointer, the barrier merge and local payload
+// a closure and of a pointer, the inbox merge and local payload
 // events.
 func TestPostDeliverAllocatesNothing(t *testing.T) {
 	eng := NewEngine(2, DefaultLookahead())
-	// Serial: a parallel Run allocates its crew once per Run, and this
-	// test runs one round per Run. TestParallelRoundsAllocateNothing pins
-	// the parallel rounds; the merge is the same.
+	// Serial: a parallel Run starts its worker goroutines once per Run,
+	// and this test runs a few rounds per Run.
+	// TestParallelRoundsAllocateNothing pins the parallel rounds; the
+	// merge is the same.
 	eng.SetSerial(true)
 	src, dst := eng.Shard(0), eng.Shard(1)
 	h := &countHandler{}
@@ -279,5 +294,24 @@ func TestPostDeliverAllocatesNothing(t *testing.T) {
 	}
 	if want := 4 * (10 + 101); h.n != want {
 		t.Errorf("handler saw %d events, want %d", h.n, want)
+	}
+}
+
+// TestBarrierLinesArePadded pins the barrier's cache-line layout: a
+// status slot and a waiter fill whole 64-byte lines, and every outbox
+// row of an odd shard count starts a line of its own, so no two shards
+// write one line.
+func TestBarrierLinesArePadded(t *testing.T) {
+	if n := unsafe.Sizeof(slot{}); n%64 != 0 {
+		t.Errorf("slot is %d bytes, want a multiple of 64", n)
+	}
+	if n := unsafe.Sizeof(waiter{}); n%64 != 0 {
+		t.Errorf("waiter is %d bytes, want a multiple of 64", n)
+	}
+	eng := NewEngine(3, DefaultLookahead())
+	for i := range eng.slots {
+		if off := uintptr(unsafe.Pointer(&eng.slots[i].out[0])) - uintptr(unsafe.Pointer(&eng.slots[0].out[0])); off%64 != 0 {
+			t.Errorf("outbox row %d starts %d bytes into the slab, want a multiple of 64", i, off)
+		}
 	}
 }
