@@ -5,7 +5,8 @@
 # formatting, vet (this module and the bench module), build, a check
 # that the node model's cache probes inline, race-enabled tests, a
 # race stress of psim's barrier (twenty passes at -cpu 1,2,4), ten
-# seconds of event-queue fuzzing (internal/sim FuzzQueue), one
+# seconds each of event-queue fuzzing (internal/sim FuzzQueue) and
+# trace-diff alignment fuzzing (internal/trace FuzzAlignShape), one
 # iteration of each paper-figure facade benchmark (the root package's
 # BenchmarkFig*, BenchmarkAblation* and BenchmarkKernel*) and of each
 # node-model, route-search, event-queue, network (internal/netsim),
@@ -66,6 +67,12 @@ echo "== event-queue fuzz =="
 # FuzzQueue checks random push/peek/pop strings against a sorted
 # reference; ten seconds covers far, equal-time and near-MaxTime pushes.
 go test -run '^$' -fuzz '^FuzzQueue$' -fuzztime 10s ./internal/sim
+
+echo "== trace-diff alignment fuzz =="
+# FuzzAlignShape checks that the aligner emits every occurrence of both
+# runs once and in order, at the brute-force minimum cost for short
+# sequences, and pairs a sequence with itself exactly.
+go test -run '^$' -fuzz '^FuzzAlignShape$' -fuzztime 10s ./internal/trace
 
 echo "== facade, node-model, route, event-queue, network, runtime and message-layer benchmarks =="
 go test -run '^$' -bench . -benchtime 1x . ./internal/cache ./internal/node ./internal/matmult ./internal/topo ./internal/sim ./internal/psim ./internal/netsim ./internal/earth ./internal/mpl ./internal/heat

@@ -26,8 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"powermanna/internal/analysis"
@@ -69,7 +67,11 @@ func run() int {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	pkgs, err := load(args)
+	loader, err := analysis.NewLoader(".")
+	var pkgs []*analysis.Package
+	if err == nil {
+		pkgs, err = loader.Load(args)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmlint:", err)
 		return 2
@@ -95,68 +97,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// load resolves package patterns (a directory, or a directory/... tree)
-// against the enclosing module and loads every matched package.
-func load(patterns []string) ([]*analysis.Package, error) {
-	root, modpath, err := analysis.ModuleRoot(".")
-	if err != nil {
-		return nil, err
-	}
-	rels := map[string]bool{}
-	for _, pat := range patterns {
-		tree := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			tree = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = root
-			}
-		}
-		abs, err := filepath.Abs(pat)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := filepath.Rel(root, abs)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			return nil, fmt.Errorf("pattern %s is outside the module at %s", pat, root)
-		}
-		rel = filepath.ToSlash(rel)
-		if !tree {
-			rels[rel] = true
-			continue
-		}
-		sub, err := analysis.PackageDirs(abs)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sub {
-			r := rel
-			if s != "." {
-				if r == "." {
-					r = s
-				} else {
-					r = r + "/" + s
-				}
-			}
-			rels[r] = true
-		}
-	}
-	sorted := make([]string, 0, len(rels))
-	for r := range rels {
-		sorted = append(sorted, r)
-	}
-	sort.Strings(sorted)
-
-	loader := analysis.NewLoader()
-	var pkgs []*analysis.Package
-	for _, rel := range sorted {
-		pkg, err := loader.LoadPackage(root, modpath, rel)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
 }

@@ -4,8 +4,8 @@
 // model and its configuration, bit-identical across machines and runs.
 //
 // The suite walks the module with go/build, parses with go/parser and
-// type-checks with go/types (source importer) — no third-party analysis
-// framework — and ships nine analyzers:
+// type-checks each package once with go/types (load.go) — no third-party
+// analysis framework — and ships nine analyzers:
 //
 //   - determinism: wall-clock reads, global math/rand, order-dependent
 //     map iteration, and concurrency in the single-threaded sim core

@@ -36,7 +36,7 @@ var fixtureCases = []struct {
 // diagnostic must be announced by a `// want` comment on its line, and
 // each want must be matched by a diagnostic.
 func TestFixtures(t *testing.T) {
-	loader := NewLoader()
+	loader := newLoader(t)
 	for _, c := range fixtureCases {
 		t.Run(c.dir, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", c.dir)
@@ -157,9 +157,9 @@ func parseWant(comment string) ([]string, bool) {
 	return patterns, len(patterns) > 0
 }
 
-// The whole module, loaded and type-checked once per test binary: each
-// load re-checks the standard library from source and costs seconds. Run
-// and AuditPackages only read the packages, so the tests may share them.
+// The whole module, loaded once per test binary and shared: Run and
+// AuditPackages only read the packages, and each load type-checks every
+// package of the module again.
 var (
 	moduleOnce sync.Once
 	modulePkgs []*Package
@@ -173,33 +173,66 @@ func sharedModule(t *testing.T) []*Package {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not short")
 	}
-	moduleOnce.Do(func() { modulePkgs, moduleErr = loadModule(".") })
+	moduleOnce.Do(func() {
+		var l *Loader
+		if l, moduleErr = NewLoader("."); moduleErr == nil {
+			modulePkgs, moduleErr = l.Load([]string{"./..."})
+		}
+	})
 	if moduleErr != nil {
 		t.Fatalf("loading module: %v", moduleErr)
 	}
 	return modulePkgs
 }
 
-// loadModule loads every package of the module rooted at (or above) dir.
-func loadModule(dir string) ([]*Package, error) {
-	root, modpath, err := ModuleRoot(dir)
+// newLoader builds a loader for this module.
+func newLoader(t *testing.T) *Loader {
+	t.Helper()
+	l, err := NewLoader(".")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	rels, err := PackageDirs(root)
+	return l
+}
+
+// TestLoaderChecksEachPackageOnce pins the loader's one package
+// universe: importing a module path yields the very *types.Package
+// LoadPackage returns, with the Info the analyzers read, and a fixture
+// loaded under powermanna/internal/sim does not stand in for the real
+// package when a later package imports it; a reload, however the path
+// is spelled, returns the memoized package.
+func TestLoaderChecksEachPackageOnce(t *testing.T) {
+	l := newLoader(t)
+	fake, err := l.LoadDir(filepath.Join("testdata", "src", "det_core"), "powermanna/internal/sim", "internal/sim")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	l := NewLoader()
-	var pkgs []*Package
-	for _, rel := range rels {
-		pkg, err := l.LoadPackage(root, modpath, rel)
-		if err != nil {
-			return nil, err
+	psim, err := l.LoadPackage("internal/psim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := l.LoadPackage("internal/sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim == fake || sim.Types == fake.Types {
+		t.Fatalf("LoadPackage(internal/sim) returned the det_core fixture")
+	}
+	imported, err := l.Import("powermanna/internal/sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imported != sim.Types {
+		t.Errorf("Import and LoadPackage returned different packages for internal/sim")
+	}
+	for _, imp := range psim.Types.Imports() {
+		if imp.Path() == "powermanna/internal/sim" && imp != sim.Types {
+			t.Errorf("internal/psim imports a second copy of internal/sim")
 		}
-		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, nil
+	if again, err := l.LoadPackage("./internal/sim/"); err != nil || again != sim {
+		t.Errorf("reloading internal/sim = %p, %v; want the memoized %p", again, err, sim)
+	}
 }
 
 // TestRepositoryIsClean runs the full suite over this repository itself:
@@ -252,7 +285,7 @@ func TestDiagnosticString(t *testing.T) {
 
 // TestModuleRoot checks go.mod discovery from a nested directory.
 func TestModuleRoot(t *testing.T) {
-	root, modpath, err := ModuleRoot(".")
+	root, modpath, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +313,7 @@ func launch(ch chan int) { go func() { ch <- 1 }() }
 	if err := writeFile(filepath.Join(dir, "netsim.go"), src); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := NewLoader().LoadDir(dir, "powermanna/internal/netsim", "internal/netsim")
+	pkg, err := newLoader(t).LoadDir(dir, "powermanna/internal/netsim", "internal/netsim")
 	if err != nil {
 		t.Fatal(err)
 	}

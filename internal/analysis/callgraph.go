@@ -15,8 +15,8 @@ import (
 // It builds a per-package static call graph whose distinguished roots are
 // the sim event-handler entry points: every function or function literal
 // scheduled through a sim event queue — internal/sim's Scheduler.At /
-// After (directly or via the sim.Engine interface) and the Queue.Push
-// beneath them, and internal/psim's per-shard At / After — plus any
+// After, At via the sim.Engine interface and the Queue.Push beneath
+// them, and internal/psim's per-shard At / After — plus any
 // declared function carrying the //pmlint:root directive.
 // The edge from the scheduling site to the scheduled callback is
 // deliberately *not* in the graph — crossing the event queue is the one
@@ -391,8 +391,8 @@ var scheduleQueues = []struct {
 }
 
 // scheduleCallback returns the callback argument of a call that enqueues
-// work on a sim event queue (Scheduler/Engine/Shard At and After, and
-// Queue.Push), or nil for any other call.
+// work on a sim event queue (Scheduler/Shard At and After, Engine.At
+// and Queue.Push), or nil for any other call.
 // The callback is the final func() argument.
 func scheduleCallback(pkg *Package, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

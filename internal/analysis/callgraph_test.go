@@ -9,7 +9,7 @@ import (
 // call-graph test bed: five scheduled handlers, one shared counter.
 func loadShardFixture(t *testing.T) *Package {
 	t.Helper()
-	pkg, err := NewLoader().LoadDir("testdata/src/shard", "powermanna/internal/shard", "internal/shard")
+	pkg, err := newLoader(t).LoadDir("testdata/src/shard", "powermanna/internal/shard", "internal/shard")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestCallGraphRoots(t *testing.T) {
 // directive promotes a declared worker loop; a lookalike At method on
 // an unrelated type roots nothing.
 func TestCallGraphEngineRoots(t *testing.T) {
-	pkg, err := NewLoader().LoadDir("testdata/src/pqueue", "powermanna/internal/pqueue", "internal/pqueue")
+	pkg, err := newLoader(t).LoadDir("testdata/src/pqueue", "powermanna/internal/pqueue", "internal/pqueue")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}

@@ -16,7 +16,7 @@ func loadSnippet(t *testing.T, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := NewLoader().LoadDir(dir, "powermanna/internal/snip", "internal/snip")
+	pkg, err := newLoader(t).LoadDir(dir, "powermanna/internal/snip", "internal/snip")
 	if err != nil {
 		t.Fatalf("loading snippet: %v", err)
 	}

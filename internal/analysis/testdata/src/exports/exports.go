@@ -30,4 +30,27 @@ type Outer struct {
 // Unused is referenced nowhere: the guard must flag it.
 func Unused() {}
 
+// Shape is a module interface: its methods count as called only where
+// something calls them through it.
+type Shape interface {
+	// Area is called in measure.
+	Area() int
+	// Perimeter is called nowhere: the guard must flag it and
+	// Square.Perimeter, which implements it.
+	Perimeter() int
+}
+
+// Square implements Shape.
+type Square struct{ side int }
+
+// Area is reached through Shape.Area.
+func (s Square) Area() int { return s.side * s.side }
+
+// Perimeter satisfies only the uncalled Shape.Perimeter.
+func (s Square) Perimeter() int { return 4 * s.side }
+
+func measure(s Shape) int { return s.Area() }
+
 var _ = show(Report{}) + Outer{}.Hello()
+
+var _ = measure(Square{side: 2})

@@ -120,8 +120,6 @@ type Fabric interface {
 	// Upgrade performs an address-only invalidating transaction (write hit
 	// on a Shared line). Returns when ownership is granted.
 	Upgrade(at sim.Time) sim.Time
-	// Config returns the fabric configuration.
-	Config() Config
 	// Stats returns accumulated counters.
 	Stats() Stats
 	// Reset clears timelines and counters.
@@ -187,9 +185,6 @@ func (b *SharedBus) WritebackLine(at sim.Time, lineAddr uint64) sim.Time {
 
 // Upgrade implements Fabric.
 func (b *SharedBus) Upgrade(at sim.Time) sim.Time { return b.GrantAddress(at) }
-
-// Config implements Fabric.
-func (b *SharedBus) Config() Config { return b.cfg }
 
 // Stats implements Fabric.
 func (b *SharedBus) Stats() Stats { return b.stats }
@@ -259,9 +254,6 @@ func (f *SwitchedFabric) WritebackLine(at sim.Time, lineAddr uint64) sim.Time {
 
 // Upgrade implements Fabric.
 func (f *SwitchedFabric) Upgrade(at sim.Time) sim.Time { return f.GrantAddress(at) }
-
-// Config implements Fabric.
-func (f *SwitchedFabric) Config() Config { return f.cfg }
 
 // Stats implements Fabric.
 func (f *SwitchedFabric) Stats() Stats { return f.stats }

@@ -203,10 +203,10 @@ func TestResetClearsState(t *testing.T) {
 		f.Reset()
 		s := f.Stats()
 		if s.AddressPhases != 0 || s.DataPhases != 0 {
-			t.Errorf("%s: stats not reset: %+v", f.Config().Name, s)
+			t.Errorf("%T: stats not reset: %+v", f, s)
 		}
-		if g := f.GrantAddress(0); g != f.Config().addressTime() {
-			t.Errorf("%s: timeline not reset, grant = %v", f.Config().Name, g)
+		if g := f.GrantAddress(0); g != testCfg().addressTime() {
+			t.Errorf("%T: timeline not reset, grant = %v", f, g)
 		}
 	}
 }

@@ -233,6 +233,83 @@ func TestPartitionedSendMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestFailedPlaneRecovers drives plane A of node 0 through failure and
+// recovery. An NI stall on plane A makes the first send abandon it on
+// the setup timeout and fail over to plane B; a send inside the reprobe
+// interval skips plane A on the plane-down cache; a send after both the
+// stall window and the reprobe interval probes plane A, delivers on it
+// and clears the cache entry, so the send after it is not skipped
+// either. The synchronous Transport and the partitioned network at 1
+// and 2 shards (where 0->100 crosses shards) must agree on every
+// Delivery and on the cache entry after every send.
+func TestFailedPlaneRecovers(t *testing.T) {
+	const src, dst, stallEnd = 0, 100, 50 * sim.Microsecond
+	stall := func(n *Network) { n.NI(src).Links[topo.NetworkA].Stall(0, stallEnd) }
+	cfg := DefaultFailover()
+	reprobeAt := cfg.SetupTimeout + cfg.ReprobeInterval // when the first failure's entry expires
+	msgs := []sendAt{{0, dst, 256}, {2 * stallEnd, dst, 256}, {reprobeAt + stallEnd, dst, 256}, {reprobeAt + 2*stallEnd, dst, 256}}
+	type outcome struct {
+		d     Delivery
+		aDown bool // plane A's plane-down entry once the send completed
+	}
+
+	n := New(topo.System256())
+	stall(n)
+	tp := n.MustTransport(src, cfg)
+	want := make([]outcome, len(msgs))
+	for i, m := range msgs {
+		d, err := tp.Send(m.at, m.dst, m.bytes)
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		want[i] = outcome{d, tp.down[topo.NetworkA].down}
+	}
+	for i, w := range []struct {
+		plane, skipped int
+		aDown          bool
+	}{
+		{topo.NetworkB, 0, true},  // abandons the stalled plane A
+		{topo.NetworkB, 1, true},  // skips plane A on the cache
+		{topo.NetworkA, 0, false}, // reprobes plane A and clears its entry
+		{topo.NetworkA, 0, false}, // plane A is healthy again
+	} {
+		if got := want[i]; got.d.Failed || got.d.Plane != w.plane || got.d.SkippedDown != w.skipped || got.aDown != w.aDown {
+			t.Errorf("transport send %d at %v: plane %d, skipped %d, failed %v, plane A down %v; want plane %d, skipped %d, plane A down %v",
+				i, msgs[i].at, got.d.Plane, got.d.SkippedDown, got.d.Failed, got.aDown, w.plane, w.skipped, w.aDown)
+		}
+	}
+	if a := n.Plane(topo.NetworkA); a.SetupTimeouts != 1 || a.SkippedDown != 1 {
+		t.Errorf("plane A counters %+v: want one setup timeout and one cache skip", a)
+	}
+
+	for _, shards := range []int{1, 2} {
+		pn, err := NewPartitioned(topo.System256(), shards, cfg)
+		if err != nil {
+			t.Fatalf("NewPartitioned(%d): %v", shards, err)
+		}
+		stall(pn.Network())
+		got := make([]outcome, len(msgs))
+		sh := pn.Shard(pn.ShardOf(src))
+		for i, m := range msgs {
+			i, m := i, m
+			sh.At(m.at, func() {
+				err := pn.SendAsync(src, m.dst, m.bytes, nil, m.at, func(d Delivery) {
+					got[i] = outcome{d, pn.tps[src].down[topo.NetworkA].down}
+				})
+				if err != nil {
+					t.Errorf("SendAsync: %v", err)
+				}
+			})
+		}
+		pn.Run()
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("shards=%d send %d:\n got %+v\nwant %+v", shards, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // partBurst is a contended workload: every node sends a first wave to a
 // fixed permutation target at t=0 and a second wave back to its group
 // neighbourhood at 2 µs — enough same-time cross-group traffic to

@@ -229,7 +229,7 @@ func rowProgram(i int, e sim.Engine, out []uint64) {
 		h = h*6364136223846793005 + uint64(e.Now())
 		out[i] = h
 		if n++; n < 50 {
-			e.After(sim.Time(1+(h>>60)+uint64(i)), step)
+			e.At(e.Now()+sim.Time(1+(h>>60)+uint64(i)), step)
 		}
 	}
 	e.At(sim.Time(i), step)

@@ -45,7 +45,7 @@
 // between the start and end barriers: the embarrassingly-parallel fast
 // path.
 //
-// Each Shard implements sim.Engine (Now, At, After, Run), so models
+// Each Shard implements sim.Engine (Now, At, Run), so models
 // written against the sequential scheduler (EARTH, the campaign
 // drivers) run unchanged on a shard. Everything a shard's events touch
 // must be shard-local; the pmlint --report audit (sharedstate and

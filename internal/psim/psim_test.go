@@ -12,7 +12,10 @@ import (
 // reentrant scheduling, After chains — through a sim.Scheduler and a
 // single psim shard and requires identical dispatch order.
 func TestShardMatchesSchedulerOrder(t *testing.T) {
-	program := func(e sim.Engine) []string {
+	program := func(e interface {
+		sim.Engine
+		After(d sim.Time, fn func())
+	}) []string {
 		var log []string
 		emit := func(tag string) func() {
 			return func() { log = append(log, fmt.Sprintf("%s@%v", tag, e.Now())) }

@@ -15,8 +15,6 @@ type Engine interface {
 	// At schedules fn at absolute simulated time t; scheduling in the
 	// past is a model bug and panics.
 	At(t Time, fn func())
-	// After schedules fn to run d after the current time.
-	After(d Time, fn func())
 	// Run dispatches events until the queue is empty.
 	Run()
 }
